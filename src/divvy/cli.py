@@ -70,6 +70,9 @@ def _add_numeric_flag(p: argparse.ArgumentParser) -> None:
         default=FLOAT,
         help="arithmetic backend (default: float)",
     )
+
+
+def _add_cache_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--no-cache",
         action="store_true",
@@ -112,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_io_flags(p)
     _add_numeric_flag(p)
+    _add_cache_flag(p)
     p.add_argument("--value", required=True, help="value-function JSON")
     p.set_defaults(handler=_run_shapley_freq)
 
@@ -121,6 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_io_flags(p)
     _add_numeric_flag(p)
+    _add_cache_flag(p)
     _add_coalition_flag(p)
     p.add_argument("--value", required=True, help="value-function JSON")
     p.set_defaults(handler=_run_owen_freq)
@@ -140,6 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_io_flags(p)
     _add_numeric_flag(p)
+    _add_cache_flag(p)
     _add_knn_flags(p)
     _add_coalition_flag(p)
     p.set_defaults(handler=_run_owen_knn)
@@ -255,6 +261,7 @@ def _run_owen_knn(args):
         _knn_config(args),
         mode=args.numeric,
         per_query=args.per_query,
+        use_cache=not args.no_cache,
     )
 
 

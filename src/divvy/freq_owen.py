@@ -251,7 +251,7 @@ def owen_frequency_report(
         for ex in in_bin:
             pair = tallies[coalitions.coalition_of(ex.id)]
             pair[0 if ex.label == q.label else 1] += 1
-        values = {ex.id: to_money(0, mode) for ex in dataset}
+        values = dict.fromkeys(dataset.ids, to_money(0, mode))
         dist_cache: dict = {}
         for ex in in_bin:
             cid = coalitions.coalition_of(ex.id)
@@ -288,5 +288,5 @@ def owen_frequency_report(
         query_count=len(queries),
         wall_time=time.perf_counter() - t0,
         per_query=rows if per_query else None,
-        coalition_column=[coalitions.coalition_of(ex.id) for ex in dataset],
+        coalition_column=[coalitions.coalition_of(i) for i in dataset.ids],
     )

@@ -10,44 +10,77 @@ literals in them are parsed as exact decimals.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
 import os
 import re
-from dataclasses import replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
+
+import numpy as np
 
 from .errors import InputError
 from .model import (
     Dataset,
-    Example,
     FrequencyValueFunction,
     MajorityValueFunction,
     OutcomeValues,
     Query,
     TableValueFunction,
+    duplicate_row,
+    label_codes,
 )
 
 _FEATURE_RE = re.compile(r"^f(\d+)$")
 
 
-def _read_rows(path) -> tuple:
+# Rows are read in blocks of this many, so each block's row lists die young
+# instead of reaching the garbage collector's oldest generation.
+_BLOCK = 512
+
+
+def _read_columns(path) -> tuple:
+    """One list of raw cells per column, keyed by the stripped header name,
+    and the number of data rows.
+
+    Blank lines are skipped; a row whose cell count differs from the
+    header's is refused with its line.  Line numbers in messages count the
+    header as line 1 and each data row after it.
+    """
     try:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise InputError(f"{path}: empty file, expected a CSV header")
-            fields = [f.strip() for f in reader.fieldnames]
-            rows = [
-                {k.strip(): (v if v is None else v.strip()) for k, v in row.items()}
-                for row in reader
-            ]
+            fields = [f.strip() for f in header]
+            columns = [[] for _ in fields]
+            done = 0
+            while True:
+                block = [row for row in itertools.islice(reader, _BLOCK) if row]
+                if not block:
+                    break
+                for r, row in enumerate(block):
+                    if len(row) != len(fields):
+                        raise InputError(
+                            f"{path} line {done + r + 2}: {len(row)} cells, "
+                            f"but the header has {len(fields)}"
+                        )
+                for column, cells in zip(columns, zip(*block)):
+                    column.extend(cells)
+                done += len(block)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    return fields, rows
+    # a repeated header name keeps its last column, as a dict of rows would
+    return dict(zip(fields, columns)), done
 
 
-def _feature_columns(fields: Sequence[str], path) -> List[str]:
+def _stripped(cells: List[str]) -> List[str]:
+    return [c.strip() for c in cells]
+
+
+def _feature_columns(fields: Iterable[str], path) -> List[str]:
     found = {}
     for f in fields:
         m = _FEATURE_RE.match(f)
@@ -72,18 +105,66 @@ def _parse_id(raw, path, line) -> int:
 
 
 def _parse_feature(raw, path, line, col) -> float:
-    if raw is None or raw == "":
+    if raw == "":
         raise InputError(f"{path} line {line}: missing value in feature column {col}")
     try:
-        return float(raw)
+        v = float(raw)
     except ValueError:
         raise InputError(f"{path} line {line}: {col}={raw!r} is not numeric") from None
+    if not math.isfinite(v):
+        raise InputError(f"{path} line {line}: {col}={raw!r} is not finite")
+    return v
+
+
+def _id_list(cells: List[str]) -> List[int]:
+    """All ids as ints; ValueError if any is not an integer in range."""
+    ids = list(map(int, cells))
+    if ids and not (min(ids) >= 0 and max(ids) < 2**63):
+        raise ValueError("id out of range")
+    return ids
+
+
+def _nonempty(cells: List[str]) -> List[str]:
+    """Stripped cells; ValueError if any is empty."""
+    cells = _stripped(cells)
+    if "" in set(cells):
+        raise ValueError("empty cell")
+    return cells
+
+
+def _float_matrix(columns: List[List[str]], n: int) -> np.ndarray:
+    """Feature columns as an n x d float matrix; ValueError if a cell is
+    not a number or not finite."""
+    matrix = np.empty((n, len(columns)))
+    for j, cells in enumerate(columns):
+        matrix[:, j] = np.fromiter(map(float, cells), dtype=float, count=n)
+    if not np.isfinite(matrix).all():
+        raise ValueError("non-finite feature")
+    return matrix
+
+
+def _row_fault(path, family, columns, feature_cols, n) -> InputError:
+    """The first row-level fault, found by checking each row in turn; run
+    only once a whole-column check has failed, to name the file and line."""
+    try:
+        for r in range(n):
+            line = r + 2
+            _parse_id(columns["id"][r].strip(), path, line)
+            if not columns["label"][r].strip():
+                raise InputError(f"{path} line {line}: empty label")
+            if family == "frequency" and not columns["bin"][r].strip():
+                raise InputError(f"{path} line {line}: empty bin")
+            for c in feature_cols:
+                _parse_feature(columns[c][r].strip(), path, line, c)
+    except InputError as exc:
+        return exc
+    return InputError(f"{path}: malformed rows")
 
 
 def parse_dataset(path, family: str) -> Dataset:
     """Read an in-sample dataset CSV for the given model family
     ("frequency" or "knn")."""
-    fields, rows = _read_rows(path)
+    columns, n = _read_columns(path)
     if family == "frequency":
         required = ["id", "bin", "label"]
     elif family == "knn":
@@ -91,45 +172,59 @@ def parse_dataset(path, family: str) -> Dataset:
     else:
         raise InputError(f"unknown model family {family!r}")
     for col in required:
-        if col not in fields:
+        if col not in columns:
             raise InputError(f"{path}: missing required column {col!r}")
-    feature_cols = _feature_columns(fields, path) if family == "knn" else []
-    has_coalition = "coalition" in fields
-    examples = []
-    for lineno, row in enumerate(rows, start=2):
-        ex_id = _parse_id(row.get("id"), path, lineno)
-        label = row.get("label")
-        if not label:
-            raise InputError(f"{path} line {lineno}: empty label")
-        coalition = row.get("coalition") if has_coalition else None
-        coalition = coalition or None
+    feature_cols = _feature_columns(columns, path) if family == "knn" else []
+    features = None
+    try:
+        ids = _id_list(columns["id"])
+        labels = _nonempty(columns["label"])
         if family == "frequency":
-            bin_id = row.get("bin")
-            if not bin_id:
-                raise InputError(f"{path} line {lineno}: empty bin")
-            examples.append(Example(ex_id, label, bin=bin_id, coalition=coalition))
+            bins = _nonempty(columns["bin"])
         else:
-            feats = tuple(
-                _parse_feature(row.get(c), path, lineno, c) for c in feature_cols
-            )
-            examples.append(Example(ex_id, label, features=feats, coalition=coalition))
-    return Dataset(examples)
+            bins = [None] * n
+            features = _float_matrix([columns[c] for c in feature_cols], n)
+    except ValueError:
+        raise _row_fault(path, family, columns, feature_cols, n) from None
+    dup = duplicate_row(ids)
+    if dup is not None:
+        raise InputError(f"{path} line {dup + 2}: duplicate example id {ids[dup]}")
+    symbols = tuple(dict.fromkeys(labels))
+    if len(symbols) > 2:
+        third = symbols[2]
+        raise InputError(
+            f"{path} line {labels.index(third) + 2}: labels must be binary; "
+            f"found a third symbol {third!r}"
+        )
+    if "coalition" in columns:
+        coalitions = [c or None for c in _stripped(columns["coalition"])]
+    else:
+        coalitions = [None] * n
+    return Dataset._from_columns(
+        np.array(ids, dtype=np.int64),
+        symbols,
+        label_codes(labels, symbols),
+        bins,
+        coalitions,
+        features,
+    )
 
 
 def parse_queries(path, family: str, vf_cache: Optional[dict] = None) -> List[Query]:
     """Read a query CSV.  Frequency queries may name a per-query value
     function file in a ``value_function`` column (resolved relative to the
     query file)."""
-    fields, rows = _read_rows(path)
+    columns, _ = _read_columns(path)
+    rows = [dict(zip(columns, map(str.strip, cells))) for cells in zip(*columns.values())]
     queries = []
     if family == "frequency":
         for col in ("bin", "label"):
-            if col not in fields:
+            if col not in columns:
                 raise InputError(f"{path}: missing required column {col!r}")
         base = os.path.dirname(os.path.abspath(path))
         cache = vf_cache if vf_cache is not None else {}
         for lineno, row in enumerate(rows, start=2):
-            if not row.get("bin") or not row.get("label"):
+            if not row["bin"] or not row["label"]:
                 raise InputError(f"{path} line {lineno}: queries need bin and label")
             vf = None
             vf_path = row.get("value_function") or None
@@ -140,15 +235,13 @@ def parse_queries(path, family: str, vf_cache: Optional[dict] = None) -> List[Qu
                 vf = cache[full]
             queries.append(Query(label=row["label"], bin=row["bin"], value_function=vf))
     elif family == "knn":
-        if "label" not in fields:
+        if "label" not in columns:
             raise InputError(f"{path}: missing required column 'label'")
-        feature_cols = _feature_columns(fields, path)
+        feature_cols = _feature_columns(columns, path)
         for lineno, row in enumerate(rows, start=2):
-            if not row.get("label"):
+            if not row["label"]:
                 raise InputError(f"{path} line {lineno}: empty label")
-            feats = tuple(
-                _parse_feature(row.get(c), path, lineno, c) for c in feature_cols
-            )
+            feats = tuple(_parse_feature(row[c], path, lineno, c) for c in feature_cols)
             queries.append(Query(label=row["label"], features=feats))
     else:
         raise InputError(f"unknown model family {family!r}")
@@ -225,25 +318,35 @@ def parse_outcome_values(text: str) -> OutcomeValues:
 
 def parse_coalition_file(path) -> Dict[int, str]:
     """Read an id,coalition CSV overriding any coalition column."""
-    fields, rows = _read_rows(path)
+    columns, n = _read_columns(path)
     for col in ("id", "coalition"):
-        if col not in fields:
+        if col not in columns:
             raise InputError(f"{path}: missing required column {col!r}")
-    mapping: Dict[int, str] = {}
-    for lineno, row in enumerate(rows, start=2):
-        ex_id = _parse_id(row.get("id"), path, lineno)
-        cid = row.get("coalition")
-        if not cid:
-            raise InputError(f"{path} line {lineno}: empty coalition id")
-        if ex_id in mapping:
-            raise InputError(f"{path} line {lineno}: duplicate id {ex_id}")
-        mapping[ex_id] = cid
-    return mapping
+    try:
+        ids = _id_list(columns["id"])
+        cids = _nonempty(columns["coalition"])
+        dup = duplicate_row(ids)
+        if dup is not None:
+            raise ValueError("duplicate id")
+    except ValueError:
+        # name the first faulty row, checked in the order of its cells
+        seen = set()
+        for r in range(n):
+            line = r + 2
+            ex_id = _parse_id(columns["id"][r].strip(), path, line)
+            if not columns["coalition"][r].strip():
+                raise InputError(f"{path} line {line}: empty coalition id") from None
+            if ex_id in seen:
+                raise InputError(f"{path} line {line}: duplicate id {ex_id}") from None
+            seen.add(ex_id)
+        raise InputError(f"{path}: malformed rows") from None
+    return dict(zip(ids, cids))
 
 
 def with_coalitions(dataset: Dataset, mapping: Dict[int, str]) -> Dataset:
     """New dataset with coalition ids replaced from the mapping."""
-    missing = [ex.id for ex in dataset if ex.id not in mapping]
+    ids = dataset.ids
+    missing = [i for i in ids if i not in mapping]
     if missing:
         raise InputError(f"coalition file does not cover example ids {missing[:5]}")
-    return Dataset(replace(ex, coalition=mapping[ex.id]) for ex in dataset)
+    return dataset.with_coalition_column([mapping[i] for i in ids])

@@ -329,5 +329,5 @@ def knn_owen_report(
         wall_time=time.perf_counter() - t0,
         k=config.k,
         per_query=rows if per_query else None,
-        coalition_column=[coalitions.coalition_of(ex.id) for ex in dataset],
+        coalition_column=[coalitions.coalition_of(i) for i in dataset.ids],
     )

@@ -181,7 +181,7 @@ def knn_shapley_values(
     k = config.k
     ov = config.outcome_values
     if n < k:
-        return {ex.id: to_money(0, mode) for ex in dataset}
+        return dict.fromkeys(dataset.ids, to_money(0, mode))
     total_match = int(ranking.matches.sum())
     f = {}
     for u in (True, False):

@@ -9,6 +9,7 @@ unique integers in 0 .. 2**63 - 1, so a dataset's ids fit one int64 array.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -55,118 +56,193 @@ class Query:
 
 
 class Dataset:
-    """A validated list of examples."""
+    """A validated set of examples, held as columns in dataset order.
+
+    Columns: an int64 id array, label codes into at most two label symbols,
+    and per-example bin, coalition and feature columns.  ``examples`` (and
+    iteration) give ``Example`` row views, built once on first use; the k-NN
+    float path reads only the columns, so a parsed dataset keeps no Python
+    object per example.  Missing bins or features are reported when a method
+    asks for them, not when the dataset is built.
+    """
 
     def __init__(self, examples: Iterable[Example]):
-        self.examples = list(examples)
-        seen = set()
-        for ex in self.examples:
-            if ex.id in seen:
-                raise InputError(f"duplicate example id {ex.id}")
-            seen.add(ex.id)
-        labels = sorted({str(ex.label) for ex in self.examples})
-        if len(labels) > 2:
-            raise InputError(
-                f"labels must be binary; found a third symbol {labels[2]!r}"
-            )
-        self._labels = {ex.label for ex in self.examples}
-        self._features = None
-        self._id_array = None
+        rows = list(examples)
+        ids = [int(ex.id) for ex in rows]
+        dup = duplicate_row(ids)
+        if dup is not None:
+            raise InputError(f"duplicate example id {ids[dup]}")
+        labels = [ex.label for ex in rows]
+        strs = sorted(set(map(str, labels)))
+        if len(strs) > 2:
+            raise InputError(f"labels must be binary; found a third symbol {strs[2]!r}")
+        symbols = tuple(dict.fromkeys(labels))
+        self._set_columns(
+            np.array(ids, dtype=np.int64),
+            symbols,
+            label_codes(labels, symbols),
+            [ex.bin for ex in rows],
+            [ex.coalition for ex in rows],
+            [ex.features for ex in rows],
+        )
+        self._rows = rows
+
+    @classmethod
+    def _from_columns(
+        cls,
+        ids: np.ndarray,
+        symbols: tuple,
+        codes: np.ndarray,
+        bins: list,
+        coalitions: list,
+        features: Optional[np.ndarray] = None,
+    ) -> "Dataset":
+        """A dataset over columns the caller has already validated: unique
+        int64 ids, ``codes`` indexing ``symbols``, and an optional float
+        feature matrix with one row per example."""
+        if features is None:
+            features = [None] * len(ids)
+        dataset = cls.__new__(cls)
+        dataset._set_columns(ids, symbols, codes, bins, coalitions, features)
+        return dataset
+
+    def _set_columns(self, ids, symbols, codes, bins, coalitions, features):
+        ids.flags.writeable = False
+        self._ids = ids
+        self._symbols = symbols
+        self._codes = codes
+        self._bins = bins
+        self._coalitions = coalitions
+        # a float matrix, or per-example tuples (None where absent) until
+        # feature_matrix() checks them and builds one
+        self._features = features
+        self._rows = None
         self._row_of = None
         self._label_masks = None
 
+    def with_coalition_column(self, coalitions: Sequence[Optional[Hashable]]) -> "Dataset":
+        """The same examples with their coalition ids replaced, given in
+        dataset order; every other column, and its caches, is shared."""
+        if len(coalitions) != len(self):
+            raise InputError(f"{len(coalitions)} coalition ids given for {len(self)} examples")
+        other = copy.copy(self)
+        other._coalitions = list(coalitions)
+        other._rows = None
+        return other
+
     def __len__(self):
-        return len(self.examples)
+        return len(self._ids)
 
     def __iter__(self):
         return iter(self.examples)
 
     @property
+    def examples(self) -> list:
+        """``Example`` row views in dataset order, built once."""
+        if self._rows is None:
+            feats = self._features
+            if isinstance(feats, np.ndarray):
+                feats = list(map(tuple, feats.tolist()))
+            labels = [self._symbols[c] for c in self._codes.tolist()]
+            self._rows = [
+                Example(*row)
+                for row in zip(self._ids.tolist(), labels, self._bins, feats, self._coalitions)
+            ]
+        return self._rows
+
+    @property
     def ids(self) -> list:
-        return [ex.id for ex in self.examples]
+        return self._ids.tolist()
 
     def id_array(self) -> np.ndarray:
-        """Example ids in dataset order as a read-only int64 array, built
-        once."""
-        if self._id_array is None:
-            ids = np.asarray(self.ids, dtype=np.int64)
-            ids.flags.writeable = False
-            self._id_array = ids
-        return self._id_array
+        """Example ids in dataset order as a read-only int64 array."""
+        return self._ids
 
     def row_index(self) -> Mapping[int, int]:
         """Read-only map from example id to its position in dataset order,
         built once."""
         if self._row_of is None:
-            self._row_of = MappingProxyType(
-                {ex.id: r for r, ex in enumerate(self.examples)}
-            )
+            self._row_of = MappingProxyType({i: r for r, i in enumerate(self.ids)})
         return self._row_of
 
     def label_mask(self, label: Label) -> np.ndarray:
         """Read-only boolean array, True where an example's label equals
         ``label``; one mask per dataset label, built once."""
         if self._label_masks is None:
-            code = {lab: c for c, lab in enumerate(self._labels)}
-            codes = np.fromiter(
-                (code[ex.label] for ex in self.examples),
-                dtype=np.int64,
-                count=len(self.examples),
-            )
-            masks = {lab: codes == c for lab, c in code.items()}
+            masks = {lab: self._codes == c for c, lab in enumerate(self._symbols)}
             for mask in masks.values():
                 mask.flags.writeable = False
             self._label_masks = masks
         if label not in self._label_masks:
-            return np.zeros(len(self.examples), dtype=bool)
+            return np.zeros(len(self), dtype=bool)
         return self._label_masks[label]
 
     @property
     def labels(self) -> set:
-        return set(self._labels)
+        return set(self._symbols)
 
     def check_query_label(self, label: Label) -> None:
-        if label not in self._labels and len(self._labels) >= 2:
+        if label not in self._symbols and len(self._symbols) >= 2:
             raise InputError(
-                f"query label {label!r} is a third symbol; dataset labels are {sorted(map(str, self._labels))}"
+                f"query label {label!r} is a third symbol; dataset labels are {sorted(map(str, self._symbols))}"
             )
 
     def bins(self) -> set:
-        return {ex.bin for ex in self.examples}
+        return set(self._bins)
 
     def require_bins(self) -> None:
-        missing = [ex.id for ex in self.examples if ex.bin is None]
+        missing = [i for i, b in zip(self.ids, self._bins) if b is None]
         if missing:
             raise InputError(f"examples {missing[:5]} have no bin; frequency methods need one")
 
     def by_bin(self, bin_id: Hashable) -> list:
-        return [ex for ex in self.examples if ex.bin == bin_id]
+        return [ex for ex, b in zip(self.examples, self._bins) if b == bin_id]
+
+    def coalition_column(self) -> list:
+        """Each example's coalition id (or None), in dataset order."""
+        return list(self._coalitions)
 
     def feature_matrix(self) -> np.ndarray:
         """All feature rows as a float array; validates presence and shape."""
-        if self._features is None:
+        if not isinstance(self._features, np.ndarray):
             dims = set()
-            for ex in self.examples:
-                if ex.features is None:
-                    raise InputError(f"example {ex.id} has no features; k-NN methods need them")
-                dims.add(len(ex.features))
+            for i, feats in zip(self.ids, self._features):
+                if feats is None:
+                    raise InputError(f"example {i} has no features; k-NN methods need them")
+                dims.add(len(feats))
             if len(dims) > 1:
                 raise InputError(f"feature dimensions are ragged: {sorted(dims)}")
-            self._features = np.asarray(
-                [ex.features for ex in self.examples], dtype=float
-            )
+            self._features = np.asarray(self._features, dtype=float)
         return self._features
 
     def coalition_structure(self) -> "CoalitionStructure":
-        missing = [ex.id for ex in self.examples if ex.coalition is None]
+        missing = [i for i, c in zip(self.ids, self._coalitions) if c is None]
         if missing:
             raise InputError(
                 f"examples {missing[:5]} carry no coalition id; Owen methods need a full partition"
             )
         groups: dict = {}
-        for ex in self.examples:
-            groups.setdefault(ex.coalition, set()).add(ex.id)
+        for i, c in zip(self.ids, self._coalitions):
+            groups.setdefault(c, set()).add(i)
         return CoalitionStructure({cid: frozenset(ids) for cid, ids in groups.items()})
+
+
+def duplicate_row(ids: Sequence[int]) -> Optional[int]:
+    """Position of the first id that repeats an earlier one, or None."""
+    if len(set(ids)) == len(ids):
+        return None
+    seen = set()
+    for r, i in enumerate(ids):
+        if i in seen:
+            return r
+        seen.add(i)
+    return None
+
+
+def label_codes(labels: Sequence[Label], symbols: tuple) -> np.ndarray:
+    """Each label's position in ``symbols``, as an int8 array."""
+    code = {lab: c for c, lab in enumerate(symbols)}
+    return np.fromiter(map(code.__getitem__, labels), dtype=np.int8, count=len(labels))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ otherwise identical runs are allowed to disagree on.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -55,6 +57,7 @@ class ValueReport:
     per_query: Optional[List[Mapping[int, Money]]] = None
     extras: Optional[Mapping[str, object]] = None
     _row_of: Optional[dict] = field(default=None, init=False, repr=False)
+    _text: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def _value_list(self) -> list:
         """Values in dataset order as Python numbers."""
@@ -127,7 +130,7 @@ def assemble_report(
     check_mode(mode)
     column = list(values) if mode == EXACT else np.asarray(values, dtype=float)
     if coalition_column is None:
-        coalition_column = [ex.coalition for ex in dataset]
+        coalition_column = dataset.coalition_column()
     else:
         coalition_column = list(coalition_column)
     if len(column) != len(dataset) or len(coalition_column) != len(dataset):
@@ -151,15 +154,65 @@ def assemble_report(
     return report
 
 
-def _encode_value(v: Money, mode: str):
-    return str(Fraction(v)) if mode == EXACT else float(v)
+_NON_FINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _decode_value(v, mode: str) -> Money:
-    return Fraction(v) if mode == EXACT else float(v)
+def _value_text(values: Sequence[Money], mode: str) -> Tuple[List[str], List[str]]:
+    """Values as CSV cells and as JSON literals.  Exact mode: "p/q", quoted
+    in JSON.  Float mode: the float repr in both, except that JSON spells
+    nan and the infinities as the json module does (NaN, Infinity)."""
+    if mode == EXACT:
+        text = [str(Fraction(v)) for v in values]
+        return text, [f'"{s}"' for s in text]
+    floats = list(map(float, values))
+    text = list(map(repr, floats))
+    if all(map(math.isfinite, floats)):
+        return text, text
+    return text, [_NON_FINITE_JSON.get(s, s) for s in text]
+
+
+def _text_columns(report: ValueReport) -> Tuple[List[str], List[str], List[str]]:
+    """Ids, CSV values and JSON values as text, built once per report and
+    shared by the JSON and CSV writers (reports are not edited in place
+    once assembled)."""
+    cached = report._text
+    if cached is None or cached[0] is not report.ids or cached[1] is not report.value_column:
+        ids = list(map(str, report.ids.tolist()))
+        cached = (report.ids, report.value_column, ids,
+                  *_value_text(report._value_list(), report.numeric_mode))
+        report._text = cached
+    return cached[2:]
+
+
+def _nested(value, depth: int) -> str:
+    """A JSON value laid out as json.dumps(indent=2) lays it out when it
+    sits ``depth`` levels deep in a document."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _csv_cell(value) -> str:
+    """One cell as csv.writer writes it between other cells (quoted when
+    it holds a comma, a quote or a line break)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
+def _cells(column: Sequence[Optional[Hashable]], encode) -> List[str]:
+    """Encode each distinct entry of a column once."""
+    text = {c: encode(c) for c in set(column)}
+    return [text[c] for c in column]
+
+
+def _json_list(items: List[str], depth: int) -> str:
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + "  " * depth + "]"
 
 
 def report_to_json(report: ValueReport) -> str:
+    """The report as JSON text in the json module's indent=2 layout,
+    written from text columns rather than one dict per example."""
     mode = report.numeric_mode
     meta = {
         "method": report.method,
@@ -171,27 +224,39 @@ def report_to_json(report: ValueReport) -> str:
     if report.extras:
         for key in sorted(report.extras):
             meta[key] = report.extras[key]
-    ids = report.ids.tolist()
-    doc = {
-        "meta": meta,
-        "examples": [
-            {"id": i, "coalition": cid, "value": _encode_value(v, mode)}
-            for i, cid, v in zip(ids, report.coalition_column, report._value_list())
-        ],
-        "coalitions": [
-            {"id": cid, "value": _encode_value(v, mode)} for cid, v in report.coalitions
-        ],
-        "per_query": None
-        if report.per_query is None
-        else [
-            {
-                "query_index": qi,
-                "values": [{"id": i, "value": _encode_value(values[i], mode)} for i in ids],
-            }
-            for qi, values in enumerate(report.per_query)
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    ids, _, values = _text_columns(report)
+    cells = _cells(report.coalition_column, lambda c: _nested(c, 3))
+    examples = [
+        f'    {{\n      "id": {i},\n      "coalition": {c},\n      "value": {v}\n    }}'
+        for i, c, v in zip(ids, cells, values)
+    ]
+    _, totals = _value_text([v for _, v in report.coalitions], mode)
+    coalitions = [
+        f'    {{\n      "id": {_nested(cid, 3)},\n      "value": {v}\n    }}'
+        for (cid, _), v in zip(report.coalitions, totals)
+    ]
+    if report.per_query is None:
+        per_query = "null"
+    else:
+        id_list = report.ids.tolist()
+        queries = []
+        for qi, q in enumerate(report.per_query):
+            _, q_values = _value_text([q[i] for i in id_list], mode)
+            rows = [
+                f'        {{\n          "id": {i},\n          "value": {v}\n        }}'
+                for i, v in zip(ids, q_values)
+            ]
+            queries.append(
+                f'    {{\n      "query_index": {qi},\n      "values": {_json_list(rows, 3)}\n    }}'
+            )
+        per_query = _json_list(queries, 1)
+    return (
+        '{\n  "meta": ' + _nested(meta, 1)
+        + ',\n  "examples": ' + _json_list(examples, 1)
+        + ',\n  "coalitions": ' + _json_list(coalitions, 1)
+        + ',\n  "per_query": ' + per_query
+        + "\n}\n"
+    )
 
 
 def write_report(report: ValueReport, path) -> None:
@@ -203,6 +268,10 @@ def write_report(report: ValueReport, path) -> None:
 def _verify_coalition_sums(report: ValueReport) -> None:
     if _coalition_totals(report) != list(report.coalitions):
         raise InputError("report coalition totals do not equal member sums")
+
+
+def _decode_value(v, mode: str) -> Money:
+    return Fraction(v) if mode == EXACT else float(v)
 
 
 def read_report(path) -> ValueReport:
@@ -246,10 +315,10 @@ def read_report(path) -> ValueReport:
 
 
 def export_csv(report: ValueReport, path) -> None:
-    """Examples table as CSV: id, coalition, value."""
-    mode = report.numeric_mode
+    """Examples table as CSV: id, coalition, value, quoted as csv.writer
+    quotes and with its CRLF line ends."""
+    ids, values, _ = _text_columns(report)
+    cells = _cells(report.coalition_column, lambda c: "" if c is None else _csv_cell(c))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "coalition", "value"])
-        for i, cid, v in zip(report.ids.tolist(), report.coalition_column, report._value_list()):
-            writer.writerow([i, "" if cid is None else cid, _encode_value(v, mode)])
+        fh.write("id,coalition,value\r\n")
+        fh.write("".join([f"{i},{c},{v}\r\n" for i, c, v in zip(ids, cells, values)]))

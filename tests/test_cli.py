@@ -190,6 +190,48 @@ def test_knn_commands(knn_files, tmp_path, capsys):
     assert "odd" in capsys.readouterr().err
 
 
+def test_no_cache_flag_on_the_cached_families_only(knn_files, tmp_path, capsys):
+    data, queries = knn_files
+    groups = tmp_path / "g.csv"
+    groups.write_text("id,coalition\n0,a\n1,a\n2,b\n3,b\n4,b\n")
+    argv = [
+        "owen-knn", "--data", str(data), "--queries", str(queries), "--k", "3",
+        "--values", "1,-1,0", "--coalitions", str(groups), "--numeric", "exact",
+    ]
+    hot, cold = tmp_path / "hot.json", tmp_path / "cold.json"
+    assert run_command(argv + ["--out", str(hot)]) == 0
+    assert run_command(argv + ["--no-cache", "--out", str(cold)]) == 0
+    assert _strip_wall(cold.read_text()) == _strip_wall(hot.read_text())
+    # shapley-knn keeps no cache, so it does not offer the flag
+    rc = run_command([
+        "shapley-knn", "--data", str(data), "--queries", str(queries),
+        "--k", "3", "--values", "1,-1,0", "--no-cache",
+    ])
+    assert rc == 1
+    assert "--no-cache" in capsys.readouterr().err
+
+
+def test_no_cache_reaches_knn_owen_report(knn_files, tmp_path, monkeypatch):
+    import divvy.cli
+
+    seen = []
+    real = divvy.cli.knn_owen_report
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("use_cache"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(divvy.cli, "knn_owen_report", spy)
+    data, queries = knn_files
+    groups = tmp_path / "g.csv"
+    groups.write_text("id,coalition\n0,a\n1,a\n2,b\n3,b\n4,b\n")
+    argv = ["owen-knn", "--data", str(data), "--queries", str(queries), "--k", "1",
+            "--values", "1,-1,0", "--coalitions", str(groups), "--out", str(tmp_path / "o.json")]
+    assert run_command(argv) == 0
+    assert run_command(argv + ["--no-cache"]) == 0
+    assert seen == [True, False]
+
+
 def test_argument_errors_exit_1(freq_files, tmp_path, capsys):
     data, queries, vf = freq_files
     assert run_command(["no-such-command"]) == 1

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from divvy import (
@@ -83,6 +84,68 @@ def test_parse_dataset_errors(tmp_path):
         parse_dataset(p, "knn")
     with pytest.raises(InputError, match="family"):
         parse_dataset(_write(tmp_path, "ok.csv", "id,label\n0,x\n"), "tree")
+    # a row with more or fewer cells than the header is refused with its line
+    p = _write(tmp_path, "long.csv", "id,label,f0\n0,x,1.0,9\n")
+    with pytest.raises(InputError, match=r"long.csv line 2: 4 cells, but the header has 3"):
+        parse_dataset(p, "knn")
+    p = _write(tmp_path, "short.csv", "id,bin,label\n0,b0,x\n1,b0\n")
+    with pytest.raises(InputError, match=r"short.csv line 3: 2 cells, but the header has 3"):
+        parse_dataset(p, "frequency")
+    # the first faulty row is named, and its cells are checked in order
+    p = _write(tmp_path, "order.csv", "id,label,f0,f1\n0,x,1,2\n1,x,wide,\nseven,,1,2\n")
+    with pytest.raises(InputError, match=r"order.csv line 3: f0='wide' is not numeric"):
+        parse_dataset(p, "knn")
+    p = _write(tmp_path, "dup2.csv", "id,bin,label\n4,b0,x\n9,b0,x\n4,b1,y\n")
+    with pytest.raises(InputError, match=r"dup2.csv line 4: duplicate example id 4"):
+        parse_dataset(p, "frequency")
+    p = _write(tmp_path, "third2.csv", "id,bin,label\n0,b0,x\n1,b0,y\n2,b0,x\n3,b0,z\n")
+    with pytest.raises(InputError, match=r"third2.csv line 5: .*third symbol 'z'"):
+        parse_dataset(p, "frequency")
+
+
+def test_non_finite_features_are_refused(tmp_path):
+    for cell in ("nan", "inf", "-inf", "NaN", "Infinity", "1e999"):
+        p = _write(tmp_path, "d.csv", f"id,label,f0,f1\n0,x,1,2\n1,y,3,{cell}\n")
+        with pytest.raises(InputError, match=rf"d.csv line 3: f1='{cell}' is not finite"):
+            parse_dataset(p, "knn")
+        q = _write(tmp_path, "q.csv", f"label,f0,f1\nx,0,0\ny,{cell},1\n")
+        with pytest.raises(InputError, match=rf"q.csv line 3: f0='{cell}' is not finite"):
+            parse_queries(q, "knn")
+
+
+def test_ragged_query_and_coalition_rows_are_refused(tmp_path):
+    q = _write(tmp_path, "q.csv", "label,f0\nx,1.0,2.0\n")
+    with pytest.raises(InputError, match=r"q.csv line 2: 3 cells, but the header has 2"):
+        parse_queries(q, "knn")
+    q = _write(tmp_path, "fq.csv", "bin,label\nb0,x\nb1\n")
+    with pytest.raises(InputError, match=r"fq.csv line 3: 1 cells, but the header has 2"):
+        parse_queries(q, "frequency")
+    c = _write(tmp_path, "c.csv", "id,coalition\n0,g0,extra\n")
+    with pytest.raises(InputError, match=r"c.csv line 2: 3 cells, but the header has 2"):
+        parse_coalition_file(c)
+
+
+def test_parsed_dataset_matches_one_built_from_examples(tmp_path):
+    from divvy import Dataset, Example
+
+    p = _write(tmp_path, "d.csv",
+               "id,label,coalition,f0,f1\n7, x ,g0,0.5,-1\n3,y,,1e-3, 2 \n11,x,g1,4,0\n")
+    parsed = parse_dataset(p, "knn")
+    built = Dataset([
+        Example(7, "x", features=(0.5, -1.0), coalition="g0"),
+        Example(3, "y", features=(1e-3, 2.0)),
+        Example(11, "x", features=(4.0, 0.0), coalition="g1"),
+    ])
+    assert parsed.examples == built.examples
+    assert parsed.ids == built.ids == [7, 3, 11]
+    assert parsed.coalition_column() == built.coalition_column() == ["g0", None, "g1"]
+    assert np.array_equal(parsed.feature_matrix(), built.feature_matrix())
+    assert parsed.label_mask("x").tolist() == built.label_mask("x").tolist()
+    assert parsed.examples is parsed.examples, "row views are built once"
+    regrouped = with_coalitions(parsed, {3: "h", 7: "h", 11: "k"})
+    assert regrouped.coalition_column() == ["h", "h", "k"]
+    assert regrouped.feature_matrix() is parsed.feature_matrix()
+    assert [ex.coalition for ex in parsed] == ["g0", None, "g1"]
 
 
 def test_parse_frequency_queries_with_override(tmp_path):

@@ -198,3 +198,34 @@ def test_held_float_report_costs_no_object_per_example():
     # between calls; one object per example would add 10,000 here.
     small, large = objects_held_by_report(10_000), objects_held_by_report(20_000)
     assert large - small < 100, (small, large)
+
+
+def test_parsed_knn_dataset_costs_no_object_per_example(tmp_path):
+    # Parsing keeps columns (an id array, label codes, a feature matrix),
+    # and a float report reads only those, so neither the dataset nor the
+    # report holds a Python object per example.
+    from divvy.io import parse_dataset
+
+    rng = np.random.default_rng(62)
+    config = KnnConfig(5, OutcomeValues(1, -1, 0))
+    query = Query(label="pos", features=(0.0, 0.0))
+
+    def objects_held(n):
+        pts = rng.standard_normal((n, 2))
+        path = tmp_path / f"d{n}.csv"
+        path.write_text("id,label,f0,f1\n" + "".join(
+            f"{3 * i + 1},{'pos' if i % 3 else 'neg'},{x!r},{y!r}\n"
+            for i, (x, y) in enumerate(pts.tolist())
+        ))
+        gc.collect()
+        before = len(gc.get_objects())
+        dataset = parse_dataset(path, "knn")
+        report = knn_shapley_report(dataset, [query], config, mode="float")
+        gc.collect()
+        held = len(gc.get_objects()) - before
+        assert len(dataset) == n and len(report.values()) == n
+        return held
+
+    objects_held(1_000)  # fill module-level caches
+    small, large = objects_held(10_000), objects_held(20_000)
+    assert large - small < 100, (small, large)
