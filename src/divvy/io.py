@@ -56,7 +56,7 @@ def _read_columns(path) -> tuple:
                 raise InputError(f"{path}: empty file, expected a CSV header")
             fields = [f.strip() for f in header]
             columns = [[] for _ in fields]
-            done = 0
+            n_rows = 0
             while True:
                 block = [row for row in itertools.islice(reader, _BLOCK) if row]
                 if not block:
@@ -64,20 +64,16 @@ def _read_columns(path) -> tuple:
                 for r, row in enumerate(block):
                     if len(row) != len(fields):
                         raise InputError(
-                            f"{path} line {done + r + 2}: {len(row)} cells, "
+                            f"{path} line {n_rows + r + 2}: {len(row)} cells, "
                             f"but the header has {len(fields)}"
                         )
                 for column, cells in zip(columns, zip(*block)):
                     column.extend(cells)
-                done += len(block)
+                n_rows += len(block)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     # a repeated header name keeps its last column, as a dict of rows would
-    return dict(zip(fields, columns)), done
-
-
-def _stripped(cells: List[str]) -> List[str]:
-    return [c.strip() for c in cells]
+    return dict(zip(fields, columns)), n_rows
 
 
 def _feature_columns(fields: Iterable[str], path) -> List[str]:
@@ -126,7 +122,7 @@ def _id_list(cells: List[str]) -> List[int]:
 
 def _nonempty(cells: List[str]) -> List[str]:
     """Stripped cells; ValueError if any is empty."""
-    cells = _stripped(cells)
+    cells = [c.strip() for c in cells]
     if "" in set(cells):
         raise ValueError("empty cell")
     return cells
@@ -197,7 +193,7 @@ def parse_dataset(path, family: str) -> Dataset:
             f"found a third symbol {third!r}"
         )
     if "coalition" in columns:
-        coalitions = [c or None for c in _stripped(columns["coalition"])]
+        coalitions = [c.strip() or None for c in columns["coalition"]]
     else:
         coalitions = [None] * n
     return Dataset._from_columns(
