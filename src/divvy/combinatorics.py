@@ -45,7 +45,8 @@ def binom(a: int, b: int) -> int:
 _SMALL_SIDE = 5000
 
 
-@lru_cache(maxsize=None)
+# bounded, yet far above the few hundred entries a k-NN Owen query uses
+@lru_cache(maxsize=2**16)
 def log_binom(a: int, b: int) -> float:
     """ln C(a, b), or -inf where the zero convention makes C(a, b) = 0.
 

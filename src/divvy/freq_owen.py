@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.special import gammaln
 
 from .combinatorics import EXACT, Money, check_mode, precede_probability
@@ -185,6 +184,9 @@ def _value_from_distribution(
                     inner += p * precede_probability((a_m, b_m), (a2, b2), EXACT)
             total += inner * Fraction(d)
         return total
+    # scipy.signal takes over a second to import, so only this branch pays
+    from scipy.signal import fftconvolve
+
     conv = fftconvolve(dist.grid(), _within_block_grid_float(a_m, b_m))
     total = 0.0
     for a, b, d in crit.entries:
@@ -251,7 +253,7 @@ def owen_frequency_report(
         for ex in in_bin:
             pair = tallies[coalitions.coalition_of(ex.id)]
             pair[0 if ex.label == q.label else 1] += 1
-        values = dict.fromkeys(dataset.ids, to_money(0, mode))
+        values = {}
         dist_cache: dict = {}
         for ex in in_bin:
             cid = coalitions.coalition_of(ex.id)
@@ -279,7 +281,8 @@ def owen_frequency_report(
         for i, v in values.items():
             totals[row[i]] += v
         if per_query:
-            rows.append(values)
+            zero = to_money(0, mode)
+            rows.append({i: values.get(i, zero) for i in dataset.ids})
     return assemble_report(
         method=METHOD,
         mode=mode,

@@ -97,25 +97,21 @@ def shapley_frequency_single(
 
 
 def _query_values(dataset, query, vf, mode, cache, use_cache):
-    """Per-example Shapley values for one query, keyed by example id."""
+    """Shapley values for one query of the examples in its bin, keyed by
+    example id; every other example's value is zero."""
     dataset.require_bins()
     dataset.check_query_label(query.label)
     if query.bin not in dataset.bins():
         raise InputError(f"query bin {query.bin!r} is unknown to the dataset")
-    tallies = {}
+    tally = tally_bin(dataset, query.bin, query.label)
     values = {}
-    for ex in dataset:
-        if ex.bin != query.bin:
-            values[ex.id] = to_money(0, mode)
-            continue
-        if query.bin not in tallies:
-            tallies[query.bin] = tally_bin(dataset, query.bin, query.label)
+    for ex in dataset.by_bin(query.bin):
         matches = ex.label == query.label
         key = (id(vf), query.bin, query.label, matches)
         if use_cache and key in cache:
             values[ex.id] = cache[key]
             continue
-        v = shapley_frequency_single(tallies[query.bin], vf, matches, mode)
+        v = shapley_frequency_single(tally, vf, matches, mode)
         if use_cache:
             cache[key] = v
         values[ex.id] = v
@@ -148,7 +144,8 @@ def shapley_frequency_report(
         for i, v in values.items():
             totals[row[i]] += v
         if per_query:
-            rows.append(values)
+            zero = to_money(0, mode)
+            rows.append({i: values.get(i, zero) for i in dataset.ids})
     return assemble_report(
         method=METHOD,
         mode=mode,

@@ -9,13 +9,21 @@ rank) and the within-coalition ordering (the usual precedence weight).
 DP inputs are clamped to the read window before caching: any per-coalition
 count at or beyond cap+1 overflows the window on every path, so clamping
 changes nothing a caller can observe while making cache keys collide often.
+
+Both terms depend on an example only through its coalition and its label
+class (and, for the change term, its rank).  The creation term is computed
+once per (coalition, class).  The change term of rank i sums over every
+farther opposite-class rank j an inner sum that depends on (coalition,
+class, j) alone, so one sweep from the farthest rank to the nearest keeps a
+suffix total per (coalition, class) and reads each rank's term from it:
+O(n * m * k^2) work per query for n examples and m coalitions.
 """
 
 from __future__ import annotations
 
 import time
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,7 +96,7 @@ def knn_owen_distribution(
 
 class _QueryEngine:
     """Shared per-query state: the ranking, per-coalition prefix counts at
-    every rank, and the DP caches."""
+    every rank, and the DP cache."""
 
     def __init__(
         self,
@@ -104,36 +112,22 @@ class _QueryEngine:
         self.ranking = ranking
         self.k = k
         self.half = (k - 1) // 2
-        self.ov = ov
         self.mode = mode
         self.use_cache = use_cache
-        self.cids = coalitions.coalition_ids()
-        self.m = len(self.cids)
-        cindex = {cid: c for c, cid in enumerate(self.cids)}
-        n = len(ranking)
-        self.coal_of_pos = np.asarray(
-            [cindex[coalitions.coalition_of(int(i))] for i in ranking.ordering],
-            dtype=np.int64,
-        )
-        self.matches = np.asarray(ranking.matches, dtype=bool)
-        # prefix[c][pos] counts coalition c's members strictly nearer than pos
-        self.pref_match = np.zeros((self.m, n), dtype=np.int64)
-        self.pref_mismatch = np.zeros((self.m, n), dtype=np.int64)
-        for c in range(self.m):
-            mine = self.coal_of_pos == c
-            if n > 1:
-                self.pref_match[c, 1:] = np.cumsum(mine[:-1] & self.matches[:-1])
-                self.pref_mismatch[c, 1:] = np.cumsum(mine[:-1] & ~self.matches[:-1])
-        self.tot_match = [
-            int((self.matches & (self.coal_of_pos == c)).sum()) for c in range(self.m)
+        cindex = {cid: c for c, cid in enumerate(coalitions.coalition_ids())}
+        self.m = len(cindex)
+        self.coal_of_pos = [
+            cindex[coalitions.coalition_of(i)] for i in ranking.ordering.tolist()
         ]
-        self.tot_mismatch = [
-            int((~self.matches & (self.coal_of_pos == c)).sum()) for c in range(self.m)
-        ]
-        self._positions_by_class = {
-            True: np.nonzero(self.matches)[0],
-            False: np.nonzero(~self.matches)[0],
-        }
+        matches = np.asarray(ranking.matches, dtype=bool)
+        self.matches = matches.tolist()
+        # [pos, c] counts coalition c's members strictly nearer than pos
+        mine = np.asarray(self.coal_of_pos, dtype=np.int64)[:, None] == np.arange(self.m)
+        hit = mine & matches[:, None]
+        self.pref_match = np.cumsum(hit, axis=0) - hit
+        self.pref_mismatch = np.cumsum(mine, axis=0) - mine - self.pref_match
+        self.tot_match = hit.sum(axis=0).tolist()
+        self.tot_mismatch = (mine.sum(axis=0) - hit.sum(axis=0)).tolist()
         if mode == EXACT:
             ovx = ov.as_fractions()
             self.d_change = {True: ovx.correct - ovx.wrong, False: ovx.wrong - ovx.correct}
@@ -144,8 +138,8 @@ class _QueryEngine:
             self.d_change = {True: d, False: -d}
             self.d_wrong = float(ov.wrong) - float(ov.none)
             self.d_correct = float(ov.correct) - float(ov.none)
+        self.zero = to_money(0, mode)
         self._dp_cache: dict = {}
-        self._q_cache: dict = {}
 
     def _dp(self, base, first, others, caps):
         """Run (or fetch) a distribution for canonical clamped inputs."""
@@ -159,31 +153,21 @@ class _QueryEngine:
             self._dp_cache[key] = q
         return q
 
-    def _clamp(self, a, b, caps):
-        return (min(int(a), caps[0] + 1), min(int(b), caps[1] + 1))
-
-    def creation_q(self, c: int):
-        """Distribution of coalition-stage counts for the creation term of
-        coalition c's members; shared by all of them."""
-        caps = (self.k - 1, self.k - 1)
+    def creation(self, c: int, i_match: bool) -> Money:
+        """Creation term shared by coalition c's members of one class."""
+        k = self.k
+        caps = (k - 1, k - 1)
         others = tuple(
             sorted(
-                self._clamp(self.tot_match[o], self.tot_mismatch[o], caps)
+                (min(self.tot_match[o], k), min(self.tot_mismatch[o], k))
                 for o in range(self.m)
                 if o != c
             )
         )
-        return self._dp(BASE_TARGET, None, others, caps)
-
-    def creation(self, ipos: int) -> Money:
-        """Creation term for the example at rank ipos."""
-        c = int(self.coal_of_pos[ipos])
-        i_match = bool(self.matches[ipos])
-        q = self.creation_q(c)
-        a_m = self.tot_match[c] - (1 if i_match else 0)
-        b_m = self.tot_mismatch[c] - (0 if i_match else 1)
-        k = self.k
-        total = to_money(0, self.mode)
+        q = self._dp(BASE_TARGET, None, others, caps)
+        a_m = self.tot_match[c] - i_match
+        b_m = self.tot_mismatch[c] - (not i_match)
+        total = self.zero
         for (a, b), mass in q.items():
             rem = k - 1 - a - b
             if rem < 0 or not mass:
@@ -197,61 +181,65 @@ class _QueryEngine:
                 total += mass * w * gain
         return total
 
-    def change_q(self, c: int, jpos: int):
-        """Distribution for the change term at pivotal rank jpos, target
-        coalition c; cached per (c, jpos) and per clamped DP input."""
-        key = (c, jpos)
-        if self.use_cache and key in self._q_cache:
-            return self._q_cache[key]
-        caps = (self.half, self.half)
-        cj = int(self.coal_of_pos[jpos])
-        others = tuple(
-            sorted(
-                self._clamp(self.pref_match[o, jpos], self.pref_mismatch[o, jpos], caps)
-                for o in range(self.m)
-                if o != c and o != cj
-            )
-        )
-        if cj == c:
-            q = self._dp(BASE_TARGET, None, others, caps)
-        else:
-            first = self._clamp(self.pref_match[cj, jpos], self.pref_mismatch[cj, jpos], caps)
-            q = self._dp(BASE_FIRST, first, others, caps)
-        if self.use_cache:
-            self._q_cache[key] = q
-        return q
-
-    def change(self, ipos: int) -> Money:
-        """Change term for the example at rank ipos: one contribution per
-        farther opposite-label example j."""
-        c = int(self.coal_of_pos[ipos])
-        i_match = bool(self.matches[ipos])
-        delta = self.d_change[i_match]
+    def _change_inner(self, c: int, cj: int, a_m: int, b_m: int, clamped) -> Money:
+        """What a pivotal rank j in coalition cj adds to the change term of
+        each member of coalition c, of the class opposite to j's, that is
+        nearer than j.  a_m / b_m count that member's coalition-mates nearer
+        than j; ``clamped`` holds every coalition's counts nearer than j,
+        clamped to the DP window."""
         h = self.half
-        total = to_money(0, self.mode)
-        opposite = self._positions_by_class[not i_match]
-        start = int(np.searchsorted(opposite, ipos + 1))
-        for jpos in opposite[start:]:
-            jpos = int(jpos)
-            a_m = int(self.pref_match[c, jpos]) - (1 if i_match else 0)
-            b_m = int(self.pref_mismatch[c, jpos]) - (0 if i_match else 1)
-            in_target = int(self.coal_of_pos[jpos]) == c
-            q = self.change_q(c, jpos)
-            if not q:
+        if a_m < 0 or b_m < 0 or (cj != c and max(clamped[cj]) > h):
+            # no such member is nearer than j, or j's own coalition
+            # overfills the window whenever it precedes c
+            return self.zero
+        others = tuple(sorted(clamped[o] for o in range(self.m) if o != c and o != cj))
+        if cj == c:
+            q = self._dp(BASE_TARGET, None, others, (h, h))
+        else:
+            q = self._dp(BASE_FIRST, clamped[cj], others, (h, h))
+        inner = self.zero
+        for (qa, qb), mass in q.items():
+            a, b = h - qa, h - qb
+            if a > a_m or b > b_m or not mass:
                 continue
-            inner = to_money(0, self.mode)
-            for a in range(0, min(a_m, h) + 1):
-                for b in range(0, min(b_m, h) + 1):
-                    mass = q.get((h - a, h - b))
-                    if not mass:
-                        continue
-                    if in_target:
-                        w = precede_probability((a_m, b_m, 1), (a, b, 1), self.mode)
-                    else:
-                        w = precede_probability((a_m, b_m), (a, b), self.mode)
-                    inner += mass * w
-            total += inner * delta
-        return total
+            if cj == c:
+                w = precede_probability((a_m, b_m, 1), (a, b, 1), self.mode)
+            else:
+                w = precede_probability((a_m, b_m), (a, b), self.mode)
+            inner += mass * w
+        return inner
+
+    def change_terms(self) -> List[Money]:
+        """Change term of every rank position, in one sweep from the farthest
+        position to the nearest with one suffix total per (coalition, class):
+        a farther opposite-class j adds the same inner sum to every member of
+        a coalition and class that is nearer than j."""
+        cap = self.half + 1
+        suffix = {(c, u): self.zero for c in range(self.m) for u in (True, False)}
+        out = [self.zero] * len(self.matches)
+        for jpos in range(len(out) - 1, -1, -1):
+            uj, cj = self.matches[jpos], self.coal_of_pos[jpos]
+            out[jpos] = suffix[(cj, uj)] * self.d_change[uj]
+            nearer_a = self.pref_match[jpos].tolist()
+            nearer_b = self.pref_mismatch[jpos].tolist()
+            clamped = [(min(a, cap), min(b, cap)) for a, b in zip(nearer_a, nearer_b)]
+            for c in range(self.m):
+                # the counts take in the member itself, of class not uj
+                a_m, b_m = nearer_a[c] - (not uj), nearer_b[c] - uj
+                suffix[(c, not uj)] += self._change_inner(c, cj, a_m, b_m, clamped)
+        return out
+
+    def values(self) -> List[Money]:
+        """Owen value of every rank position: its creation term, computed
+        once per (coalition, class), plus its change term."""
+        made = {
+            (c, u): self.creation(c, u)
+            for c, u in set(zip(self.coal_of_pos, self.matches))
+        }
+        return [
+            made[(c, u)] + g
+            for c, u, g in zip(self.coal_of_pos, self.matches, self.change_terms())
+        ]
 
 
 def _engine_for(
@@ -278,7 +266,8 @@ def knn_owen_creation(
     """Creation term of one example's Owen value."""
     check_mode(mode)
     eng = _QueryEngine(ranking, coalitions, k, ov, mode)
-    return eng.creation(ranking.position_of(example_id))
+    pos = ranking.position_of(example_id)
+    return eng.creation(eng.coal_of_pos[pos], eng.matches[pos])
 
 
 def knn_owen_change(
@@ -292,7 +281,7 @@ def knn_owen_change(
     """Change term of one example's Owen value."""
     check_mode(mode)
     eng = _QueryEngine(ranking, coalitions, k, ov, mode)
-    return eng.change(ranking.position_of(example_id))
+    return eng.change_terms()[ranking.position_of(example_id)]
 
 
 def knn_owen_report(
@@ -308,18 +297,14 @@ def knn_owen_report(
     check_mode(mode)
     t0 = time.perf_counter()
     totals = [to_money(0, mode)] * len(dataset)
-    row = dataset.row_index()
     rows = []
     for q in queries:
         eng = _engine_for(dataset, coalitions, q, config, mode, use_cache)
-        values = {}
-        for pos in range(len(eng.ranking)):
-            i = int(eng.ranking.ordering[pos])
-            values[i] = eng.creation(pos) + eng.change(pos)
-        for i, v in values.items():
-            totals[row[i]] += v
+        values = eng.values()
+        for r, v in zip(eng.ranking.rows.tolist(), values):
+            totals[r] += v
         if per_query:
-            rows.append(values)
+            rows.append(dict(zip(eng.ranking.ordering.tolist(), values)))
     return assemble_report(
         method=METHOD,
         mode=mode,

@@ -455,7 +455,16 @@ def rank_by_distance(
             f"query has {q.shape[0]} features but the dataset has {feats.shape[1]}"
         )
     if metric == "euclidean":
-        dist = np.sqrt(((feats - q) ** 2).sum(axis=1))
+        with np.errstate(over="ignore"):
+            dist = np.sqrt(((feats - q) ** 2).sum(axis=1))
+            if not np.isfinite(dist).all() and np.isfinite(q).all():
+                # finite features beyond ~1e154 overflow the squares; one exact
+                # power-of-two rescale of those rows brings them into range
+                far = ~np.isfinite(dist) & np.isfinite(feats).all(axis=1)
+                if far.any():
+                    _, e = np.frexp(max(np.abs(feats[far]).max(), np.abs(q).max()))
+                    d = np.ldexp(feats[far], -e) - np.ldexp(q, -e)
+                    dist[far] = np.ldexp(np.sqrt((d**2).sum(axis=1)), e)
     elif callable(metric):
         dist = np.asarray([float(metric(ex.features, tuple(q))) for ex in dataset], dtype=float)
     else:

@@ -1,11 +1,15 @@
 """Exit codes, report wiring and flag handling for the command line front end."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import divvy
 from divvy.cli import run_command
 
 
@@ -346,3 +350,15 @@ def test_oracle_frequency_requires_value(big_freq, capsys):
     ])
     assert rc == 1
     assert "--value" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal takes over a second to import; only the float Owen
+    # frequency DP needs it, so no other subcommand should pay for it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(divvy.__file__)))
+    code = "import sys, divvy.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -39,6 +39,17 @@ def test_log_binom_small_cases_exact():
                 assert relative_gap(got, math.log(c)) < 1e-13
 
 
+def test_log_binom_cache_is_bounded():
+    bound = log_binom.cache_info().maxsize
+    assert bound == 2**16
+    log_binom.cache_clear()
+    for a in range(bound + 100):
+        log_binom(a, 1)
+    info = log_binom.cache_info()
+    assert info.currsize == bound and info.misses == bound + 100
+    log_binom.cache_clear()
+
+
 def test_log_binom_large_arguments():
     gmpy2 = pytest.importorskip("gmpy2")
     rng = random.Random(11)

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import divvy.knn_owen as knn_owen
 from divvy import (
     Dataset,
     Example,
@@ -17,6 +18,7 @@ from divvy import (
     knn_owen_report,
     knn_shapley_values,
     knn_subset_value,
+    precede_probability,
     rank_by_distance,
 )
 
@@ -158,3 +160,100 @@ def test_worked_example_two_points():
     q = Query(label="pos", features=(0.5,))
     rep = knn_owen_report(ds, ds.coalition_structure(), [q], KnnConfig(1, UNIT), mode="exact")
     assert rep.values() == {0: Fraction(3, 2), 1: Fraction(-1, 2)}
+
+
+def _quadratic_change_terms(ranking, coalitions, k, ov):
+    """Change term of every rank position by the double loop that the suffix
+    sweep replaced: for each position i, every farther opposite-class j."""
+    ov = ov.as_fractions()
+    h = (k - 1) // 2
+    caps = (h, h)
+    cids = coalitions.coalition_ids()
+    coal = [cids.index(coalitions.coalition_of(int(i))) for i in ranking.ordering]
+    matches = [bool(x) for x in ranking.matches]
+    n, m = len(coal), len(cids)
+
+    def nearer(c, j, u):  # members of coalition c in class u nearer than j
+        return sum(1 for p in range(j) if coal[p] == c and matches[p] == u)
+
+    def clamped(c, j):
+        return (min(nearer(c, j, True), h + 1), min(nearer(c, j, False), h + 1))
+
+    out = []
+    for i in range(n):
+        c, u = coal[i], matches[i]
+        delta = ov.correct - ov.wrong if u else ov.wrong - ov.correct
+        total = Fraction(0)
+        for j in range(i + 1, n):
+            if matches[j] == u:
+                continue
+            cj = coal[j]
+            a_m = nearer(c, j, True) - u
+            b_m = nearer(c, j, False) - (not u)
+            others = sorted(clamped(o, j) for o in range(m) if o not in (c, cj))
+            if cj == c:
+                q = knn_owen_distribution(others, caps=caps)
+            else:
+                q = knn_owen_distribution(
+                    others, base="first", first_counts=clamped(cj, j), caps=caps
+                )
+            inner = Fraction(0)
+            for a in range(min(a_m, h) + 1):
+                for b in range(min(b_m, h) + 1):
+                    mass = q.get((h - a, h - b))
+                    if not mass:
+                        continue
+                    if cj == c:
+                        w = precede_probability((a_m, b_m, 1), (a, b, 1))
+                    else:
+                        w = precede_probability((a_m, b_m), (a, b))
+                    inner += mass * w
+            total += inner * delta
+        out.append(total)
+    return out
+
+
+def test_change_sweep_matches_quadratic_loop():
+    rng = random.Random(68)
+    for trial in range(150):
+        dataset, query, config = random_knn_instance(
+            rng, max_n=12, ks=(1, 3, 5), with_coalitions=True, max_groups=4
+        )
+        cs = dataset.coalition_structure()
+        ranking = rank_by_distance(dataset, query.features, query.label)
+        ov = config.outcome_values
+        want = _quadratic_change_terms(ranking, cs, config.k, ov)
+        for use_cache in (True, False):
+            eng = knn_owen._QueryEngine(ranking, cs, config.k, ov, "exact", use_cache)
+            got = eng.change_terms()
+            assert all(isinstance(v, Fraction) for v in got)
+            assert got == want, (trial, use_cache)
+        i = int(ranking.ordering[-1])
+        assert knn_owen_change(ranking, cs, i, config.k, ov, "exact") == want[-1]
+
+
+def _precede_calls(monkeypatch, n):
+    rng = random.Random(69)
+    dataset = Dataset(
+        Example(i, rng.choice("ab"), features=(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                coalition=f"g{rng.randrange(5)}")
+        for i in range(n)
+    )
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return precede_probability(*args, **kwargs)
+
+    monkeypatch.setattr(knn_owen, "precede_probability", counting)
+    query = Query(label="a", features=(0.1, -0.2))
+    knn_owen_report(dataset, dataset.coalition_structure(), [query],
+                    KnnConfig(3, UNIT), mode="float")
+    return calls[0]
+
+
+def test_work_grows_linearly_in_n(monkeypatch):
+    # the quadratic loop made 9,260 and 34,218 calls here (3.7x), the sweep
+    # makes 443 and 829
+    small, large = _precede_calls(monkeypatch, 400), _precede_calls(monkeypatch, 800)
+    assert large <= 2.5 * small, (small, large)

@@ -1,6 +1,7 @@
 """Dataset plumbing, value functions, rankings and subset votes."""
 
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -195,6 +196,26 @@ def test_rank_by_distance_matches_distance_then_id_order():
         Example(0, "a", features=(float("nan"),)),
     ])
     assert rank_by_distance(ds, (0.0,), "a").ordering.tolist() == [2, 0, 4]
+
+
+def test_rank_by_distance_survives_overflowing_squares():
+    # squares of finite features beyond ~1e154 overflow binary64; the
+    # ranking must still follow the true distances, and warn of nothing
+    one_d = Dataset([
+        Example(0, "a", features=(2e200,)),
+        Example(1, "a", features=(1e200,)),
+        Example(2, "a", features=(-3.0,)),
+    ])
+    two_d = Dataset([
+        Example(0, "a", features=(1e200, 1e200)),
+        Example(1, "a", features=(1e200, 0.0)),
+        Example(2, "a", features=(0.0, 5.0)),
+        Example(3, "a", features=(-1e300, 0.0)),
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rank_by_distance(one_d, (0.0,), "a").ordering.tolist() == [2, 1, 0]
+        assert rank_by_distance(two_d, (0.0, 0.0), "a").ordering.tolist() == [2, 1, 0, 3]
 
 
 def test_rank_by_distance_prefix_counts_sum_to_position():
