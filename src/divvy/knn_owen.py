@@ -224,7 +224,7 @@ class _QueryEngine:
             nearer_b = self.pref_mismatch[jpos].tolist()
             clamped = [(min(a, cap), min(b, cap)) for a, b in zip(nearer_a, nearer_b)]
             for c in range(self.m):
-                # the counts take in the member itself, of class not uj
+                # coalition c's counts nearer than j include the member itself
                 a_m, b_m = nearer_a[c] - (not uj), nearer_b[c] - uj
                 suffix[(c, not uj)] += self._change_inner(c, cj, a_m, b_m, clamped)
         return out
