@@ -60,7 +60,6 @@ from .model import (
     RankedNeighborhood,
     TableValueFunction,
     delta_value,
-    frequency_value,
     knn_subset_value,
     rank_by_distance,
     tally_bin,
@@ -121,7 +120,6 @@ __all__ = [
     "exact_shapley_all",
     "export_csv",
     "frequency_game",
-    "frequency_value",
     "knn_change_values_all",
     "knn_creation_value",
     "knn_game",

@@ -22,4 +22,4 @@ class MissingValueError(InputError):
 
 
 class GuardError(DivvyError):
-    """An enumeration was refused because its cost guard tripped."""
+    """A computation was refused because its cost or memory guard tripped."""

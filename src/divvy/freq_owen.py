@@ -1,26 +1,26 @@
 """Owen payouts for frequency-binned rules under a coalition partition.
 
-The outer layer is a distribution over what the coalitions ahead of the
-target coalition contribute to the bin: a dynamic program inserts one
-coalition at a time into the ordering, advancing a (preceders, matches,
-mismatches) state.  The inner layer is the same precedence weight the
-Shapley computation uses, restricted to the target coalition's own in-bin
-members.  Out-of-bin members of any coalition never move the value, so
-they are ignored throughout.
+The outer layer is the law of the in-bin counts that the coalitions ahead
+of the target coalition contribute: exact mode inserts one coalition at a
+time into the ordering in a dynamic program, float mode integrates Owen's
+multilinear extension (``_precede_grid``).  The inner layer is the same
+precedence weight the Shapley computation uses, restricted to the target
+coalition's own in-bin members.  Out-of-bin members of any coalition never
+move the value, so they are ignored throughout.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import gammaln
 
-from .combinatorics import EXACT, Money, check_mode, precede_probability
-from .errors import InputError
+from .combinatorics import EXACT, Money, check_mode, log_binom, precede_probability
+from .errors import GuardError, InputError
 from .model import (
     CoalitionStructure,
     Dataset,
@@ -28,34 +28,31 @@ from .model import (
     Query,
     to_money,
 )
-from .freq_shapley import critical_set
+from .freq_shapley import CriticalSet, critical_set
 from .report import ValueReport, assemble_report
 
 METHOD = "owen-freq"
 
 CountPair = Tuple[int, int]
 
+# The float law is built in one (nodes t <= 1/2, A + 1, B + 1) float64 array;
+# larger ones are refused before they are allocated.  Peak memory is about
+# twice it.
+GRID_BUDGET_BYTES = 2**28
+
 
 @dataclass(frozen=True)
 class PrecedeDistribution:
     """Distribution of (match, mismatch) counts contributed by the
-    coalitions that precede the target in a uniform coalition ordering."""
+    coalitions that precede the target in a uniform coalition ordering:
+    ``probs[a, b]`` is a Fraction in a dict (exact) or a float in a grid.
+    """
 
-    probs: Mapping[CountPair, Money]
+    probs: Union[Mapping[CountPair, Fraction], np.ndarray]
 
     def mass(self) -> Money:
-        return sum(self.probs.values())
-
-    def grid(self) -> np.ndarray:
-        """Dense float grid, indexed [a, b]."""
-        if not self.probs:
-            return np.zeros((1, 1))
-        max_a = max(a for a, _ in self.probs)
-        max_b = max(b for _, b in self.probs)
-        g = np.zeros((max_a + 1, max_b + 1))
-        for (a, b), p in self.probs.items():
-            g[a, b] = float(p)
-        return g
+        probs = self.probs
+        return float(probs.sum()) if isinstance(probs, np.ndarray) else sum(probs.values())
 
 
 def layered_insertion_dp(
@@ -102,23 +99,39 @@ def layered_insertion_dp(
     return out
 
 
-def _dp_float_grid(pairs: Sequence[CountPair]) -> np.ndarray:
-    """Float DP over a dense (s, a, b) grid; the dict version is exact but
-    too slow once bins hold hundreds of examples."""
-    max_a = sum(a for a, _ in pairs)
-    max_b = sum(b for _, b in pairs)
-    m = len(pairs)
-    P = np.zeros((m + 1, max_a + 1, max_b + 1))
-    P[0, 0, 0] = 1.0
-    svec = np.arange(m + 1, dtype=float)
-    for j, (a_j, b_j) in enumerate(pairs, start=1):
-        p_adv = ((svec + 1) / (j + 1))[:, None, None]
-        p_stay = (np.maximum(j - svec, 0.0) / (j + 1))[:, None, None]
-        nxt = P * p_stay
-        adv = P * p_adv
-        nxt[1:, a_j:, b_j:] += adv[:-1, : P.shape[1] - a_j, : P.shape[2] - b_j]
-        P = nxt
-    return P.sum(axis=0)
+def _precede_grid(pairs: Sequence[CountPair]) -> np.ndarray:
+    """Float law of the preceders' counts as a grid indexed [a, b].
+
+    The m other coalitions precede in a set S with probability
+    |S|!(m - |S|)!/(m + 1)!, the integral of t^|S| (1 - t)^(m - |S|) over
+    [0, 1].  So the law's generating function is the integral of
+    prod_h (1 - t + t x^a_h y^b_h), a degree-m polynomial in t, built at
+    all Gauss-Legendre nodes t <= 1/2 at once, one shift-add per coalition.
+    The nodes are symmetric about 1/2, and trading t for 1 - t reverses the
+    grid along both axes, so the nodes above 1/2 are read off in mirror."""
+    n = len(pairs) // 2 + 1  # exact for degree 2n - 1 >= m
+    half = (n + 1) // 2
+    size_a = sum(a for a, _ in pairs)
+    size_b = sum(b for _, b in pairs)
+    need = half * (size_a + 1) * (size_b + 1) * 8
+    if need > GRID_BUDGET_BYTES:
+        raise GuardError(
+            f"float Owen grid of {need / 2**20:.1f} MiB is over the "
+            f"{GRID_BUDGET_BYTES >> 20} MiB budget"
+        )
+    x, w = np.polynomial.legendre.leggauss(n)  # ascending, symmetric about 0
+    # nodes t and 1 - t on [0, 1], each rounded once
+    t, s = (1 + x[:half, None, None]) / 2, (1 - x[:half, None, None]) / 2
+    g = np.zeros((half, size_a + 1, size_b + 1))
+    g[:, 0, 0] = 1.0
+    top_a = top_b = 0  # highest counts reached so far
+    for a, b in pairs:
+        held = g[:, : top_a + 1, : top_b + 1]
+        held *= s  # scaled first, so the shifted copy takes t / s
+        g[:, a : a + top_a + 1, b : b + top_b + 1] += held * (t / s)
+        top_a, top_b = top_a + a, top_b + b
+    mirrored = np.tensordot(w[: n // 2], g[: n // 2], axes=1)[::-1, ::-1]
+    return (np.tensordot(w[:half], g, axes=1) + mirrored) / 2  # weights sum to 2 on [-1, 1]
 
 
 def owen_precede_distribution(
@@ -126,52 +139,48 @@ def owen_precede_distribution(
     mode: str = EXACT,
 ) -> PrecedeDistribution:
     """Distribution of in-bin counts contributed by the non-target
-    coalitions that land ahead of the target coalition."""
+    coalitions that land ahead of the target coalition.  Coalitions with
+    no in-bin member are dropped (an ordering of the rest is still uniform)
+    and the rest sorted, so the float grid depends only on their multiset.
+    """
     check_mode(mode)
-    for a, b in other_tallies:
-        if a < 0 or b < 0:
-            raise InputError("coalition tallies must be non-negative")
+    if any(a < 0 or b < 0 for a, b in other_tallies):
+        raise InputError("coalition tallies must be non-negative")
+    pairs = sorted(tuple(p) for p in other_tallies if tuple(p) != (0, 0))
     if mode == EXACT:
-        probs = layered_insertion_dp(list(other_tallies), mode=EXACT)
-        return PrecedeDistribution(dict(probs))
-    grid = _dp_float_grid(list(other_tallies))
-    probs = {
-        (int(a), int(b)): float(grid[a, b])
-        for a, b in zip(*np.nonzero(grid))
-    }
-    if not probs:
-        probs = {(0, 0): 1.0}
-    return PrecedeDistribution(probs)
-
-
-def _log_binom_row(n: int, ks: np.ndarray) -> np.ndarray:
-    return gammaln(n + 1.0) - gammaln(ks + 1.0) - gammaln(n - ks + 1.0)
+        return PrecedeDistribution(layered_insertion_dp(pairs, mode=EXACT))
+    return PrecedeDistribution(_precede_grid(pairs))
 
 
 def _within_block_grid_float(a_m: int, b_m: int) -> np.ndarray:
     """W[a', b'] = probability that exactly a' of the target coalition's
     in-bin matches and b' of its mismatches precede the target example."""
     t = a_m + b_m + 1
-    la = _log_binom_row(a_m, np.arange(a_m + 1.0))
-    lb = _log_binom_row(b_m, np.arange(b_m + 1.0))
-    lu = _log_binom_row(t - 1, np.arange(t + 0.0))  # indices 0..a_m+b_m
+    la = np.array([log_binom(a_m, i) for i in range(a_m + 1)])
+    lb = np.array([log_binom(b_m, i) for i in range(b_m + 1)])
+    lu = np.array([log_binom(t - 1, i) for i in range(t)])
     tot = np.add.outer(np.arange(a_m + 1), np.arange(b_m + 1))
     return np.exp(la[:, None] + lb[None, :] - lu[tot]) / t
 
 
+def _fft_len(n: int) -> int:
+    """Smallest 2^i 3^j 5^k >= n; a prime length takes several times longer."""
+    k = n
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return n if k == 1 else _fft_len(n + 1)
+
+
 def _value_from_distribution(
     dist: PrecedeDistribution,
-    size_a: int,
-    size_b: int,
+    crit: CriticalSet,
     a_m: int,
     b_m: int,
-    vf: FrequencyValueFunction,
-    label_matches: bool,
     mode: str,
 ) -> Money:
     """Inner Owen sum: critical pairs weighted by (others-ahead counts)
     convolved with the within-coalition precedence weight."""
-    crit = critical_set(vf, size_a, size_b, label_matches)
     if mode == EXACT:
         total = Fraction(0)
         for a, b, d in crit.entries:
@@ -184,15 +193,11 @@ def _value_from_distribution(
                     inner += p * precede_probability((a_m, b_m), (a2, b2), EXACT)
             total += inner * Fraction(d)
         return total
-    # scipy.signal takes over a second to import, so only this branch pays
-    from scipy.signal import fftconvolve
-
-    conv = fftconvolve(dist.grid(), _within_block_grid_float(a_m, b_m))
-    total = 0.0
-    for a, b, d in crit.entries:
-        if a < conv.shape[0] and b < conv.shape[1]:
-            total += conv[a, b] * float(d)
-    return total
+    within = _within_block_grid_float(a_m, b_m)
+    shape = [_fft_len(m + n - 1) for m, n in zip(dist.probs.shape, within.shape)]
+    conv = np.fft.irfft2(np.fft.rfft2(dist.probs, shape) * np.fft.rfft2(within, shape), shape)
+    a, b, d = crit.columns
+    return float(conv[a, b] @ d)
 
 
 def owen_frequency_single(
@@ -215,9 +220,8 @@ def owen_frequency_single(
     dist = owen_precede_distribution(other_tallies, mode)
     size_a = sum(a for a, _ in other_tallies) + target_match
     size_b = sum(b for _, b in other_tallies) + target_mismatch
-    return _value_from_distribution(
-        dist, size_a, size_b, target_match, target_mismatch, vf, label_matches, mode
-    )
+    crit = critical_set(vf, size_a, size_b, label_matches)
+    return _value_from_distribution(dist, crit, target_match, target_mismatch, mode)
 
 
 def owen_frequency_report(
@@ -231,8 +235,11 @@ def owen_frequency_report(
 ) -> ValueReport:
     """Total Owen payout per example over a batch of queries.
 
-    Precedence distributions are computed once per (target coalition, bin,
-    query label) and shared by every member example.
+    An example's value depends only on its coalition's in-bin tally and
+    its label class.  So per query the critical set is built once per
+    class, the precedence distribution once per distinct tally, and the
+    value once per (tally, class); ``use_cache`` also reuses values across
+    queries with the same bin, label and value function.
     """
     check_mode(mode)
     dataset.require_bins()
@@ -241,7 +248,6 @@ def owen_frequency_report(
     totals = [to_money(0, mode)] * len(dataset)
     row = dataset.row_index()
     rows = []
-    cids = coalitions.coalition_ids()
     value_cache: dict = {}
     for q in queries:
         q_vf = q.value_function if q.value_function is not None else vf
@@ -249,35 +255,30 @@ def owen_frequency_report(
         if q.bin not in dataset.bins():
             raise InputError(f"query bin {q.bin!r} is unknown to the dataset")
         in_bin = dataset.by_bin(q.bin)
-        tallies = {cid: [0, 0] for cid in cids}
-        for ex in in_bin:
-            pair = tallies[coalitions.coalition_of(ex.id)]
-            pair[0 if ex.label == q.label else 1] += 1
-        values = {}
-        dist_cache: dict = {}
-        for ex in in_bin:
-            cid = coalitions.coalition_of(ex.id)
-            matches = ex.label == q.label
-            vkey = (id(q_vf), q.bin, q.label, cid, matches)
-            if use_cache and vkey in value_cache:
-                values[ex.id] = value_cache[vkey]
-                continue
-            if use_cache and cid in dist_cache:
-                dist = dist_cache[cid]
-            else:
-                others = [tuple(tallies[c]) for c in cids if c != cid]
-                dist = owen_precede_distribution(others, mode)
-                dist_cache[cid] = dist
-            a_m = tallies[cid][0] - (1 if matches else 0)
-            b_m = tallies[cid][1] - (0 if matches else 1)
-            size_a = sum(t[0] for t in tallies.values()) - (1 if matches else 0)
-            size_b = sum(t[1] for t in tallies.values()) - (0 if matches else 1)
-            v = _value_from_distribution(
-                dist, size_a, size_b, a_m, b_m, q_vf, matches, mode
-            )
-            if use_cache:
-                value_cache[vkey] = v
-            values[ex.id] = v
+        owners = [coalitions.coalition_of(ex.id) for ex in in_bin]
+        classes = [ex.label == q.label for ex in in_bin]
+        counts = Counter(zip(owners, classes))
+        tallies = {cid: (counts[cid, True], counts[cid, False]) for cid, _ in counts}
+        pairs = sorted(tallies.values())
+        size_a, size_b = map(sum, zip(*pairs))
+        crits: dict = {}  # label matches -> critical set
+        found: dict = {}  # (own tally, label matches) -> value
+        last = None  # (tally, distribution); both classes of a tally come in a row
+        for own, m in sorted({(tallies[cid], m) for cid, m in counts}):
+            vkey = (id(q_vf), q.bin, q.label, own, m)
+            v = value_cache.get(vkey) if use_cache else None
+            if v is None:
+                if last is None or last[0] != own:
+                    others = list(pairs)
+                    others.remove(own)
+                    last = (own, owen_precede_distribution(others, mode))
+                if m not in crits:
+                    crits[m] = critical_set(q_vf, size_a - m, size_b - (not m), m)
+                v = _value_from_distribution(last[1], crits[m], own[0] - m, own[1] - (not m), mode)
+                if use_cache:
+                    value_cache[vkey] = v
+            found[own, m] = v
+        values = {ex.id: found[tallies[c], m] for ex, c, m in zip(in_bin, owners, classes)}
         for i, v in values.items():
             totals[row[i]] += v
         if per_query:

@@ -13,7 +13,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from .combinatorics import EXACT, Money, check_mode, precede_probability
 from .errors import InputError
@@ -38,6 +41,12 @@ class CriticalSet:
     changes the value, with the (exact) deltas."""
 
     entries: Tuple[Tuple[int, int, Fraction], ...]
+
+    @cached_property
+    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries as arrays: a, b, and the deltas in float."""
+        a, b, d = zip(*self.entries) if self.entries else ((), (), ())
+        return np.array(a, dtype=np.intp), np.array(b, dtype=np.intp), np.array(d, dtype=float)
 
 
 def critical_set(

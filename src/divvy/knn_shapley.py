@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import List, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .combinatorics import EXACT, Money, check_mode, precede_probability
 from .errors import InputError
@@ -114,23 +113,19 @@ def knn_change_values_all(
     return list(_change_values_float(ranking, k, ov))
 
 
-def _log_binom_arr(n_arr: np.ndarray, r: int) -> np.ndarray:
-    """Vectorized ln C(n, r) with -inf where the zero convention applies."""
-    n_arr = n_arr.astype(float)
-    out = np.full(n_arr.shape, -np.inf)
-    ok = n_arr >= r
-    if r >= 0:
-        nv = n_arr[ok]
-        out[ok] = gammaln(nv + 1.0) - gammaln(r + 1.0) - gammaln(nv - r + 1.0)
-    return out
-
-
 @functools.lru_cache(maxsize=8)
 def _log_binom_table(n: int, r: int) -> np.ndarray:
-    """ln C(m, r) for m = -1 .. n at entry m + 1, read-only.  Prefix counts
-    stay in that range, so the sweep gathers from one table per r instead
-    of running gammaln over every position."""
-    table = _log_binom_arr(np.arange(-1, n + 1), r)
+    """ln C(m, r) for m = -1 .. n at entry m + 1, -inf where the zero
+    convention applies, read-only.  Prefix counts stay in that range, so
+    the sweep gathers from one table per r instead of running gammaln over
+    every position."""
+    from scipy.special import gammaln  # ~0.3 s to import, so only this sweep pays
+
+    m = np.arange(-1.0, n + 1)
+    table = np.full(m.shape, -np.inf)
+    ok = m >= r
+    if r >= 0:
+        table[ok] = gammaln(m[ok] + 1.0) - gammaln(r + 1.0) - gammaln(m[ok] - r + 1.0)
     table.flags.writeable = False
     return table
 

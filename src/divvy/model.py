@@ -335,11 +335,6 @@ class TableValueFunction(FrequencyValueFunction):
         return v
 
 
-def frequency_value(vf: FrequencyValueFunction, a: int, b: int) -> Numeric:
-    """Value of a bin holding a matching and b mismatching examples."""
-    return vf.value(a, b)
-
-
 def delta_value(vf: FrequencyValueFunction, a: int, b: int, label_matches: bool) -> Numeric:
     """Marginal change from adding one example of the given label class to a
     bin already holding (a, b)."""
@@ -450,7 +445,9 @@ def rank_by_distance(
     dataset.check_query_label(query_label)
     feats = dataset.feature_matrix()
     q = np.asarray(tuple(query_features), dtype=float)
-    if feats.shape[0] and q.shape[0] != feats.shape[1]:
+    if not feats.shape[0]:
+        feats = feats.reshape(0, q.shape[0])  # Dataset([]) has no feature width
+    elif q.shape[0] != feats.shape[1]:
         raise InputError(
             f"query has {q.shape[0]} features but the dataset has {feats.shape[1]}"
         )

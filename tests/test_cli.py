@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -352,13 +353,35 @@ def test_oracle_frequency_requires_value(big_freq, capsys):
     assert "--value" in capsys.readouterr().err
 
 
+def test_owen_freq_grid_guard_exits_2_before_allocating(tmp_path, capsys):
+    # one bin, two coalitions of 5,800 + 5,800 examples: each target's float
+    # law is a 5,801 x 5,801 grid (~257 MiB), over the fixed budget
+    data = tmp_path / "wide.csv"
+    rows = ["id,bin,label,coalition"]
+    rows += [f"{i},b0,{'xy'[i % 2]},g{i // 11600}" for i in range(23200)]
+    data.write_text("\n".join(rows) + "\n")
+    queries = tmp_path / "q.csv"
+    queries.write_text("bin,label\nb0,x\n")
+    vf = tmp_path / "v.json"
+    vf.write_text('{"family": "majority", "correct": 1, "wrong": -1, "none": 0}')
+    argv = ["owen-freq", "--data", str(data), "--queries", str(queries), "--value", str(vf)]
+    tracemalloc.start()
+    try:
+        assert run_command(argv) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "MiB budget" in capsys.readouterr().err
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MiB: the grid was allocated"
+
+
 def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal takes over a second to import; only the float Owen
-    # frequency DP needs it, so no other subcommand should pay for it
+    # importing scipy costs a third of a second or more; only the float
+    # k-NN sweep needs it (for gammaln), so the CLI must not load it up front
     src = os.path.dirname(os.path.dirname(os.path.abspath(divvy.__file__)))
-    code = "import sys, divvy.cli; print('scipy.signal' in sys.modules)"
+    code = "import sys, divvy.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

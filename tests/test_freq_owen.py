@@ -4,10 +4,12 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import divvy.freq_owen as freq_owen
 from divvy import (
     Dataset,
     Example,
@@ -21,7 +23,7 @@ from divvy import (
     owen_precede_distribution,
     shapley_frequency_report,
 )
-from divvy.errors import InputError
+from divvy.errors import GuardError, InputError
 
 from conftest import random_frequency_instance, relative_gap
 
@@ -102,6 +104,75 @@ def test_precede_distribution_mass():
     dist = owen_precede_distribution([(2, 1), (0, 3), (1, 1)])
     assert dist.mass() == 1
     assert dist.probs[(0, 0)] == Fraction(1, 4), "target first with prob 1/m"
+
+
+def _float_tracks_exact_law(pairs):
+    exact = layered_insertion_dp(pairs, mode="exact")
+    grid = owen_precede_distribution(pairs, mode="float").probs
+    support = {(int(a), int(b)) for a, b in zip(*np.nonzero(grid))}
+    assert support == {k for k, v in exact.items() if v}, pairs
+    for (a, b), v in exact.items():
+        assert relative_gap(float(v), grid[a, b]) < 1e-12, (pairs, a, b)
+
+
+def test_float_law_matches_insertion_dp():
+    # m // 2 + 1 Gauss-Legendre nodes for m other coalitions; (m + 1) // 2
+    # nodes is off by 0.5 relative on this even-m case
+    _float_tracks_exact_law([(3, 1), (0, 1)])
+    rng = random.Random(23)
+    for trial in range(300):
+        m = trial % 10  # both parities, m = 0..9
+        pairs = []
+        for _ in range(m):
+            kind = rng.randrange(4)
+            k = rng.randint(1, 4)
+            pairs.append([(0, 0), (k, 0), (0, k), (k, rng.randint(1, 4))][kind])
+        _float_tracks_exact_law(pairs)
+
+
+def test_float_law_refuses_an_oversized_grid():
+    with pytest.raises(GuardError, match="budget"):
+        owen_precede_distribution([(5800, 5800)], mode="float")
+    assert owen_precede_distribution([(5800, 5800)], mode="exact").mass() == 1
+
+
+def test_float_report_tracks_exact_with_and_without_cache():
+    # within 1e-9 absolute below |value| 1, relative above: a value that is
+    # exactly 0 by cancellation can come out at ~1e-16 in float
+    rng = random.Random(15)
+    for trial in range(60):
+        dataset, query, vf = random_frequency_instance(
+            rng, max_n=9, with_coalitions=True, max_groups=5
+        )
+        cs = dataset.coalition_structure()
+        exact = owen_frequency_report(dataset, cs, [query, query], vf, mode="exact")
+        for use_cache in (True, False):
+            approx = owen_frequency_report(
+                dataset, cs, [query, query], vf, mode="float", use_cache=use_cache
+            )
+            for i, v in exact.values().items():
+                gap = abs(float(v) - approx.value_of(i))
+                assert gap <= 1e-9 * max(1.0, abs(float(v))), (trial, i, use_cache)
+
+
+def test_critical_set_built_once_per_label_class(monkeypatch):
+    # the benchmark's shape: one 250-example bin in 20 coalitions
+    rng = random.Random(25)
+    ds = Dataset(
+        Example(i, rng.choice("xy"), bin="b0", coalition=f"c{i % 20}") for i in range(250)
+    )
+    calls = []
+    real = freq_owen.critical_set
+    monkeypatch.setattr(
+        freq_owen, "critical_set", lambda *a: calls.append(a) or real(*a)
+    )
+    queries = [Query(label="x", bin="b0"), Query(label="y", bin="b0")]
+    for use_cache in (True, False):
+        calls.clear()
+        owen_frequency_report(
+            ds, ds.coalition_structure(), queries, PAYOUT, mode="float", use_cache=use_cache
+        )
+        assert len(calls) <= 2 * len(queries), (use_cache, len(calls))
 
 
 def test_worked_example_three_examples_two_coalitions():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import divvy.knn_owen as knn_owen
 from divvy import (
+    CoalitionStructure,
     Dataset,
     Example,
     KnnConfig,
@@ -257,3 +258,13 @@ def test_work_grows_linearly_in_n(monkeypatch):
     # makes 443 and 829
     small, large = _precede_calls(monkeypatch, 400), _precede_calls(monkeypatch, 800)
     assert large <= 2.5 * small, (small, large)
+
+
+def test_empty_dataset_gives_an_empty_report():
+    config = KnnConfig(3, UNIT)
+    queries = [Query(label="pos", features=(0.0, 1.0))]
+    for mode in ("float", "exact"):
+        rep = knn_owen_report(
+            Dataset([]), CoalitionStructure({}), queries, config, mode=mode, per_query=True
+        )
+        assert rep.values() == {} and rep.query_count == 1, mode

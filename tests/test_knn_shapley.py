@@ -229,3 +229,12 @@ def test_parsed_knn_dataset_costs_no_object_per_example(tmp_path):
     objects_held(1_000)  # fill module-level caches
     small, large = objects_held(10_000), objects_held(20_000)
     assert large - small < 100, (small, large)
+
+
+def test_empty_dataset_gives_an_empty_report():
+    # Dataset([]) has no feature width, so ranking must not assume one
+    config = KnnConfig(3, UNIT)
+    queries = [Query(label="pos", features=(0.0, 1.0))]
+    for mode in ("float", "exact"):
+        rep = knn_shapley_report(Dataset([]), queries, config, mode=mode, per_query=True)
+        assert rep.values() == {} and rep.query_count == 1, mode
