@@ -26,7 +26,6 @@ from .errors import (
     MissingValueError,
 )
 from .freq_owen import (
-    layered_insertion_dp,
     owen_frequency_report,
     owen_frequency_single,
     owen_precede_distribution,
@@ -74,6 +73,7 @@ from .oracle import (
     frequency_game,
     knn_game,
     mc_shapley,
+    mc_shapley_all,
     sample_permutations,
     table_game,
 )
@@ -130,9 +130,9 @@ __all__ = [
     "knn_shapley_report",
     "knn_shapley_values",
     "knn_subset_value",
-    "layered_insertion_dp",
     "log_binom",
     "mc_shapley",
+    "mc_shapley_all",
     "owen_frequency_report",
     "owen_frequency_single",
     "owen_precede_distribution",

@@ -36,7 +36,7 @@ from .oracle import (
     exact_shapley_all,
     frequency_game,
     knn_game,
-    mc_shapley,
+    mc_shapley_all,
 )
 from .report import assemble_report, export_csv, report_to_json, write_report
 
@@ -305,10 +305,8 @@ def _run_oracle(args):
         elif method == "exact-owen":
             values = exact_owen_all(game, structure, override=args.yes_i_know)
         else:
-            values = {
-                p: mc_shapley(game, p, args.samples, args.seed).estimate
-                for p in game.players
-            }
+            estimates = mc_shapley_all(game, args.samples, args.seed)
+            values = {p: e.estimate for p, e in estimates.items()}
         for p, v in values.items():
             totals[row[p]] += v
         if rows_per_query is not None:

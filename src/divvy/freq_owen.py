@@ -1,21 +1,25 @@
 """Owen payouts for frequency-binned rules under a coalition partition.
 
 The outer layer is the law of the in-bin counts that the coalitions ahead
-of the target coalition contribute: exact mode inserts one coalition at a
-time into the ordering in a dynamic program, float mode integrates Owen's
-multilinear extension (``_precede_grid``).  The inner layer is the same
-precedence weight the Shapley computation uses, restricted to the target
-coalition's own in-bin members.  Out-of-bin members of any coalition never
-move the value, so they are ignored throughout.
+of the target coalition contribute: one expansion of Owen's multilinear
+extension over a dense array (``owen_precede_distribution``), which the
+k-NN Owen computation shares.  The inner layer is the same precedence
+weight the Shapley computation uses, restricted to the target coalition's
+own in-bin members and correlated with the law at the critical entries.
+Out-of-bin members of any coalition never move the value, so they are
+ignored throughout.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from functools import cached_property, lru_cache
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,121 +39,137 @@ METHOD = "owen-freq"
 
 CountPair = Tuple[int, int]
 
-# The float law is built in one (nodes t <= 1/2, A + 1, B + 1) float64 array;
-# larger ones are refused before they are allocated.  Peak memory is about
-# twice it.
+# The law is built in one (depth, A + 1, B + 1) array; larger ones are
+# refused before they are allocated.  Peak memory is about twice it.
 GRID_BUDGET_BYTES = 2**28
 
 
 @dataclass(frozen=True)
 class PrecedeDistribution:
-    """Distribution of (match, mismatch) counts contributed by the
-    coalitions that precede the target in a uniform coalition ordering:
-    ``probs[a, b]`` is a Fraction in a dict (exact) or a float in a grid.
-    """
+    """Law of the (match, mismatch) counts contributed by the coalitions
+    that precede the target in a uniform coalition ordering: (a, b) has
+    probability ``weights[a, b] / scale``.  Exact mode holds Python-int
+    weights over (m + 1)!, float mode float64 probabilities over 1."""
 
-    probs: Union[Mapping[CountPair, Fraction], np.ndarray]
+    weights: np.ndarray
+    scale: int = 1
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """The probabilities, as Fractions in exact mode."""
+        if self.weights.dtype != object:
+            return self.weights
+        return np.frompyfunc(lambda w: Fraction(w, self.scale), 1, 1)(self.weights)
 
     def mass(self) -> Money:
-        probs = self.probs
-        return float(probs.sum()) if isinstance(probs, np.ndarray) else sum(probs.values())
+        total = self.weights.sum()
+        return float(total) if self.weights.dtype != object else Fraction(total, self.scale)
 
 
-def layered_insertion_dp(
-    pairs: Sequence[CountPair],
-    mode: str = EXACT,
-    start_state: Tuple[int, int, int] = (0, 0, 0),
-    start_mass: Money = 1,
-    start_layer: int = 1,
-    caps: Optional[CountPair] = None,
-) -> Dict[CountPair, Money]:
-    """Insert coalitions one at a time into a random ordering against a
-    fixed target, tracking (s, a, b): how many inserted coalitions precede
-    the target and what counts they contribute.
-
-    At layer j (the j-th coalition overall, counting any baked into the
-    start state) a previous state with s preceders advances with
-    probability (s + 1) / (j + 1) and stays with (j - s) / (j + 1).
-    States whose counts exceed ``caps`` are dropped; they can never come
-    back under it, and callers only read capped entries.
-
-    Returns the (a, b) marginal.
-    """
-    check_mode(mode)
-    one = Fraction(1) if mode == EXACT else 1.0
-    states: Dict[Tuple[int, int, int], Money] = {tuple(start_state): one * start_mass}
-    j = start_layer
-    for a_j, b_j in pairs:
-        nxt: Dict[Tuple[int, int, int], Money] = {}
-        for (s, a, b), mass in states.items():
-            if mode == EXACT:
-                p_adv = Fraction(s + 1, j + 1)
-            else:
-                p_adv = (s + 1) / (j + 1)
-            key = (s + 1, a + a_j, b + b_j)
-            if caps is None or (key[1] <= caps[0] and key[2] <= caps[1]):
-                nxt[key] = nxt.get(key, 0) + mass * p_adv
-            stay = (s, a, b)
-            nxt[stay] = nxt.get(stay, 0) + mass * (one - p_adv)
-        states = nxt
-        j += 1
-    out: Dict[CountPair, Money] = {}
-    for (s, a, b), mass in states.items():
-        out[(a, b)] = out.get((a, b), 0) + mass
-    return out
-
-
-def _precede_grid(pairs: Sequence[CountPair]) -> np.ndarray:
-    """Float law of the preceders' counts as a grid indexed [a, b].
-
-    The m other coalitions precede in a set S with probability
-    |S|!(m - |S|)!/(m + 1)!, the integral of t^|S| (1 - t)^(m - |S|) over
-    [0, 1].  So the law's generating function is the integral of
-    prod_h (1 - t + t x^a_h y^b_h), a degree-m polynomial in t, built at
-    all Gauss-Legendre nodes t <= 1/2 at once, one shift-add per coalition.
-    The nodes are symmetric about 1/2, and trading t for 1 - t reverses the
-    grid along both axes, so the nodes above 1/2 are read off in mirror."""
-    n = len(pairs) // 2 + 1  # exact for degree 2n - 1 >= m
-    half = (n + 1) // 2
-    size_a = sum(a for a, _ in pairs)
-    size_b = sum(b for _, b in pairs)
-    need = half * (size_a + 1) * (size_b + 1) * 8
-    if need > GRID_BUDGET_BYTES:
-        raise GuardError(
-            f"float Owen grid of {need / 2**20:.1f} MiB is over the "
-            f"{GRID_BUDGET_BYTES >> 20} MiB budget"
-        )
+@lru_cache(maxsize=128)  # k-NN asks for many tiny laws; leggauss costs ~0.1 ms
+def _nodes(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n Gauss-Legendre nodes as t and 1 - t on [0, 1], each rounded
+    once, ascending in t, and their weights on [-1, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)  # ascending, symmetric about 0
-    # nodes t and 1 - t on [0, 1], each rounded once
-    t, s = (1 + x[:half, None, None]) / 2, (1 - x[:half, None, None]) / 2
-    g = np.zeros((half, size_a + 1, size_b + 1))
-    g[:, 0, 0] = 1.0
-    top_a = top_b = 0  # highest counts reached so far
-    for a, b in pairs:
-        held = g[:, : top_a + 1, : top_b + 1]
-        held *= s  # scaled first, so the shifted copy takes t / s
-        g[:, a : a + top_a + 1, b : b + top_b + 1] += held * (t / s)
-        top_a, top_b = top_a + a, top_b + b
-    mirrored = np.tensordot(w[: n // 2], g[: n // 2], axes=1)[::-1, ::-1]
-    return (np.tensordot(w[:half], g, axes=1) + mirrored) / 2  # weights sum to 2 on [-1, 1]
+    return (1 + x[:, None, None]) / 2, (1 - x[:, None, None]) / 2, w
 
 
 def owen_precede_distribution(
     other_tallies: Sequence[CountPair],
     mode: str = EXACT,
+    pinned: Optional[CountPair] = None,
+    caps: Optional[CountPair] = None,
 ) -> PrecedeDistribution:
-    """Distribution of in-bin counts contributed by the non-target
-    coalitions that land ahead of the target coalition.  Coalitions with
-    no in-bin member are dropped (an ordering of the rest is still uniform)
-    and the rest sorted, so the float grid depends only on their multiset.
+    """Law of the counts contributed by the non-target coalitions that land
+    ahead of the target coalition.
+
+    The m other coalitions precede in a set S with probability
+    |S|!(m - |S|)!/(m + 1)!, the integral of t^|S| (1 - t)^(m - |S|) over
+    [0, 1].  So the law's generating function is the integral of
+    prod_h (1 - t + t x^a_h y^b_h), expanded with one shift-add per
+    coalition over a dense array.  In exact mode the array's leading axis
+    is |S| and holds integer subset counts, each non-zero cell weighted
+    once at the end.  In float mode it runs over the Gauss-Legendre nodes,
+    exact for degree m; without pin or caps only the nodes t <= 1/2 are
+    built, since trading t for 1 - t reverses the law along both axes.
+
+    A ``pinned`` coalition always precedes the target: one more factor of
+    t, so the mass is 1/2.  ``caps`` drops counts above them, which can
+    never come back under; entries within the caps are unchanged.
+    Coalitions with no in-bin member are dropped (an ordering of the rest
+    is still uniform) and the rest sorted, so the law depends only on
+    their multiset.
     """
     check_mode(mode)
-    if any(a < 0 or b < 0 for a, b in other_tallies):
+    pairs = [tuple(p) for p in other_tallies]
+    if any(a < 0 or b < 0 for a, b in pairs + [tuple(pinned or (0, 0))]):
         raise InputError("coalition tallies must be non-negative")
-    pairs = sorted(tuple(p) for p in other_tallies if tuple(p) != (0, 0))
-    if mode == EXACT:
-        return PrecedeDistribution(layered_insertion_dp(pairs, mode=EXACT))
-    return PrecedeDistribution(_precede_grid(pairs))
+    pairs = sorted(p for p in pairs if p != (0, 0))
+    a0, b0 = pinned or (0, 0)
+    m = len(pairs) + (pinned is not None)
+    top_a = a0 + sum(a for a, _ in pairs)
+    top_b = b0 + sum(b for _, b in pairs)
+    if caps is not None:
+        top_a, top_b = min(top_a, caps[0]), min(top_b, caps[1])
+    exact = mode == EXACT
+    if exact:
+        depth = m + 1
+        widest = math.comb(m, m // 2)  # the largest count of subsets of one size
+        dtype = np.int64 if widest < 2**63 else object
+        cell = 8 if dtype is np.int64 else 8 + sys.getsizeof(widest)
+    else:
+        n = m // 2 + 1  # exact for degree 2n - 1 >= m
+        mirror = pinned is None and caps is None
+        depth, dtype, cell = (n + 1) // 2 if mirror else n, np.float64, 8
+    need = depth * (top_a + 1) * (top_b + 1) * cell
+    if need > GRID_BUDGET_BYTES:
+        raise GuardError(
+            f"Owen law grid of {need / 2**20:.1f} MiB is over the "
+            f"{GRID_BUDGET_BYTES >> 20} MiB budget"
+        )
+    g = np.zeros((depth, top_a + 1, top_b + 1), dtype)
+    fits = a0 <= top_a and b0 <= top_b  # else the pinned coalition overflows
+    if exact:
+        # counts of size k lie in the box lo[k] <= (a, b) <= hi[k]
+        lo, hi = [(top_a + 1, top_b + 1)] * depth, [(-1, -1)] * depth
+        k0 = depth - 1 - len(pairs)  # 1 with a pin, else 0
+        if fits:
+            g[k0, a0, b0] = 1
+            lo[k0] = hi[k0] = (a0, b0)
+        for j, (a, b) in enumerate(pairs):
+            for k in range(k0 + j, -1, -1):  # each size is read before it is written
+                (la, lb), (ua, ub) = lo[k], hi[k]
+                ua, ub = min(ua, top_a - a), min(ub, top_b - b)
+                if la <= ua and lb <= ub:
+                    held = g[k, la : ua + 1, lb : ub + 1]
+                    g[k + 1, la + a : ua + a + 1, lb + b : ub + b + 1] += held
+                    lo[k + 1] = min(lo[k + 1][0], la + a), min(lo[k + 1][1], lb + b)
+                    hi[k + 1] = max(hi[k + 1][0], ua + a), max(hi[k + 1][1], ub + b)
+        weights = np.zeros((top_a + 1, top_b + 1), object)
+        for k, ((la, lb), (ua, ub)) in enumerate(zip(lo, hi)):
+            box = g[k, la : ua + 1, lb : ub + 1]
+            i, j = np.nonzero(box)
+            weights[la + i, lb + j] += box[i, j].astype(object) * (
+                math.factorial(k) * math.factorial(m - k)
+            )
+        return PrecedeDistribution(weights, math.factorial(m + 1))
+    t, s, w = _nodes(n)
+    t, s = t[:depth], s[:depth]
+    if fits:
+        g[:, a0, b0] = t[:, 0, 0] if pinned is not None else 1.0
+    hi_a, hi_b = a0, b0  # highest counts reached so far
+    for a, b in pairs:
+        held = g[:, : hi_a + 1, : hi_b + 1]
+        held *= s  # scaled first, so the shifted copy takes t / s
+        fit_a, fit_b = min(hi_a, top_a - a), min(hi_b, top_b - b)
+        if fit_a >= 0 and fit_b >= 0:
+            shifted = held[:, : fit_a + 1, : fit_b + 1] * (t / s)
+            g[:, a : a + fit_a + 1, b : b + fit_b + 1] += shifted
+        hi_a, hi_b = min(hi_a + a, top_a), min(hi_b + b, top_b)
+    if not mirror:  # the weights sum to 2 on [-1, 1]
+        return PrecedeDistribution(np.tensordot(w, g, axes=1) / 2)
+    mirrored = np.tensordot(w[: n // 2], g[: n // 2], axes=1)[::-1, ::-1]
+    return PrecedeDistribution((np.tensordot(w[:depth], g, axes=1) + mirrored) / 2)
 
 
 def _within_block_grid_float(a_m: int, b_m: int) -> np.ndarray:
@@ -161,6 +181,28 @@ def _within_block_grid_float(a_m: int, b_m: int) -> np.ndarray:
     lu = np.array([log_binom(t - 1, i) for i in range(t)])
     tot = np.add.outer(np.arange(a_m + 1), np.arange(b_m + 1))
     return np.exp(la[:, None] + lb[None, :] - lu[tot]) / t
+
+
+def _within_block_units(a_m: int, b_m: int) -> np.ndarray:
+    """The same weights W[a', b'] in units of W[a_m, 0]: the integers
+    C(a' + b', a') C(a_m + b_m - a' - b', a_m - a'), since ordering the
+    target among its coalition-mates leaves a' + b' of them ahead."""
+    i, j = np.ogrid[: a_m + 1, : b_m + 1]
+    comb = np.frompyfunc(math.comb, 2, 1)
+    return comb(i + j, i) * comb(a_m + b_m - i - j, a_m - i)
+
+
+def _convolve_at(x: np.ndarray, y: np.ndarray, a: np.ndarray, b: np.ndarray, d: np.ndarray):
+    """sum_e d[e] (x * y)[a[e], b[e]] for the full 2-D convolution of two
+    integer object arrays, as a Python int: one weighted gather of the
+    larger array per row of the smaller."""
+    if x.size > y.size:
+        x, y = y, x
+    pa, pb = x.shape[0] - 1, x.shape[1] - 1
+    padded = np.zeros((y.shape[0] + 2 * pa, y.shape[1] + 2 * pb), object)
+    padded[pa : pa + y.shape[0], pb : pb + y.shape[1]] = y
+    cols = b[:, None] + np.arange(pb + 1)
+    return sum(d @ padded[a[:, None] + p, cols] @ x[pa - p, ::-1] for p in range(pa + 1))
 
 
 def _fft_len(n: int) -> int:
@@ -182,17 +224,13 @@ def _value_from_distribution(
     """Inner Owen sum: critical pairs weighted by (others-ahead counts)
     convolved with the within-coalition precedence weight."""
     if mode == EXACT:
-        total = Fraction(0)
-        for a, b, d in crit.entries:
-            inner = Fraction(0)
-            for a2 in range(0, min(a, a_m) + 1):
-                for b2 in range(0, min(b, b_m) + 1):
-                    p = dist.probs.get((a - a2, b - b2))
-                    if not p:
-                        continue
-                    inner += p * precede_probability((a_m, b_m), (a2, b2), EXACT)
-            total += inner * Fraction(d)
-        return total
+        # in integers: deltas over a common denominator, weights in units of W[a_m, 0]
+        den = math.lcm(*(d.denominator for _, _, d in crit.entries))
+        d = np.array([d.numerator * (den // d.denominator) for _, _, d in crit.entries], object)
+        a, b, _ = crit.columns
+        total = _convolve_at(dist.weights, _within_block_units(a_m, b_m), a, b, d)
+        unit = precede_probability((a_m, b_m), (a_m, 0), EXACT)
+        return Fraction(total, den * dist.scale) * unit
     within = _within_block_grid_float(a_m, b_m)
     shape = [_fft_len(m + n - 1) for m, n in zip(dist.probs.shape, within.shape)]
     conv = np.fft.irfft2(np.fft.rfft2(dist.probs, shape) * np.fft.rfft2(within, shape), shape)

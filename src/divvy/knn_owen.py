@@ -3,12 +3,13 @@ partition.
 
 The same creation/change split as the Shapley case applies, but the
 predecessor mix now comes from two stages: whole coalitions landing ahead
-of the target coalition (a layered insertion DP, like the frequency Owen
-computation but over per-coalition label counts relative to one pivotal
-rank) and the within-coalition ordering (the usual precedence weight).
-DP inputs are clamped to the read window before caching: any per-coalition
-count at or beyond cap+1 overflows the window on every path, so clamping
-changes nothing a caller can observe while making cache keys collide often.
+of the target coalition (the preceder law of the frequency Owen
+computation, over per-coalition label counts relative to one pivotal rank,
+with the pivot's coalition pinned ahead when it is not the target's) and
+the within-coalition ordering (the usual precedence weight).  Law inputs
+are clamped to the read window before caching: any per-coalition count at
+or beyond cap+1 overflows the window on every path, so clamping changes
+nothing a caller can observe while making cache keys collide often.
 
 Both terms depend on an example only through its coalition and its label
 class (and, for the change term, its rank).  The creation term is computed
@@ -22,14 +23,13 @@ O(n * m * k^2) work per query for n examples and m coalitions.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from .combinatorics import EXACT, Money, check_mode, precede_probability
 from .errors import InputError
-from .freq_owen import layered_insertion_dp
+from .freq_owen import owen_precede_distribution
 from .model import (
     CoalitionStructure,
     Dataset,
@@ -44,59 +44,13 @@ from .report import ValueReport, assemble_report
 
 METHOD = "owen-knn"
 
-CountPair = Tuple[int, int]
-
-BASE_TARGET = "target"
-BASE_FIRST = "first"
-
-
-def knn_owen_distribution(
-    other_counts: Sequence[CountPair],
-    base: str = BASE_TARGET,
-    first_counts: Optional[CountPair] = None,
-    caps: Optional[CountPair] = None,
-    mode: str = EXACT,
-) -> Dict[CountPair, Money]:
-    """Distribution over what the coalitions ahead of the target contribute
-    to a pivotal rank's nearer-match / nearer-mismatch counts.
-
-    ``base="target"`` is the plain case (the pivotal example j sits in the
-    target coalition).  ``base="first"`` handles j living in some other
-    coalition: that coalition is pinned as the first DP layer with mass 1/2
-    (the chance it precedes the target at all), so the returned masses sum
-    to 1/2 rather than 1 and the absent half carries no j.
-    """
-    check_mode(mode)
-    for a, b in other_counts:
-        if a < 0 or b < 0:
-            raise InputError("coalition counts must be non-negative")
-    if base == BASE_TARGET:
-        if first_counts is not None:
-            raise InputError("first_counts only applies to base='first'")
-        return layered_insertion_dp(
-            list(other_counts), mode=mode, caps=caps
-        )
-    if base != BASE_FIRST:
-        raise InputError(f"unknown base case {base!r}")
-    if first_counts is None:
-        raise InputError("base='first' needs the first coalition's counts")
-    a1, b1 = first_counts
-    half_mass = Fraction(1, 2) if mode == EXACT else 0.5
-    if caps is not None and (a1 > caps[0] or b1 > caps[1]):
-        return {}
-    return layered_insertion_dp(
-        list(other_counts),
-        mode=mode,
-        start_state=(1, a1, b1),
-        start_mass=half_mass,
-        start_layer=2,
-        caps=caps,
-    )
+# the preceder law, bound under the name through which this module calls it
+knn_owen_distribution = owen_precede_distribution
 
 
 class _QueryEngine:
     """Shared per-query state: the ranking, per-coalition prefix counts at
-    every rank, and the DP cache."""
+    every rank, and the law cache."""
 
     def __init__(
         self,
@@ -141,14 +95,15 @@ class _QueryEngine:
         self.zero = to_money(0, mode)
         self._dp_cache: dict = {}
 
-    def _dp(self, base, first, others, caps):
-        """Run (or fetch) a distribution for canonical clamped inputs."""
-        key = (base, first, others, caps)
+    def _dp(self, pinned, others, caps) -> list:
+        """The law for canonical clamped inputs, as (a, b, probability)
+        triples of Python numbers for its non-zero entries, fetched from the
+        cache or built."""
+        key = (pinned, others, caps)
         if self.use_cache and key in self._dp_cache:
             return self._dp_cache[key]
-        q = knn_owen_distribution(
-            list(others), base=base, first_counts=first, caps=caps, mode=self.mode
-        )
+        probs = knn_owen_distribution(others, self.mode, pinned, caps).probs.tolist()
+        q = [(a, b, p) for a, row in enumerate(probs) for b, p in enumerate(row) if p]
         if self.use_cache:
             self._dp_cache[key] = q
         return q
@@ -156,7 +111,6 @@ class _QueryEngine:
     def creation(self, c: int, i_match: bool) -> Money:
         """Creation term shared by coalition c's members of one class."""
         k = self.k
-        caps = (k - 1, k - 1)
         others = tuple(
             sorted(
                 (min(self.tot_match[o], k), min(self.tot_mismatch[o], k))
@@ -164,13 +118,13 @@ class _QueryEngine:
                 if o != c
             )
         )
-        q = self._dp(BASE_TARGET, None, others, caps)
+        q = self._dp(None, others, (k - 1, k - 1))
         a_m = self.tot_match[c] - i_match
         b_m = self.tot_mismatch[c] - (not i_match)
         total = self.zero
-        for (a, b), mass in q.items():
+        for a, b, mass in q:
             rem = k - 1 - a - b
-            if rem < 0 or not mass:
+            if rem < 0:
                 continue
             for a2 in range(0, min(rem, a_m) + 1):
                 b2 = rem - a2
@@ -186,21 +140,18 @@ class _QueryEngine:
         each member of coalition c, of the class opposite to j's, that is
         nearer than j.  a_m / b_m count that member's coalition-mates nearer
         than j; ``clamped`` holds every coalition's counts nearer than j,
-        clamped to the DP window."""
+        clamped to the law's window."""
         h = self.half
         if a_m < 0 or b_m < 0 or (cj != c and max(clamped[cj]) > h):
             # no such member is nearer than j, or j's own coalition
             # overfills the window whenever it precedes c
             return self.zero
         others = tuple(sorted(clamped[o] for o in range(self.m) if o != c and o != cj))
-        if cj == c:
-            q = self._dp(BASE_TARGET, None, others, (h, h))
-        else:
-            q = self._dp(BASE_FIRST, clamped[cj], others, (h, h))
+        q = self._dp(None if cj == c else clamped[cj], others, (h, h))
         inner = self.zero
-        for (qa, qb), mass in q.items():
+        for qa, qb, mass in q:
             a, b = h - qa, h - qb
-            if a > a_m or b > b_m or not mass:
+            if a > a_m or b > b_m:
                 continue
             if cj == c:
                 w = precede_probability((a_m, b_m, 1), (a, b, 1), self.mode)

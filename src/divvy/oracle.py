@@ -210,6 +210,28 @@ def sample_permutations(n: int, samples: int, seed: int) -> list:
     return perms
 
 
+def mc_shapley_all(game: CharacteristicGame, samples: int, seed: int) -> Dict[int, McEstimate]:
+    """Unbiased Monte Carlo Shapley estimates for every player from one walk
+    of the permutation stream: each sampled ordering gives every player's
+    marginal contribution at once (Castro, Gomez & Tejada 2009)."""
+    if not game.n:
+        return {}
+    perms = sample_permutations(game.n, samples, seed)
+    marginals = np.empty((game.n, samples))
+    for s, perm in enumerate(perms):
+        mask, before = 0, game.value_mask(0)
+        for q in perm:
+            mask |= 1 << q
+            after = game.value_mask(mask)
+            marginals[q, s] = float(after - before)
+            before = after
+    out = {}
+    for player, row in zip(game.players, marginals):
+        se = float(row.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+        out[player] = McEstimate(float(row.mean()), se, samples, seed)
+    return out
+
+
 def mc_shapley(game: CharacteristicGame, player: int, samples: int, seed: int) -> McEstimate:
     """Unbiased Monte Carlo Shapley estimate for one player.
 
@@ -218,22 +240,7 @@ def mc_shapley(game: CharacteristicGame, player: int, samples: int, seed: int) -
     """
     if player not in game._index:
         raise InputError(f"unknown player {player!r}")
-    p = game._index[player]
-    bit = 1 << p
-    marginals = np.empty(samples)
-    for s, perm in enumerate(sample_permutations(game.n, samples, seed)):
-        mask = 0
-        for q in perm:
-            if q == p:
-                break
-            mask |= 1 << q
-        marginals[s] = float(game.value_mask(mask | bit) - game.value_mask(mask))
-    est = float(marginals.mean())
-    if samples > 1:
-        se = float(marginals.std(ddof=1) / math.sqrt(samples))
-    else:
-        se = 0.0
-    return McEstimate(est, se, samples, seed)
+    return mc_shapley_all(game, samples, seed)[player]
 
 
 # ---------------------------------------------------------------------------

@@ -81,3 +81,34 @@ def relative_gap(x, y):
     if scale == 0:
         return 0.0
     return abs(x - y) / scale
+
+
+def insertion_dp(pairs, caps=None, first=None):
+    """The layered insertion DP that the preceder law replaced, kept as an
+    independent exact reference.  Coalitions join a random ordering one at
+    a time against a fixed target, tracking (s, a, b): how many joined
+    coalitions precede the target and what counts they contribute.  At
+    layer j a state with s preceders advances with probability
+    (s + 1) / (j + 1).  ``first`` pins one coalition ahead of the target
+    with mass 1/2, the chance it precedes at all; states over ``caps`` are
+    dropped.  Returns the (a, b) marginal."""
+    if first is None:
+        states, j = {(0, 0, 0): Fraction(1)}, 1
+    elif caps is not None and (first[0] > caps[0] or first[1] > caps[1]):
+        return {}
+    else:
+        states, j = {(1, first[0], first[1]): Fraction(1, 2)}, 2
+    for a_j, b_j in pairs:
+        nxt = {}
+        for (s, a, b), mass in states.items():
+            p_adv = Fraction(s + 1, j + 1)
+            key = (s + 1, a + a_j, b + b_j)
+            if caps is None or (key[1] <= caps[0] and key[2] <= caps[1]):
+                nxt[key] = nxt.get(key, 0) + mass * p_adv
+            nxt[s, a, b] = nxt.get((s, a, b), 0) + mass * (1 - p_adv)
+        states = nxt
+        j += 1
+    out = {}
+    for (s, a, b), mass in states.items():
+        out[a, b] = out.get((a, b), 0) + mass
+    return out

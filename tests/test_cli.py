@@ -353,9 +353,11 @@ def test_oracle_frequency_requires_value(big_freq, capsys):
     assert "--value" in capsys.readouterr().err
 
 
-def test_owen_freq_grid_guard_exits_2_before_allocating(tmp_path, capsys):
-    # one bin, two coalitions of 5,800 + 5,800 examples: each target's float
-    # law is a 5,801 x 5,801 grid (~257 MiB), over the fixed budget
+@pytest.mark.parametrize("numeric", ["float", "exact"])
+def test_owen_freq_grid_guard_exits_2_before_allocating(tmp_path, capsys, numeric):
+    # one bin, two coalitions of 5,800 + 5,800 examples: each target's law
+    # is a 5,801 x 5,801 grid (~257 MiB in float, twice that in exact, which
+    # keeps one int64 layer per subset size), over the fixed budget
     data = tmp_path / "wide.csv"
     rows = ["id,bin,label,coalition"]
     rows += [f"{i},b0,{'xy'[i % 2]},g{i // 11600}" for i in range(23200)]
@@ -364,7 +366,8 @@ def test_owen_freq_grid_guard_exits_2_before_allocating(tmp_path, capsys):
     queries.write_text("bin,label\nb0,x\n")
     vf = tmp_path / "v.json"
     vf.write_text('{"family": "majority", "correct": 1, "wrong": -1, "none": 0}')
-    argv = ["owen-freq", "--data", str(data), "--queries", str(queries), "--value", str(vf)]
+    argv = ["owen-freq", "--data", str(data), "--queries", str(queries), "--value", str(vf),
+            "--numeric", numeric]
     tracemalloc.start()
     try:
         assert run_command(argv) == 2

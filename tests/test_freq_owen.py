@@ -1,4 +1,4 @@
-"""Owen values for frequency rules: the insertion DP and full pipeline."""
+"""Owen values for frequency rules: the preceder law and full pipeline."""
 
 import itertools
 import random
@@ -17,7 +17,6 @@ from divvy import (
     Query,
     exact_owen_all,
     frequency_game,
-    layered_insertion_dp,
     owen_frequency_report,
     owen_frequency_single,
     owen_precede_distribution,
@@ -25,36 +24,58 @@ from divvy import (
 )
 from divvy.errors import GuardError, InputError
 
-from conftest import random_frequency_instance, relative_gap
+from conftest import insertion_dp, random_frequency_instance, relative_gap
 
 PAYOUT = MajorityValueFunction(Fraction(100), Fraction(-500), Fraction(0))
 
 
-def _enumerate_preceding_counts(pairs):
-    """Ground truth for the insertion DP: every ordering of the other
+def _enumerate_preceding_counts(pairs, pinned=None):
+    """Ground truth for the preceder law: every ordering of the other
     coalitions and the target is equally likely, so list all of them and
-    add up the count pairs landing before the target."""
+    add up the count pairs landing before the target.  A ``pinned``
+    coalition joins the ordering, and only orderings where it precedes the
+    target count."""
+    pairs = list(pairs) + ([pinned] if pinned is not None else [])
     m = len(pairs)
     out = {}
     total = 0
     for perm in itertools.permutations(range(m + 1)):
         cut = perm.index(m)  # index m plays the target coalition
+        total += 1
+        if pinned is not None and m - 1 not in perm[:cut]:
+            continue
         a = sum(pairs[i][0] for i in perm[:cut])
         b = sum(pairs[i][1] for i in perm[:cut])
         out[(a, b)] = out.get((a, b), 0) + 1
-        total += 1
     return {k: Fraction(v, total) for k, v in out.items()}
 
 
+def _support(dist):
+    """The law's non-zero entries as a dict keyed (a, b)."""
+    return {(int(a), int(b)): dist.probs[a, b] for a, b in zip(*np.nonzero(dist.weights))}
+
+
+def _assert_law(pairs, want, mode, **kw):
+    """The law in ``mode`` has support ``want`` and, in float, matches it
+    to within 1e-12 relative."""
+    got = _support(owen_precede_distribution(pairs, mode, **kw))
+    if mode == "exact":
+        assert got == want, (pairs, kw)
+        return
+    assert got.keys() == want.keys(), (pairs, kw)
+    for k, v in want.items():
+        assert relative_gap(float(v), got[k]) < 1e-12, (pairs, kw, k)
+
+
 def test_dp_two_other_coalitions():
-    pairs = [(1, 0), (0, 1)]
-    dist = layered_insertion_dp(pairs)
-    assert dist == {
+    want = {
         (0, 0): Fraction(1, 3),
         (1, 0): Fraction(1, 6),
         (0, 1): Fraction(1, 6),
         (1, 1): Fraction(1, 3),
     }
+    for mode in ("exact", "float"):
+        _assert_law([(1, 0), (0, 1)], want, mode)
 
 
 def test_dp_matches_enumeration():
@@ -62,10 +83,12 @@ def test_dp_matches_enumeration():
     for _ in range(30):
         m = rng.randint(0, 5)
         pairs = [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(m)]
-        want = _enumerate_preceding_counts(pairs)
-        got = layered_insertion_dp(pairs)
-        got = {k: v for k, v in got.items() if v != 0}
-        assert got == want, pairs
+        pinned = (rng.randint(0, 2), rng.randint(0, 2)) if m < 5 else None
+        for mode in ("exact", "float"):
+            _assert_law(pairs, _enumerate_preceding_counts(pairs), mode)
+            if pinned is not None:
+                want = _enumerate_preceding_counts(pairs, pinned)
+                _assert_law(pairs, want, mode, pinned=pinned)
 
 
 @settings(max_examples=40, deadline=None)
@@ -77,27 +100,45 @@ def test_dp_matches_enumeration():
     )
 )
 def test_dp_mass_is_one(pairs):
-    dist = layered_insertion_dp(pairs)
-    assert sum(dist.values()) == 1
+    assert owen_precede_distribution(pairs).mass() == 1
+    assert owen_precede_distribution(pairs, pinned=(1, 2)).mass() == Fraction(1, 2)
+    assert abs(owen_precede_distribution(pairs, "float").mass() - 1) < 1e-12
+    assert abs(owen_precede_distribution(pairs, "float", pinned=(0, 0)).mass() - 0.5) < 1e-12
 
 
 def test_dp_caps_only_drop_overflow():
     pairs = [(2, 0), (1, 1), (0, 2)]
-    full = layered_insertion_dp(pairs)
-    capped = layered_insertion_dp(pairs, caps=(1, 1))
-    for (a, b), p in capped.items():
-        assert a <= 1 and b <= 1
-        assert p == full[(a, b)], "capping must not disturb in-range states"
+    for mode in ("exact", "float"):
+        for pinned in (None, (1, 0)):
+            full = owen_precede_distribution(pairs, mode, pinned)
+            capped = owen_precede_distribution(pairs, mode, pinned, caps=(1, 1))
+            assert capped.probs.shape == (2, 2)
+            for (a, b), p in np.ndenumerate(capped.probs):
+                if mode == "exact":
+                    assert p == full.probs[a, b], "capping must not disturb in-range states"
+                else:
+                    assert relative_gap(p, full.probs[a, b]) < 1e-12, (pinned, a, b)
 
 
 def test_dp_float_tracks_exact():
+    # capped or pinned laws integrate over every node, uncapped unpinned
+    # ones over the nodes t <= 1/2 and their mirror
     rng = random.Random(71)
-    for _ in range(20):
+    for _ in range(300):
         pairs = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(0, 6))]
-        exact = layered_insertion_dp(pairs, mode="exact")
-        approx = layered_insertion_dp(pairs, mode="float")
-        for k, v in exact.items():
-            assert relative_gap(float(v), approx[k]) < 1e-12
+        pinned = rng.choice([None, (rng.randint(0, 3), rng.randint(0, 3))])
+        caps = rng.choice([None, (rng.randint(0, 4), rng.randint(0, 4))])
+        exact = _support(owen_precede_distribution(pairs, "exact", pinned, caps))
+        _assert_law(pairs, exact, "float", pinned=pinned, caps=caps)
+
+
+def test_exact_law_counts_past_int64():
+    # C(m, m // 2) subsets of one size fit int64 up to m = 66; every one of
+    # 0..m single-match coalitions ahead of the target is equally likely
+    for m in (66, 67, 70):
+        dist = owen_precede_distribution([(1, 0)] * m)
+        assert dist.probs[:, 0].tolist() == [Fraction(1, m + 1)] * (m + 1), m
+        assert dist.mass() == 1
 
 
 def test_precede_distribution_mass():
@@ -107,7 +148,7 @@ def test_precede_distribution_mass():
 
 
 def _float_tracks_exact_law(pairs):
-    exact = layered_insertion_dp(pairs, mode="exact")
+    exact = insertion_dp(pairs)
     grid = owen_precede_distribution(pairs, mode="float").probs
     support = {(int(a), int(b)) for a, b in zip(*np.nonzero(grid))}
     assert support == {k for k, v in exact.items() if v}, pairs
@@ -133,7 +174,8 @@ def test_float_law_matches_insertion_dp():
 def test_float_law_refuses_an_oversized_grid():
     with pytest.raises(GuardError, match="budget"):
         owen_precede_distribution([(5800, 5800)], mode="float")
-    assert owen_precede_distribution([(5800, 5800)], mode="exact").mass() == 1
+    with pytest.raises(GuardError, match="budget"):
+        owen_precede_distribution([(5800, 5800)], mode="exact")
 
 
 def test_float_report_tracks_exact_with_and_without_cache():

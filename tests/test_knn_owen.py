@@ -1,7 +1,9 @@
-"""Owen values for k-NN votes: the layered DP and the full report path."""
+"""Owen values for k-NN votes: the pinned, capped law and the full report path."""
 
 import random
 from fractions import Fraction
+
+import numpy as np
 
 import divvy.knn_owen as knn_owen
 from divvy import (
@@ -23,41 +25,43 @@ from divvy import (
     rank_by_distance,
 )
 
-from conftest import random_knn_instance, relative_gap
+from conftest import insertion_dp, random_knn_instance, relative_gap
 
 UNIT = OutcomeValues(Fraction(1), Fraction(-1), Fraction(0))
 
 
 def test_distribution_mass_by_base():
     others = [(1, 0), (0, 2), (1, 1)]
-    q = knn_owen_distribution(others, base="target")
-    assert sum(q.values()) == 1
-    q = knn_owen_distribution(others, base="first", first_counts=(1, 0))
-    assert sum(q.values()) == Fraction(1, 2), (
-        "pinning the pivot's coalition first leaves only the orderings "
+    assert knn_owen_distribution(others).mass() == 1
+    assert knn_owen_distribution(others, pinned=(1, 0)).mass() == Fraction(1, 2), (
+        "pinning the pivot's coalition ahead leaves only the orderings "
         "where it precedes the target"
     )
+    assert abs(knn_owen_distribution(others, "float", pinned=(1, 0)).mass() - 0.5) < 1e-12
 
 
 def test_distribution_empty_cases():
-    assert knn_owen_distribution([]) == {(0, 0): Fraction(1)}
-    q = knn_owen_distribution([], base="first", first_counts=(2, 1))
-    assert q == {(2, 1): Fraction(1, 2)}
+    for mode in ("exact", "float"):
+        assert knn_owen_distribution([], mode).probs.tolist() == [[1]]
+        q = knn_owen_distribution([], mode, pinned=(2, 1)).probs
+        assert q.tolist() == [[0, 0], [0, 0], [0, Fraction(1, 2)]], mode
 
 
 def test_distribution_caps_keep_in_range_states():
     others = [(2, 0), (0, 2), (1, 1)]
-    for base, first in (("target", None), ("first", (1, 1))):
-        full = knn_owen_distribution(others, base=base, first_counts=first)
-        capped = knn_owen_distribution(others, base=base, first_counts=first, caps=(1, 1))
-        for (a, b), p in capped.items():
-            assert a <= 1 and b <= 1
-            assert p == full[(a, b)], (base, a, b)
+    for mode, tol in (("exact", 0), ("float", 1e-12)):
+        for pinned in (None, (1, 1)):
+            full = knn_owen_distribution(others, mode, pinned).probs
+            capped = knn_owen_distribution(others, mode, pinned, caps=(1, 1)).probs
+            assert capped.shape == (2, 2)
+            for (a, b), p in np.ndenumerate(capped):
+                assert relative_gap(p, full[a, b]) <= tol, (mode, pinned, a, b)
 
 
 def test_distribution_caps_drop_oversized_first():
-    q = knn_owen_distribution([(1, 0)], base="first", first_counts=(3, 0), caps=(1, 1))
-    assert q == {}
+    for mode in ("exact", "float"):
+        q = knn_owen_distribution([(1, 0)], mode, pinned=(3, 0), caps=(1, 1))
+        assert q.mass() == 0, mode
 
 
 def test_creation_plus_change_decomposition():
@@ -192,12 +196,7 @@ def _quadratic_change_terms(ranking, coalitions, k, ov):
             a_m = nearer(c, j, True) - u
             b_m = nearer(c, j, False) - (not u)
             others = sorted(clamped(o, j) for o in range(m) if o not in (c, cj))
-            if cj == c:
-                q = knn_owen_distribution(others, caps=caps)
-            else:
-                q = knn_owen_distribution(
-                    others, base="first", first_counts=clamped(cj, j), caps=caps
-                )
+            q = insertion_dp(others, caps, None if cj == c else clamped(cj, j))
             inner = Fraction(0)
             for a in range(min(a_m, h) + 1):
                 for b in range(min(b_m, h) + 1):
