@@ -38,7 +38,6 @@ from .freq_shapley import (
 from .knn_owen import (
     knn_owen_change,
     knn_owen_creation,
-    knn_owen_distribution,
     knn_owen_report,
 )
 from .knn_shapley import (
@@ -125,7 +124,6 @@ __all__ = [
     "knn_game",
     "knn_owen_change",
     "knn_owen_creation",
-    "knn_owen_distribution",
     "knn_owen_report",
     "knn_shapley_report",
     "knn_shapley_values",

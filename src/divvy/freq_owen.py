@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,8 +40,8 @@ METHOD = "owen-freq"
 
 CountPair = Tuple[int, int]
 
-# The law is built in one (depth, A + 1, B + 1) array; larger ones are
-# refused before they are allocated.  Peak memory is about twice it.
+# The law is built in dense arrays of at most this many bytes in all;
+# larger ones are refused before they are allocated.
 GRID_BUDGET_BYTES = 2**28
 
 
@@ -87,11 +88,12 @@ def owen_precede_distribution(
     |S|!(m - |S|)!/(m + 1)!, the integral of t^|S| (1 - t)^(m - |S|) over
     [0, 1].  So the law's generating function is the integral of
     prod_h (1 - t + t x^a_h y^b_h), expanded with one shift-add per
-    coalition over a dense array.  In exact mode the array's leading axis
-    is |S| and holds integer subset counts, each non-zero cell weighted
-    once at the end.  In float mode it runs over the Gauss-Legendre nodes,
-    exact for degree m; without pin or caps only the nodes t <= 1/2 are
-    built, since trading t for 1 - t reverses the law along both axes.
+    coalition over dense arrays.  In exact mode each size |S| has an array
+    of integer subset counts over the box that size can reach, each
+    non-zero cell weighted once at the end.  In float mode one array's
+    leading axis runs over the Gauss-Legendre nodes, exact for degree m;
+    without pin or caps only the nodes t <= 1/2 are built, since trading
+    t for 1 - t reverses the law along both axes.
 
     A ``pinned`` coalition always precedes the target: one more factor of
     t, so the mass is 1/2.  ``caps`` drops counts above them, which can
@@ -112,59 +114,66 @@ def owen_precede_distribution(
     if caps is not None:
         top_a, top_b = min(top_a, caps[0]), min(top_b, caps[1])
     exact = mode == EXACT
+    if a0 > top_a or b0 > top_b:  # the pinned coalition overflows the caps
+        return PrecedeDistribution(np.zeros((top_a + 1, top_b + 1), object if exact else float))
     if exact:
-        depth = m + 1
+        # subsets of size k reach only the box from the sums of the k smallest
+        # tallies to those of the k largest: one array per box, not per grid
+        k0 = m - len(pairs)  # 1 with a pin, else 0
+        sa, sb = sorted(a for a, _ in pairs), sorted(b for _, b in pairs)
+        lows, shapes = [(top_a + 1, top_b + 1)] * k0, [(0, 0)] * k0
+        for la, lb, ua, ub in zip(accumulate(sa, initial=a0), accumulate(sb, initial=b0),
+                                  accumulate(sa[::-1], initial=a0), accumulate(sb[::-1], initial=b0)):
+            lows.append((la, lb))
+            shapes.append((max(min(ua, top_a) - la + 1, 0), max(min(ub, top_b) - lb + 1, 0)))
         widest = math.comb(m, m // 2)  # the largest count of subsets of one size
         dtype = np.int64 if widest < 2**63 else object
         cell = 8 if dtype is np.int64 else 8 + sys.getsizeof(widest)
+        # plus the weighted law, one pointer per cell of the full grid
+        need = sum(x * y for x, y in shapes) * cell + (top_a + 1) * (top_b + 1) * 8
     else:
         n = m // 2 + 1  # exact for degree 2n - 1 >= m
         mirror = pinned is None and caps is None
-        depth, dtype, cell = (n + 1) // 2 if mirror else n, np.float64, 8
-    need = depth * (top_a + 1) * (top_b + 1) * cell
+        depth = (n + 1) // 2 if mirror else n
+        need = depth * (top_a + 1) * (top_b + 1) * 8
     if need > GRID_BUDGET_BYTES:
         raise GuardError(
             f"Owen law grid of {need / 2**20:.1f} MiB is over the "
             f"{GRID_BUDGET_BYTES >> 20} MiB budget"
         )
-    g = np.zeros((depth, top_a + 1, top_b + 1), dtype)
-    fits = a0 <= top_a and b0 <= top_b  # else the pinned coalition overflows
     if exact:
-        # counts of size k lie in the box lo[k] <= (a, b) <= hi[k]
-        lo, hi = [(top_a + 1, top_b + 1)] * depth, [(-1, -1)] * depth
-        k0 = depth - 1 - len(pairs)  # 1 with a pin, else 0
-        if fits:
-            g[k0, a0, b0] = 1
-            lo[k0] = hi[k0] = (a0, b0)
+        g = [np.zeros(shape, dtype) for shape in shapes]
+        lo, hi = [(top_a + 1, top_b + 1)] * (m + 1), [(-1, -1)] * (m + 1)  # reached so far
+        g[k0][0, 0] = 1
+        lo[k0] = hi[k0] = (a0, b0)
         for j, (a, b) in enumerate(pairs):
             for k in range(k0 + j, -1, -1):  # each size is read before it is written
                 (la, lb), (ua, ub) = lo[k], hi[k]
                 ua, ub = min(ua, top_a - a), min(ub, top_b - b)
                 if la <= ua and lb <= ub:
-                    held = g[k, la : ua + 1, lb : ub + 1]
-                    g[k + 1, la + a : ua + a + 1, lb + b : ub + b + 1] += held
+                    (oa, ob), (pa, pb) = lows[k], lows[k + 1]  # the boxes' corners
+                    held = g[k][la - oa : ua - oa + 1, lb - ob : ub - ob + 1]
+                    g[k + 1][la + a - pa : ua + a - pa + 1, lb + b - pb : ub + b - pb + 1] += held
                     lo[k + 1] = min(lo[k + 1][0], la + a), min(lo[k + 1][1], lb + b)
                     hi[k + 1] = max(hi[k + 1][0], ua + a), max(hi[k + 1][1], ub + b)
         weights = np.zeros((top_a + 1, top_b + 1), object)
-        for k, ((la, lb), (ua, ub)) in enumerate(zip(lo, hi)):
-            box = g[k, la : ua + 1, lb : ub + 1]
+        for k, (box, (oa, ob)) in enumerate(zip(g, lows)):
             i, j = np.nonzero(box)
-            weights[la + i, lb + j] += box[i, j].astype(object) * (
+            weights[oa + i, ob + j] += box[i, j].astype(object) * (
                 math.factorial(k) * math.factorial(m - k)
             )
         return PrecedeDistribution(weights, math.factorial(m + 1))
+    g = np.zeros((depth, top_a + 1, top_b + 1))
     t, s, w = _nodes(n)
     t, s = t[:depth], s[:depth]
-    if fits:
-        g[:, a0, b0] = t[:, 0, 0] if pinned is not None else 1.0
+    g[:, a0, b0] = t[:, 0, 0] if pinned is not None else 1.0
     hi_a, hi_b = a0, b0  # highest counts reached so far
     for a, b in pairs:
         held = g[:, : hi_a + 1, : hi_b + 1]
         held *= s  # scaled first, so the shifted copy takes t / s
         fit_a, fit_b = min(hi_a, top_a - a), min(hi_b, top_b - b)
         if fit_a >= 0 and fit_b >= 0:
-            shifted = held[:, : fit_a + 1, : fit_b + 1] * (t / s)
-            g[:, a : a + fit_a + 1, b : b + fit_b + 1] += shifted
+            g[:, a : a + fit_a + 1, b : b + fit_b + 1] += held[:, : fit_a + 1, : fit_b + 1] * (t / s)
         hi_a, hi_b = min(hi_a + a, top_a), min(hi_b + b, top_b)
     if not mirror:  # the weights sum to 2 on [-1, 1]
         return PrecedeDistribution(np.tensordot(w, g, axes=1) / 2)

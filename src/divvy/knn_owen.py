@@ -193,19 +193,6 @@ class _QueryEngine:
         ]
 
 
-def _engine_for(
-    dataset: Dataset,
-    coalitions: CoalitionStructure,
-    query: Query,
-    config: KnnConfig,
-    mode: str,
-    use_cache: bool = True,
-) -> _QueryEngine:
-    coalitions.validate_partition(dataset.ids)
-    ranking = rank_by_distance(dataset, query.features, query.label, config.metric)
-    return _QueryEngine(ranking, coalitions, config.k, config.outcome_values, mode, use_cache)
-
-
 def knn_owen_creation(
     ranking: RankedNeighborhood,
     coalitions: CoalitionStructure,
@@ -246,11 +233,13 @@ def knn_owen_report(
 ) -> ValueReport:
     """Total Owen payout per example over a batch of queries."""
     check_mode(mode)
+    coalitions.validate_partition(dataset.ids)
     t0 = time.perf_counter()
     totals = [to_money(0, mode)] * len(dataset)
     rows = []
     for q in queries:
-        eng = _engine_for(dataset, coalitions, q, config, mode, use_cache)
+        ranking = rank_by_distance(dataset, q.features, q.label, config.metric)
+        eng = _QueryEngine(ranking, coalitions, config.k, config.outcome_values, mode, use_cache)
         values = eng.values()
         for r, v in zip(eng.ranking.rows.tolist(), values):
             totals[r] += v

@@ -210,37 +210,43 @@ def sample_permutations(n: int, samples: int, seed: int) -> list:
     return perms
 
 
+def _estimate(marginals: np.ndarray, samples: int, seed: int) -> McEstimate:
+    se = float(marginals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    return McEstimate(float(marginals.mean()), se, samples, seed)
+
+
 def mc_shapley_all(game: CharacteristicGame, samples: int, seed: int) -> Dict[int, McEstimate]:
-    """Unbiased Monte Carlo Shapley estimates for every player from one walk
-    of the permutation stream: each sampled ordering gives every player's
-    marginal contribution at once (Castro, Gomez & Tejada 2009)."""
+    """``mc_shapley`` for every player from one walk of the permutation
+    stream: each sampled ordering gives every player's marginal
+    contribution at once (Castro, Gomez & Tejada 2009)."""
     if not game.n:
         return {}
-    perms = sample_permutations(game.n, samples, seed)
     marginals = np.empty((game.n, samples))
-    for s, perm in enumerate(perms):
+    for s, perm in enumerate(sample_permutations(game.n, samples, seed)):
         mask, before = 0, game.value_mask(0)
         for q in perm:
             mask |= 1 << q
             after = game.value_mask(mask)
             marginals[q, s] = float(after - before)
             before = after
-    out = {}
-    for player, row in zip(game.players, marginals):
-        se = float(row.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-        out[player] = McEstimate(float(row.mean()), se, samples, seed)
-    return out
+    return {p: _estimate(row, samples, seed) for p, row in zip(game.players, marginals)}
 
 
 def mc_shapley(game: CharacteristicGame, player: int, samples: int, seed: int) -> McEstimate:
-    """Unbiased Monte Carlo Shapley estimate for one player.
+    """Unbiased Monte Carlo Shapley estimate for one player: two subset
+    values per sampled ordering, the prefix ahead of it with and without it.
 
     The same seed gives the same permutation stream for every player, so
     per-player calls with a shared seed see common random orderings.
     """
     if player not in game._index:
         raise InputError(f"unknown player {player!r}")
-    return mc_shapley_all(game, samples, seed)[player]
+    p = game._index[player]
+    marginals = np.empty(samples)
+    for s, perm in enumerate(sample_permutations(game.n, samples, seed)):
+        mask = sum(1 << q for q in perm[: perm.index(p)])
+        marginals[s] = float(game.value_mask(mask | 1 << p) - game.value_mask(mask))
+    return _estimate(marginals, samples, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Exit codes, report wiring and flag handling for the command line front end."""
 
+import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -314,6 +316,22 @@ def test_mc_shapley_reporting(big_freq, tmp_path):
     assert vals_a != vals_c, "a fresh seed should draw fresh permutations"
 
 
+def test_mc_shapley_one_player_matches_the_one_walk_for_all():
+    # the CLI estimates every player from one walk of the permutation
+    # stream; a one-player call must give the same numbers
+    rng = random.Random(31)
+    players = [3, 5, 8, 13, 21]
+    table = {
+        frozenset(c): Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        for r in range(len(players) + 1)
+        for c in itertools.combinations(players, r)
+    }
+    game = divvy.table_game(players, table)
+    for samples, seed in ((1, 0), (25, 4), (200, 11)):
+        every = divvy.mc_shapley_all(game, samples, seed)
+        assert every == {p: divvy.mc_shapley(game, p, samples, seed) for p in players}
+
+
 def test_oracle_knn_family(knn_files, tmp_path):
     data, queries = knn_files
     out = tmp_path / "o.json"
@@ -356,8 +374,8 @@ def test_oracle_frequency_requires_value(big_freq, capsys):
 @pytest.mark.parametrize("numeric", ["float", "exact"])
 def test_owen_freq_grid_guard_exits_2_before_allocating(tmp_path, capsys, numeric):
     # one bin, two coalitions of 5,800 + 5,800 examples: each target's law
-    # is a 5,801 x 5,801 grid (~257 MiB in float, twice that in exact, which
-    # keeps one int64 layer per subset size), over the fixed budget
+    # is a 5,801 x 5,801 grid (~257 MiB of float64 or of object pointers),
+    # over the fixed budget
     data = tmp_path / "wide.csv"
     rows = ["id,bin,label,coalition"]
     rows += [f"{i},b0,{'xy'[i % 2]},g{i // 11600}" for i in range(23200)]
@@ -376,6 +394,30 @@ def test_owen_freq_grid_guard_exits_2_before_allocating(tmp_path, capsys, numeri
         tracemalloc.stop()
     assert "MiB budget" in capsys.readouterr().err
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MiB: the grid was allocated"
+
+
+def test_owen_freq_exact_on_many_equal_coalitions(tmp_path):
+    # 80 coalitions of 10 matches + 10 mismatches in one bin: past int64
+    # counts (m = 79), yet subsets of one size all land on one cell, so the
+    # exact law stays small and the report matches the float one
+    data = tmp_path / "eq.csv"
+    rows = ["id,bin,label,coalition"]
+    rows += [f"{i},b0,{'xy'[i % 2]},g{i // 20}" for i in range(1600)]
+    data.write_text("\n".join(rows) + "\n")
+    queries = tmp_path / "q.csv"
+    queries.write_text("bin,label\nb0,x\n")
+    vf = tmp_path / "v.json"
+    vf.write_text('{"family": "majority", "correct": 3, "wrong": -1, "none": 0}')
+    values = {}
+    for numeric in ("exact", "float"):
+        out = tmp_path / f"{numeric}.json"
+        argv = ["owen-freq", "--data", str(data), "--queries", str(queries),
+                "--value", str(vf), "--numeric", numeric, "--out", str(out)]
+        assert run_command(argv) == 0
+        values[numeric] = [r["value"] for r in json.loads(out.read_text())["examples"]]
+    for e, f in zip(values["exact"], values["float"]):
+        e = float(Fraction(e))
+        assert abs(e - f) <= 1e-9 * max(1.0, abs(e))
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

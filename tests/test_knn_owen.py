@@ -17,10 +17,10 @@ from divvy import (
     knn_game,
     knn_owen_change,
     knn_owen_creation,
-    knn_owen_distribution,
     knn_owen_report,
     knn_shapley_values,
     knn_subset_value,
+    owen_precede_distribution,
     precede_probability,
     rank_by_distance,
 )
@@ -32,18 +32,18 @@ UNIT = OutcomeValues(Fraction(1), Fraction(-1), Fraction(0))
 
 def test_distribution_mass_by_base():
     others = [(1, 0), (0, 2), (1, 1)]
-    assert knn_owen_distribution(others).mass() == 1
-    assert knn_owen_distribution(others, pinned=(1, 0)).mass() == Fraction(1, 2), (
+    assert owen_precede_distribution(others).mass() == 1
+    assert owen_precede_distribution(others, pinned=(1, 0)).mass() == Fraction(1, 2), (
         "pinning the pivot's coalition ahead leaves only the orderings "
         "where it precedes the target"
     )
-    assert abs(knn_owen_distribution(others, "float", pinned=(1, 0)).mass() - 0.5) < 1e-12
+    assert abs(owen_precede_distribution(others, "float", pinned=(1, 0)).mass() - 0.5) < 1e-12
 
 
 def test_distribution_empty_cases():
     for mode in ("exact", "float"):
-        assert knn_owen_distribution([], mode).probs.tolist() == [[1]]
-        q = knn_owen_distribution([], mode, pinned=(2, 1)).probs
+        assert owen_precede_distribution([], mode).probs.tolist() == [[1]]
+        q = owen_precede_distribution([], mode, pinned=(2, 1)).probs
         assert q.tolist() == [[0, 0], [0, 0], [0, Fraction(1, 2)]], mode
 
 
@@ -51,8 +51,8 @@ def test_distribution_caps_keep_in_range_states():
     others = [(2, 0), (0, 2), (1, 1)]
     for mode, tol in (("exact", 0), ("float", 1e-12)):
         for pinned in (None, (1, 1)):
-            full = knn_owen_distribution(others, mode, pinned).probs
-            capped = knn_owen_distribution(others, mode, pinned, caps=(1, 1)).probs
+            full = owen_precede_distribution(others, mode, pinned).probs
+            capped = owen_precede_distribution(others, mode, pinned, caps=(1, 1)).probs
             assert capped.shape == (2, 2)
             for (a, b), p in np.ndenumerate(capped):
                 assert relative_gap(p, full[a, b]) <= tol, (mode, pinned, a, b)
@@ -60,7 +60,7 @@ def test_distribution_caps_keep_in_range_states():
 
 def test_distribution_caps_drop_oversized_first():
     for mode in ("exact", "float"):
-        q = knn_owen_distribution([(1, 0)], mode, pinned=(3, 0), caps=(1, 1))
+        q = owen_precede_distribution([(1, 0)], mode, pinned=(3, 0), caps=(1, 1))
         assert q.mass() == 0, mode
 
 
