@@ -293,17 +293,15 @@ def owen_frequency_report(
     coalitions.validate_partition(dataset.ids)
     t0 = time.perf_counter()
     totals = [to_money(0, mode)] * len(dataset)
-    row = dataset.row_index()
+    owner = [coalitions.coalition_of(i) for i in dataset.ids]
     rows = []
     value_cache: dict = {}
     for q in queries:
         q_vf = q.value_function if q.value_function is not None else vf
-        dataset.check_query_label(q.label)
-        if q.bin not in dataset.bins():
-            raise InputError(f"query bin {q.bin!r} is unknown to the dataset")
-        in_bin = dataset.by_bin(q.bin)
-        owners = [coalitions.coalition_of(ex.id) for ex in in_bin]
-        classes = [ex.label == q.label for ex in in_bin]
+        dataset.query_bin_code(q)
+        in_bin = np.flatnonzero(dataset.bin_mask(q.bin)).tolist()
+        owners = [owner[r] for r in in_bin]
+        classes = dataset.label_mask(q.label)[in_bin].tolist()
         counts = Counter(zip(owners, classes))
         tallies = {cid: (counts[cid, True], counts[cid, False]) for cid, _ in counts}
         pairs = sorted(tallies.values())
@@ -325,12 +323,13 @@ def owen_frequency_report(
                 if use_cache:
                     value_cache[vkey] = v
             found[own, m] = v
-        values = {ex.id: found[tallies[c], m] for ex, c, m in zip(in_bin, owners, classes)}
-        for i, v in values.items():
-            totals[row[i]] += v
+        values = [found[tallies[c], m] for c, m in zip(owners, classes)]
+        for r, v in zip(in_bin, values):
+            totals[r] += v
         if per_query:
             zero = to_money(0, mode)
-            rows.append({i: values.get(i, zero) for i in dataset.ids})
+            q_row = dict(zip(dataset.id_array()[in_bin].tolist(), values))
+            rows.append({i: q_row.get(i, zero) for i in dataset.ids})
     return assemble_report(
         method=METHOD,
         mode=mode,
@@ -339,5 +338,5 @@ def owen_frequency_report(
         query_count=len(queries),
         wall_time=time.perf_counter() - t0,
         per_query=rows if per_query else None,
-        coalition_column=[coalitions.coalition_of(i) for i in dataset.ids],
+        coalition_column=owner,
     )

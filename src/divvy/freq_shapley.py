@@ -10,6 +10,7 @@ a uniformly random permutation shows the example exactly that prefix.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,20 +64,18 @@ def critical_set(
     """
     if size_a < 0 or size_b < 0:
         raise InputError("critical_set needs non-negative box sizes")
-    entries: List[Tuple[int, int, Fraction]] = []
     if isinstance(vf, MajorityValueFunction):
-        # adding a match flips outcomes only on a == b and a == b - 1;
-        # adding a mismatch only on a == b and a == b + 1.
-        pairs = []
-        for a in range(size_a + 1):
-            for b in {a, a + 1} if label_matches else {a, a - 1}:
-                if 0 <= b <= size_b:
-                    pairs.append((a, b))
-        for a, b in sorted(pairs):
-            d = Fraction(delta_value(vf, a, b, label_matches))
-            if d != 0:
-                entries.append((a, b, d))
+        # adding a match moves the value only on a == b and b == a + 1, a
+        # mismatch only on a == b and a == b + 1; each diagonal has one delta
+        da, db = (0, 1) if label_matches else (1, 0)
+        tie = Fraction(delta_value(vf, 0, 0, label_matches))
+        off = Fraction(delta_value(vf, da, db, label_matches))
+        entries = sorted(
+            [(c, c, tie) for c in range(min(size_a, size_b) + 1) if tie]
+            + [(c + da, c + db, off) for c in range(min(size_a - da, size_b - db) + 1) if off]
+        )
     else:
+        entries: List[Tuple[int, int, Fraction]] = []
         for a in range(size_a + 1):
             for b in range(size_b + 1):
                 d = Fraction(delta_value(vf, a, b, label_matches))
@@ -92,39 +91,32 @@ def shapley_frequency_single(
     mode: str = "float",
 ) -> Money:
     """Shapley value of one example given its bin's tally (which includes
-    the example itself)."""
+    the example itself).
+
+    With A other matches, B other mismatches and t = A + B + 1, the example
+    sees the prefix (a, b) with probability
+    C(a + b, a) C(t - 1 - a - b, A - a) / (t C(t - 1, A)), so an exact value
+    is one integer sum over that denominator times the deltas' lcm.
+    """
     check_mode(mode)
     size_a = tally.n_match - (1 if label_matches else 0)
     size_b = tally.n_mismatch - (0 if label_matches else 1)
     if size_a < 0 or size_b < 0:
         raise InputError("tally does not include an example of the requested label class")
-    total: Money = Fraction(0) if mode == EXACT else 0.0
-    for a, b, d in critical_set(vf, size_a, size_b, label_matches).entries:
-        w = precede_probability((size_a, size_b), (a, b), mode)
-        total += w * to_money(d, mode)
+    entries = critical_set(vf, size_a, size_b, label_matches).entries
+    if mode == EXACT:
+        den = math.lcm(*(d.denominator for _, _, d in entries))
+        rest = size_a + size_b
+        total = sum(
+            d.numerator * (den // d.denominator)
+            * math.comb(a + b, a) * math.comb(rest - a - b, size_a - a)
+            for a, b, d in entries
+        )
+        return Fraction(total, den * (rest + 1) * math.comb(rest, size_a))
+    total = 0.0
+    for a, b, d in entries:
+        total += precede_probability((size_a, size_b), (a, b), mode) * float(d)
     return total
-
-
-def _query_values(dataset, query, vf, mode, cache, use_cache):
-    """Shapley values for one query of the examples in its bin, keyed by
-    example id; every other example's value is zero."""
-    dataset.require_bins()
-    dataset.check_query_label(query.label)
-    if query.bin not in dataset.bins():
-        raise InputError(f"query bin {query.bin!r} is unknown to the dataset")
-    tally = tally_bin(dataset, query.bin, query.label)
-    values = {}
-    for ex in dataset.by_bin(query.bin):
-        matches = ex.label == query.label
-        key = (id(vf), query.bin, query.label, matches)
-        if use_cache and key in cache:
-            values[ex.id] = cache[key]
-            continue
-        v = shapley_frequency_single(tally, vf, matches, mode)
-        if use_cache:
-            cache[key] = v
-        values[ex.id] = v
-    return values
 
 
 def shapley_frequency_report(
@@ -137,29 +129,47 @@ def shapley_frequency_report(
 ) -> ValueReport:
     """Total Shapley payout per example over a batch of queries.
 
-    Within one run, values are cached per (bin, label class, query label):
-    every example of a class receives the identical number, so the cache
-    changes nothing but the wall time (a property the tests pin down).
+    Every example of one bin and label class gets the same value, so a query
+    adds one value per class in its bin to that (bin, label) group's total,
+    and each example reads its group's total at the end.  Values are cached
+    per (bin, label class, query label) across queries; the cache changes
+    nothing but the wall time (a property the tests pin down).
     """
     check_mode(mode)
     t0 = time.perf_counter()
-    totals = [to_money(0, mode)] * len(dataset)
-    row = dataset.row_index()
+    bin_code, bin_col = dataset.bin_codes()
+    symbols, label_col = dataset.label_column()
+    groups = bin_col * len(symbols) + label_col
+    zero = to_money(0, mode)
+    totals = [zero] * (len(bin_code) * len(symbols))
+    dtype = object if mode == EXACT else float
     rows = []
     cache: dict = {}
     for q in queries:
         q_vf = q.value_function if q.value_function is not None else vf
-        values = _query_values(dataset, q, q_vf, mode, cache, use_cache)
-        for i, v in values.items():
-            totals[row[i]] += v
+        code = dataset.query_bin_code(q)
+        tally = tally_bin(dataset, q.bin, q.label)
+        q_values = [zero] * len(totals)
+        for c, symbol in enumerate(symbols):
+            matches = symbol == q.label
+            if not (tally.n_match if matches else tally.n_mismatch):
+                continue
+            key = (id(q_vf), q.bin, q.label, matches)
+            v = cache.get(key) if use_cache else None
+            if v is None:
+                v = shapley_frequency_single(tally, q_vf, matches, mode)
+                if use_cache:
+                    cache[key] = v
+            g = code * len(symbols) + c
+            totals[g] += v
+            q_values[g] = v
         if per_query:
-            zero = to_money(0, mode)
-            rows.append({i: values.get(i, zero) for i in dataset.ids})
+            rows.append(dict(zip(dataset.ids, np.array(q_values, dtype)[groups].tolist())))
     return assemble_report(
         method=METHOD,
         mode=mode,
         dataset=dataset,
-        values=totals,
+        values=np.array(totals, dtype)[groups],
         query_count=len(queries),
         wall_time=time.perf_counter() - t0,
         per_query=rows if per_query else None,

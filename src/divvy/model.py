@@ -13,7 +13,7 @@ import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,10 +59,10 @@ class Dataset:
     """A validated set of examples, held as columns in dataset order.
 
     Columns: an int64 id array, label codes into at most two label symbols,
-    and per-example bin, coalition and feature columns.  ``examples`` (and
-    iteration) give ``Example`` row views, built once on first use; the k-NN
-    float path reads only the columns, so a parsed dataset keeps no Python
-    object per example.  Missing bins or features are reported when a method
+    and per-example bin (coded on first use), coalition and feature columns.
+    ``examples`` (and iteration) give ``Example`` row views, built once on
+    first use; the frequency reports and the k-NN float path read only the
+    columns, so a parsed dataset keeps no Python object per example.  Missing bins or features are reported when a method
     asks for them, not when the dataset is built.
     """
 
@@ -119,6 +119,7 @@ class Dataset:
         self._rows = None
         self._row_of = None
         self._label_masks = None
+        self._bin_codes = None
 
     def with_coalition_column(self, coalitions: Sequence[Optional[Hashable]]) -> "Dataset":
         """The same examples with their coalition ids replaced, given in
@@ -181,22 +182,55 @@ class Dataset:
     def labels(self) -> set:
         return set(self._symbols)
 
+    def label_column(self) -> Tuple[tuple, np.ndarray]:
+        """The label symbols in code order and each example's label code."""
+        return self._symbols, self._codes
+
     def check_query_label(self, label: Label) -> None:
         if label not in self._symbols and len(self._symbols) >= 2:
             raise InputError(
                 f"query label {label!r} is a third symbol; dataset labels are {sorted(map(str, self._symbols))}"
             )
 
+    def bin_codes(self) -> Tuple[Mapping[Hashable, int], np.ndarray]:
+        """Read-only map from bin (None if missing) to code, in order of first
+        appearance, and each example's code as a read-only array; built once."""
+        if self._bin_codes is None:
+            code: dict = {}
+            codes = np.fromiter(
+                (code.setdefault(b, len(code)) for b in self._bins), dtype=np.intp, count=len(self)
+            )
+            codes.flags.writeable = False
+            self._bin_codes = (MappingProxyType(code), codes)
+        return self._bin_codes
+
+    def bin_mask(self, bin_id: Hashable) -> np.ndarray:
+        """Boolean array, True where an example sits in ``bin_id``."""
+        code, codes = self.bin_codes()
+        return codes == code.get(bin_id, -1)
+
     def bins(self) -> set:
-        return set(self._bins)
+        return set(self.bin_codes()[0])
 
     def require_bins(self) -> None:
-        missing = [i for i, b in zip(self.ids, self._bins) if b is None]
-        if missing:
-            raise InputError(f"examples {missing[:5]} have no bin; frequency methods need one")
+        code, codes = self.bin_codes()
+        if None in code:
+            missing = self._ids[codes == code[None]][:5].tolist()
+            raise InputError(f"examples {missing} have no bin; frequency methods need one")
+
+    def query_bin_code(self, query: Query) -> int:
+        """The code of a frequency query's bin, once every example has a bin,
+        the query label is not a third symbol and the bin is known."""
+        self.require_bins()
+        self.check_query_label(query.label)
+        code = self.bin_codes()[0].get(query.bin)
+        if code is None:
+            raise InputError(f"query bin {query.bin!r} is unknown to the dataset")
+        return code
 
     def by_bin(self, bin_id: Hashable) -> list:
-        return [ex for ex, b in zip(self.examples, self._bins) if b == bin_id]
+        rows = self.examples
+        return [rows[r] for r in np.flatnonzero(self.bin_mask(bin_id)).tolist()]
 
     def coalition_column(self) -> list:
         """Each example's coalition id (or None), in dataset order."""
@@ -363,13 +397,9 @@ class BinTally:
 def tally_bin(dataset: Dataset, bin_id: Hashable, query_label: Label) -> BinTally:
     """Tally the examples of one bin against the query label."""
     dataset.check_query_label(query_label)
-    a = b = 0
-    for ex in dataset.by_bin(bin_id):
-        if ex.label == query_label:
-            a += 1
-        else:
-            b += 1
-    return BinTally(a, b)
+    in_bin = dataset.bin_mask(bin_id)
+    a = int(np.count_nonzero(in_bin & dataset.label_mask(query_label)))
+    return BinTally(a, int(np.count_nonzero(in_bin)) - a)
 
 
 # ---------------------------------------------------------------------------

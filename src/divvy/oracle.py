@@ -256,10 +256,7 @@ def mc_shapley(game: CharacteristicGame, player: int, samples: int, seed: int) -
 def frequency_game(dataset: Dataset, query: Query, vf: FrequencyValueFunction) -> CharacteristicGame:
     """Characteristic game whose subsets are scored by the query bin's
     (match, mismatch) tally under the value function."""
-    dataset.require_bins()
-    dataset.check_query_label(query.label)
-    if query.bin not in dataset.bins():
-        raise InputError(f"query bin {query.bin!r} is unknown to the dataset")
+    dataset.query_bin_code(query)
     label_of = {ex.id: ex.label for ex in dataset}
     bin_of = {ex.id: ex.bin for ex in dataset}
 

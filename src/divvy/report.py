@@ -162,7 +162,10 @@ def _value_text(values: Sequence[Money], mode: str) -> Tuple[List[str], List[str
     in JSON.  Float mode: the float repr in both, except that JSON spells
     nan and the infinities as the json module does (NaN, Infinity)."""
     if mode == EXACT:
-        text = [str(Fraction(v)) for v in values]
+        # rows often share one value object: encode each once, keyed by
+        # identity, since hashing a Fraction computes a modular inverse
+        memo: dict = {}
+        text = [memo.get(id(v)) or memo.setdefault(id(v), str(Fraction(v))) for v in values]
         return text, [f'"{s}"' for s in text]
     floats = list(map(float, values))
     text = list(map(repr, floats))

@@ -1,9 +1,12 @@
 """Frequency-rule Shapley values against enumeration and the game axioms."""
 
+import gc
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divvy import (
     BinTally,
@@ -13,8 +16,11 @@ from divvy import (
     Query,
     TableValueFunction,
     critical_set,
+    delta_value,
     exact_shapley_all,
     frequency_game,
+    owen_frequency_report,
+    precede_probability,
     shapley_frequency_report,
     shapley_frequency_single,
     tally_bin,
@@ -63,6 +69,42 @@ def test_critical_set_majority_diagonals():
         (1, 0, Fraction(-100)),      # winning majority -> tie
         (1, 1, Fraction(-500)),
     )
+
+
+def _per_pair_single(size_a, size_b, vf, matches):
+    """The exact value as one precedence probability per count pair of the
+    whole box, each times its delta: the reference for the integer sum."""
+    return sum(
+        precede_probability((size_a, size_b), (a, b), "exact")
+        * Fraction(delta_value(vf, a, b, matches))
+        for a in range(size_a + 1)
+        for b in range(size_b + 1)
+    )
+
+
+_money = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@st.composite
+def _value_functions(draw, size_a, size_b):
+    """A majority rule or a table over the box (plus its edge), either with
+    fractional values."""
+    if draw(st.booleans()):
+        return MajorityValueFunction(draw(_money), draw(_money), draw(_money))
+    cells = [(a, b) for a in range(size_a + 2) for b in range(size_b + 2)]
+    entries = {cell: draw(_money) for cell in cells if draw(st.booleans())}
+    return TableValueFunction(entries, default=draw(_money))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 9), st.integers(0, 9), st.booleans(), st.data())
+def test_exact_single_equals_the_per_pair_sum(size_a, size_b, matches, data):
+    # size_a or size_b of 0 leaves one class of the bin empty
+    vf = data.draw(_value_functions(size_a, size_b))
+    tally = BinTally(size_a + matches, size_b + (not matches))
+    got = shapley_frequency_single(tally, vf, matches, mode="exact")
+    assert isinstance(got, Fraction)
+    assert got == _per_pair_single(size_a, size_b, vf, matches)
 
 
 def test_critical_set_fast_path_equals_full_scan():
@@ -181,3 +223,43 @@ def test_unknown_query_bin_is_an_error():
     ds = Dataset([Example(0, "spam", bin="b0")])
     with pytest.raises(InputError, match="unknown"):
         shapley_frequency_report(ds, [Query(label="spam", bin="nope")], PAYOUT)
+
+
+def test_missing_bin_is_reported_when_a_query_runs():
+    ds = Dataset([Example(0, "spam", bin="b0"), Example(7, "ham")])
+    empty = shapley_frequency_report(ds, [], PAYOUT, mode="exact")
+    assert empty.values() == {0: 0, 7: 0} and empty.query_count == 0
+    # the missing bin is named before a third label or an unknown bin
+    for query in (Query(label="spam", bin="b0"), Query(label="eggs", bin="nope")):
+        with pytest.raises(InputError, match=r"^examples \[7\] have no bin; frequency methods need one$"):
+            shapley_frequency_report(ds, [query], PAYOUT, mode="exact")
+    whole = Dataset([Example(0, "spam", bin="b0"), Example(7, "ham", bin="b0")])
+    with pytest.raises(InputError, match="third symbol"):
+        shapley_frequency_report(whole, [Query(label="eggs", bin="nope")], PAYOUT)
+
+
+def test_parsed_frequency_dataset_builds_no_example_rows(tmp_path):
+    # Both frequency reports read the bin codes and label masks of a parsed
+    # dataset, so no Example row view is made for it.
+    from divvy.io import parse_dataset
+
+    rng = random.Random(71)
+    path = tmp_path / "d.csv"
+    path.write_text("id,bin,label,coalition\n" + "".join(
+        f"{i},b{rng.randrange(4)},{rng.choice(['spam', 'ham'])},g{rng.randrange(5)}\n"
+        for i in range(300)
+    ))
+    queries = [Query(label="spam", bin="b1"), Query(label="ham", bin="b3")]
+
+    def example_count():
+        gc.collect()
+        return sum(isinstance(o, Example) for o in gc.get_objects())
+
+    before = example_count()
+    dataset = parse_dataset(path, "frequency")
+    shapley = shapley_frequency_report(dataset, queries, PAYOUT, mode="exact")
+    owen = owen_frequency_report(
+        dataset, dataset.coalition_structure(), queries, PAYOUT, mode="float"
+    )
+    assert example_count() <= before
+    assert len(shapley.values()) == len(owen.values()) == 300

@@ -147,6 +147,27 @@ def test_tally_bin():
         BinTally(-1, 0)
 
 
+def test_tally_bin_matches_a_brute_force_count():
+    rng = random.Random(29)
+    for _ in range(100):
+        labels = rng.choice([("a", "b"), ("a",), (0, 1)])
+        bins = rng.sample(["x", "y", 3, (1, 2)], rng.randint(1, 4))
+        ds = Dataset([
+            Example(i, rng.choice(labels), bin=rng.choice(bins))
+            for i in rng.sample(range(100), rng.randint(1, 30))
+        ])
+        assert ds.bins() == {ex.bin for ex in ds}
+        for b in bins + ["unknown"]:  # an unknown bin tallies (0, 0)
+            assert ds.by_bin(b) == [ex for ex in ds if ex.bin == b]
+            for lab in ("a", "b", 0, 1):
+                if lab not in labels and len(labels) == 2:
+                    continue  # a third symbol
+                t = tally_bin(ds, b, lab)
+                in_bin = [ex.label for ex in ds if ex.bin == b]
+                want = (in_bin.count(lab), len(in_bin) - in_bin.count(lab))
+                assert (t.n_match, t.n_mismatch) == want
+
+
 def test_knn_config_validation():
     ov = OutcomeValues(1, -1, 0)
     KnnConfig(5, ov)
