@@ -104,57 +104,11 @@ def _add_coalition_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog=PROG, description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
-    sub.required = True
-
-    p = sub.add_parser(
-        "shapley-freq",
-        help="Shapley values for a frequency-binned decision rule",
-    )
-    _add_io_flags(p)
-    _add_numeric_flag(p)
-    _add_cache_flag(p)
+def _add_value_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--value", required=True, help="value-function JSON")
-    p.set_defaults(handler=_run_shapley_freq)
 
-    p = sub.add_parser(
-        "owen-freq",
-        help="Owen values for a frequency-binned decision rule",
-    )
-    _add_io_flags(p)
-    _add_numeric_flag(p)
-    _add_cache_flag(p)
-    _add_coalition_flag(p)
-    p.add_argument("--value", required=True, help="value-function JSON")
-    p.set_defaults(handler=_run_owen_freq)
 
-    p = sub.add_parser(
-        "shapley-knn",
-        help="Shapley values for an unweighted k-nearest-neighbor vote",
-    )
-    _add_io_flags(p)
-    _add_numeric_flag(p)
-    _add_knn_flags(p)
-    p.set_defaults(handler=_run_shapley_knn)
-
-    p = sub.add_parser(
-        "owen-knn",
-        help="Owen values for an unweighted k-nearest-neighbor vote",
-    )
-    _add_io_flags(p)
-    _add_numeric_flag(p)
-    _add_cache_flag(p)
-    _add_knn_flags(p)
-    _add_coalition_flag(p)
-    p.set_defaults(handler=_run_owen_knn)
-
-    p = sub.add_parser(
-        "oracle",
-        help="brute-force reference values on small inputs",
-    )
-    _add_io_flags(p)
+def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--family",
         choices=["frequency", "knn"],
@@ -184,8 +138,21 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="custom player cap for exact-shapley (requires --yes-i-know)",
     )
-    p.set_defaults(handler=_run_oracle)
 
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser.  Given a known ``command`` it holds that subcommand
+    alone, which is all a run of it reads, so the other subcommands' flags
+    cost nothing; otherwise it holds every subcommand."""
+    parser = _Parser(prog=PROG, description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
+    sub.required = True
+    chosen = [c for c in _COMMANDS if c[0] == command] or _COMMANDS
+    for name, help_text, flag_groups, handler in chosen:
+        p = sub.add_parser(name, help=help_text)
+        for add in flag_groups:
+            add(p)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -330,6 +297,23 @@ def _run_oracle(args):
     )
 
 
+# name, help, flag groups in help order, body
+_COMMANDS = (
+    ("shapley-freq", "Shapley values for a frequency-binned decision rule",
+     (_add_io_flags, _add_numeric_flag, _add_cache_flag, _add_value_flag), _run_shapley_freq),
+    ("owen-freq", "Owen values for a frequency-binned decision rule",
+     (_add_io_flags, _add_numeric_flag, _add_cache_flag, _add_coalition_flag, _add_value_flag),
+     _run_owen_freq),
+    ("shapley-knn", "Shapley values for an unweighted k-nearest-neighbor vote",
+     (_add_io_flags, _add_numeric_flag, _add_knn_flags), _run_shapley_knn),
+    ("owen-knn", "Owen values for an unweighted k-nearest-neighbor vote",
+     (_add_io_flags, _add_numeric_flag, _add_cache_flag, _add_knn_flags, _add_coalition_flag),
+     _run_owen_knn),
+    ("oracle", "brute-force reference values on small inputs",
+     (_add_io_flags, _add_oracle_flags), _run_oracle),
+)
+
+
 # ---------------------------------------------------------------------------
 # driver
 
@@ -345,7 +329,8 @@ def _emit(report, args) -> None:
 
 def run_command(argv: Optional[Sequence[str]] = None) -> int:
     """Parse arguments, run a subcommand and return the process exit code."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         report = args.handler(args)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import sys
 import time
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -30,6 +29,7 @@ from .model import (
     CoalitionStructure,
     Dataset,
     FrequencyValueFunction,
+    MajorityValueFunction,
     Query,
     to_money,
 )
@@ -47,13 +47,15 @@ GRID_BUDGET_BYTES = 2**28
 
 @dataclass(frozen=True)
 class PrecedeDistribution:
-    """Law of the (match, mismatch) counts contributed by the coalitions
-    that precede the target in a uniform coalition ordering: (a, b) has
-    probability ``weights[a, b] / scale``.  Exact mode holds Python-int
-    weights over (m + 1)!, float mode float64 probabilities over 1."""
+    """Law of the summed tallies contributed by the coalitions that precede
+    the target in a uniform coalition ordering: the tally ``origin`` plus a
+    cell's index has probability ``weights[cell] / scale``.  Exact mode
+    holds Python-int weights over (m + 1)!, float mode float64
+    probabilities over 1."""
 
     weights: np.ndarray
     scale: int = 1
+    origin: Tuple[int, ...] = (0, 0)
 
     @cached_property
     def probs(self) -> np.ndarray:
@@ -65,6 +67,14 @@ class PrecedeDistribution:
     def mass(self) -> Money:
         total = self.weights.sum()
         return float(total) if self.weights.dtype != object else Fraction(total, self.scale)
+
+
+def _guard(need: int, what: str) -> None:
+    """Refuse an array of ``need`` bytes over the budget, before it exists."""
+    if need > GRID_BUDGET_BYTES:
+        raise GuardError(
+            f"{what} of {need / 2**20:.1f} MiB is over the {GRID_BUDGET_BYTES >> 20} MiB budget"
+        )
 
 
 @lru_cache(maxsize=128)  # k-NN asks for many tiny laws; leggauss costs ~0.1 ms
@@ -81,7 +91,7 @@ def owen_precede_distribution(
     pinned: Optional[CountPair] = None,
     caps: Optional[CountPair] = None,
 ) -> PrecedeDistribution:
-    """Law of the counts contributed by the non-target coalitions that land
+    """Law of the summed tallies of the non-target coalitions that land
     ahead of the target coalition.
 
     The m other coalitions precede in a set S with probability
@@ -95,27 +105,32 @@ def owen_precede_distribution(
     without pin or caps only the nodes t <= 1/2 are built, since trading
     t for 1 - t reverses the law along both axes.
 
-    A ``pinned`` coalition always precedes the target: one more factor of
-    t, so the mass is 1/2.  ``caps`` drops counts above them, which can
+    A tally may be negative: the majority family passes (a - b, 0), whose
+    law is one column of at most A + B + 1 cells.  The array then starts at
+    ``origin``, the sums of the negative entries.  A ``pinned`` coalition
+    always precedes the target: one more factor of t, so the mass is 1/2.
+    ``caps`` drops counts above them, which for non-negative tallies can
     never come back under; entries within the caps are unchanged.
-    Coalitions with no in-bin member are dropped (an ordering of the rest
-    is still uniform) and the rest sorted, so the law depends only on
-    their multiset.
+    All-zero tallies are dropped (an ordering of the rest is still
+    uniform) and the rest sorted, so the law depends only on their
+    multiset.
     """
     check_mode(mode)
-    pairs = [tuple(p) for p in other_tallies]
-    if any(a < 0 or b < 0 for a, b in pairs + [tuple(pinned or (0, 0))]):
-        raise InputError("coalition tallies must be non-negative")
-    pairs = sorted(p for p in pairs if p != (0, 0))
+    pairs = sorted(tuple(p) for p in other_tallies if tuple(p) != (0, 0))
+    origin = sum(a for a, _ in pairs if a < 0), sum(b for _, b in pairs if b < 0)
     a0, b0 = pinned or (0, 0)
     m = len(pairs) + (pinned is not None)
-    top_a = a0 + sum(a for a, _ in pairs)
-    top_b = b0 + sum(b for _, b in pairs)
+    top_a = a0 + sum(a for a, _ in pairs if a > 0)
+    top_b = b0 + sum(b for _, b in pairs if b > 0)
     if caps is not None:
         top_a, top_b = min(top_a, caps[0]), min(top_b, caps[1])
+    # from here on counts are cell indices, measured from the origin
+    oa, ob = origin
+    a0, b0, top_a, top_b = a0 - oa, b0 - ob, top_a - oa, top_b - ob
     exact = mode == EXACT
     if a0 > top_a or b0 > top_b:  # the pinned coalition overflows the caps
-        return PrecedeDistribution(np.zeros((top_a + 1, top_b + 1), object if exact else float))
+        zeros = np.zeros((top_a + 1, top_b + 1), object if exact else float)
+        return PrecedeDistribution(zeros, 1, origin)
     if exact:
         # subsets of size k reach only the box from the sums of the k smallest
         # tallies to those of the k largest: one array per box, not per grid
@@ -136,11 +151,7 @@ def owen_precede_distribution(
         mirror = pinned is None and caps is None
         depth = (n + 1) // 2 if mirror else n
         need = depth * (top_a + 1) * (top_b + 1) * 8
-    if need > GRID_BUDGET_BYTES:
-        raise GuardError(
-            f"Owen law grid of {need / 2**20:.1f} MiB is over the "
-            f"{GRID_BUDGET_BYTES >> 20} MiB budget"
-        )
+    _guard(need, "Owen law grid")
     if exact:
         g = [np.zeros(shape, dtype) for shape in shapes]
         lo, hi = [(top_a + 1, top_b + 1)] * (m + 1), [(-1, -1)] * (m + 1)  # reached so far
@@ -162,23 +173,27 @@ def owen_precede_distribution(
             weights[oa + i, ob + j] += box[i, j].astype(object) * (
                 math.factorial(k) * math.factorial(m - k)
             )
-        return PrecedeDistribution(weights, math.factorial(m + 1))
+        return PrecedeDistribution(weights, math.factorial(m + 1), origin)
     g = np.zeros((depth, top_a + 1, top_b + 1))
     t, s, w = _nodes(n)
     t, s = t[:depth], s[:depth]
     g[:, a0, b0] = t[:, 0, 0] if pinned is not None else 1.0
-    hi_a, hi_b = a0, b0  # highest counts reached so far
+    ratio = t / s  # held cells are scaled first, so the shifted copy takes t / s
+    hi_a, hi_b = a0, b0  # highest cells reached so far
     for a, b in pairs:
         held = g[:, : hi_a + 1, : hi_b + 1]
-        held *= s  # scaled first, so the shifted copy takes t / s
+        held *= s
         fit_a, fit_b = min(hi_a, top_a - a), min(hi_b, top_b - b)
+        # a negative shift moves cells from index -a up, as none lies lower
+        ia, ib = max(-a, 0), max(-b, 0)
         if fit_a >= 0 and fit_b >= 0:
-            g[:, a : a + fit_a + 1, b : b + fit_b + 1] += held[:, : fit_a + 1, : fit_b + 1] * (t / s)
-        hi_a, hi_b = min(hi_a + a, top_a), min(hi_b + b, top_b)
+            moved = held[:, ia : fit_a + 1, ib : fit_b + 1] * ratio
+            g[:, ia + a : fit_a + a + 1, ib + b : fit_b + b + 1] += moved
+        hi_a, hi_b = min(max(hi_a, hi_a + a), top_a), min(max(hi_b, hi_b + b), top_b)
     if not mirror:  # the weights sum to 2 on [-1, 1]
-        return PrecedeDistribution(np.tensordot(w, g, axes=1) / 2)
+        return PrecedeDistribution(np.tensordot(w, g, axes=1) / 2, 1, origin)
     mirrored = np.tensordot(w[: n // 2], g[: n // 2], axes=1)[::-1, ::-1]
-    return PrecedeDistribution((np.tensordot(w[:depth], g, axes=1) + mirrored) / 2)
+    return PrecedeDistribution((np.tensordot(w[:depth], g, axes=1) + mirrored) / 2, 1, origin)
 
 
 def _within_block_grid_float(a_m: int, b_m: int) -> np.ndarray:
@@ -231,20 +246,50 @@ def _value_from_distribution(
     mode: str,
 ) -> Money:
     """Inner Owen sum: critical pairs weighted by (others-ahead counts)
-    convolved with the within-coalition precedence weight."""
-    if mode == EXACT:
-        # in integers: deltas over a common denominator, weights in units of W[a_m, 0]
+    convolved with the within-coalition precedence weight.  A law of a - b
+    alone (the majority family) is convolved with that weight summed along
+    each diagonal a' - b', then read once per critical diagonal: every cell
+    of a diagonal lies inside the box, so the read sums all of them."""
+    _guard((a_m + 1) * (b_m + 1) * 8, "within-coalition grid")
+    exact = mode == EXACT
+    if exact:  # in integers: deltas over a common denominator, weights in units of W[a_m, 0]
         den = math.lcm(*(d.denominator for _, _, d in crit.entries))
-        d = np.array([d.numerator * (den // d.denominator) for _, _, d in crit.entries], object)
+
+        def scaled(d: Fraction) -> int:
+            return d.numerator * (den // d.denominator)
+
+        law, within = dist.weights, _within_block_units(a_m, b_m)
+    else:
+        scaled, law, within = float, dist.probs, _within_block_grid_float(a_m, b_m)
+    if law.ndim == 1:
+        by_diff = [within.trace(o) for o in range(b_m, -a_m - 1, -1)]  # a' - b' from -b_m up
+        conv = np.convolve(law, np.array(by_diff, law.dtype))
+        at = b_m - dist.origin[0]  # conv[at + d] weighs a - b = d
+        total = sum(conv[at + c] * scaled(d) for c, d in crit.diagonals.items()
+                    if 0 <= at + c < len(conv))
+    elif exact:
         a, b, _ = crit.columns
-        total = _convolve_at(dist.weights, _within_block_units(a_m, b_m), a, b, d)
-        unit = precede_probability((a_m, b_m), (a_m, 0), EXACT)
-        return Fraction(total, den * dist.scale) * unit
-    within = _within_block_grid_float(a_m, b_m)
-    shape = [_fft_len(m + n - 1) for m, n in zip(dist.probs.shape, within.shape)]
-    conv = np.fft.irfft2(np.fft.rfft2(dist.probs, shape) * np.fft.rfft2(within, shape), shape)
-    a, b, d = crit.columns
-    return float(conv[a, b] @ d)
+        d = np.array([scaled(d) for _, _, d in crit.entries], object)
+        total = _convolve_at(law, within, a, b, d)
+    else:
+        shape = [_fft_len(m + n - 1) for m, n in zip(law.shape, within.shape)]
+        conv = np.fft.irfft2(np.fft.rfft2(law, shape) * np.fft.rfft2(within, shape), shape)
+        a, b, d = crit.columns
+        total = conv[a, b] @ d
+    if not exact:
+        return float(total)
+    unit = precede_probability((a_m, b_m), (a_m, 0), EXACT)
+    return Fraction(total, den * dist.scale) * unit
+
+
+def _preceder_law(other_tallies: Sequence[CountPair], vf: FrequencyValueFunction, mode: str):
+    """The preceder law a value reads: for the majority family, whose
+    deltas depend on nothing else, the law of a - b alone, as one axis;
+    else the law of (a, b)."""
+    if not isinstance(vf, MajorityValueFunction):
+        return owen_precede_distribution(other_tallies, mode)
+    law = owen_precede_distribution([(a - b, 0) for a, b in other_tallies], mode)
+    return PrecedeDistribution(law.weights[:, 0], law.scale, law.origin[:1])
 
 
 def owen_frequency_single(
@@ -262,9 +307,9 @@ def owen_frequency_single(
     target coalition's in-bin members *excluding* the example itself.
     """
     check_mode(mode)
-    if target_match < 0 or target_mismatch < 0:
-        raise InputError("target coalition counts must be non-negative")
-    dist = owen_precede_distribution(other_tallies, mode)
+    if min(target_match, target_mismatch, *(c for p in other_tallies for c in p)) < 0:
+        raise InputError("coalition counts must be non-negative")
+    dist = _preceder_law(other_tallies, vf, mode)
     size_a = sum(a for a, _ in other_tallies) + target_match
     size_b = sum(b for _, b in other_tallies) + target_mismatch
     crit = critical_set(vf, size_a, size_b, label_matches)
@@ -292,44 +337,48 @@ def owen_frequency_report(
     dataset.require_bins()
     coalitions.validate_partition(dataset.ids)
     t0 = time.perf_counter()
-    totals = [to_money(0, mode)] * len(dataset)
-    owner = [coalitions.coalition_of(i) for i in dataset.ids]
+    column = [coalitions.coalition_of(i) for i in dataset.ids]
+    code: dict = {}  # coalition id -> code, in order of first appearance
+    owner = np.fromiter((code.setdefault(c, len(code)) for c in column), np.intp, len(column))
+    zero = to_money(0, mode)
+    dtype = object if mode == EXACT else float
+    totals = np.full(len(dataset), zero, dtype)
     rows = []
     value_cache: dict = {}
     for q in queries:
         q_vf = q.value_function if q.value_function is not None else vf
         dataset.query_bin_code(q)
-        in_bin = np.flatnonzero(dataset.bin_mask(q.bin)).tolist()
-        owners = [owner[r] for r in in_bin]
-        classes = dataset.label_mask(q.label)[in_bin].tolist()
-        counts = Counter(zip(owners, classes))
-        tallies = {cid: (counts[cid, True], counts[cid, False]) for cid, _ in counts}
-        pairs = sorted(tallies.values())
-        size_a, size_b = map(sum, zip(*pairs))
+        in_bin = np.flatnonzero(dataset.bin_mask(q.bin))
+        # slot 2c holds coalition c's matches, 2c + 1 its mismatches
+        slots = 2 * owner[in_bin] + ~dataset.label_mask(q.label)[in_bin]
+        counts = np.bincount(slots, minlength=2 * len(code)).reshape(-1, 2)
+        tallies = list(map(tuple, counts.tolist()))
+        pairs = sorted(t for t in tallies if t != (0, 0))
+        size_a, size_b = counts.sum(axis=0).tolist()
         crits: dict = {}  # label matches -> critical set
         found: dict = {}  # (own tally, label matches) -> value
         last = None  # (tally, distribution); both classes of a tally come in a row
-        for own, m in sorted({(tallies[cid], m) for cid, m in counts}):
+        for own, m in sorted({(t, m) for t in pairs for m in (True, False) if t[not m]}):
             vkey = (id(q_vf), q.bin, q.label, own, m)
             v = value_cache.get(vkey) if use_cache else None
             if v is None:
                 if last is None or last[0] != own:
                     others = list(pairs)
                     others.remove(own)
-                    last = (own, owen_precede_distribution(others, mode))
+                    last = (own, _preceder_law(others, q_vf, mode))
                 if m not in crits:
                     crits[m] = critical_set(q_vf, size_a - m, size_b - (not m), m)
                 v = _value_from_distribution(last[1], crits[m], own[0] - m, own[1] - (not m), mode)
                 if use_cache:
                     value_cache[vkey] = v
             found[own, m] = v
-        values = [found[tallies[c], m] for c, m in zip(owners, classes)]
-        for r, v in zip(in_bin, values):
-            totals[r] += v
+        by_slot = np.array([found.get((t, m), zero) for t in tallies for m in (True, False)], dtype)
+        values = by_slot[slots]
+        totals[in_bin] += values
         if per_query:
-            zero = to_money(0, mode)
-            q_row = dict(zip(dataset.id_array()[in_bin].tolist(), values))
-            rows.append({i: q_row.get(i, zero) for i in dataset.ids})
+            q_values = np.full(len(dataset), zero, dtype)
+            q_values[in_bin] = values
+            rows.append(dict(zip(dataset.ids, q_values.tolist())))
     return assemble_report(
         method=METHOD,
         mode=mode,
@@ -338,5 +387,5 @@ def owen_frequency_report(
         query_count=len(queries),
         wall_time=time.perf_counter() - t0,
         per_query=rows if per_query else None,
-        coalition_column=owner,
+        coalition_column=column,
     )

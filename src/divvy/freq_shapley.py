@@ -49,6 +49,12 @@ class CriticalSet:
         a, b, d = zip(*self.entries) if self.entries else ((), (), ())
         return np.array(a, dtype=np.intp), np.array(b, dtype=np.intp), np.array(d, dtype=float)
 
+    @cached_property
+    def diagonals(self) -> dict:
+        """Each diagonal a - b the entries touch, with its delta: the
+        majority family has one delta per diagonal."""
+        return {a - b: d for a, b, d in self.entries}
+
 
 def critical_set(
     vf: FrequencyValueFunction,

@@ -15,6 +15,7 @@ from divvy import (
     Example,
     MajorityValueFunction,
     Query,
+    TableValueFunction,
     exact_owen_all,
     frequency_game,
     owen_frequency_report,
@@ -176,6 +177,77 @@ def test_float_law_refuses_an_oversized_grid():
         owen_precede_distribution([(5800, 5800)], mode="float")
     with pytest.raises(GuardError, match="budget"):
         owen_precede_distribution([(5800, 5800)], mode="exact")
+
+
+def _as_table(vf, size_a, size_b):
+    """A table with the majority rule's payouts over the box, which takes
+    the two-axis (a, b) route."""
+    return TableValueFunction(
+        {(a, b): vf.value(a, b) for a in range(size_a + 2) for b in range(size_b + 2)}
+    )
+
+
+def test_majority_law_of_a_minus_b_matches_the_two_axis_law():
+    # the majority route reads one law of a - b; a table of the same payouts
+    # reads the (a, b) grid.  Lone target coalitions, zero tallies, very
+    # uneven sizes, both classes, and 69 coalitions past int64 counts
+    rng = random.Random(31)
+    cases = [([], 0, 0), ([], 3, 2), ([(40, 0), (0, 1)], 0, 25), ([(0, 30), (1, 0)], 12, 0)]
+    for _ in range(40):
+        others = [(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(rng.randint(0, 8))]
+        cases.append((others + [(0, 0)] * rng.randint(0, 2), rng.randint(0, 4), rng.randint(0, 4)))
+    cases.append(([(1, 0), (0, 1), (2, 1), (0, 0)] * 23, 1, 1))
+    vfs = [PAYOUT, MajorityValueFunction(Fraction(7, 3), Fraction(-5, 2), Fraction(1, 4))]
+    for others, a_m, b_m in cases:
+        size_a = sum(a for a, _ in others) + a_m
+        size_b = sum(b for _, b in others) + b_m
+        for vf, matches in itertools.product(vfs, (True, False)):
+            table = _as_table(vf, size_a, size_b)
+            args = (others, a_m, b_m)
+            exact = owen_frequency_single(*args, vf, matches, mode="exact")
+            assert exact == owen_frequency_single(*args, table, matches, mode="exact"), args
+            one_axis = owen_frequency_single(*args, vf, matches, mode="float")
+            two_axis = owen_frequency_single(*args, table, matches, mode="float")
+            assert relative_gap(one_axis, two_axis) < 1e-12, (args, matches)
+            assert relative_gap(one_axis, float(exact)) < 1e-12, (args, matches)
+
+
+def _law_cells(monkeypatch, vf):
+    """Cells of each preceder law one owen-freq query builds, by target
+    tally, on one bin of ten pure coalitions: two to eleven matches each,
+    or one to ten mismatches."""
+    ds = Dataset(
+        Example(i, "xy"[c % 2], bin="b0", coalition=f"g{c}")
+        for i, c in enumerate(c for c in range(10) for _ in range(c + 1 + (c % 2 == 0)))
+    )
+    cells = []
+    real = freq_owen.owen_precede_distribution
+
+    def counting(others, *args):
+        law = real(others, *args)
+        cells.append(law.weights.size)
+        return law
+
+    with monkeypatch.context() as patch:
+        patch.setattr(freq_owen, "owen_precede_distribution", counting)
+        owen_frequency_report(
+            ds, ds.coalition_structure(), [Query(label="x", bin="b0")], vf, mode="float"
+        )
+    return cells
+
+
+def test_majority_law_has_one_cell_per_count_difference(monkeypatch):
+    # the others hold A matches and B mismatches; a majority law spans
+    # A + B + 1 differences a - b (all coalitions here are pure), the
+    # two-axis law of a table (A + 1)(B + 1) count pairs
+    sizes = [c + 1 + (c % 2 == 0) for c in range(10)]
+    A, B = sum(sizes[0::2]), sum(sizes[1::2])
+    own = sorted([(s, 0) for s in sizes[0::2]] + [(0, s) for s in sizes[1::2]])
+    one_axis = _law_cells(monkeypatch, PAYOUT)
+    assert one_axis == [A - a + B - b + 1 for a, b in own]
+    two_axis = _law_cells(monkeypatch, _as_table(PAYOUT, A, B))
+    assert two_axis == [(A - a + 1) * (B - b + 1) for a, b in own]
+    assert sum(one_axis) * 10 < sum(two_axis)
 
 
 def test_float_report_tracks_exact_with_and_without_cache():
