@@ -72,14 +72,6 @@ def _add_numeric_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_cache_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable repeated-subproblem caching (same numbers, slower)",
-    )
-
-
 def _add_knn_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True, help="neighborhood size (odd)")
     p.add_argument(
@@ -181,7 +173,6 @@ def _run_shapley_freq(args):
         vf,
         mode=args.numeric,
         per_query=args.per_query,
-        use_cache=not args.no_cache,
     )
 
 
@@ -195,7 +186,6 @@ def _run_owen_freq(args):
         vf,
         mode=args.numeric,
         per_query=args.per_query,
-        use_cache=not args.no_cache,
     )
 
 
@@ -228,7 +218,6 @@ def _run_owen_knn(args):
         _knn_config(args),
         mode=args.numeric,
         per_query=args.per_query,
-        use_cache=not args.no_cache,
     )
 
 
@@ -300,14 +289,14 @@ def _run_oracle(args):
 # name, help, flag groups in help order, body
 _COMMANDS = (
     ("shapley-freq", "Shapley values for a frequency-binned decision rule",
-     (_add_io_flags, _add_numeric_flag, _add_cache_flag, _add_value_flag), _run_shapley_freq),
+     (_add_io_flags, _add_numeric_flag, _add_value_flag), _run_shapley_freq),
     ("owen-freq", "Owen values for a frequency-binned decision rule",
-     (_add_io_flags, _add_numeric_flag, _add_cache_flag, _add_coalition_flag, _add_value_flag),
+     (_add_io_flags, _add_numeric_flag, _add_coalition_flag, _add_value_flag),
      _run_owen_freq),
     ("shapley-knn", "Shapley values for an unweighted k-nearest-neighbor vote",
      (_add_io_flags, _add_numeric_flag, _add_knn_flags), _run_shapley_knn),
     ("owen-knn", "Owen values for an unweighted k-nearest-neighbor vote",
-     (_add_io_flags, _add_numeric_flag, _add_cache_flag, _add_knn_flags, _add_coalition_flag),
+     (_add_io_flags, _add_numeric_flag, _add_knn_flags, _add_coalition_flag),
      _run_owen_knn),
     ("oracle", "brute-force reference values on small inputs",
      (_add_io_flags, _add_oracle_flags), _run_oracle),

@@ -292,6 +292,13 @@ def _preceder_law(other_tallies: Sequence[CountPair], vf: FrequencyValueFunction
     return PrecedeDistribution(law.weights[:, 0], law.scale, law.origin[:1])
 
 
+def _law_key(vf: FrequencyValueFunction, tally: CountPair):
+    """Tallies with one key share one preceder law in a query.  Equal
+    tallies leave equal other coalitions; a majority law reads only the
+    others' a - b, which tallies with equal a - b leave equal too."""
+    return tally[0] - tally[1] if isinstance(vf, MajorityValueFunction) else tally
+
+
 def owen_frequency_single(
     other_tallies: Sequence[CountPair],
     target_match: int,
@@ -323,15 +330,14 @@ def owen_frequency_report(
     vf: FrequencyValueFunction,
     mode: str = "float",
     per_query: bool = False,
-    use_cache: bool = True,
 ) -> ValueReport:
     """Total Owen payout per example over a batch of queries.
 
     An example's value depends only on its coalition's in-bin tally and
     its label class.  So per query the critical set is built once per
-    class, the precedence distribution once per distinct tally, and the
-    value once per (tally, class); ``use_cache`` also reuses values across
-    queries with the same bin, label and value function.
+    class, the preceder law once per distinct law key (a - b for a
+    majority rule, else the tally), and the value once per (tally, class),
+    reused across queries with the same bin, label and value function.
     """
     check_mode(mode)
     dataset.require_bins()
@@ -357,20 +363,21 @@ def owen_frequency_report(
         size_a, size_b = counts.sum(axis=0).tolist()
         crits: dict = {}  # label matches -> critical set
         found: dict = {}  # (own tally, label matches) -> value
-        last = None  # (tally, distribution); both classes of a tally come in a row
-        for own, m in sorted({(t, m) for t in pairs for m in (True, False) if t[not m]}):
+        law_key, law = None, None  # tallies sharing a law key come in a row
+        needed = {(t, m) for t in pairs for m in (True, False) if t[not m]}
+        for own, m in sorted(needed, key=lambda p: (_law_key(q_vf, p[0]), p)):
             vkey = (id(q_vf), q.bin, q.label, own, m)
-            v = value_cache.get(vkey) if use_cache else None
+            v = value_cache.get(vkey)
             if v is None:
-                if last is None or last[0] != own:
+                key = _law_key(q_vf, own)
+                if key != law_key:
                     others = list(pairs)
                     others.remove(own)
-                    last = (own, _preceder_law(others, q_vf, mode))
+                    law_key, law = key, _preceder_law(others, q_vf, mode)
                 if m not in crits:
                     crits[m] = critical_set(q_vf, size_a - m, size_b - (not m), m)
-                v = _value_from_distribution(last[1], crits[m], own[0] - m, own[1] - (not m), mode)
-                if use_cache:
-                    value_cache[vkey] = v
+                v = _value_from_distribution(law, crits[m], own[0] - m, own[1] - (not m), mode)
+                value_cache[vkey] = v
             found[own, m] = v
         by_slot = np.array([found.get((t, m), zero) for t in tallies for m in (True, False)], dtype)
         values = by_slot[slots]

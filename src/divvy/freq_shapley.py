@@ -131,15 +131,13 @@ def shapley_frequency_report(
     vf: FrequencyValueFunction,
     mode: str = "float",
     per_query: bool = False,
-    use_cache: bool = True,
 ) -> ValueReport:
     """Total Shapley payout per example over a batch of queries.
 
     Every example of one bin and label class gets the same value, so a query
     adds one value per class in its bin to that (bin, label) group's total,
     and each example reads its group's total at the end.  Values are cached
-    per (bin, label class, query label) across queries; the cache changes
-    nothing but the wall time (a property the tests pin down).
+    per (bin, label class, query label) across queries.
     """
     check_mode(mode)
     t0 = time.perf_counter()
@@ -161,11 +159,9 @@ def shapley_frequency_report(
             if not (tally.n_match if matches else tally.n_mismatch):
                 continue
             key = (id(q_vf), q.bin, q.label, matches)
-            v = cache.get(key) if use_cache else None
+            v = cache.get(key)
             if v is None:
-                v = shapley_frequency_single(tally, q_vf, matches, mode)
-                if use_cache:
-                    cache[key] = v
+                v = cache[key] = shapley_frequency_single(tally, q_vf, matches, mode)
             g = code * len(symbols) + c
             totals[g] += v
             q_values[g] = v

@@ -16,7 +16,7 @@ import math
 import os
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -206,7 +206,7 @@ def parse_dataset(path, family: str) -> Dataset:
     )
 
 
-def parse_queries(path, family: str, vf_cache: Optional[dict] = None) -> List[Query]:
+def parse_queries(path, family: str) -> List[Query]:
     """Read a query CSV.  Frequency queries may name a per-query value
     function file in a ``value_function`` column (resolved relative to the
     query file)."""
@@ -218,7 +218,7 @@ def parse_queries(path, family: str, vf_cache: Optional[dict] = None) -> List[Qu
             if col not in columns:
                 raise InputError(f"{path}: missing required column {col!r}")
         base = os.path.dirname(os.path.abspath(path))
-        cache = vf_cache if vf_cache is not None else {}
+        cache: dict = {}
         for lineno, row in enumerate(rows, start=2):
             if not row["bin"] or not row["label"]:
                 raise InputError(f"{path} line {lineno}: queries need bin and label")

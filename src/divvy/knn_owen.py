@@ -59,7 +59,6 @@ class _QueryEngine:
         k: int,
         ov: OutcomeValues,
         mode: str,
-        use_cache: bool = True,
     ):
         if k < 1 or k % 2 == 0:
             raise InputError("k must be odd")
@@ -67,7 +66,6 @@ class _QueryEngine:
         self.k = k
         self.half = (k - 1) // 2
         self.mode = mode
-        self.use_cache = use_cache
         cindex = {cid: c for c, cid in enumerate(coalitions.coalition_ids())}
         self.m = len(cindex)
         self.coal_of_pos = [
@@ -100,13 +98,10 @@ class _QueryEngine:
         triples of Python numbers for its non-zero entries, fetched from the
         cache or built."""
         key = (pinned, others, caps)
-        if self.use_cache and key in self._dp_cache:
-            return self._dp_cache[key]
-        probs = knn_owen_distribution(others, self.mode, pinned, caps).probs.tolist()
-        q = [(a, b, p) for a, row in enumerate(probs) for b, p in enumerate(row) if p]
-        if self.use_cache:
-            self._dp_cache[key] = q
-        return q
+        if key not in self._dp_cache:
+            probs = knn_owen_distribution(others, self.mode, pinned, caps).probs.tolist()
+            self._dp_cache[key] = [(a, b, p) for a, r in enumerate(probs) for b, p in enumerate(r) if p]
+        return self._dp_cache[key]
 
     def creation(self, c: int, i_match: bool) -> Money:
         """Creation term shared by coalition c's members of one class."""
@@ -229,7 +224,6 @@ def knn_owen_report(
     config: KnnConfig,
     mode: str = "float",
     per_query: bool = False,
-    use_cache: bool = True,
 ) -> ValueReport:
     """Total Owen payout per example over a batch of queries."""
     check_mode(mode)
@@ -239,7 +233,7 @@ def knn_owen_report(
     rows = []
     for q in queries:
         ranking = rank_by_distance(dataset, q.features, q.label, config.metric)
-        eng = _QueryEngine(ranking, coalitions, config.k, config.outcome_values, mode, use_cache)
+        eng = _QueryEngine(ranking, coalitions, config.k, config.outcome_values, mode)
         values = eng.values()
         for r, v in zip(eng.ranking.rows.tolist(), values):
             totals[r] += v

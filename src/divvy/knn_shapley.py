@@ -10,13 +10,14 @@ so a whole query costs O(n log n) for the sort plus O(n) arithmetic.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from fractions import Fraction
 from typing import List, Sequence
 
 import numpy as np
 
-from .combinatorics import EXACT, Money, check_mode, precede_probability
+from .combinatorics import EXACT, Money, binom, check_mode, precede_probability
 from .errors import InputError
 from .model import (
     Dataset,
@@ -64,55 +65,6 @@ def knn_creation_value(
     return total - to_money(ov.none, mode) / n
 
 
-def _change_term(a_j: int, b_j: int, u_matches: bool, half: int, k: int, mode: str) -> Money:
-    """One sweep term: probability that the example at a rank with prefix
-    counts (a_j, b_j) is the pivotal k-th voter displaced by a nearer
-    example of the other class.
-
-    A prefix holding no example of the nearer one's class can never pair
-    up; the sweep still asks, so answer zero rather than treat it as a
-    malformed probability query."""
-    size_a = a_j - (1 if u_matches else 0)
-    size_b = b_j - (0 if u_matches else 1)
-    if size_a < 0 or size_b < 0:
-        return to_money(0, mode)
-    return precede_probability((size_a, size_b, 1), (half, half, 1), mode)
-
-
-def knn_change_values_all(
-    ranking: RankedNeighborhood,
-    k: int,
-    ov: OutcomeValues,
-    mode: str = "float",
-) -> List[Money]:
-    """Change term for every example, indexed by rank position.
-
-    Position i's term sums over the strictly farther positions with the
-    opposite label; accumulating the shared suffix once per label class
-    turns the quadratic double loop into one reverse sweep.
-    """
-    check_mode(mode)
-    if k < 1 or k % 2 == 0:
-        raise InputError("k must be odd")
-    n = len(ranking)
-    half = (k - 1) // 2
-    if mode == EXACT:
-        ovx = ov.as_fractions()
-        deltas = {True: ovx.correct - ovx.wrong, False: ovx.wrong - ovx.correct}
-        suffix = {True: Fraction(0), False: Fraction(0)}
-        out: List[Money] = [Fraction(0)] * n
-        for pos in range(n - 1, -1, -1):
-            m = bool(ranking.matches[pos])
-            out[pos] = suffix[m]
-            # this position becomes a "farther j" for everything nearer
-            a_j = int(ranking.prefix_match[pos])
-            b_j = int(ranking.prefix_mismatch[pos])
-            u = not m  # only the opposite class collects a term at j = pos
-            suffix[u] += _change_term(a_j, b_j, u, half, k, EXACT) * deltas[u]
-        return out
-    return list(_change_values_float(ranking, k, ov))
-
-
 @functools.lru_cache(maxsize=8)
 def _log_binom_table(n: int, r: int) -> np.ndarray:
     """ln C(m, r) for m = -1 .. n at entry m + 1, -inf where the zero
@@ -130,37 +82,98 @@ def _log_binom_table(n: int, r: int) -> np.ndarray:
     return table
 
 
-def _change_values_float(ranking: RankedNeighborhood, k: int, ov: OutcomeValues) -> np.ndarray:
-    n = len(ranking)
+def _exact_weight(a: int, b: int, half: int, k: int) -> Fraction:
+    num = binom(a - 1, half) * binom(b - 1, half)
+    # a non-zero numerator means a + b - 1 >= k, so the denominator is too
+    return Fraction(num, (a + b) * math.comb(a + b - 1, k)) if num else Fraction(0)
+
+
+def _change_weights(ranking: RankedNeighborhood, k: int, mode: str) -> np.ndarray:
+    """Per rank position j, the probability that j is the pivotal k-th
+    voter and a nearer example of the other class displaces it.
+
+    Only the class opposite to j's own collects a term at j, so each
+    position needs one weight.  With a = prefix_match + matches and
+    b = prefix_mismatch + not matches (each one more than the nearer
+    examples of its class, the displacing one left out), it is
+    C(a-1, h) C(b-1, h) / ((a+b) C(a+b-1, k)) for h = (k - 1) / 2: zero
+    where a class has fewer than h nearer examples.
+    """
     half = (k - 1) // 2
-    a = ranking.prefix_match
-    b = ranking.prefix_mismatch
-    matches = ranking.matches
-    j_tot = a + b
-    lb_half = _log_binom_table(n, half)
-    # Only the class opposite to position j's own collects a term at j, so
-    # each position needs one weight.  With u = not matches[j], the prefix
-    # sizes a - u and b - (1 - u) sit at table entries a + matches[j] and
-    # b + (not matches[j]).
+    a = ranking.prefix_match + ranking.matches
+    b = ranking.prefix_mismatch + ~ranking.matches
+    if mode == EXACT:
+        return np.array(
+            [_exact_weight(x, y, half, k) for x, y in zip(a.tolist(), b.tolist())],
+            dtype=object,
+        )
+    n = len(ranking)
+    lb_half = _log_binom_table(n, half)  # entry x holds ln C(x - 1, h)
     with np.errstate(invalid="ignore"):
-        log_w = lb_half[a + matches]
-        log_w += lb_half[b + ~matches]
-        log_w -= _log_binom_table(n, k)[j_tot + 1]
-        log_w -= np.log(j_tot + 1.0)
+        log_w = lb_half[a]
+        log_w += lb_half[b]
+        log_w -= _log_binom_table(n, k)[a + b]
+        log_w -= np.log(a + b)
         finite = np.isfinite(log_w)
         weight = np.exp(log_w, out=log_w)
     weight[~finite] = 0.0
-    delta = float(ov.correct) - float(ov.wrong)
-    vals = np.empty(n)
-    for u, d in ((True, delta), (False, -delta)):
-        # class-u positions collect the terms of farther other-class ones
-        mine = matches == u
-        term = np.where(mine, 0.0, weight)
-        term *= d
-        suffix = np.cumsum(term[::-1])[::-1]
-        suffix -= term
-        vals[mine] = suffix[mine]
+    return weight
+
+
+def _zeros(n: int, mode: str) -> np.ndarray:
+    return np.full(n, Fraction(0), dtype=object) if mode == EXACT else np.zeros(n)
+
+
+def _change_values(ranking: RankedNeighborhood, k: int, ov: OutcomeValues, mode: str) -> np.ndarray:
+    weight = _change_weights(ranking, k, mode)
+    delta = to_money(ov.correct, mode) - to_money(ov.wrong, mode)
+    vals = np.empty_like(weight)
+    hit = np.flatnonzero(ranking.matches)
+    miss = np.flatnonzero(~ranking.matches)
+    for mine, other, ahead, d in ((hit, miss, ranking.prefix_mismatch, delta),
+                                  (miss, hit, ranking.prefix_match, -delta)):
+        # each class collects the terms of the farther other-class positions:
+        # a suffix sum over those alone, read at entry ahead[i] since ahead[i]
+        # of them are nearer than i (past the last one, the empty sum)
+        suffix = np.append(np.cumsum((weight[other] * d)[::-1])[::-1], to_money(0, mode))
+        vals[mine] = suffix[ahead[mine]]
     return vals
+
+
+def knn_change_values_all(
+    ranking: RankedNeighborhood,
+    k: int,
+    ov: OutcomeValues,
+    mode: str = "float",
+) -> List[Money]:
+    """Change term for every example, indexed by rank position.
+
+    Position i's term sums over the strictly farther positions with the
+    opposite label; accumulating the shared suffix once per label class
+    turns the quadratic double loop into one reverse sweep.
+    """
+    check_mode(mode)
+    if k < 1 or k % 2 == 0:
+        raise InputError("k must be odd")
+    return _change_values(ranking, k, ov, mode).tolist()
+
+
+def _row_values(dataset: Dataset, query: Query, config: KnnConfig, mode: str) -> np.ndarray:
+    """Shapley value per example for one query, in dataset order."""
+    ranking = rank_by_distance(dataset, query.features, query.label, config.metric)
+    n = len(dataset)
+    if n < config.k:
+        return _zeros(n, mode)
+    k, ov = config.k, config.outcome_values
+    m = int(ranking.matches.sum())
+    # a class with no example here needs no creation term
+    f_true = knn_creation_value(n, m - 1, True, k, ov, mode) if m else 0
+    f_false = knn_creation_value(n, m, False, k, ov, mode) if m < n else 0
+    vals = _change_values(ranking, k, ov, mode)
+    vals += np.where(ranking.matches, f_true, f_false)
+    out = _zeros(n, mode)
+    out[ranking.rows] = vals
+    return out
 
 
 def knn_shapley_values(
@@ -171,24 +184,7 @@ def knn_shapley_values(
 ) -> dict:
     """Shapley value per example id for a single query."""
     check_mode(mode)
-    ranking = rank_by_distance(dataset, query.features, query.label, config.metric)
-    n = len(dataset)
-    k = config.k
-    ov = config.outcome_values
-    if n < k:
-        return dict.fromkeys(dataset.ids, to_money(0, mode))
-    total_match = int(ranking.matches.sum())
-    f = {}
-    for u in (True, False):
-        others = total_match - 1 if u else total_match
-        if 0 <= others <= n - 1:
-            f[u] = knn_creation_value(n, others, u, k, ov, mode)
-    g = knn_change_values_all(ranking, k, ov, mode)
-    out = {}
-    for pos in range(n):
-        u = bool(ranking.matches[pos])
-        out[int(ranking.ordering[pos])] = f[u] + g[pos]
-    return out
+    return dict(zip(dataset.ids, _row_values(dataset, query, config, mode).tolist()))
 
 
 def knn_shapley_report(
@@ -201,37 +197,13 @@ def knn_shapley_report(
     """Total Shapley payout per example over a batch of queries."""
     check_mode(mode)
     t0 = time.perf_counter()
-    n = len(dataset)
+    totals = _zeros(len(dataset), mode)
     rows = []
-    if mode == EXACT:
-        totals = [Fraction(0)] * n
-        row = dataset.row_index()
-        for q in queries:
-            values = knn_shapley_values(dataset, q, config, mode)
-            for i, v in values.items():
-                totals[row[i]] += v
-            if per_query:
-                rows.append(values)
-    else:
-        # float path stays in arrays aligned to dataset order
-        totals = np.zeros(n)
-        for q in queries:
-            ranking = rank_by_distance(dataset, q.features, q.label, config.metric)
-            if n < config.k:
-                vals_pos = np.zeros(n)
-            else:
-                vals_pos = _change_values_float(ranking, config.k, config.outcome_values)
-                total_match = int(ranking.matches.sum())
-                for u in (True, False):
-                    others = total_match - 1 if u else total_match
-                    if 0 <= others <= n - 1:
-                        fv = knn_creation_value(n, others, u, config.k, config.outcome_values, mode)
-                        vals_pos = vals_pos + np.where(ranking.matches == u, fv, 0.0)
-            arr = np.zeros(n)
-            arr[ranking.rows] = vals_pos
-            totals += arr
-            if per_query:
-                rows.append(dict(zip(dataset.ids, arr.tolist())))
+    for q in queries:
+        values = _row_values(dataset, q, config, mode)
+        totals += values
+        if per_query:
+            rows.append(dict(zip(dataset.ids, values.tolist())))
     return assemble_report(
         method=METHOD,
         mode=mode,

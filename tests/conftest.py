@@ -50,6 +50,21 @@ def random_frequency_instance(rng, max_n=7, with_coalitions=False, max_groups=3)
     return dataset, query, vf
 
 
+def mixed_frequency_queries(rng, dataset, query):
+    """``query`` twice, then queries that differ from it in one way each:
+    the other label, another populated bin, an own value function."""
+    other_label = LABELS[1 - LABELS.index(query.label)]
+    other_bin = rng.choice(sorted(dataset.bins()))
+    own_vf = random_value_function(rng, len(dataset))
+    return [
+        query,
+        query,
+        Query(label=other_label, bin=query.bin),
+        Query(label=query.label, bin=other_bin),
+        Query(label=query.label, bin=query.bin, value_function=own_vf),
+    ]
+
+
 def random_knn_instance(rng, max_n=7, ks=(1, 3, 5), with_coalitions=False,
                         max_groups=3, dims=2):
     """A small feature dataset, one query point, and an odd-k vote config."""

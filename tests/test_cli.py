@@ -112,10 +112,6 @@ def test_rerun_is_stable_except_wall_time(freq_files, tmp_path):
     assert run_command(argv + ["--out", str(a)]) == 0
     assert run_command(argv + ["--out", str(b)]) == 0
     assert _strip_wall(a.read_text()) == _strip_wall(b.read_text())
-    # disabling the precedence cache must not change a single byte either
-    c = tmp_path / "c.json"
-    assert run_command(argv + ["--no-cache", "--out", str(c)]) == 0
-    assert _strip_wall(c.read_text()) == _strip_wall(a.read_text())
 
 
 def test_cli_matches_oracle(freq_files, tmp_path):
@@ -197,46 +193,31 @@ def test_knn_commands(knn_files, tmp_path, capsys):
     assert "odd" in capsys.readouterr().err
 
 
-def test_no_cache_flag_on_the_cached_families_only(knn_files, tmp_path, capsys):
-    data, queries = knn_files
-    groups = tmp_path / "g.csv"
-    groups.write_text("id,coalition\n0,a\n1,a\n2,b\n3,b\n4,b\n")
-    argv = [
-        "owen-knn", "--data", str(data), "--queries", str(queries), "--k", "3",
-        "--values", "1,-1,0", "--coalitions", str(groups), "--numeric", "exact",
-    ]
-    hot, cold = tmp_path / "hot.json", tmp_path / "cold.json"
-    assert run_command(argv + ["--out", str(hot)]) == 0
-    assert run_command(argv + ["--no-cache", "--out", str(cold)]) == 0
-    assert _strip_wall(cold.read_text()) == _strip_wall(hot.read_text())
-    # shapley-knn keeps no cache, so it does not offer the flag
-    rc = run_command([
-        "shapley-knn", "--data", str(data), "--queries", str(queries),
-        "--k", "3", "--values", "1,-1,0", "--no-cache",
-    ])
-    assert rc == 1
-    assert "--no-cache" in capsys.readouterr().err
-
-
-def test_no_cache_reaches_knn_owen_report(knn_files, tmp_path, monkeypatch):
-    import divvy.cli
-
-    seen = []
-    real = divvy.cli.knn_owen_report
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs.get("use_cache"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(divvy.cli, "knn_owen_report", spy)
-    data, queries = knn_files
-    groups = tmp_path / "g.csv"
-    groups.write_text("id,coalition\n0,a\n1,a\n2,b\n3,b\n4,b\n")
-    argv = ["owen-knn", "--data", str(data), "--queries", str(queries), "--k", "1",
-            "--values", "1,-1,0", "--coalitions", str(groups), "--out", str(tmp_path / "o.json")]
+@pytest.mark.parametrize(
+    "command", ["shapley-freq", "owen-freq", "shapley-knn", "owen-knn", "oracle"]
+)
+def test_no_cache_is_refused(command, freq_files, knn_files, tmp_path, capsys):
+    # every cache is always on and changes no number, so no command takes a
+    # flag to turn one off
+    freq_data, freq_queries, vf = freq_files
+    knn_data, knn_queries = knn_files
+    freq_groups, knn_groups = tmp_path / "fg.csv", tmp_path / "kg.csv"
+    freq_groups.write_text("id,coalition\n" + "\n".join(f"{i},g{i % 2}" for i in range(6)) + "\n")
+    knn_groups.write_text("id,coalition\n0,a\n1,a\n2,b\n3,b\n4,b\n")
+    freq = ["--data", str(freq_data), "--queries", str(freq_queries), "--value", str(vf)]
+    knn = ["--data", str(knn_data), "--queries", str(knn_queries), "--k", "3",
+           "--values", "1,-1,0"]
+    argv = {
+        "shapley-freq": ["shapley-freq", *freq],
+        "owen-freq": ["owen-freq", *freq, "--coalitions", str(freq_groups)],
+        "shapley-knn": ["shapley-knn", *knn],
+        "owen-knn": ["owen-knn", *knn, "--coalitions", str(knn_groups)],
+        "oracle": ["oracle", "--family", "frequency", "--method", "exact-shapley", *freq],
+    }[command] + ["--out", str(tmp_path / "out.json")]
     assert run_command(argv) == 0
-    assert run_command(argv + ["--no-cache"]) == 0
-    assert seen == [True, False]
+    capsys.readouterr()
+    assert run_command(argv + ["--no-cache"]) == 1
+    assert "--no-cache" in capsys.readouterr().err
 
 
 def test_argument_errors_exit_1(freq_files, tmp_path, capsys):

@@ -25,7 +25,12 @@ from divvy import (
 )
 from divvy.errors import GuardError, InputError
 
-from conftest import insertion_dp, random_frequency_instance, relative_gap
+from conftest import (
+    insertion_dp,
+    mixed_frequency_queries,
+    random_frequency_instance,
+    relative_gap,
+)
 
 PAYOUT = MajorityValueFunction(Fraction(100), Fraction(-500), Fraction(0))
 
@@ -239,18 +244,20 @@ def _law_cells(monkeypatch, vf):
 def test_majority_law_has_one_cell_per_count_difference(monkeypatch):
     # the others hold A matches and B mismatches; a majority law spans
     # A + B + 1 differences a - b (all coalitions here are pure), the
-    # two-axis law of a table (A + 1)(B + 1) count pairs
+    # two-axis law of a table (A + 1)(B + 1) count pairs.  Majority laws
+    # are built in order of a - b, table laws in order of the tally.
     sizes = [c + 1 + (c % 2 == 0) for c in range(10)]
     A, B = sum(sizes[0::2]), sum(sizes[1::2])
     own = sorted([(s, 0) for s in sizes[0::2]] + [(0, s) for s in sizes[1::2]])
     one_axis = _law_cells(monkeypatch, PAYOUT)
-    assert one_axis == [A - a + B - b + 1 for a, b in own]
+    by_diff = sorted(own, key=lambda t: t[0] - t[1])
+    assert one_axis == [A - a + B - b + 1 for a, b in by_diff]
     two_axis = _law_cells(monkeypatch, _as_table(PAYOUT, A, B))
     assert two_axis == [(A - a + 1) * (B - b + 1) for a, b in own]
     assert sum(one_axis) * 10 < sum(two_axis)
 
 
-def test_float_report_tracks_exact_with_and_without_cache():
+def test_float_report_tracks_exact_on_repeated_queries():
     # within 1e-9 absolute below |value| 1, relative above: a value that is
     # exactly 0 by cancellation can come out at ~1e-16 in float
     rng = random.Random(15)
@@ -260,13 +267,10 @@ def test_float_report_tracks_exact_with_and_without_cache():
         )
         cs = dataset.coalition_structure()
         exact = owen_frequency_report(dataset, cs, [query, query], vf, mode="exact")
-        for use_cache in (True, False):
-            approx = owen_frequency_report(
-                dataset, cs, [query, query], vf, mode="float", use_cache=use_cache
-            )
-            for i, v in exact.values().items():
-                gap = abs(float(v) - approx.value_of(i))
-                assert gap <= 1e-9 * max(1.0, abs(float(v))), (trial, i, use_cache)
+        approx = owen_frequency_report(dataset, cs, [query, query], vf, mode="float")
+        for i, v in exact.values().items():
+            gap = abs(float(v) - approx.value_of(i))
+            assert gap <= 1e-9 * max(1.0, abs(float(v))), (trial, i)
 
 
 def test_critical_set_built_once_per_label_class(monkeypatch):
@@ -281,12 +285,31 @@ def test_critical_set_built_once_per_label_class(monkeypatch):
         freq_owen, "critical_set", lambda *a: calls.append(a) or real(*a)
     )
     queries = [Query(label="x", bin="b0"), Query(label="y", bin="b0")]
-    for use_cache in (True, False):
-        calls.clear()
-        owen_frequency_report(
-            ds, ds.coalition_structure(), queries, PAYOUT, mode="float", use_cache=use_cache
-        )
-        assert len(calls) <= 2 * len(queries), (use_cache, len(calls))
+    owen_frequency_report(ds, ds.coalition_structure(), queries, PAYOUT, mode="float")
+    assert len(calls) <= 2 * len(queries), len(calls)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_majority_law_built_once_per_count_difference(monkeypatch, mode):
+    # tallies with equal a - b leave the same multiset of a - b to the other
+    # coalitions, so they share one law
+    rng = random.Random(26)
+    ds = Dataset(
+        Example(i, rng.choice("xy"), bin="b0", coalition=f"c{rng.randrange(20)}")
+        for i in range(250)
+    )
+    members = [[ex.label for ex in ds if ex.coalition == c] for c in set(ds.coalition_column())]
+    tallies = {(labels.count("x"), labels.count("y")) for labels in members}
+    diffs = {a - b for a, b in tallies}
+    assert len(diffs) < len(tallies)  # else one law per tally would pass too
+    calls = []
+    real = freq_owen.owen_precede_distribution
+    monkeypatch.setattr(
+        freq_owen, "owen_precede_distribution", lambda *a: calls.append(a) or real(*a)
+    )
+    query = Query(label="x", bin="b0")
+    owen_frequency_report(ds, ds.coalition_structure(), [query], PAYOUT, mode=mode)
+    assert len(calls) == len(diffs), (len(calls), len(diffs), len(tallies))
 
 
 def test_worked_example_three_examples_two_coalitions():
@@ -377,14 +400,18 @@ def test_float_tracks_exact_through_convolution():
 
 
 def test_cache_changes_nothing():
+    # values are cached across the queries of one report; a wrongly keyed
+    # cache hands one query another's value, so repeated and mixed queries
+    # must add up to the one-query reports, each of which starts cold
     rng = random.Random(16)
-    dataset, query, vf = random_frequency_instance(rng, max_n=7, with_coalitions=True)
-    cs = dataset.coalition_structure()
-    queries = [query, query]
-    for mode in ("exact", "float"):
-        hot = owen_frequency_report(dataset, cs, queries, vf, mode=mode, use_cache=True)
-        cold = owen_frequency_report(dataset, cs, queries, vf, mode=mode, use_cache=False)
-        assert hot.values() == cold.values()
+    for _ in range(20):
+        dataset, query, vf = random_frequency_instance(rng, max_n=7, with_coalitions=True)
+        cs = dataset.coalition_structure()
+        queries = mixed_frequency_queries(rng, dataset, query)
+        batch = owen_frequency_report(dataset, cs, queries, vf, mode="exact")
+        singles = [owen_frequency_report(dataset, cs, [q], vf, mode="exact") for q in queries]
+        for i in dataset.ids:
+            assert batch.value_of(i) == sum(r.value_of(i) for r in singles)
 
 
 def test_efficiency_per_bin():

@@ -27,7 +27,7 @@ from divvy import (
 )
 from divvy.errors import InputError
 
-from conftest import random_frequency_instance, relative_gap
+from conftest import mixed_frequency_queries, random_frequency_instance, relative_gap
 
 PAYOUT = MajorityValueFunction(Fraction(100), Fraction(-500), Fraction(0))
 
@@ -188,14 +188,17 @@ def test_repeated_query_doubles_totals():
 
 
 def test_cache_changes_nothing():
+    # values are cached across the queries of one report; a wrongly keyed
+    # cache hands one query another's value, so repeated and mixed queries
+    # must add up to the one-query reports, each of which starts cold
     rng = random.Random(6)
-    for _ in range(10):
+    for _ in range(20):
         dataset, query, vf = random_frequency_instance(rng, max_n=7)
-        queries = [query, query, Query(label=query.label, bin=query.bin)]
-        for mode in ("exact", "float"):
-            hot = shapley_frequency_report(dataset, queries, vf, mode=mode, use_cache=True)
-            cold = shapley_frequency_report(dataset, queries, vf, mode=mode, use_cache=False)
-            assert hot.values() == cold.values(), "caching must be invisible bit for bit"
+        queries = mixed_frequency_queries(rng, dataset, query)
+        batch = shapley_frequency_report(dataset, queries, vf, mode="exact")
+        singles = [shapley_frequency_report(dataset, [q], vf, mode="exact") for q in queries]
+        for i in dataset.ids:
+            assert batch.value_of(i) == sum(r.value_of(i) for r in singles)
 
 
 def test_per_query_rows_sum_to_totals():

@@ -25,7 +25,7 @@ from divvy import (
     rank_by_distance,
 )
 
-from conftest import insertion_dp, random_knn_instance, relative_gap
+from conftest import LABELS, insertion_dp, random_knn_instance, relative_gap
 
 UNIT = OutcomeValues(Fraction(1), Fraction(-1), Fraction(0))
 
@@ -144,17 +144,21 @@ def test_float_tracks_exact():
             assert relative_gap(float(v), approx.value_of(i)) < 1e-9, i
 
 
-def test_dp_cache_changes_nothing():
+def test_report_equals_sum_of_one_query_reports():
+    # repeated and mixed queries: each query's laws and values must stay its own
     rng = random.Random(67)
     for _ in range(10):
         dataset, query, config = random_knn_instance(
             rng, max_n=7, ks=(3,), with_coalitions=True
         )
         cs = dataset.coalition_structure()
-        for mode in ("exact", "float"):
-            hot = knn_owen_report(dataset, cs, [query], config, mode=mode, use_cache=True)
-            cold = knn_owen_report(dataset, cs, [query], config, mode=mode, use_cache=False)
-            assert hot.values() == cold.values()
+        other = Query(label=query.label, features=tuple(-x for x in query.features))
+        flipped = Query(label=LABELS[1 - LABELS.index(query.label)], features=query.features)
+        queries = [query, query, other, flipped]
+        batch = knn_owen_report(dataset, cs, queries, config, mode="exact")
+        singles = [knn_owen_report(dataset, cs, [q], config, mode="exact") for q in queries]
+        for i in dataset.ids:
+            assert batch.value_of(i) == sum(r.value_of(i) for r in singles)
 
 
 def test_worked_example_two_points():
@@ -223,11 +227,9 @@ def test_change_sweep_matches_quadratic_loop():
         ranking = rank_by_distance(dataset, query.features, query.label)
         ov = config.outcome_values
         want = _quadratic_change_terms(ranking, cs, config.k, ov)
-        for use_cache in (True, False):
-            eng = knn_owen._QueryEngine(ranking, cs, config.k, ov, "exact", use_cache)
-            got = eng.change_terms()
-            assert all(isinstance(v, Fraction) for v in got)
-            assert got == want, (trial, use_cache)
+        got = knn_owen._QueryEngine(ranking, cs, config.k, ov, "exact").change_terms()
+        assert all(isinstance(v, Fraction) for v in got)
+        assert got == want, trial
         i = int(ranking.ordering[-1])
         assert knn_owen_change(ranking, cs, i, config.k, ov, "exact") == want[-1]
 

@@ -171,6 +171,40 @@ def test_report_totals_and_metadata():
         assert rep.value_of(i) == v1[i] + v2[i]
 
 
+def _kernel_cases(rng):
+    """Random instances with several queries each, including n < k, a single
+    label class, and tied distances on a coarse grid."""
+    for trial in range(60):
+        dataset, query, config = random_knn_instance(rng, max_n=9, ks=(1, 3, 5, 7))
+        if trial % 3 == 1:  # one label class
+            dataset = Dataset(Example(ex.id, query.label, features=ex.features) for ex in dataset)
+        if trial % 3 == 2:  # ties: many equal distances
+            dataset = Dataset(
+                Example(ex.id, ex.label, features=tuple(float(round(x)) for x in ex.features))
+                for ex in dataset
+            )
+        other = Query(label=query.label, features=tuple(-x for x in query.features))
+        yield dataset, [query, other, query], config
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_report_rows_equal_single_query_values_bit_for_bit(mode):
+    # the report and knn_shapley_values read one kernel, so a per-query row
+    # carries exactly the values one query gives, down to the sign of zero
+    seen_small = False
+    for dataset, queries, config in _kernel_cases(random.Random(55)):
+        seen_small |= len(dataset) < config.k
+        rep = knn_shapley_report(dataset, queries, config, mode=mode, per_query=True)
+        for row, q in zip(rep.per_query, queries):
+            want = knn_shapley_values(dataset, q, config, mode=mode)
+            assert {i: _bits(v) for i, v in row.items()} == {i: _bits(v) for i, v in want.items()}
+    assert seen_small
+
+
+def _bits(v):
+    return v if isinstance(v, Fraction) else float(v).hex()
+
+
 def test_held_float_report_costs_no_object_per_example():
     # One Python object per example in a held report makes each full pass of
     # the cyclic collector rescan n more objects, which breaks the near-linear
