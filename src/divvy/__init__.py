@@ -26,15 +26,12 @@ from .errors import (
     MissingValueError,
 )
 from .freq_owen import (
+    critical_set,
     owen_frequency_report,
     owen_frequency_single,
     owen_precede_distribution,
 )
-from .freq_shapley import (
-    critical_set,
-    shapley_frequency_report,
-    shapley_frequency_single,
-)
+from .freq_shapley import shapley_frequency_report, shapley_frequency_single
 from .knn_owen import (
     knn_owen_change,
     knn_owen_creation,

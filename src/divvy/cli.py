@@ -31,7 +31,6 @@ from .knn_owen import knn_owen_report
 from .knn_shapley import knn_shapley_report
 from .model import KnnConfig
 from .oracle import (
-    SHAPLEY_GUARD,
     exact_owen_all,
     exact_shapley_all,
     frequency_game,
@@ -123,12 +122,6 @@ def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
         "--yes-i-know",
         action="store_true",
         help="waive the exponential-size guards",
-    )
-    p.add_argument(
-        "--max-n",
-        type=int,
-        default=None,
-        help="custom player cap for exact-shapley (requires --yes-i-know)",
     )
 
 
@@ -222,8 +215,6 @@ def _run_owen_knn(args):
 
 
 def _run_oracle(args):
-    if args.max_n is not None and not args.yes_i_know:
-        raise GuardError("--max-n changes a safety guard; pass --yes-i-know as well")
     family = args.family
     if family == "frequency":
         if args.value is None:
@@ -244,7 +235,6 @@ def _run_oracle(args):
             return knn_game(dataset, q, config)
 
     dataset = _apply_coalitions(args, dataset)
-    max_n = SHAPLEY_GUARD if args.max_n is None else args.max_n
     method = args.method
     mode = FLOAT if method == "mc-shapley" else EXACT
     zero = 0.0 if mode == FLOAT else Fraction(0)
@@ -257,7 +247,7 @@ def _run_oracle(args):
     for query in queries:
         game = build_game(query)
         if method == "exact-shapley":
-            values = exact_shapley_all(game, max_n=max_n, override=args.yes_i_know)
+            values = exact_shapley_all(game, override=args.yes_i_know)
         elif method == "exact-owen":
             values = exact_owen_all(game, structure, override=args.yes_i_know)
         else:

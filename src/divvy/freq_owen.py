@@ -1,13 +1,14 @@
 """Owen payouts for frequency-binned rules under a coalition partition.
 
-The outer layer is the law of the in-bin counts that the coalitions ahead
-of the target coalition contribute: one expansion of Owen's multilinear
-extension over a dense array (``owen_precede_distribution``), which the
-k-NN Owen computation shares.  The inner layer is the same precedence
-weight the Shapley computation uses, restricted to the target coalition's
-own in-bin members and correlated with the law at the critical entries.
-Out-of-bin members of any coalition never move the value, so they are
-ignored throughout.
+An example's value is a sum over the count pairs where one more example of
+its label class moves the value (the critical set).  The outer layer is
+the law of the in-bin counts that the coalitions ahead of the target
+coalition contribute: one expansion of Owen's multilinear extension over a
+dense array (``owen_precede_distribution``), which the k-NN Owen
+computation shares.  The inner layer is the probability that a prefix of
+the target coalition's own in-bin members precedes the example, correlated
+with the law at the critical entries.  Out-of-bin members of any coalition
+never move the value, so they are ignored throughout.
 """
 
 from __future__ import annotations
@@ -31,18 +32,72 @@ from .model import (
     FrequencyValueFunction,
     MajorityValueFunction,
     Query,
+    delta_value,
     to_money,
 )
-from .freq_shapley import CriticalSet, critical_set
 from .report import ValueReport, assemble_report
 
 METHOD = "owen-freq"
 
 CountPair = Tuple[int, int]
 
+# precede_probability is not called here, but stays bound under the name
+# that perfbench/spans.py wraps
+
 # The law is built in dense arrays of at most this many bytes in all;
 # larger ones are refused before they are allocated.
 GRID_BUDGET_BYTES = 2**28
+
+
+@dataclass(frozen=True)
+class CriticalSet:
+    """Count pairs (a, b) where one more example of the fixed label class
+    changes the value, with the (exact) deltas."""
+
+    entries: Tuple[Tuple[int, int, Fraction], ...]
+
+    @cached_property
+    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries as arrays: a, b, and the deltas in float."""
+        a, b, d = zip(*self.entries) if self.entries else ((), (), ())
+        return np.array(a, dtype=np.intp), np.array(b, dtype=np.intp), np.array(d, dtype=float)
+
+    @cached_property
+    def diagonals(self) -> dict:
+        """Each diagonal a - b the entries touch, with its delta: the
+        majority family has one delta per diagonal."""
+        return {a - b: d for a, b, d in self.entries}
+
+
+def critical_set(
+    vf: FrequencyValueFunction,
+    size_a: int,
+    size_b: int,
+    label_matches: bool,
+) -> CriticalSet:
+    """All (a, b) with 0 <= a <= size_a, 0 <= b <= size_b and a non-zero
+    delta for the given label class.
+
+    The majority family is special-cased: its deltas vanish off two
+    diagonals, so the scan is linear instead of quadratic.
+    """
+    if size_a < 0 or size_b < 0:
+        raise InputError("critical_set needs non-negative box sizes")
+    if isinstance(vf, MajorityValueFunction):
+        # adding a match moves the value only on a == b and b == a + 1, a
+        # mismatch only on a == b and a == b + 1; each diagonal has one delta
+        da, db = (0, 1) if label_matches else (1, 0)
+        tie = Fraction(delta_value(vf, 0, 0, label_matches))
+        off = Fraction(delta_value(vf, da, db, label_matches))
+        entries = sorted(
+            [(c, c, tie) for c in range(min(size_a, size_b) + 1) if tie]
+            + [(c + da, c + db, off) for c in range(min(size_a - da, size_b - db) + 1) if off]
+        )
+    else:
+        cells = ((a, b, Fraction(delta_value(vf, a, b, label_matches)))
+                 for a in range(size_a + 1) for b in range(size_b + 1))
+        entries = [cell for cell in cells if cell[2]]
+    return CriticalSet(tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -196,24 +251,24 @@ def owen_precede_distribution(
     return PrecedeDistribution((np.tensordot(w[:depth], g, axes=1) + mirrored) / 2, 1, origin)
 
 
-def _within_block_grid_float(a_m: int, b_m: int) -> np.ndarray:
-    """W[a', b'] = probability that exactly a' of the target coalition's
-    in-bin matches and b' of its mismatches precede the target example."""
-    t = a_m + b_m + 1
-    la = np.array([log_binom(a_m, i) for i in range(a_m + 1)])
-    lb = np.array([log_binom(b_m, i) for i in range(b_m + 1)])
-    lu = np.array([log_binom(t - 1, i) for i in range(t)])
-    tot = np.add.outer(np.arange(a_m + 1), np.arange(b_m + 1))
-    return np.exp(la[:, None] + lb[None, :] - lu[tot]) / t
+def _log_binoms(n: int, k: np.ndarray) -> np.ndarray:
+    """ln C(n, k) at each entry of ``k``, from one table up to its largest."""
+    return np.array([log_binom(n, i) for i in range(int(k.max(initial=-1)) + 1)])[k]
 
 
-def _within_block_units(a_m: int, b_m: int) -> np.ndarray:
-    """The same weights W[a', b'] in units of W[a_m, 0]: the integers
-    C(a' + b', a') C(a_m + b_m - a' - b', a_m - a'), since ordering the
-    target among its coalition-mates leaves a' + b' of them ahead."""
-    i, j = np.ogrid[: a_m + 1, : b_m + 1]
-    comb = np.frompyfunc(math.comb, 2, 1)
-    return comb(i + j, i) * comb(a_m + b_m - i - j, a_m - i)
+def _prefix_weights(size_a: int, size_b: int, a: np.ndarray, b: np.ndarray, mode: str):
+    """Probability that exactly a of ``size_a`` matches and b of ``size_b``
+    mismatches precede one more example in a uniform order of them all, at
+    the cells of the broadcast arrays ``a`` and ``b``: with t = size_a +
+    size_b + 1, C(a + b, a) C(t - 1 - a - b, size_a - a) / (t C(t - 1,
+    size_a)).  Exact mode gives Python-int numerators and the denominator;
+    float mode the numerators' logs, summed as ``precede_probability`` sums
+    them, and t, for the caller to exponentiate."""
+    t = size_a + size_b + 1
+    if mode == EXACT:
+        comb = np.frompyfunc(math.comb, 2, 1)
+        return comb(a + b, a) * comb(t - 1 - a - b, size_a - a), t * math.comb(t - 1, size_a)
+    return -_log_binoms(t - 1, a + b) + _log_binoms(size_a, a) + _log_binoms(size_b, b), t
 
 
 def _convolve_at(x: np.ndarray, y: np.ndarray, a: np.ndarray, b: np.ndarray, d: np.ndarray):
@@ -238,48 +293,60 @@ def _fft_len(n: int) -> int:
     return n if k == 1 else _fft_len(n + 1)
 
 
-def _value_from_distribution(
-    dist: PrecedeDistribution,
-    crit: CriticalSet,
-    a_m: int,
-    b_m: int,
-    mode: str,
-) -> Money:
+def _value_from_distribution(dist: PrecedeDistribution, crit: CriticalSet, a_m: int, b_m: int,
+                             mode: str) -> Money:
     """Inner Owen sum: critical pairs weighted by (others-ahead counts)
-    convolved with the within-coalition precedence weight.  A law of a - b
-    alone (the majority family) is convolved with that weight summed along
-    each diagonal a' - b', then read once per critical diagonal: every cell
-    of a diagonal lies inside the box, so the read sums all of them."""
-    _guard((a_m + 1) * (b_m + 1) * 8, "within-coalition grid")
+    convolved with the within-coalition prefix weights.  A one-cell law is
+    the point mass at the origin (no other coalition moves the counts): the
+    weights are read at the critical cells alone.  A law of a - b alone
+    (the majority family) is convolved with the weights summed along each
+    diagonal a' - b', then read once per critical diagonal: every cell of a
+    diagonal lies inside the box, so the read sums all of them."""
     exact = mode == EXACT
-    if exact:  # in integers: deltas over a common denominator, weights in units of W[a_m, 0]
+    if exact:  # in integers: deltas and weights over common denominators
         den = math.lcm(*(d.denominator for _, _, d in crit.entries))
 
         def scaled(d: Fraction) -> int:
             return d.numerator * (den // d.denominator)
 
-        law, within = dist.weights, _within_block_units(a_m, b_m)
+        law = dist.weights
     else:
-        scaled, law, within = float, dist.probs, _within_block_grid_float(a_m, b_m)
-    if law.ndim == 1:
-        by_diff = [within.trace(o) for o in range(b_m, -a_m - 1, -1)]  # a' - b' from -b_m up
-        conv = np.convolve(law, np.array(by_diff, law.dtype))
-        at = b_m - dist.origin[0]  # conv[at + d] weighs a - b = d
-        total = sum(conv[at + c] * scaled(d) for c, d in crit.diagonals.items()
-                    if 0 <= at + c < len(conv))
-    elif exact:
-        a, b, _ = crit.columns
-        d = np.array([scaled(d) for _, _, d in crit.entries], object)
-        total = _convolve_at(law, within, a, b, d)
+        den, scaled, law = 1, float, dist.probs
+    if law.size == 1:
+        cells = [e for e in crit.entries if e[0] <= a_m and e[1] <= b_m]
+        a, b = np.array([e[:2] for e in cells], np.intp).reshape(-1, 2).T
+        weights, w_den = _prefix_weights(a_m, b_m, a, b, mode)
+        weights = weights.tolist()
+        if not exact:  # math.exp, as precede_probability: np.exp may round otherwise
+            weights, w_den = [math.exp(w) / w_den for w in weights], 1
+        total = 0
+        for w, (_, _, d) in zip(weights, cells):  # in entry order: fixes float bytes
+            total += w * scaled(d)
     else:
-        shape = [_fft_len(m + n - 1) for m, n in zip(law.shape, within.shape)]
-        conv = np.fft.irfft2(np.fft.rfft2(law, shape) * np.fft.rfft2(within, shape), shape)
-        a, b, d = crit.columns
-        total = conv[a, b] @ d
+        _guard((a_m + 1) * (b_m + 1) * 8, "within-coalition grid")
+        box = np.arange(a_m + 1)[:, None], np.arange(b_m + 1)
+        within, w_den = _prefix_weights(a_m, b_m, *box, mode)
+        if not exact:
+            within, w_den = np.exp(within, out=within) / w_den, 1
+        if law.ndim == 1:
+            by_diff = np.zeros(a_m + b_m + 1, law.dtype)  # a' - b' from -b_m up
+            np.add.at(by_diff, (box[0] - box[1] + b_m).ravel(), within.ravel())
+            conv = np.convolve(law, by_diff)
+            at = b_m - dist.origin[0]  # conv[at + d] weighs a - b = d
+            total = sum(conv[at + c] * scaled(d) for c, d in crit.diagonals.items()
+                        if 0 <= at + c < len(conv))
+        elif exact:
+            a, b, _ = crit.columns
+            d = np.array([scaled(d) for _, _, d in crit.entries], object)
+            total = _convolve_at(law, within, a, b, d)
+        else:
+            shape = [_fft_len(m + n - 1) for m, n in zip(law.shape, within.shape)]
+            conv = np.fft.irfft2(np.fft.rfft2(law, shape) * np.fft.rfft2(within, shape), shape)
+            a, b, d = crit.columns
+            total = conv[a, b] @ d
     if not exact:
         return float(total)
-    unit = precede_probability((a_m, b_m), (a_m, 0), EXACT)
-    return Fraction(total, den * dist.scale) * unit
+    return Fraction(total, den * dist.scale * w_den)
 
 
 def _preceder_law(other_tallies: Sequence[CountPair], vf: FrequencyValueFunction, mode: str):
@@ -331,68 +398,76 @@ def owen_frequency_report(
     mode: str = "float",
     per_query: bool = False,
 ) -> ValueReport:
-    """Total Owen payout per example over a batch of queries.
-
-    An example's value depends only on its coalition's in-bin tally and
-    its label class.  So per query the critical set is built once per
-    class, the preceder law once per distinct law key (a - b for a
-    majority rule, else the tally), and the value once per (tally, class),
-    reused across queries with the same bin, label and value function.
-    """
+    """Total Owen payout per example over a batch of queries."""
     check_mode(mode)
     dataset.require_bins()
     coalitions.validate_partition(dataset.ids)
-    t0 = time.perf_counter()
     column = [coalitions.coalition_of(i) for i in dataset.ids]
     code: dict = {}  # coalition id -> code, in order of first appearance
     owner = np.fromiter((code.setdefault(c, len(code)) for c in column), np.intp, len(column))
+    return _frequency_report(METHOD, dataset, owner, queries, vf, mode, per_query, column)
+
+
+def _frequency_report(method, dataset, owner, queries, vf, mode, per_query, coalition_column=None):
+    """Total payout per example over a batch of queries, each example in
+    the coalition coded ``owner``.  Values are summed per (bin, coalition,
+    label) group, read by the rows once at the end.  Per query the critical
+    set is built once per class, the preceder law once per law key and the
+    value once per (tally, class), reused across queries alike in bin,
+    label and value function."""
+    check_mode(mode)
+    t0 = time.perf_counter()
+    _, bin_col = dataset.bin_codes()
+    symbols, label_col = dataset.label_column()
+    width = int(owner.max(initial=-1)) + 1
+    # the groups present, in key order: by bin, then coalition, then label
+    keys, group = np.unique((bin_col * width + owner) * 2 + label_col, return_inverse=True)
+    group_size = np.bincount(group, minlength=len(keys))
     zero = to_money(0, mode)
     dtype = object if mode == EXACT else float
-    totals = np.full(len(dataset), zero, dtype)
+    totals = np.full(len(keys), zero, dtype)
     rows = []
     value_cache: dict = {}
     for q in queries:
         q_vf = q.value_function if q.value_function is not None else vf
-        dataset.query_bin_code(q)
-        in_bin = np.flatnonzero(dataset.bin_mask(q.bin))
-        # slot 2c holds coalition c's matches, 2c + 1 its mismatches
-        slots = 2 * owner[in_bin] + ~dataset.label_mask(q.label)[in_bin]
-        counts = np.bincount(slots, minlength=2 * len(code)).reshape(-1, 2)
+        in_bin = np.flatnonzero(keys // (2 * width) == dataset.query_bin_code(q))
+        matches = np.array([s == q.label for s in symbols], bool)[keys[in_bin] % 2]
+        held, slot = np.unique(keys[in_bin] // 2, return_inverse=True)  # coalitions in the bin
+        # slot 2c holds in-bin coalition c's matches, 2c + 1 its mismatches
+        counts = np.zeros((len(held), 2), np.int64)
+        counts.flat[2 * slot + ~matches] = group_size[in_bin]
         tallies = list(map(tuple, counts.tolist()))
-        pairs = sorted(t for t in tallies if t != (0, 0))
+        pairs = sorted(tallies)
         size_a, size_b = counts.sum(axis=0).tolist()
         crits: dict = {}  # label matches -> critical set
-        found: dict = {}  # (own tally, label matches) -> value
         law_key, law = None, None  # tallies sharing a law key come in a row
-        needed = {(t, m) for t in pairs for m in (True, False) if t[not m]}
+        alike = (id(q_vf), q.bin, q.label)  # plus (own tally, label matches): a value's key
+        needed = {(t, m) for t in pairs for m in (True, False)
+                  if t[not m] and alike + (t, m) not in value_cache}
         for own, m in sorted(needed, key=lambda p: (_law_key(q_vf, p[0]), p)):
-            vkey = (id(q_vf), q.bin, q.label, own, m)
-            v = value_cache.get(vkey)
-            if v is None:
-                key = _law_key(q_vf, own)
-                if key != law_key:
-                    others = list(pairs)
-                    others.remove(own)
-                    law_key, law = key, _preceder_law(others, q_vf, mode)
-                if m not in crits:
-                    crits[m] = critical_set(q_vf, size_a - m, size_b - (not m), m)
-                v = _value_from_distribution(law, crits[m], own[0] - m, own[1] - (not m), mode)
-                value_cache[vkey] = v
-            found[own, m] = v
-        by_slot = np.array([found.get((t, m), zero) for t in tallies for m in (True, False)], dtype)
-        values = by_slot[slots]
+            key = _law_key(q_vf, own)
+            if key != law_key:
+                others = list(pairs)
+                others.remove(own)
+                law_key, law = key, _preceder_law(others, q_vf, mode)
+            if m not in crits:
+                crits[m] = critical_set(q_vf, size_a - m, size_b - (not m), m)
+            value_cache[alike + (own, m)] = _value_from_distribution(
+                law, crits[m], own[0] - m, own[1] - (not m), mode)
+        by_group = zip(slot.tolist(), matches.tolist())
+        values = np.array([value_cache[alike + (tallies[c], m)] for c, m in by_group], dtype)
         totals[in_bin] += values
         if per_query:
-            q_values = np.full(len(dataset), zero, dtype)
+            q_values = np.full(len(keys), zero, dtype)
             q_values[in_bin] = values
-            rows.append(dict(zip(dataset.ids, q_values.tolist())))
+            rows.append(dict(zip(dataset.ids, q_values[group].tolist())))
     return assemble_report(
-        method=METHOD,
+        method=method,
         mode=mode,
         dataset=dataset,
-        values=totals,
+        values=totals[group],
         query_count=len(queries),
         wall_time=time.perf_counter() - t0,
         per_query=rows if per_query else None,
-        coalition_column=column,
+        coalition_column=coalition_column,
     )

@@ -250,14 +250,14 @@ class Dataset:
         return self._features
 
     def coalition_structure(self) -> "CoalitionStructure":
-        missing = [i for i, c in zip(self.ids, self._coalitions) if c is None]
-        if missing:
-            raise InputError(
-                f"examples {missing[:5]} carry no coalition id; Owen methods need a full partition"
-            )
+        """The partition the coalition column makes, in one pass over it."""
         groups: dict = {}
         for i, c in zip(self.ids, self._coalitions):
-            groups.setdefault(c, set()).add(i)
+            groups.setdefault(c, []).append(i)
+        if None in groups:
+            raise InputError(
+                f"examples {groups[None][:5]} carry no coalition id; Owen methods need a full partition"
+            )
         return CoalitionStructure({cid: frozenset(ids) for cid, ids in groups.items()})
 
 
@@ -286,15 +286,17 @@ class CoalitionStructure:
     members: Mapping[Hashable, frozenset]
 
     def __post_init__(self):
-        seen: dict = {}
-        for cid, ids in self.members.items():
-            for i in ids:
-                if i in seen:
-                    raise InputError(
-                        f"example {i} appears in coalitions {seen[i]!r} and {cid!r}"
-                    )
-                seen[i] = cid
-        object.__setattr__(self, "_owner", seen)
+        owner = {i: cid for cid, ids in self.members.items() for i in ids}
+        if len(owner) != sum(map(len, self.members.values())):  # find the overlap
+            seen: dict = {}
+            for cid, ids in self.members.items():
+                for i in ids:
+                    if i in seen:
+                        raise InputError(
+                            f"example {i} appears in coalitions {seen[i]!r} and {cid!r}"
+                        )
+                    seen[i] = cid
+        object.__setattr__(self, "_owner", owner)
 
     def coalition_of(self, example_id: int) -> Hashable:
         try:

@@ -13,6 +13,8 @@ import csv
 import io
 import json
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -157,6 +159,27 @@ def assemble_report(
 _NON_FINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+# An exact value's denominator over n examples divides lcm(1..n + 1), about
+# 0.43 n digits, times the value function's and a coalition factorial's;
+# text at this cap parses in under a second, and longer text is refused
+_VALUE_DIGITS = 300_000
+
+
+@contextmanager
+def _long_ints():
+    """Raise, for the block alone, the interpreter's cap on converting ints
+    to and from decimal text (4,300 digits by default) to _VALUE_DIGITS."""
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if cap == 0 or cap >= _VALUE_DIGITS:  # no cap, or a high enough one
+        yield
+        return
+    sys.set_int_max_str_digits(_VALUE_DIGITS)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def _value_text(values: Sequence[Money], mode: str) -> Tuple[List[str], List[str]]:
     """Values as CSV cells and as JSON literals.  Exact mode: "p/q", quoted
     in JSON.  Float mode: the float repr in both, except that JSON spells
@@ -165,7 +188,8 @@ def _value_text(values: Sequence[Money], mode: str) -> Tuple[List[str], List[str
         # rows often share one value object: encode each once, keyed by
         # identity, since hashing a Fraction computes a modular inverse
         memo: dict = {}
-        text = [memo.get(id(v)) or memo.setdefault(id(v), str(Fraction(v))) for v in values]
+        with _long_ints():
+            text = [memo.get(id(v)) or memo.setdefault(id(v), str(Fraction(v))) for v in values]
         return text, [f'"{s}"' for s in text]
     floats = list(map(float, values))
     text = list(map(repr, floats))
@@ -286,14 +310,15 @@ def read_report(path) -> ValueReport:
         ids = [r["id"] for r in doc["examples"]]
         if any(type(i) is not int or not 0 <= i < 2**63 for i in ids):
             raise ValueError("example ids must be integers in 0 .. 2**63 - 1")
-        values = [_decode_value(r["value"], mode) for r in doc["examples"]]
-        coalitions = [(c["id"], _decode_value(c["value"], mode)) for c in doc["coalitions"]]
-        per_query = None
-        if doc.get("per_query") is not None:
-            per_query = [
-                {r["id"]: _decode_value(r["value"], mode) for r in q["values"]}
-                for q in doc["per_query"]
-            ]
+        with _long_ints():
+            values = [_decode_value(r["value"], mode) for r in doc["examples"]]
+            coalitions = [(c["id"], _decode_value(c["value"], mode)) for c in doc["coalitions"]]
+            per_query = None
+            if doc.get("per_query") is not None:
+                per_query = [
+                    {r["id"]: _decode_value(r["value"], mode) for r in q["values"]}
+                    for q in doc["per_query"]
+                ]
         known = {"method", "numeric_mode", "k", "query_count", "wall_time_s"}
         extras = {k: v for k, v in meta.items() if k not in known} or None
         report = ValueReport(

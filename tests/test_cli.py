@@ -1,10 +1,12 @@
 """Exit codes, report wiring and flag handling for the command line front end."""
 
+import importlib
 import itertools
 import json
 import os
 import random
 import re
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +15,8 @@ from fractions import Fraction
 import pytest
 
 import divvy
+import divvy.freq_owen as freq_owen
+import divvy.io
 from divvy.cli import run_command
 
 
@@ -262,16 +266,11 @@ def test_oracle_guard_paths(big_freq, freq_files, capsys):
     data, queries, vf = big_freq
     assert run_command(_oracle_argv(data, queries, vf)) == 2
     assert "blocked" in capsys.readouterr().err
-    assert run_command(_oracle_argv(data, queries, vf, "--max-n", "12")) == 2
-    assert "yes-i-know" in capsys.readouterr().err
     # overriding is honored; exercise it on a small instance (the point of the
     # guard is that a factorial sweep past it really does take forever)
     small_data, small_queries, small_vf = freq_files
     assert run_command(
-        _oracle_argv(small_data, small_queries, small_vf, "--max-n", "5")
-    ) == 2
-    assert run_command(
-        _oracle_argv(small_data, small_queries, small_vf, "--max-n", "5", "--yes-i-know")
+        _oracle_argv(small_data, small_queries, small_vf, "--yes-i-know")
     ) == 0
 
 
@@ -354,12 +353,13 @@ def test_oracle_frequency_requires_value(big_freq, capsys):
 
 @pytest.mark.parametrize("numeric", ["float", "exact"])
 def test_owen_freq_grid_guard_exits_2_before_allocating(tmp_path, capsys, numeric):
-    # one bin, two coalitions of 5,800 + 5,800 examples: each target's law
-    # is a 5,801 x 5,801 grid (~257 MiB of float64 or of object pointers),
-    # over the fixed budget
+    # one bin: a coalition of 5,800 + 5,800 examples and one of a single
+    # match, so the large coalition's law has two cells and its
+    # within-coalition grid is 5,800 x 5,801 (~257 MiB of float64 or of
+    # object pointers), over the fixed budget
     data = tmp_path / "wide.csv"
     rows = ["id,bin,label,coalition"]
-    rows += [f"{i},b0,{'xy'[i % 2]},g{i // 11600}" for i in range(23200)]
+    rows += [f"{i},b0,{'xy'[i % 2]},g{i // 11600}" for i in range(11601)]
     data.write_text("\n".join(rows) + "\n")
     queries = tmp_path / "q.csv"
     queries.write_text("bin,label\nb0,x\n")
@@ -411,3 +411,66 @@ def test_cli_import_leaves_scipy_signal_unloaded():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("numeric", ["float", "exact"])
+def test_one_cell_laws_build_no_within_grid(tmp_path, monkeypatch, capsys, numeric):
+    # With a 64-byte budget a within-coalition grid of more than 8 cells is
+    # refused.  A preceder law of one cell (no other coalition moves the
+    # bin's counts: every shapley-freq value, and an owen-freq target alone
+    # in its bin) reads the prefix weights at the critical cells alone, so
+    # it computes, and matches the oracle; a two-cell law still exits 2.
+    monkeypatch.setattr(freq_owen, "GRID_BUDGET_BYTES", 64)
+    vf = tmp_path / "v.json"
+    vf.write_text('{"family": "majority", "correct": 3, "wrong": -1, "none": 0}')
+    payout = divvy.io.parse_value_function(vf)
+    lone = [f"{i},b0,{'xy'[i % 2]},g0" for i in range(6)]  # grids of 3 x 4 cells
+    shared = ["6,b1,x,g1", "7,b1,x,g1", "8,b1,y,g1", "9,b1,x,g1", "10,b1,y,g1", "11,b1,x,g2"]
+
+    def run(command, rows, queries):
+        data, q, out = tmp_path / "d.csv", tmp_path / "q.csv", tmp_path / "out.json"
+        data.write_text("id,bin,label,coalition\n" + "\n".join(rows) + "\n")
+        q.write_text("bin,label\n" + "".join(f"{b},{lab}\n" for b, lab in queries))
+        rc = run_command([command, "--data", str(data), "--queries", str(q), "--value", str(vf),
+                          "--numeric", numeric, "--out", str(out)])
+        if rc:
+            return rc, None
+        values = {r["id"]: r["value"] for r in json.loads(out.read_text())["examples"]}
+        dataset = divvy.io.parse_dataset(data, "frequency")
+        for i, v in oracle(command, dataset, queries).items():
+            if numeric == "exact":
+                assert Fraction(values[i]) == v, (command, i)
+            else:
+                assert abs(values[i] - float(v)) <= 1e-9 * max(1.0, abs(float(v))), (command, i)
+        return rc, values
+
+    def oracle(command, dataset, queries):
+        total = dict.fromkeys(dataset.ids, Fraction(0))
+        for b, lab in queries:
+            game = divvy.frequency_game(dataset, divvy.Query(label=lab, bin=b), payout)
+            if command == "shapley-freq":
+                values = divvy.exact_shapley_all(game)
+            else:
+                values = divvy.exact_owen_all(game, dataset.coalition_structure(), override=True)
+            for i, v in values.items():
+                total[i] += v
+        return total
+
+    assert run("shapley-freq", lone, [("b0", "x"), ("b0", "y")])[0] == 0
+    assert run("owen-freq", lone + shared, [("b0", "x")])[0] == 0
+    # g1 shares its bin with g2: its law has two cells and its grid 3 x 3
+    assert run("owen-freq", lone + shared, [("b1", "x")])[0] == 2
+    assert "budget" in capsys.readouterr().err
+
+
+def test_every_traced_site_is_bound():
+    # perfbench/spans.py times a run by rebinding these module globals; a
+    # refactor that drops one leaves its layer unmeasured without an error
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    bindings = runpy.run_path(os.path.join(root, "perfbench", "spans.py"))["BINDINGS"]
+    unbound = [
+        f"{module}.{name}" for module, name, _, _ in bindings
+        if not callable(getattr(importlib.import_module(f"divvy.{module}"), name, None))
+    ]
+    assert bindings
+    assert unbound == []

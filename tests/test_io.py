@@ -1,14 +1,19 @@
 """CSV/JSON parsing and the report file round trip."""
 
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from divvy import (
+    Dataset,
+    Example,
     MajorityValueFunction,
     TableValueFunction,
+    assemble_report,
+    export_csv,
     read_report,
     report_to_json,
     shapley_frequency_report,
@@ -293,6 +298,42 @@ def test_report_round_trip(tmp_path):
         again = tmp_path / f"r2_{mode}.json"
         write_report(back, again)
         assert again.read_text() == path.read_text()
+
+
+def test_exact_values_past_the_int_text_cap_round_trip(tmp_path):
+    # Python refuses int <-> decimal text past 4,300 digits by default; the
+    # writers and the reader lift that cap while they convert, and only then
+    huge = Fraction(10**5000 + 1, 3)
+    ds = Dataset([Example(0, "x", coalition="g0"), Example(1, "y", coalition="g0")])
+    values = [huge, -huge / 7]
+    rep = assemble_report("shapley-freq", "exact", ds, values, 1, 0.0,
+                          per_query=[dict(zip(ds.ids, values))])
+    cap = sys.get_int_max_str_digits()
+    path = tmp_path / "r.json"
+    write_report(rep, path)
+    back = read_report(path)
+    assert back == rep and back.value_of(0) == huge
+    export_csv(rep, tmp_path / "r.csv")
+    first = json.loads(path.read_text())["examples"][0]["value"]
+    assert len(first) > 5000
+    assert (tmp_path / "r.csv").read_text().splitlines()[1] == f"0,g0,{first}"
+    assert sys.get_int_max_str_digits() == cap
+
+
+def test_exact_value_past_the_raised_cap_is_refused(tmp_path):
+    # the reader lifts the cap to a finite bound only: text whose parsing
+    # would take quadratic time is still refused, not decoded
+    ds = Dataset([Example(0, "x", coalition="g0")])
+    rep = assemble_report("shapley-freq", "exact", ds, [Fraction(1, 3)], 1, 0.0)
+    path = tmp_path / "r.json"
+    write_report(rep, path)
+    doc = json.loads(path.read_text())
+    doc["examples"][0]["value"] = doc["coalitions"][0]["value"] = "1" * 300_001 + "/3"
+    path.write_text(json.dumps(doc))
+    cap = sys.get_int_max_str_digits()
+    with pytest.raises(InputError, match="malformed report file"):
+        read_report(path)
+    assert sys.get_int_max_str_digits() == cap
 
 
 def test_exact_report_serializes_fractions_as_strings(tmp_path):
