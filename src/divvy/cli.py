@@ -79,12 +79,6 @@ def _add_knn_flags(p: argparse.ArgumentParser) -> None:
         metavar="VC,VW,VN",
         help="outcomes for a correct, wrong and abstaining prediction",
     )
-    p.add_argument(
-        "--metric",
-        choices=["euclidean"],
-        default="euclidean",
-        help="distance metric (default: euclidean)",
-    )
 
 
 def _add_coalition_flag(p: argparse.ArgumentParser) -> None:
@@ -114,7 +108,6 @@ def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--value", default=None, help="value-function JSON (frequency family)")
     p.add_argument("--k", type=int, default=None, help="neighborhood size (knn family)")
     p.add_argument("--values", default=None, metavar="VC,VW,VN", help="knn outcome values")
-    p.add_argument("--metric", choices=["euclidean"], default="euclidean")
     _add_coalition_flag(p)
     p.add_argument("--samples", type=int, default=1000, help="mc-shapley sample count")
     p.add_argument("--seed", type=int, default=0, help="mc-shapley RNG seed")
@@ -185,7 +178,7 @@ def _run_owen_freq(args):
 def _knn_config(args) -> KnnConfig:
     if args.k is None or args.values is None:
         raise InputError("k-NN runs need --k and --values")
-    return KnnConfig(args.k, parse_outcome_values(args.values), args.metric)
+    return KnnConfig(args.k, parse_outcome_values(args.values))
 
 
 def _run_shapley_knn(args):

@@ -26,15 +26,7 @@ import numpy as np
 
 from .combinatorics import EXACT, Money, check_mode, log_binom, precede_probability
 from .errors import GuardError, InputError
-from .model import (
-    CoalitionStructure,
-    Dataset,
-    FrequencyValueFunction,
-    MajorityValueFunction,
-    Query,
-    delta_value,
-    to_money,
-)
+from .model import CoalitionStructure, Dataset, FrequencyValueFunction, Query, to_money
 from .report import ValueReport, assemble_report
 
 METHOD = "owen-freq"
@@ -65,7 +57,7 @@ class CriticalSet:
     @cached_property
     def diagonals(self) -> dict:
         """Each diagonal a - b the entries touch, with its delta: the
-        majority family has one delta per diagonal."""
+        rules of a - b alone have one delta per diagonal."""
         return {a - b: d for a, b, d in self.entries}
 
 
@@ -76,28 +68,10 @@ def critical_set(
     label_matches: bool,
 ) -> CriticalSet:
     """All (a, b) with 0 <= a <= size_a, 0 <= b <= size_b and a non-zero
-    delta for the given label class.
-
-    The majority family is special-cased: its deltas vanish off two
-    diagonals, so the scan is linear instead of quadratic.
-    """
+    delta for the given label class, as the value function lists them."""
     if size_a < 0 or size_b < 0:
         raise InputError("critical_set needs non-negative box sizes")
-    if isinstance(vf, MajorityValueFunction):
-        # adding a match moves the value only on a == b and b == a + 1, a
-        # mismatch only on a == b and a == b + 1; each diagonal has one delta
-        da, db = (0, 1) if label_matches else (1, 0)
-        tie = Fraction(delta_value(vf, 0, 0, label_matches))
-        off = Fraction(delta_value(vf, da, db, label_matches))
-        entries = sorted(
-            [(c, c, tie) for c in range(min(size_a, size_b) + 1) if tie]
-            + [(c + da, c + db, off) for c in range(min(size_a - da, size_b - db) + 1) if off]
-        )
-    else:
-        cells = ((a, b, Fraction(delta_value(vf, a, b, label_matches)))
-                 for a in range(size_a + 1) for b in range(size_b + 1))
-        entries = [cell for cell in cells if cell[2]]
-    return CriticalSet(tuple(entries))
+    return CriticalSet(tuple(vf.critical_cells(size_a, size_b, label_matches)))
 
 
 @dataclass(frozen=True)
@@ -160,7 +134,7 @@ def owen_precede_distribution(
     without pin or caps only the nodes t <= 1/2 are built, since trading
     t for 1 - t reverses the law along both axes.
 
-    A tally may be negative: the majority family passes (a - b, 0), whose
+    A tally may be negative: a rule of a - b alone passes (a - b, 0), whose
     law is one column of at most A + B + 1 cells.  The array then starts at
     ``origin``, the sums of the negative entries.  A ``pinned`` coalition
     always precedes the target: one more factor of t, so the mass is 1/2.
@@ -299,7 +273,7 @@ def _value_from_distribution(dist: PrecedeDistribution, crit: CriticalSet, a_m: 
     convolved with the within-coalition prefix weights.  A one-cell law is
     the point mass at the origin (no other coalition moves the counts): the
     weights are read at the critical cells alone.  A law of a - b alone
-    (the majority family) is convolved with the weights summed along each
+    (``by_difference`` rules) is convolved with the weights summed along each
     diagonal a' - b', then read once per critical diagonal: every cell of a
     diagonal lies inside the box, so the read sums all of them."""
     exact = mode == EXACT
@@ -350,10 +324,10 @@ def _value_from_distribution(dist: PrecedeDistribution, crit: CriticalSet, a_m: 
 
 
 def _preceder_law(other_tallies: Sequence[CountPair], vf: FrequencyValueFunction, mode: str):
-    """The preceder law a value reads: for the majority family, whose
-    deltas depend on nothing else, the law of a - b alone, as one axis;
-    else the law of (a, b)."""
-    if not isinstance(vf, MajorityValueFunction):
+    """The preceder law a value reads: for a rule of a - b alone, whose
+    deltas depend on nothing else, the law of a - b, as one axis; else the
+    law of (a, b)."""
+    if not vf.by_difference:
         return owen_precede_distribution(other_tallies, mode)
     law = owen_precede_distribution([(a - b, 0) for a, b in other_tallies], mode)
     return PrecedeDistribution(law.weights[:, 0], law.scale, law.origin[:1])
@@ -361,9 +335,9 @@ def _preceder_law(other_tallies: Sequence[CountPair], vf: FrequencyValueFunction
 
 def _law_key(vf: FrequencyValueFunction, tally: CountPair):
     """Tallies with one key share one preceder law in a query.  Equal
-    tallies leave equal other coalitions; a majority law reads only the
+    tallies leave equal other coalitions; a law of a - b reads only the
     others' a - b, which tallies with equal a - b leave equal too."""
-    return tally[0] - tally[1] if isinstance(vf, MajorityValueFunction) else tally
+    return tally[0] - tally[1] if vf.by_difference else tally
 
 
 def owen_frequency_single(

@@ -2,8 +2,7 @@
 
 Under the partition with one coalition the Owen value is the Shapley value
 (Owen 1977, *Values of games with a priori unions*), so ``freq_owen``
-computes it with every example in coalition 0; ``CriticalSet`` and
-``critical_set`` are re-exported from there.
+computes it with every example in coalition 0.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .combinatorics import Money, precede_probability
-from .freq_owen import CriticalSet, _frequency_report, critical_set, owen_frequency_single
+from .freq_owen import _frequency_report, owen_frequency_single
 from .model import BinTally, Dataset, FrequencyValueFunction, Query, tally_bin
 from .report import ValueReport, assemble_report
 

@@ -283,10 +283,9 @@ def parse_value_function(path) -> FrequencyValueFunction:
             raise InputError(f"{path}: table family needs a non-empty 'entries' list")
         entries = {}
         for e in raw:
-            try:
-                a, b = int(e["a"]), int(e["b"])
-            except (KeyError, TypeError, ValueError):
-                raise InputError(f"{path}: each entry needs integer 'a' and 'b'") from None
+            a, b = (e.get("a"), e.get("b")) if isinstance(e, dict) else (None, None)
+            if type(a) is not int or type(b) is not int:  # JSON integers: no bool, decimal or text
+                raise InputError(f"{path}: each entry needs integer 'a' and 'b'")
             if a < 0 or b < 0:
                 raise InputError(f"{path}: entry ({a}, {b}) has negative counts")
             if (a, b) in entries:

@@ -326,10 +326,24 @@ def _require_count(name: str, v: int) -> None:
 
 
 class FrequencyValueFunction:
-    """Maps a count pair (a matches, b mismatches) to money."""
+    """Maps a count pair (a matches, b mismatches) to money.
+
+    A subclass implements ``value``; it may override ``critical_cells`` with
+    a faster listing of the same cells, and sets ``by_difference`` only when
+    the value depends on a - b alone."""
+
+    by_difference = False
 
     def value(self, a: int, b: int) -> Numeric:  # pragma: no cover - interface
         raise NotImplementedError
+
+    def critical_cells(self, size_a: int, size_b: int, label_matches: bool) -> list:
+        """Each (a, b, delta) with 0 <= a <= size_a, 0 <= b <= size_b where
+        one more example of the given label class moves the value by the
+        non-zero Fraction delta, in (a, b) order.  This scans the box."""
+        cells = ((a, b, Fraction(delta_value(self, a, b, label_matches)))
+                 for a in range(size_a + 1) for b in range(size_b + 1))
+        return [cell for cell in cells if cell[2]]
 
 
 @dataclass(frozen=True)
@@ -341,6 +355,8 @@ class MajorityValueFunction(FrequencyValueFunction):
     wrong: Numeric
     none: Numeric
 
+    by_difference = True
+
     def value(self, a: int, b: int) -> Numeric:
         _require_count("a", a)
         _require_count("b", b)
@@ -349,6 +365,17 @@ class MajorityValueFunction(FrequencyValueFunction):
         if a < b:
             return self.wrong
         return self.none
+
+    def critical_cells(self, size_a: int, size_b: int, label_matches: bool) -> list:
+        # adding a match moves the value only on a == b and b == a + 1, a
+        # mismatch only on a == b and a == b + 1; each diagonal has one delta
+        da, db = (0, 1) if label_matches else (1, 0)
+        tie = Fraction(delta_value(self, 0, 0, label_matches))
+        off = Fraction(delta_value(self, da, db, label_matches))
+        return sorted(
+            [(c, c, tie) for c in range(min(size_a, size_b) + 1) if tie]
+            + [(c + da, c + db, off) for c in range(min(size_a - da, size_b - db) + 1) if off]
+        )
 
 
 @dataclass(frozen=True)
@@ -359,6 +386,11 @@ class TableValueFunction(FrequencyValueFunction):
     default: Optional[Numeric] = None
 
     def __post_init__(self):
+        for key in self.entries:
+            if not (isinstance(key, tuple) and len(key) == 2 and all(
+                    isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 0
+                    for c in key)):
+                raise InputError(f"table entry {key!r} is not a pair of non-negative integers")
         if (0, 0) not in self.entries and self.default is None:
             raise InputError("table value function must define v(0, 0) or a default")
 
@@ -369,6 +401,18 @@ class TableValueFunction(FrequencyValueFunction):
         if v is None:
             raise MissingValueError(f"value table has no entry for ({a}, {b}) and no default")
         return v
+
+    def critical_cells(self, size_a: int, size_b: int, label_matches: bool) -> list:
+        # with a default, a delta is non-zero only at an entry or one step
+        # below one along the added class; without one the table must cover
+        # the box, so the scan reads no more cells than the table holds
+        if self.default is None:
+            return super().critical_cells(size_a, size_b, label_matches)
+        da, db = (1, 0) if label_matches else (0, 1)
+        near = {(a - s * da, b - s * db) for a, b in self.entries for s in (0, 1)}
+        cells = ((a, b, Fraction(delta_value(self, a, b, label_matches))) for a, b in sorted(near)
+                 if 0 <= a <= size_a and 0 <= b <= size_b)
+        return [cell for cell in cells if cell[2]]
 
 
 def delta_value(vf: FrequencyValueFunction, a: int, b: int, label_matches: bool) -> Numeric:

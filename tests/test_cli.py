@@ -202,7 +202,8 @@ def test_knn_commands(knn_files, tmp_path, capsys):
 )
 def test_no_cache_is_refused(command, freq_files, knn_files, tmp_path, capsys):
     # every cache is always on and changes no number, so no command takes a
-    # flag to turn one off
+    # flag to turn one off; euclidean is the only distance the CLI offers,
+    # so no command takes a flag to choose it
     freq_data, freq_queries, vf = freq_files
     knn_data, knn_queries = knn_files
     freq_groups, knn_groups = tmp_path / "fg.csv", tmp_path / "kg.csv"
@@ -220,8 +221,9 @@ def test_no_cache_is_refused(command, freq_files, knn_files, tmp_path, capsys):
     }[command] + ["--out", str(tmp_path / "out.json")]
     assert run_command(argv) == 0
     capsys.readouterr()
-    assert run_command(argv + ["--no-cache"]) == 1
-    assert "--no-cache" in capsys.readouterr().err
+    for flag in (["--no-cache"], ["--metric", "euclidean"]):
+        assert run_command(argv + flag) == 1
+        assert flag[0] in capsys.readouterr().err
 
 
 def test_argument_errors_exit_1(freq_files, tmp_path, capsys):

@@ -25,11 +25,13 @@ from divvy import (
     shapley_frequency_single,
     tally_bin,
 )
-from divvy.errors import InputError
+from divvy.errors import InputError, MissingValueError
+from divvy.model import FrequencyValueFunction
 
 from conftest import mixed_frequency_queries, random_frequency_instance, relative_gap
 
-PAYOUT = MajorityValueFunction(Fraction(100), Fraction(-500), Fraction(0))
+PAYOUT_ARGS = (Fraction(100), Fraction(-500), Fraction(0))
+PAYOUT = MajorityValueFunction(*PAYOUT_ARGS)
 
 
 def test_worked_example_majority_bin():
@@ -125,6 +127,60 @@ def test_critical_set_fast_path_equals_full_scan():
                 critical_set(maj, size_a, size_b, matches).entries
                 == critical_set(table, size_a, size_b, matches).entries
             ), (vals, size_a, size_b, matches)
+    # a table with a default lists the cells at and one step below its
+    # entries; here its entries lie inside, on the edge of and outside the
+    # box, some equal to the default, and a box side may be 0
+    rng = random.Random(5)
+    for trial in range(300):
+        size_a, size_b = rng.choice([0, rng.randint(0, 6)]), rng.choice([0, rng.randint(0, 6)])
+        default = Fraction(rng.randint(-2, 2))
+        cells = [(rng.randint(0, size_a + 3), rng.randint(0, size_b + 3))
+                 for _ in range(rng.randint(0, 8))]
+        entries = {cell: rng.choice([default, Fraction(rng.randint(-3, 3), rng.randint(1, 3))])
+                   for cell in cells}
+        table = TableValueFunction(entries, default=default)
+        for matches in (True, False):
+            scan = FrequencyValueFunction.critical_cells(table, size_a, size_b, matches)
+            assert critical_set(table, size_a, size_b, matches).entries == tuple(scan), trial
+
+
+def test_table_without_default_stops_at_the_first_missing_cell():
+    table = TableValueFunction({(a, b): Fraction(a - b) for a in range(3) for b in range(3)
+                                if (a, b) not in ((1, 2), (2, 0))})
+    with pytest.raises(MissingValueError, match=r"\(1, 2\)"):
+        critical_set(table, 2, 2, True)
+    with pytest.raises(MissingValueError, match=r"\(2, 0\)"):
+        critical_set(table, 2, 1, True)
+
+
+def _value_reads(vf_class, vf_args, half):
+    """Value reads of a one-bin, one-query report on ``half`` matches and
+    ``half`` mismatches, in each mode."""
+    reads = [0]
+
+    class Counting(vf_class):
+        def value(self, a, b):
+            reads[0] += 1
+            return super().value(a, b)
+
+    vf = Counting(*vf_args)
+    dataset = Dataset(Example(i, "ab"[i % 2], bin="b") for i in range(2 * half))
+    counts = []
+    for mode in ("float", "exact"):
+        reads[0] = 0
+        shapley_frequency_report(dataset, [Query("a", bin="b")], vf, mode=mode)
+        counts.append(reads[0])
+    return counts
+
+
+def test_critical_cells_cost_what_the_rule_holds():
+    # each delta reads two values; a box scan makes 2 (A + 1)(B + 1) reads
+    # per label class, here 40,400 in all at n = 200 and 4,004,000 at n = 2,000
+    table = ({(1, 0): Fraction(1, 2), (2, 1): Fraction(5, 4), (1, 2): Fraction(-3, 4)},
+             Fraction(0))
+    for vf_class, args in ((TableValueFunction, table), (MajorityValueFunction, PAYOUT_ARGS)):
+        small, large = _value_reads(vf_class, args, 100), _value_reads(vf_class, args, 1000)
+        assert small == large and max(large) <= 24, (vf_class, small, large)
 
 
 def test_critical_set_drops_zero_deltas():

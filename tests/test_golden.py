@@ -2,7 +2,9 @@
 
 Every case runs one subcommand on the small inputs in ``tests/data/golden``
 and compares its JSON report (wall time zeroed) and its CSV export with the
-committed files, byte for byte.  The inputs use non-contiguous ids and
+committed files, byte for byte.  The frequency cases run with the majority
+rule and again with a table that has no default; one query overrides either
+with a table that has one.  The inputs use non-contiguous ids and
 coalition ids that JSON must escape and CSV must quote (a comma, a double
 quote, a non-ASCII letter).  To rewrite the golden files from the program on
 ``PYTHONPATH``:
@@ -30,8 +32,8 @@ def _inputs(*names):
     return [os.path.join(GOLDEN, n) for n in names]
 
 
-def _freq(command, mode):
-    data, queries, value = _inputs("freq.csv", "freq_queries.csv", "majority.json")
+def _freq(command, mode, rule="majority.json"):
+    data, queries, value = _inputs("freq.csv", "freq_queries.csv", rule)
     return [command, "--data", data, "--queries", queries, "--value", value, "--numeric", mode]
 
 
@@ -58,6 +60,9 @@ def _cases():
     for mode in ("float", "exact"):
         base[f"shapley-freq-{mode}"] = _freq("shapley-freq", mode)
         base[f"owen-freq-{mode}"] = _freq("owen-freq", mode)
+        # a run-wide table with no default that covers every bin's box
+        for command in ("shapley-freq", "owen-freq"):
+            base[f"{command}-table-{mode}"] = _freq(command, mode, "covering_table.json")
         base[f"shapley-knn-{mode}"] = _knn("shapley-knn", mode)
         base[f"owen-knn-{mode}"] = _knn("owen-knn", mode, "--coalitions", groups)
     base["oracle-freq-exact-shapley"] = _oracle("frequency", "exact-shapley")

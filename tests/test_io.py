@@ -244,6 +244,12 @@ def test_parse_value_function_errors(tmp_path):
     }
     with pytest.raises(InputError, match="duplicate"):
         parse_value_function(_write(tmp_path, "t1.json", json.dumps(doc)))
+    # counts are JSON integers: no decimal, text or boolean is rounded or cast
+    for n, bad in enumerate(['{"a": 1.5, "b": "2"}', '{"a": 1.5, "b": 2}', '{"a": 1, "b": "2"}',
+                             '{"a": true, "b": 0}', '{"a": 1.0, "b": 0}', '{"a": 1}', '[1, 0]']):
+        text = '{"family": "table", "default": 0, "entries": [%s]}' % bad
+        with pytest.raises(InputError, match="integer 'a' and 'b'"):
+            parse_value_function(_write(tmp_path, f"t2_{n}.json", text))
 
 
 def test_parse_outcome_values():

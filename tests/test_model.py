@@ -130,6 +130,16 @@ def test_table_value_function():
         TableValueFunction({(1, 0): Fraction(1)})
 
 
+@pytest.mark.parametrize("key", [(-1, 0), (0, -2), (1.0, 0), (True, 0), ("1", 0), (1,), (0, 0, 0), 3])
+def test_table_keys_must_be_count_pairs(key):
+    # the critical cells of a table with a default are read off its keys, so
+    # a key no count pair can reach is refused up front, default or not
+    for default in (Fraction(0), None):
+        with pytest.raises(InputError, match="not a pair of non-negative integers"):
+            TableValueFunction({(0, 0): Fraction(0), key: Fraction(1)}, default=default)
+    assert TableValueFunction({(np.int64(2), 1): Fraction(1)}, Fraction(0)).value(2, 1) == 1
+
+
 def test_delta_value_is_a_difference():
     vf = MajorityValueFunction(Fraction(100), Fraction(-500), Fraction(0))
     assert delta_value(vf, 1, 1, True) == vf.value(2, 1) - vf.value(1, 1)
