@@ -13,11 +13,16 @@ nothing a caller can observe while making cache keys collide often.
 
 Both terms depend on an example only through its coalition and its label
 class (and, for the change term, its rank).  The creation term is computed
-once per (coalition, class).  The change term of rank i sums over every
-farther opposite-class rank j an inner sum that depends on (coalition,
-class, j) alone, so one sweep from the farthest rank to the nearest keeps a
-suffix total per (coalition, class) and reads each rank's term from it:
-O(n * m * k^2) work per query for n examples and m coalitions.
+once per (coalition, class).  The change term of rank i sums what every
+farther opposite-class rank j adds to each member of i's coalition and
+class nearer than j: one suffix total per (coalition, class), added
+farthest rank first.  With h = (k - 1) / 2, a coalition with more than h
+nearer members of either class overflows the law's window whenever it is
+ahead, so only the first k members of each coalition change any law's
+inputs or add to other coalitions' members.  Between two such ranks a
+same-coalition term is a closed form in the member's own nearer counts,
+evaluated over the whole run at once: a query costs O(m^2 * k) law
+lookups plus O(n) array work for n examples and m coalitions.
 """
 
 from __future__ import annotations
@@ -30,16 +35,9 @@ import numpy as np
 from .combinatorics import EXACT, Money, check_mode, precede_probability
 from .errors import InputError
 from .freq_owen import owen_precede_distribution
-from .model import (
-    CoalitionStructure,
-    Dataset,
-    KnnConfig,
-    OutcomeValues,
-    Query,
-    RankedNeighborhood,
-    rank_by_distance,
-    to_money,
-)
+from .knn_shapley import _pivot_weights, _zeros
+from .model import (CoalitionStructure, Dataset, KnnConfig, OutcomeValues, Query,
+                    RankedNeighborhood, rank_by_distance, to_money)
 from .report import ValueReport, assemble_report
 
 METHOD = "owen-knn"
@@ -48,48 +46,41 @@ METHOD = "owen-knn"
 knn_owen_distribution = owen_precede_distribution
 
 
-class _QueryEngine:
-    """Shared per-query state: the ranking, per-coalition prefix counts at
-    every rank, and the law cache."""
+def _coalition_codes(coalitions: CoalitionStructure, ids) -> np.ndarray:
+    """Index in ``coalitions.coalition_ids()`` of each example's coalition."""
+    cindex = {cid: c for c, cid in enumerate(coalitions.coalition_ids())}
+    return np.array([cindex[coalitions.coalition_of(i)] for i in ids], dtype=np.int64)
 
-    def __init__(
-        self,
-        ranking: RankedNeighborhood,
-        coalitions: CoalitionStructure,
-        k: int,
-        ov: OutcomeValues,
-        mode: str,
-    ):
+
+class _QueryEngine:
+    """Shared per-query state: each rank position's coalition index (from
+    ``codes`` when given), its coalition-mates nearer than it, and the law
+    cache."""
+
+    def __init__(self, ranking: RankedNeighborhood, coalitions: CoalitionStructure, k: int,
+                 ov: OutcomeValues, mode: str, codes: np.ndarray = None):
         if k < 1 or k % 2 == 0:
             raise InputError("k must be odd")
-        self.ranking = ranking
         self.k = k
         self.half = (k - 1) // 2
         self.mode = mode
-        cindex = {cid: c for c, cid in enumerate(coalitions.coalition_ids())}
-        self.m = len(cindex)
-        self.coal_of_pos = [
-            cindex[coalitions.coalition_of(i)] for i in ranking.ordering.tolist()
-        ]
-        matches = np.asarray(ranking.matches, dtype=bool)
-        self.matches = matches.tolist()
-        # [pos, c] counts coalition c's members strictly nearer than pos
-        mine = np.asarray(self.coal_of_pos, dtype=np.int64)[:, None] == np.arange(self.m)
-        hit = mine & matches[:, None]
-        self.pref_match = np.cumsum(hit, axis=0) - hit
-        self.pref_mismatch = np.cumsum(mine, axis=0) - mine - self.pref_match
-        self.tot_match = hit.sum(axis=0).tolist()
-        self.tot_mismatch = (mine.sum(axis=0) - hit.sum(axis=0)).tolist()
-        if mode == EXACT:
-            ovx = ov.as_fractions()
-            self.d_change = {True: ovx.correct - ovx.wrong, False: ovx.wrong - ovx.correct}
-            self.d_wrong = ovx.wrong - ovx.none
-            self.d_correct = ovx.correct - ovx.none
-        else:
-            d = float(ov.correct) - float(ov.wrong)
-            self.d_change = {True: d, False: -d}
-            self.d_wrong = float(ov.wrong) - float(ov.none)
-            self.d_correct = float(ov.correct) - float(ov.none)
+        self.m = len(coalitions.coalition_ids())
+        self.codes = _coalition_codes(coalitions, ranking.ordering.tolist()) if codes is None else codes
+        self.matches = matches = np.asarray(ranking.matches, dtype=bool)
+        # each coalition's positions, nearest first, and at every position its
+        # coalition-mates nearer than it, by class
+        order = np.argsort(self.codes, kind="stable")
+        ends = np.cumsum(np.bincount(self.codes, minlength=self.m))
+        self.members = [order[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
+        self.own_a, self.own_b = np.zeros((2, len(order)), dtype=np.int64)
+        for pos in self.members:
+            self.own_a[pos] = np.cumsum(matches[pos]) - matches[pos]
+            self.own_b[pos] = np.arange(len(pos)) - self.own_a[pos]
+        self.tot_match = [int(matches[pos].sum()) for pos in self.members]
+        self.tot_mismatch = [len(pos) - a for pos, a in zip(self.members, self.tot_match)]
+        correct, wrong, none = (to_money(v, mode) for v in (ov.correct, ov.wrong, ov.none))
+        self.d_change = {True: correct - wrong, False: wrong - correct}
+        self.d_wrong, self.d_correct = wrong - none, correct - none
         self.zero = to_money(0, mode)
         self._dp_cache: dict = {}
 
@@ -106,13 +97,8 @@ class _QueryEngine:
     def creation(self, c: int, i_match: bool) -> Money:
         """Creation term shared by coalition c's members of one class."""
         k = self.k
-        others = tuple(
-            sorted(
-                (min(self.tot_match[o], k), min(self.tot_mismatch[o], k))
-                for o in range(self.m)
-                if o != c
-            )
-        )
+        others = tuple(sorted((min(self.tot_match[o], k), min(self.tot_mismatch[o], k))
+                              for o in range(self.m) if o != c))
         q = self._dp(None, others, (k - 1, k - 1))
         a_m = self.tot_match[c] - i_match
         b_m = self.tot_mismatch[c] - (not i_match)
@@ -131,86 +117,99 @@ class _QueryEngine:
         return total
 
     def _change_inner(self, c: int, cj: int, a_m: int, b_m: int, clamped) -> Money:
-        """What a pivotal rank j in coalition cj adds to the change term of
-        each member of coalition c, of the class opposite to j's, that is
+        """What a live pivotal rank j in another coalition cj adds to the
+        change term of each member of coalition c and of j's other class
         nearer than j.  a_m / b_m count that member's coalition-mates nearer
-        than j; ``clamped`` holds every coalition's counts nearer than j,
-        clamped to the law's window."""
+        than j; ``clamped`` holds every coalition's row as the laws read it."""
         h = self.half
-        if a_m < 0 or b_m < 0 or (cj != c and max(clamped[cj]) > h):
-            # no such member is nearer than j, or j's own coalition
-            # overfills the window whenever it precedes c
-            return self.zero
+        if a_m < 0 or b_m < 0:
+            return self.zero  # no such member is nearer than j
         others = tuple(sorted(clamped[o] for o in range(self.m) if o != c and o != cj))
-        q = self._dp(None if cj == c else clamped[cj], others, (h, h))
         inner = self.zero
-        for qa, qb, mass in q:
+        for qa, qb, mass in self._dp(clamped[cj], others, (h, h)):
             a, b = h - qa, h - qb
-            if a > a_m or b > b_m:
-                continue
-            if cj == c:
-                w = precede_probability((a_m, b_m, 1), (a, b, 1), self.mode)
-            else:
-                w = precede_probability((a_m, b_m), (a, b), self.mode)
-            inner += mass * w
+            if a <= a_m and b <= b_m:
+                inner += mass * precede_probability((a_m, b_m), (a, b), self.mode)
         return inner
 
     def change_terms(self) -> List[Money]:
-        """Change term of every rank position, in one sweep from the farthest
-        position to the nearest with one suffix total per (coalition, class):
-        a farther opposite-class j adds the same inner sum to every member of
-        a coalition and class that is nearer than j."""
-        cap = self.half + 1
-        suffix = {(c, u): self.zero for c in range(self.m) for u in (True, False)}
-        out = [self.zero] * len(self.matches)
-        for jpos in range(len(out) - 1, -1, -1):
-            uj, cj = self.matches[jpos], self.coal_of_pos[jpos]
-            out[jpos] = suffix[(cj, uj)] * self.d_change[uj]
-            nearer_a = self.pref_match[jpos].tolist()
-            nearer_b = self.pref_mismatch[jpos].tolist()
-            clamped = [(min(a, cap), min(b, cap)) for a, b in zip(nearer_a, nearer_b)]
-            for c in range(self.m):
-                # coalition c's counts nearer than j include the member itself
-                a_m, b_m = nearer_a[c] - (not uj), nearer_b[c] - uj
-                suffix[(c, not uj)] += self._change_inner(c, cj, a_m, b_m, clamped)
-        return out
+        """Change term of every rank position: the exclusive suffix total,
+        per (coalition, class), of what the farther opposite-class ranks add
+        to that coalition's members of that class."""
+        h, m, n = self.half, self.m, len(self.codes)
+        codes, matches, own_a, own_b = self.codes, self.matches, self.own_a, self.own_b
+        # A rank is live while its coalition has at most h nearer members of
+        # each class; past that, every law reads the coalition as (h + 1, h + 1).
+        # Segment s spans the ranks with s live ranks nearer; rows[s][c] is
+        # coalition c's clamped (match, mismatch) row there.
+        live = np.flatnonzero((own_a <= h) & (own_b <= h))
+        step = np.zeros((len(live) + 1, m, 2), dtype=np.int64)
+        step[np.arange(1, len(live) + 1), codes[live], (~matches[live]).astype(np.int64)] = 1
+        rows = [[tuple(r) if max(r) <= h else (h + 1, h + 1) for r in seg]
+                for seg in np.cumsum(step, axis=0).tolist()]
+        seg = np.searchsorted(live, np.arange(n))
+
+        # Within a coalition: one law per (segment, coalition) run.  a_m / b_m
+        # count the displaced member's coalition-mates nearer than the rank.
+        same = _zeros(n, self.mode)
+        a_m, b_m = own_a - ~matches, own_b - matches
+        run = seg * m + codes
+        order = np.argsort(run, kind="stable")
+        bounds = [*np.flatnonzero(np.diff(run[order], prepend=-1)).tolist(), n]
+        for lo, hi in zip(bounds, bounds[1:]):
+            pos = order[lo:hi]
+            s, c = divmod(int(run[pos[0]]), m)
+            inner, x, y = _zeros(len(pos), self.mode), a_m[pos], b_m[pos]
+            # a law entry leaves h - qa and h - qb of those mates ahead
+            for qa, qb, mass in self._dp(None, tuple(sorted(rows[s][:c] + rows[s][c + 1:])), (h, h)):
+                inner += mass * _pivot_weights(x, y, h - qa, h - qb, n, self.mode)
+            same[pos] = inner
+
+        # Across coalitions, from the live ranks alone: near[c] holds
+        # coalition c's members nearer than each of them, by class.
+        live_codes = codes[live]
+        near = [(np.searchsorted(pos[matches[pos]], live).tolist(),
+                 np.searchsorted(pos[~matches[pos]], live).tolist()) for pos in self.members]
+        across = [_zeros(len(live), self.mode) for _ in range(m)]
+        for i, (j, cj, uj) in enumerate(zip(live.tolist(), live_codes.tolist(), matches[live].tolist())):
+            for c in set(range(m)) - {cj}:
+                a, b = near[c][0][i] - (not uj), near[c][1][i] - uj
+                across[c][i] = self._change_inner(c, cj, a, b, rows[seg[j]])
+
+        out = _zeros(n, self.mode)
+        for c, mine in enumerate(self.members):
+            theirs = live_codes != c
+            pos = np.concatenate([mine, live[theirs]])
+            adds = np.concatenate([same[mine], across[c][theirs]])
+            by_rank = np.argsort(pos, kind="stable")
+            pos, adds = pos[by_rank], adds[by_rank]
+            for u in (True, False):
+                src = matches[pos] != u
+                # added farthest first; a reader sees only the farther terms
+                suffix = np.append(np.cumsum(adds[src][::-1])[::-1], self.zero)
+                readers = mine[matches[mine] == u]
+                out[readers] = suffix[np.searchsorted(pos[src], readers)] * self.d_change[u]
+        return out.tolist()
 
     def values(self) -> List[Money]:
         """Owen value of every rank position: its creation term, computed
         once per (coalition, class), plus its change term."""
-        made = {
-            (c, u): self.creation(c, u)
-            for c, u in set(zip(self.coal_of_pos, self.matches))
-        }
-        return [
-            made[(c, u)] + g
-            for c, u, g in zip(self.coal_of_pos, self.matches, self.change_terms())
-        ]
+        codes, matches = self.codes.tolist(), self.matches.tolist()
+        made = {(c, u): self.creation(c, u) for c, u in set(zip(codes, matches))}
+        return [made[(c, u)] + g for c, u, g in zip(codes, matches, self.change_terms())]
 
 
-def knn_owen_creation(
-    ranking: RankedNeighborhood,
-    coalitions: CoalitionStructure,
-    example_id: int,
-    k: int,
-    ov: OutcomeValues,
-    mode: str = "float",
-) -> Money:
+def knn_owen_creation(ranking: RankedNeighborhood, coalitions: CoalitionStructure, example_id: int,
+                      k: int, ov: OutcomeValues, mode: str = "float") -> Money:
     """Creation term of one example's Owen value."""
     check_mode(mode)
     eng = _QueryEngine(ranking, coalitions, k, ov, mode)
     pos = ranking.position_of(example_id)
-    return eng.creation(eng.coal_of_pos[pos], eng.matches[pos])
+    return eng.creation(int(eng.codes[pos]), bool(eng.matches[pos]))
 
 
-def knn_owen_change(
-    ranking: RankedNeighborhood,
-    coalitions: CoalitionStructure,
-    example_id: int,
-    k: int,
-    ov: OutcomeValues,
-    mode: str = "float",
-) -> Money:
+def knn_owen_change(ranking: RankedNeighborhood, coalitions: CoalitionStructure, example_id: int,
+                    k: int, ov: OutcomeValues, mode: str = "float") -> Money:
     """Change term of one example's Owen value."""
     check_mode(mode)
     eng = _QueryEngine(ranking, coalitions, k, ov, mode)
@@ -229,24 +228,20 @@ def knn_owen_report(
     check_mode(mode)
     coalitions.validate_partition(dataset.ids)
     t0 = time.perf_counter()
+    codes = _coalition_codes(coalitions, dataset.ids)  # by dataset row
     totals = [to_money(0, mode)] * len(dataset)
     rows = []
     for q in queries:
         ranking = rank_by_distance(dataset, q.features, q.label, config.metric)
-        eng = _QueryEngine(ranking, coalitions, config.k, config.outcome_values, mode)
-        values = eng.values()
-        for r, v in zip(eng.ranking.rows.tolist(), values):
+        values = _QueryEngine(ranking, coalitions, config.k, config.outcome_values, mode,
+                              codes[ranking.rows]).values()
+        for r, v in zip(ranking.rows.tolist(), values):
             totals[r] += v
         if per_query:
-            rows.append(dict(zip(eng.ranking.ordering.tolist(), values)))
+            rows.append(dict(zip(ranking.ordering.tolist(), values)))
+    cids = coalitions.coalition_ids()
     return assemble_report(
-        method=METHOD,
-        mode=mode,
-        dataset=dataset,
-        values=totals,
-        query_count=len(queries),
-        wall_time=time.perf_counter() - t0,
-        k=config.k,
-        per_query=rows if per_query else None,
-        coalition_column=[coalitions.coalition_of(i) for i in dataset.ids],
+        method=METHOD, mode=mode, dataset=dataset, values=totals, query_count=len(queries),
+        wall_time=time.perf_counter() - t0, k=config.k, per_query=rows if per_query else None,
+        coalition_column=[cids[c] for c in codes.tolist()],
     )

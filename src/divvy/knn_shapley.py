@@ -17,7 +17,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .combinatorics import EXACT, Money, binom, check_mode, precede_probability
+from .combinatorics import EXACT, Money, check_mode, precede_probability
 from .errors import InputError
 from .model import (
     Dataset,
@@ -68,24 +68,41 @@ def knn_creation_value(
 @functools.lru_cache(maxsize=8)
 def _log_binom_table(n: int, r: int) -> np.ndarray:
     """ln C(m, r) for m = -1 .. n at entry m + 1, -inf where the zero
-    convention applies, read-only.  Prefix counts stay in that range, so
-    the sweep gathers from one table per r instead of running gammaln over
-    every position."""
-    from scipy.special import gammaln  # ~0.3 s to import, so only this sweep pays
-
-    m = np.arange(-1.0, n + 1)
-    table = np.full(m.shape, -np.inf)
-    ok = m >= r
-    if r >= 0:
-        table[ok] = gammaln(m[ok] + 1.0) - gammaln(r + 1.0) - gammaln(m[ok] - r + 1.0)
+    convention applies, read-only.  Prefix counts stay in that range, so a
+    sweep gathers from one table per r instead of taking logs at every
+    position.  Each entry sums the r logs of m, m - 1, ..., m - r + 1 and
+    subtracts ln r!, which for the small r of a k-NN vote keeps it to a few
+    ulps; a difference of log-gammas would cancel most of its digits."""
+    table = np.full(n + 2, -np.inf)
+    if 0 <= r <= n:
+        m = np.arange(r, n + 1.0)
+        log_fall = np.zeros(len(m))
+        for i in range(r):
+            log_fall += np.log(m - i)
+        table[r + 1:] = log_fall - math.lgamma(r + 1)
     table.flags.writeable = False
     return table
 
 
-def _exact_weight(a: int, b: int, half: int, k: int) -> Fraction:
-    num = binom(a - 1, half) * binom(b - 1, half)
-    # a non-zero numerator means a + b - 1 >= k, so the denominator is too
-    return Fraction(num, (a + b) * math.comb(a + b - 1, k)) if num else Fraction(0)
+def _pivot_weights(x: np.ndarray, y: np.ndarray, a: int, b: int, n: int, mode: str) -> np.ndarray:
+    """C(x, a) C(y, b) / (t C(t - 1, a + b + 1)) for t = x + y + 2, elementwise:
+    the probability that, of x + y examples in two classes, exactly a and b
+    precede one more example, and one pivot precedes it too, in a uniform
+    order of all t.  Zero where x < a or y < b; counts lie in -1 .. n - 2."""
+    if mode == EXACT:  # x >= a and y >= b keep the denominator non-zero
+        return np.array([Fraction(math.comb(u, a) * math.comb(v, b),
+                                  (u + v + 2) * math.comb(u + v + 1, a + b + 1))
+                         if u >= a and v >= b else Fraction(0)
+                         for u, v in zip(x.tolist(), y.tolist())], dtype=object)
+    t = x + y + 2
+    # summed as precede_probability sums them; a short count gives nan, weight 0
+    with np.errstate(invalid="ignore"):
+        log_w = -_log_binom_table(n, a + b + 1)[t]
+        log_w += _log_binom_table(n, a)[x + 1]
+        log_w += _log_binom_table(n, b)[y + 1]
+        w = np.exp(log_w, out=log_w) / t
+    w[np.isnan(w)] = 0.0
+    return w
 
 
 def _change_weights(ranking: RankedNeighborhood, k: int, mode: str) -> np.ndarray:
@@ -93,31 +110,14 @@ def _change_weights(ranking: RankedNeighborhood, k: int, mode: str) -> np.ndarra
     voter and a nearer example of the other class displaces it.
 
     Only the class opposite to j's own collects a term at j, so each
-    position needs one weight.  With a = prefix_match + matches and
-    b = prefix_mismatch + not matches (each one more than the nearer
-    examples of its class, the displacing one left out), it is
-    C(a-1, h) C(b-1, h) / ((a+b) C(a+b-1, k)) for h = (k - 1) / 2: zero
-    where a class has fewer than h nearer examples.
+    position needs one weight: h = (k - 1) / 2 of the nearer examples of
+    each class precede the displacing one, which is left out of its class's
+    count, and j precedes it too.
     """
     half = (k - 1) // 2
-    a = ranking.prefix_match + ranking.matches
-    b = ranking.prefix_mismatch + ~ranking.matches
-    if mode == EXACT:
-        return np.array(
-            [_exact_weight(x, y, half, k) for x, y in zip(a.tolist(), b.tolist())],
-            dtype=object,
-        )
-    n = len(ranking)
-    lb_half = _log_binom_table(n, half)  # entry x holds ln C(x - 1, h)
-    with np.errstate(invalid="ignore"):
-        log_w = lb_half[a]
-        log_w += lb_half[b]
-        log_w -= _log_binom_table(n, k)[a + b]
-        log_w -= np.log(a + b)
-        finite = np.isfinite(log_w)
-        weight = np.exp(log_w, out=log_w)
-    weight[~finite] = 0.0
-    return weight
+    x = ranking.prefix_match - ~ranking.matches
+    y = ranking.prefix_mismatch - ranking.matches
+    return _pivot_weights(x, y, half, half, len(ranking), mode)
 
 
 def _zeros(n: int, mode: str) -> np.ndarray:

@@ -415,6 +415,15 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_no_module_imports_scipy():
+    package = os.path.dirname(os.path.abspath(divvy.__file__))
+    importer = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                assert not importer.search(fh.read()), name
+
+
 @pytest.mark.parametrize("numeric", ["float", "exact"])
 def test_one_cell_laws_build_no_within_grid(tmp_path, monkeypatch, capsys, numeric):
     # With a 64-byte budget a within-coalition grid of more than 8 cells is

@@ -234,7 +234,56 @@ def test_change_sweep_matches_quadratic_loop():
         assert knn_owen_change(ranking, cs, i, config.k, ov, "exact") == want[-1]
 
 
-def _precede_calls(monkeypatch, n):
+def _ranked_groups(rng, n, m, k):
+    """n examples in m coalitions with a query; redrawn until every
+    coalition has more than (k - 1) / 2 members of each class nearer than
+    the last rank, so each clamped count saturates before the end."""
+    h = (k - 1) // 2
+    while True:
+        dataset = Dataset(
+            Example(i, rng.choice(LABELS), features=(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                    coalition=f"g{rng.randrange(m)}")
+            for i in range(n)
+        )
+        query = Query(label=rng.choice(LABELS), features=(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+        ranking = rank_by_distance(dataset, query.features, query.label)
+        cs = dataset.coalition_structure()
+        nearer = [(cs.coalition_of(int(i)), bool(u))
+                  for i, u in zip(ranking.ordering[:-1], ranking.matches[:-1])]
+        if all(nearer.count((f"g{c}", u)) > h for c in range(m) for u in (True, False)):
+            return dataset, query, ranking, cs
+
+
+def test_change_sweep_matches_quadratic_loop_on_saturated_tails():
+    # past the last clamped-count change every coalition's law is fixed, so
+    # the sweep's last runs are long; the instances above seldom reach them
+    rng = random.Random(70)
+    for trial in range(12):
+        k = (1, 3, 5)[trial % 3]
+        n, m = rng.randint(30, 60), rng.randint(1, 4)
+        dataset, query, ranking, cs = _ranked_groups(rng, n, m, k)
+        ov = OutcomeValues(Fraction(rng.randint(1, 6)), Fraction(rng.randint(-6, 0)),
+                           Fraction(rng.randint(-2, 2)))
+        want = _quadratic_change_terms(ranking, cs, k, ov)
+        got = knn_owen._QueryEngine(ranking, cs, k, ov, "exact").change_terms()
+        assert got == want, (trial, n, m, k)
+
+
+def test_float_tracks_exact_at_hundreds_of_examples():
+    # the README's float rule: 1e-9, absolute below |v| = 1, relative above
+    rng = random.Random(71)
+    for _ in range(2):
+        dataset, query, _, cs = _ranked_groups(rng, 500, 5, 5)
+        config = KnnConfig(5, OutcomeValues(Fraction(3), Fraction(-2), Fraction(1, 3)))
+        exact = knn_owen_report(dataset, cs, [query], config, mode="exact")
+        approx = knn_owen_report(dataset, cs, [query], config, mode="float")
+        for i, v in exact.values().items():
+            assert abs(float(v) - approx.value_of(i)) <= 1e-9 * max(1.0, abs(v)), i
+
+
+def _calls(monkeypatch, n, owner, name):
+    """Calls made to ``owner.name`` by one float report of n examples in 5
+    coalitions, one query, k = 3."""
     rng = random.Random(69)
     dataset = Dataset(
         Example(i, rng.choice("ab"), features=(rng.uniform(-1, 1), rng.uniform(-1, 1)),
@@ -242,12 +291,13 @@ def _precede_calls(monkeypatch, n):
         for i in range(n)
     )
     calls = [0]
+    original = getattr(owner, name)
 
     def counting(*args, **kwargs):
         calls[0] += 1
-        return precede_probability(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(knn_owen, "precede_probability", counting)
+    monkeypatch.setattr(owner, name, counting)
     query = Query(label="a", features=(0.1, -0.2))
     knn_owen_report(dataset, dataset.coalition_structure(), [query],
                     KnnConfig(3, UNIT), mode="float")
@@ -255,10 +305,23 @@ def _precede_calls(monkeypatch, n):
 
 
 def test_work_grows_linearly_in_n(monkeypatch):
-    # the quadratic loop made 9,260 and 34,218 calls here (3.7x), the sweep
-    # makes 443 and 829
-    small, large = _precede_calls(monkeypatch, 400), _precede_calls(monkeypatch, 800)
+    # the quadratic loop made 9,260 and 34,218 calls here (3.7x), the
+    # per-rank sweep 443 and 829; the segment sweep makes 47 and 44
+    small = _calls(monkeypatch, 400, knn_owen, "precede_probability")
+    large = _calls(monkeypatch, 800, knn_owen, "precede_probability")
     assert large <= 2.5 * small, (small, large)
+
+
+def test_law_lookups_do_not_grow_with_n(monkeypatch):
+    # A law's inputs change only at the first k members of each coalition, so
+    # there are at most m * k + 1 segments, each with one lookup per
+    # coalition; m - 1 more at each of those ranks, and one per (coalition,
+    # class) for the creation terms.  The per-rank sweep made 428 and 4,027
+    # here, growing with n; the segment sweep makes 57 and 58.
+    m, k = 5, 3
+    bound = m * (m * k + 1) + m * k * (m - 1) + 2 * m
+    for n in (400, 4000):
+        assert _calls(monkeypatch, n, knn_owen._QueryEngine, "_dp") <= bound < n * m, n
 
 
 def test_empty_dataset_gives_an_empty_report():

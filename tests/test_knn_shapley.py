@@ -20,10 +20,12 @@ from divvy import (
     knn_shapley_report,
     knn_shapley_values,
     knn_subset_value,
+    log_binom,
     precede_probability,
     rank_by_distance,
 )
 from divvy.errors import InputError
+from divvy.knn_shapley import _log_binom_table
 
 from conftest import random_knn_instance, relative_gap
 
@@ -139,6 +141,21 @@ def test_float_tracks_exact():
         rep = knn_shapley_report(dataset, [query], config, mode="float")
         for i, v in exact.items():
             assert relative_gap(float(v), rep.value_of(i)) < 1e-9, i
+
+
+def test_log_binom_rows_match_log_binom():
+    # entry m + 1 of row (n, r) is ln C(m, r), -inf below m = r; log sums keep
+    # the few-ulp accuracy of log_binom even at n = 100,000
+    for n in (0, 3, 40, 100_000):
+        for r in range(8):
+            row = _log_binom_table(n, r)
+            assert row.shape == (n + 2,) and not row.flags.writeable
+            for m in sorted({-1, 0, r - 1, r, r + 1, n // 2, n - 1, n} & set(range(-1, n + 1))):
+                want = log_binom(m, r) if m >= 0 else float("-inf")
+                if want == float("-inf"):
+                    assert row[m + 1] == want, (n, r, m)
+                else:
+                    assert abs(row[m + 1] - want) <= 1e-14 * max(1.0, abs(want)), (n, r, m)
 
 
 def test_report_is_id_layout_invariant():
