@@ -375,11 +375,9 @@ def owen_frequency_report(
     """Total Owen payout per example over a batch of queries."""
     check_mode(mode)
     dataset.require_bins()
-    coalitions.validate_partition(dataset.ids)
-    column = [coalitions.coalition_of(i) for i in dataset.ids]
-    code: dict = {}  # coalition id -> code, in order of first appearance
-    owner = np.fromiter((code.setdefault(c, len(code)) for c in column), np.intp, len(column))
-    return _frequency_report(METHOD, dataset, owner, queries, vf, mode, per_query, column)
+    cids, owner = coalitions.codes(dataset.ids)
+    return _frequency_report(METHOD, dataset, owner, queries, vf, mode, per_query,
+                             cids[owner].tolist())
 
 
 def _frequency_report(method, dataset, owner, queries, vf, mode, per_query, coalition_column=None):
@@ -400,7 +398,7 @@ def _frequency_report(method, dataset, owner, queries, vf, mode, per_query, coal
     zero = to_money(0, mode)
     dtype = object if mode == EXACT else float
     totals = np.full(len(keys), zero, dtype)
-    rows = []
+    rows, ids = [], dataset.ids if per_query else None
     value_cache: dict = {}
     for q in queries:
         q_vf = q.value_function if q.value_function is not None else vf
@@ -434,7 +432,7 @@ def _frequency_report(method, dataset, owner, queries, vf, mode, per_query, coal
         if per_query:
             q_values = np.full(len(keys), zero, dtype)
             q_values[in_bin] = values
-            rows.append(dict(zip(dataset.ids, q_values[group].tolist())))
+            rows.append(dict(zip(ids, q_values[group].tolist())))
     return assemble_report(
         method=method,
         mode=mode,

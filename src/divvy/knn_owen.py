@@ -23,19 +23,21 @@ inputs or add to other coalitions' members.  Between two such ranks a
 same-coalition term is a closed form in the member's own nearer counts,
 evaluated over the whole run at once: a query costs O(m^2 * k) law
 lookups plus O(n) array work for n examples and m coalitions.
+
+The report codes coalitions once (``CoalitionStructure.codes``) and sums
+each query's values as one array, in the k-NN Shapley report's query loop.
 """
 
 from __future__ import annotations
 
-import time
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import EXACT, Money, check_mode, precede_probability
+from .combinatorics import Money, check_mode, precede_probability
 from .errors import InputError
 from .freq_owen import owen_precede_distribution
-from .knn_shapley import _pivot_weights, _zeros
+from .knn_shapley import _knn_report, _pivot_weights, _zeros
 from .model import (CoalitionStructure, Dataset, KnnConfig, OutcomeValues, Query,
                     RankedNeighborhood, rank_by_distance, to_money)
 from .report import ValueReport, assemble_report
@@ -45,32 +47,28 @@ METHOD = "owen-knn"
 # the preceder law, bound under the name through which this module calls it
 knn_owen_distribution = owen_precede_distribution
 
-
-def _coalition_codes(coalitions: CoalitionStructure, ids) -> np.ndarray:
-    """Index in ``coalitions.coalition_ids()`` of each example's coalition."""
-    cindex = {cid: c for c, cid in enumerate(coalitions.coalition_ids())}
-    return np.array([cindex[coalitions.coalition_of(i)] for i in ids], dtype=np.int64)
+# rank_by_distance and assemble_report are not called here (the report runs
+# knn_shapley's loop), but stay bound under the names perfbench/spans.py wraps
 
 
 class _QueryEngine:
-    """Shared per-query state: each rank position's coalition index (from
-    ``codes`` when given), its coalition-mates nearer than it, and the law
-    cache."""
+    """One query's state: at each rank position the coalition's code
+    (0 .. m - 1) and class and the coalition-mates nearer than it, by
+    class; and the law cache."""
 
-    def __init__(self, ranking: RankedNeighborhood, coalitions: CoalitionStructure, k: int,
-                 ov: OutcomeValues, mode: str, codes: np.ndarray = None):
+    def __init__(self, ranking: RankedNeighborhood, codes: np.ndarray, m: int, k: int,
+                 ov: OutcomeValues, mode: str):
         if k < 1 or k % 2 == 0:
             raise InputError("k must be odd")
         self.k = k
         self.half = (k - 1) // 2
         self.mode = mode
-        self.m = len(coalitions.coalition_ids())
-        self.codes = _coalition_codes(coalitions, ranking.ordering.tolist()) if codes is None else codes
+        self.m, self.codes = m, codes
         self.matches = matches = np.asarray(ranking.matches, dtype=bool)
         # each coalition's positions, nearest first, and at every position its
         # coalition-mates nearer than it, by class
-        order = np.argsort(self.codes, kind="stable")
-        ends = np.cumsum(np.bincount(self.codes, minlength=self.m))
+        order = np.argsort(codes, kind="stable")
+        ends = np.cumsum(np.bincount(codes, minlength=m))
         self.members = [order[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
         self.own_a, self.own_b = np.zeros((2, len(order)), dtype=np.int64)
         for pos in self.members:
@@ -132,7 +130,7 @@ class _QueryEngine:
                 inner += mass * precede_probability((a_m, b_m), (a, b), self.mode)
         return inner
 
-    def change_terms(self) -> List[Money]:
+    def change_terms(self) -> np.ndarray:
         """Change term of every rank position: the exclusive suffix total,
         per (coalition, class), of what the farther opposite-class ranks add
         to that coalition's members of that class."""
@@ -189,31 +187,35 @@ class _QueryEngine:
                 suffix = np.append(np.cumsum(adds[src][::-1])[::-1], self.zero)
                 readers = mine[matches[mine] == u]
                 out[readers] = suffix[np.searchsorted(pos[src], readers)] * self.d_change[u]
-        return out.tolist()
+        return out
 
-    def values(self) -> List[Money]:
-        """Owen value of every rank position: its creation term, computed
-        once per (coalition, class), plus its change term."""
-        codes, matches = self.codes.tolist(), self.matches.tolist()
-        made = {(c, u): self.creation(c, u) for c, u in set(zip(codes, matches))}
-        return [made[(c, u)] + g for c, u, g in zip(codes, matches, self.change_terms())]
+    def values(self) -> np.ndarray:
+        """Owen value of every rank position: its creation term, from a
+        table with one entry per (coalition, class), plus its change term."""
+        cell = 2 * self.codes + self.matches  # entry 2c + 1 for c's matches
+        made = _zeros(2 * self.m, self.mode)
+        for x in np.unique(cell).tolist():
+            made[x] = self.creation(x // 2, bool(x % 2))
+        return made[cell] + self.change_terms()
 
 
 def knn_owen_creation(ranking: RankedNeighborhood, coalitions: CoalitionStructure, example_id: int,
                       k: int, ov: OutcomeValues, mode: str = "float") -> Money:
     """Creation term of one example's Owen value."""
     check_mode(mode)
-    eng = _QueryEngine(ranking, coalitions, k, ov, mode)
+    cids, codes = coalitions.codes(ranking.ordering.tolist())
+    eng = _QueryEngine(ranking, codes, len(cids), k, ov, mode)
     pos = ranking.position_of(example_id)
-    return eng.creation(int(eng.codes[pos]), bool(eng.matches[pos]))
+    return eng.creation(int(codes[pos]), bool(eng.matches[pos]))
 
 
 def knn_owen_change(ranking: RankedNeighborhood, coalitions: CoalitionStructure, example_id: int,
                     k: int, ov: OutcomeValues, mode: str = "float") -> Money:
     """Change term of one example's Owen value."""
     check_mode(mode)
-    eng = _QueryEngine(ranking, coalitions, k, ov, mode)
-    return eng.change_terms()[ranking.position_of(example_id)]
+    cids, codes = coalitions.codes(ranking.ordering.tolist())
+    eng = _QueryEngine(ranking, codes, len(cids), k, ov, mode)
+    return eng.change_terms().tolist()[ranking.position_of(example_id)]
 
 
 def knn_owen_report(
@@ -224,24 +226,13 @@ def knn_owen_report(
     mode: str = "float",
     per_query: bool = False,
 ) -> ValueReport:
-    """Total Owen payout per example over a batch of queries."""
-    check_mode(mode)
-    coalitions.validate_partition(dataset.ids)
-    t0 = time.perf_counter()
-    codes = _coalition_codes(coalitions, dataset.ids)  # by dataset row
-    totals = [to_money(0, mode)] * len(dataset)
-    rows = []
-    for q in queries:
-        ranking = rank_by_distance(dataset, q.features, q.label, config.metric)
-        values = _QueryEngine(ranking, coalitions, config.k, config.outcome_values, mode,
-                              codes[ranking.rows]).values()
-        for r, v in zip(ranking.rows.tolist(), values):
-            totals[r] += v
-        if per_query:
-            rows.append(dict(zip(ranking.ordering.tolist(), values)))
-    cids = coalitions.coalition_ids()
-    return assemble_report(
-        method=METHOD, mode=mode, dataset=dataset, values=totals, query_count=len(queries),
-        wall_time=time.perf_counter() - t0, k=config.k, per_query=rows if per_query else None,
-        coalition_column=[cids[c] for c in codes.tolist()],
-    )
+    """Total Owen payout per example over a batch of queries, summed by the
+    query loop that the k-NN Shapley report runs."""
+    cids, codes = coalitions.codes(dataset.ids)  # by dataset row
+
+    def ranked_values(ranking: RankedNeighborhood) -> np.ndarray:
+        return _QueryEngine(ranking, codes[ranking.rows], len(cids), config.k,
+                            config.outcome_values, mode).values()
+
+    return _knn_report(METHOD, dataset, queries, config, mode, per_query, ranked_values,
+                       cids[codes].tolist())

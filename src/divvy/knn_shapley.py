@@ -13,7 +13,7 @@ import functools
 import math
 import time
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -105,27 +105,20 @@ def _pivot_weights(x: np.ndarray, y: np.ndarray, a: int, b: int, n: int, mode: s
     return w
 
 
-def _change_weights(ranking: RankedNeighborhood, k: int, mode: str) -> np.ndarray:
-    """Per rank position j, the probability that j is the pivotal k-th
-    voter and a nearer example of the other class displaces it.
-
-    Only the class opposite to j's own collects a term at j, so each
-    position needs one weight: h = (k - 1) / 2 of the nearer examples of
-    each class precede the displacing one, which is left out of its class's
-    count, and j precedes it too.
-    """
-    half = (k - 1) // 2
-    x = ranking.prefix_match - ~ranking.matches
-    y = ranking.prefix_mismatch - ranking.matches
-    return _pivot_weights(x, y, half, half, len(ranking), mode)
-
-
 def _zeros(n: int, mode: str) -> np.ndarray:
     return np.full(n, Fraction(0), dtype=object) if mode == EXACT else np.zeros(n)
 
 
 def _change_values(ranking: RankedNeighborhood, k: int, ov: OutcomeValues, mode: str) -> np.ndarray:
-    weight = _change_weights(ranking, k, mode)
+    """Change term of every rank position.  Position j's weight is the
+    probability that j is the pivotal k-th voter and a nearer example of
+    the other class displaces it: h = (k - 1) / 2 of the nearer examples of
+    each class precede the displacing one, which is left out of its class's
+    count, and j precedes it too."""
+    half = (k - 1) // 2
+    x = ranking.prefix_match - ~ranking.matches
+    y = ranking.prefix_mismatch - ranking.matches
+    weight = _pivot_weights(x, y, half, half, len(ranking), mode)
     delta = to_money(ov.correct, mode) - to_money(ov.wrong, mode)
     vals = np.empty_like(weight)
     hit = np.flatnonzero(ranking.matches)
@@ -158,10 +151,9 @@ def knn_change_values_all(
     return _change_values(ranking, k, ov, mode).tolist()
 
 
-def _row_values(dataset: Dataset, query: Query, config: KnnConfig, mode: str) -> np.ndarray:
-    """Shapley value per example for one query, in dataset order."""
-    ranking = rank_by_distance(dataset, query.features, query.label, config.metric)
-    n = len(dataset)
+def _ranked_values(ranking: RankedNeighborhood, config: KnnConfig, mode: str) -> np.ndarray:
+    """Shapley value of every rank position for one query."""
+    n = len(ranking)
     if n < config.k:
         return _zeros(n, mode)
     k, ov = config.k, config.outcome_values
@@ -171,9 +163,7 @@ def _row_values(dataset: Dataset, query: Query, config: KnnConfig, mode: str) ->
     f_false = knn_creation_value(n, m, False, k, ov, mode) if m < n else 0
     vals = _change_values(ranking, k, ov, mode)
     vals += np.where(ranking.matches, f_true, f_false)
-    out = _zeros(n, mode)
-    out[ranking.rows] = vals
-    return out
+    return vals
 
 
 def knn_shapley_values(
@@ -184,7 +174,33 @@ def knn_shapley_values(
 ) -> dict:
     """Shapley value per example id for a single query."""
     check_mode(mode)
-    return dict(zip(dataset.ids, _row_values(dataset, query, config, mode).tolist()))
+    ranking = rank_by_distance(dataset, query.features, query.label, config.metric)
+    out = _zeros(len(dataset), mode)
+    out[ranking.rows] = _ranked_values(ranking, config, mode)
+    return dict(zip(dataset.ids, out.tolist()))
+
+
+def _knn_report(method: str, dataset: Dataset, queries: Sequence[Query], config: KnnConfig,
+                mode: str, per_query: bool, ranked_values: Callable[..., np.ndarray],
+                coalition_column: Optional[list] = None) -> ValueReport:
+    """Total payout per example over a batch of queries, for either k-NN
+    method: each query ranks the examples once, and ``ranked_values`` gives
+    the values that the rows, in rank order, add to their totals."""
+    check_mode(mode)
+    t0 = time.perf_counter()
+    totals = _zeros(len(dataset), mode)
+    rows = []
+    for q in queries:
+        ranking = rank_by_distance(dataset, q.features, q.label, config.metric)
+        values = ranked_values(ranking)
+        totals[ranking.rows] += values
+        if per_query:
+            rows.append(dict(zip(ranking.ordering.tolist(), values.tolist())))
+    return assemble_report(
+        method=method, mode=mode, dataset=dataset, values=totals, query_count=len(queries),
+        wall_time=time.perf_counter() - t0, k=config.k, per_query=rows if per_query else None,
+        coalition_column=coalition_column,
+    )
 
 
 def knn_shapley_report(
@@ -195,22 +211,5 @@ def knn_shapley_report(
     per_query: bool = False,
 ) -> ValueReport:
     """Total Shapley payout per example over a batch of queries."""
-    check_mode(mode)
-    t0 = time.perf_counter()
-    totals = _zeros(len(dataset), mode)
-    rows = []
-    for q in queries:
-        values = _row_values(dataset, q, config, mode)
-        totals += values
-        if per_query:
-            rows.append(dict(zip(dataset.ids, values.tolist())))
-    return assemble_report(
-        method=METHOD,
-        mode=mode,
-        dataset=dataset,
-        values=totals,
-        query_count=len(queries),
-        wall_time=time.perf_counter() - t0,
-        k=config.k,
-        per_query=rows if per_query else None,
-    )
+    return _knn_report(METHOD, dataset, queries, config, mode, per_query,
+                       lambda ranking: _ranked_values(ranking, config, mode))

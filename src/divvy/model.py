@@ -315,6 +315,15 @@ class CoalitionStructure:
         if covered - ids:
             raise InputError(f"coalition partition names unknown example ids {sorted(covered - ids)[:5]}")
 
+    def codes(self, ids: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """``coalition_ids()`` as an object array, and the index in it of each
+        id's coalition; the partition must cover ``ids`` exactly."""
+        self.validate_partition(ids)
+        cids = self.coalition_ids()
+        code = {cid: c for c, cid in enumerate(cids)}
+        codes = map(code.__getitem__, map(self._owner.__getitem__, ids))
+        return np.fromiter(cids, object, len(cids)), np.fromiter(codes, np.intp, len(ids))
+
 
 # ---------------------------------------------------------------------------
 # frequency model: value functions over (match, mismatch) count pairs

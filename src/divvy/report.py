@@ -315,10 +315,12 @@ def read_report(path) -> ValueReport:
             coalitions = [(c["id"], _decode_value(c["value"], mode)) for c in doc["coalitions"]]
             per_query = None
             if doc.get("per_query") is not None:
-                per_query = [
-                    {r["id"]: _decode_value(r["value"], mode) for r in q["values"]}
-                    for q in doc["per_query"]
-                ]
+                id_set, per_query = set(ids), []
+                for qi, q in enumerate(doc["per_query"]):
+                    block = {r["id"]: _decode_value(r["value"], mode) for r in q["values"]}
+                    if len(block) != len(q["values"]) or block.keys() != id_set:
+                        raise ValueError(f"per-query block {qi} does not list each example id once")
+                    per_query.append(block)
         known = {"method", "numeric_mode", "k", "query_count", "wall_time_s"}
         extras = {k: v for k, v in meta.items() if k not in known} or None
         report = ValueReport(

@@ -404,8 +404,9 @@ def test_owen_freq_exact_on_many_equal_coalitions(tmp_path):
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
-    # importing scipy costs a third of a second or more; only the float
-    # k-NN sweep needs it (for gammaln), so the CLI must not load it up front
+    # importing scipy costs a third of a second or more, and no divvy module
+    # needs it, so importing the CLI must not load it (say, through a
+    # dependency) either
     src = os.path.dirname(os.path.dirname(os.path.abspath(divvy.__file__)))
     code = "import sys, divvy.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run(

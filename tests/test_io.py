@@ -279,7 +279,7 @@ def test_coalition_file_and_override(tmp_path):
         parse_coalition_file(empty)
 
 
-def _sample_report(mode="exact"):
+def _sample_report(mode="exact", per_query=False):
     from divvy import Dataset, Example, Query
 
     ds = Dataset([
@@ -287,7 +287,8 @@ def _sample_report(mode="exact"):
         Example(1, "y", bin="b0", coalition="g1"),
     ])
     vf = MajorityValueFunction(Fraction(10), Fraction(-10), Fraction(0))
-    return shapley_frequency_report(ds, [Query(label="x", bin="b0")], vf, mode=mode)
+    return shapley_frequency_report(ds, [Query(label="x", bin="b0")], vf, mode=mode,
+                                    per_query=per_query)
 
 
 def test_report_round_trip(tmp_path):
@@ -364,6 +365,18 @@ def test_read_report_rejects_tampering(tmp_path):
     broken.write_text(json.dumps(doc))
     with pytest.raises(InputError, match="malformed"):
         read_report(broken)
+    # a per-query block must list each example id once: no unknown, missing
+    # or repeated id
+    rep = _sample_report("exact", per_query=True)
+    write_report(rep, path)
+    for edit in (lambda rows: rows.append({"id": 7, "value": "0"}),
+                 lambda rows: rows.pop(),
+                 lambda rows: rows.append(dict(rows[0]))):
+        doc = json.loads(path.read_text())
+        edit(doc["per_query"][0]["values"])
+        broken.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match="malformed"):
+            read_report(broken)
 
 
 def test_read_report_rejects_non_integer_ids(tmp_path):

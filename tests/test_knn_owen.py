@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 import divvy.knn_owen as knn_owen
 from divvy import (
@@ -227,11 +228,29 @@ def test_change_sweep_matches_quadratic_loop():
         ranking = rank_by_distance(dataset, query.features, query.label)
         ov = config.outcome_values
         want = _quadratic_change_terms(ranking, cs, config.k, ov)
-        got = knn_owen._QueryEngine(ranking, cs, config.k, ov, "exact").change_terms()
+        cids, codes = cs.codes(ranking.ordering.tolist())
+        engine = knn_owen._QueryEngine(ranking, codes, len(cids), config.k, ov, "exact")
+        got = engine.change_terms().tolist()
         assert all(isinstance(v, Fraction) for v in got)
         assert got == want, trial
         i = int(ranking.ordering[-1])
         assert knn_owen_change(ranking, cs, i, config.k, ov, "exact") == want[-1]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_engine_returns_arrays(mode):
+    # the report adds a query's values into its totals as one array
+    rng = random.Random(72)
+    dataset, query, config = random_knn_instance(
+        rng, max_n=12, ks=(1, 3, 5), with_coalitions=True, max_groups=4
+    )
+    ranking = rank_by_distance(dataset, query.features, query.label)
+    cids, codes = dataset.coalition_structure().codes(ranking.ordering.tolist())
+    ov = config.outcome_values
+    engine = knn_owen._QueryEngine(ranking, codes, len(cids), config.k, ov, mode)
+    for got in (engine.values(), engine.change_terms()):
+        assert isinstance(got, np.ndarray) and got.shape == (len(dataset),)
+        assert got.dtype == (object if mode == "exact" else np.float64)
 
 
 def _ranked_groups(rng, n, m, k):
@@ -265,7 +284,9 @@ def test_change_sweep_matches_quadratic_loop_on_saturated_tails():
         ov = OutcomeValues(Fraction(rng.randint(1, 6)), Fraction(rng.randint(-6, 0)),
                            Fraction(rng.randint(-2, 2)))
         want = _quadratic_change_terms(ranking, cs, k, ov)
-        got = knn_owen._QueryEngine(ranking, cs, k, ov, "exact").change_terms()
+        cids, codes = cs.codes(ranking.ordering.tolist())
+        engine = knn_owen._QueryEngine(ranking, codes, len(cids), k, ov, "exact")
+        got = engine.change_terms().tolist()
         assert got == want, (trial, n, m, k)
 
 

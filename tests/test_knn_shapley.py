@@ -17,6 +17,7 @@ from divvy import (
     knn_change_values_all,
     knn_creation_value,
     knn_game,
+    knn_owen_report,
     knn_shapley_report,
     knn_shapley_values,
     knn_subset_value,
@@ -222,7 +223,11 @@ def _bits(v):
     return v if isinstance(v, Fraction) else float(v).hex()
 
 
-def test_held_float_report_costs_no_object_per_example():
+@pytest.mark.parametrize("report", [
+    lambda dataset, cs, queries, config: knn_shapley_report(dataset, queries, config),
+    lambda dataset, cs, queries, config: knn_owen_report(dataset, cs, queries, config),
+], ids=["shapley-knn", "owen-knn"])
+def test_held_float_report_costs_no_object_per_example(report):
     # One Python object per example in a held report makes each full pass of
     # the cyclic collector rescan n more objects, which breaks the near-linear
     # scaling of acceptance criterion 7; this pins the cause without a clock.
@@ -233,16 +238,17 @@ def test_held_float_report_costs_no_object_per_example():
     def objects_held_by_report(n):
         pts = rng.standard_normal((n, 2))
         dataset = Dataset(
-            Example(i, "pos" if i % 3 else "neg", features=tuple(pts[i]))
+            Example(i, "pos" if i % 3 else "neg", features=tuple(pts[i]), coalition=f"g{i % 4}")
             for i in range(n)
         )
-        knn_shapley_report(dataset, [query], config, mode="float")  # fill caches
+        cs = dataset.coalition_structure()
+        report(dataset, cs, [query], config)  # fill caches
         gc.collect()
         before = len(gc.get_objects())
-        report = knn_shapley_report(dataset, [query], config, mode="float")
+        held_report = report(dataset, cs, [query], config)
         gc.collect()
         held = len(gc.get_objects()) - before
-        assert len(report.values()) == n
+        assert len(held_report.values()) == n
         return held
 
     # A few interpreter objects (numpy's errstate context nodes) come and go

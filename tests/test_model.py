@@ -99,6 +99,12 @@ def test_coalition_structure_from_dataset():
         cs.validate_partition([0, 1])
     with pytest.raises(InputError):
         cs.coalition_of(99)
+    cids, codes = cs.codes([2, 1, 0])
+    assert cids.tolist() == ["g0", "g1"] and codes.tolist() == [0, 1, 0]
+    with pytest.raises(InputError, match="missing from the coalition partition"):
+        cs.codes([0, 1, 2, 3])
+    with pytest.raises(InputError, match="unknown example ids"):
+        cs.codes([0, 1])
 
 
 def test_coalition_structure_needs_full_cover():
