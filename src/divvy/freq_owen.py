@@ -235,13 +235,26 @@ def _prefix_weights(size_a: int, size_b: int, a: np.ndarray, b: np.ndarray, mode
     mismatches precede one more example in a uniform order of them all, at
     the cells of the broadcast arrays ``a`` and ``b``: with t = size_a +
     size_b + 1, C(a + b, a) C(t - 1 - a - b, size_a - a) / (t C(t - 1,
-    size_a)).  Exact mode gives Python-int numerators and the denominator;
-    float mode the numerators' logs, summed as ``precede_probability`` sums
-    them, and t, for the caller to exponentiate."""
+    size_a)).  Exact mode gives Python-int numerators, walked up each
+    diagonal a - b from its lowest wanted cells (one ``math.comb`` pair
+    each) by one multiply and one exact divide per step, and the
+    denominator; float mode the numerators' logs, summed as
+    ``precede_probability`` sums them, and t, for the caller to exponentiate."""
     t = size_a + size_b + 1
     if mode == EXACT:
-        comb = np.frompyfunc(math.comb, 2, 1)
-        return comb(a + b, a) * comb(t - 1 - a - b, size_a - a), t * math.comb(t - 1, size_a)
+        a, b = np.broadcast_arrays(a, b)
+        order = np.lexsort((a.ravel(), (a - b).ravel()))  # by diagonal, then up it
+        weights, below = [], None
+        for x, y in zip(a.ravel()[order].tolist(), b.ravel()[order].tolist()):
+            if below == (x - 1, y - 1):  # the binomials' ratio from the cell below
+                w = w * (x + y - 1) * (x + y) * (size_a + 1 - x) * (size_b + 1 - y) // (
+                    x * y * (t + 1 - x - y) * (t - x - y))
+            else:
+                w = math.comb(x + y, x) * math.comb(t - 1 - x - y, size_a - x)
+            weights.append(w)
+            below = x, y
+        back = np.argsort(order)  # walk order back to cell order
+        return np.array(weights, object)[back].reshape(a.shape), t * math.comb(t - 1, size_a)
     return -_log_binoms(t - 1, a + b) + _log_binoms(size_a, a) + _log_binoms(size_b, b), t
 
 
@@ -297,7 +310,9 @@ def _value_from_distribution(dist: PrecedeDistribution, crit: CriticalSet, a_m: 
         for w, (_, _, d) in zip(weights, cells):  # in entry order: fixes float bytes
             total += w * scaled(d)
     else:
-        _guard((a_m + 1) * (b_m + 1) * 8, "within-coalition grid")
+        # an exact cell holds an int up to the weights' denominator
+        cell = 8 + sys.getsizeof((a_m + b_m + 1) * math.comb(a_m + b_m, a_m)) if exact else 8
+        _guard((a_m + 1) * (b_m + 1) * cell, "within-coalition grid")
         box = np.arange(a_m + 1)[:, None], np.arange(b_m + 1)
         within, w_den = _prefix_weights(a_m, b_m, *box, mode)
         if not exact:

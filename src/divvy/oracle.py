@@ -197,8 +197,8 @@ class McEstimate:
 def sample_permutations(n: int, samples: int, seed: int) -> list:
     """Uniform random permutations of range(n), built by inserting each next
     element at a uniform position of the partial ordering (PCG64 stream)."""
-    if n < 1 or samples < 1:
-        raise InputError("need n >= 1 and samples >= 1")
+    if n < 1 or samples < 1 or seed < 0:
+        raise InputError(f"need n >= 1, samples >= 1 and seed >= 0 (got {n}, {samples}, {seed})")
     rng = np.random.Generator(np.random.PCG64(seed))
     cols = [rng.integers(0, j + 1, size=samples) for j in range(1, n)]
     perms = []
@@ -221,8 +221,9 @@ def mc_shapley_all(game: CharacteristicGame, samples: int, seed: int) -> Dict[in
     contribution at once (Castro, Gomez & Tejada 2009)."""
     if not game.n:
         return {}
+    perms = sample_permutations(game.n, samples, seed)  # checks samples before the array
     marginals = np.empty((game.n, samples))
-    for s, perm in enumerate(sample_permutations(game.n, samples, seed)):
+    for s, perm in enumerate(perms):
         mask, before = 0, game.value_mask(0)
         for q in perm:
             mask |= 1 << q
@@ -242,10 +243,9 @@ def mc_shapley(game: CharacteristicGame, player: int, samples: int, seed: int) -
     if player not in game._index:
         raise InputError(f"unknown player {player!r}")
     p = game._index[player]
-    marginals = np.empty(samples)
-    for s, perm in enumerate(sample_permutations(game.n, samples, seed)):
-        mask = sum(1 << q for q in perm[: perm.index(p)])
-        marginals[s] = float(game.value_mask(mask | 1 << p) - game.value_mask(mask))
+    prefixes = (perm[: perm.index(p)] for perm in sample_permutations(game.n, samples, seed))
+    masks = [sum(1 << q for q in prefix) for prefix in prefixes]
+    marginals = np.array([float(game.value_mask(m | 1 << p) - game.value_mask(m)) for m in masks])
     return _estimate(marginals, samples, seed)
 
 

@@ -379,6 +379,38 @@ def test_owen_freq_grid_guard_exits_2_before_allocating(tmp_path, capsys, numeri
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MiB: the grid was allocated"
 
 
+def test_exact_within_grid_guard_counts_int_cells(tmp_path, monkeypatch, capsys):
+    # one bin: a coalition of 40 + 40 examples and two more of tallies
+    # (1, 0) and (0, 2), so the large coalition's law has several cells and
+    # its within-coalition grid is 40 x 41.  That is 13,120 bytes at 8
+    # bytes a cell, but an exact cell also holds an int of ~2^82 (36
+    # bytes), ~72 KB in all: over a 32 KiB budget in exact mode alone
+    monkeypatch.setattr(freq_owen, "GRID_BUDGET_BYTES", 2**15)
+    data = tmp_path / "d.csv"
+    rows = [f"{i},b0,{'xy'[i % 2]},g0" for i in range(80)]
+    rows += ["80,b0,x,g1", "81,b0,y,g2", "82,b0,y,g2"]
+    data.write_text("id,bin,label,coalition\n" + "\n".join(rows) + "\n")
+    queries = tmp_path / "q.csv"
+    queries.write_text("bin,label\nb0,x\n")
+    vf = tmp_path / "v.json"
+    vf.write_text('{"family": "majority", "correct": 3, "wrong": -1, "none": 0}')
+    argv = ["owen-freq", "--data", str(data), "--queries", str(queries), "--value", str(vf),
+            "--out", str(tmp_path / "out.json"), "--numeric"]
+    assert run_command(argv + ["float"]) == 0
+    assert run_command(argv + ["exact"]) == 2
+    assert "within-coalition grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, bad", [("--samples", "-3"), ("--seed", "-1")])
+def test_mc_shapley_rejects_a_bad_count_or_seed(freq_files, capsys, flag, bad):
+    data, queries, vf = freq_files
+    argv = ["oracle", "--family", "frequency", "--method", "mc-shapley", "--data", str(data),
+            "--queries", str(queries), "--value", str(vf), flag, bad]
+    assert run_command(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("divvy: error:") and "samples >= 1 and seed >= 0" in err, err
+
+
 def test_owen_freq_exact_on_many_equal_coalitions(tmp_path):
     # 80 coalitions of 10 matches + 10 mismatches in one bin: past int64
     # counts (m = 79), yet subsets of one size all land on one cell, so the

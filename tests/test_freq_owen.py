@@ -1,6 +1,7 @@
 """Owen values for frequency rules: the preceder law and full pipeline."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -287,6 +288,57 @@ def test_critical_set_built_once_per_label_class(monkeypatch):
     queries = [Query(label="x", bin="b0"), Query(label="y", bin="b0")]
     owen_frequency_report(ds, ds.coalition_structure(), queries, PAYOUT, mode="float")
     assert len(calls) <= 2 * len(queries), len(calls)
+
+
+def test_exact_prefix_weights_match_the_formula():
+    # the diagonal walk gives the same Python ints as two binomials per
+    # cell, on full grids and on shuffled cell lists with gaps along each
+    # diagonal (a cell whose cell below is missing seeds its own walk)
+    rng = random.Random(14)
+    boxes = [(0, 0), (0, 7), (9, 0), (1, 1), (30, 30)]
+    boxes += [(rng.randrange(40), rng.randrange(40)) for _ in range(12)]
+    for size_a, size_b in boxes:
+        t = size_a + size_b + 1
+
+        def formula(a, b):
+            return math.comb(a + b, a) * math.comb(t - 1 - a - b, size_a - a)
+
+        box = np.arange(size_a + 1)[:, None], np.arange(size_b + 1)
+        grid, den = freq_owen._prefix_weights(size_a, size_b, *box, "exact")
+        assert den == t * math.comb(t - 1, size_a)
+        assert grid.shape == (size_a + 1, size_b + 1) and grid.dtype == object
+        assert grid.tolist() == [[formula(a, b) for b in range(size_b + 1)]
+                                 for a in range(size_a + 1)], (size_a, size_b)
+        cells = [(a, b) for a in range(size_a + 1) for b in range(size_b + 1)
+                 if rng.random() < 0.4]
+        cells += [(c, c) for c in range(0, min(size_a, size_b) + 1, 3)]  # every third
+        rng.shuffle(cells)
+        a, b = np.array(cells, np.intp).reshape(-1, 2).T
+        got, _ = freq_owen._prefix_weights(size_a, size_b, a, b, "exact")
+        assert got.tolist() == [formula(x, y) for x, y in cells], (size_a, size_b)
+        assert all(type(w) is int for w in got.tolist())
+
+
+def test_exact_weights_cost_no_more_binomials_on_a_larger_bin(monkeypatch):
+    # a majority rule's critical cells lie on two diagonals: one math.comb
+    # pair seeds each, and the denominator costs one more, per label class
+    # and whatever the bin's size: 11 calls here (two per cell made 1,603
+    # and 6,403)
+    calls = [0]
+    real = math.comb
+
+    def counting(n, k):
+        calls[0] += 1
+        return real(n, k)
+
+    monkeypatch.setattr(math, "comb", counting)
+    counts = []
+    for n in (200, 800):
+        ds = Dataset(Example(i, "xy"[i % 2], bin="b0") for i in range(2 * n))
+        calls[0] = 0
+        shapley_frequency_report(ds, [Query(label="x", bin="b0")], PAYOUT, mode="exact")
+        counts.append(calls[0])
+    assert counts[0] == counts[1] <= 12, counts
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

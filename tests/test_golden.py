@@ -6,8 +6,11 @@ committed files, byte for byte.  The frequency cases run with the majority
 rule and again with a table that has no default; one query overrides either
 with a table that has one.  The inputs use non-contiguous ids and
 coalition ids that JSON must escape and CSV must quote (a comma, a double
-quote, a non-ASCII letter).  To rewrite the golden files from the program on
-``PYTHONPATH``:
+quote, a non-ASCII letter).  The ``wide`` cases put 60 examples in one bin
+and three coalitions, so the prefix weights run along critical diagonals
+of up to 28 cells; their table covers the bin's box, and one query
+overrides it with the sparse table that has a default.  To rewrite the
+golden files from the program on ``PYTHONPATH``:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -32,8 +35,8 @@ def _inputs(*names):
     return [os.path.join(GOLDEN, n) for n in names]
 
 
-def _freq(command, mode, rule="majority.json"):
-    data, queries, value = _inputs("freq.csv", "freq_queries.csv", rule)
+def _freq(command, mode, rule="majority.json", stem="freq"):
+    data, queries, value = _inputs(f"{stem}.csv", f"{stem}_queries.csv", rule)
     return [command, "--data", data, "--queries", queries, "--value", value, "--numeric", mode]
 
 
@@ -63,6 +66,8 @@ def _cases():
         # a run-wide table with no default that covers every bin's box
         for command in ("shapley-freq", "owen-freq"):
             base[f"{command}-table-{mode}"] = _freq(command, mode, "covering_table.json")
+            base[f"{command}-wide-{mode}"] = _freq(command, mode, stem="wide")
+            base[f"{command}-wide-table-{mode}"] = _freq(command, mode, "wide_table.json", "wide")
         base[f"shapley-knn-{mode}"] = _knn("shapley-knn", mode)
         base[f"owen-knn-{mode}"] = _knn("owen-knn", mode, "--coalitions", groups)
     base["oracle-freq-exact-shapley"] = _oracle("frequency", "exact-shapley")
