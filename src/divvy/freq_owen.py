@@ -55,10 +55,20 @@ class CriticalSet:
         return np.array(a, dtype=np.intp), np.array(b, dtype=np.intp), np.array(d, dtype=float)
 
     @cached_property
+    def scaled(self) -> Tuple[int, list]:
+        """The deltas over their common denominator: it, and each entry's
+        numerator over it.  A rule repeats a few delta objects, and each is
+        scaled once."""
+        distinct = {id(d): d for _, _, d in self.entries}
+        den = math.lcm(*(d.denominator for d in distinct.values()))
+        num = {i: d.numerator * (den // d.denominator) for i, d in distinct.items()}
+        return den, [num[id(d)] for _, _, d in self.entries]
+
+    @cached_property
     def diagonals(self) -> dict:
-        """Each diagonal a - b the entries touch, with its delta: the
-        rules of a - b alone have one delta per diagonal."""
-        return {a - b: d for a, b, d in self.entries}
+        """Each diagonal a - b the entries touch, with the index of an entry
+        on it: the rules of a - b alone have one delta per diagonal."""
+        return {a - b: i for i, (a, b, _) in enumerate(self.entries)}
 
 
 def critical_set(
@@ -291,16 +301,12 @@ def _value_from_distribution(dist: PrecedeDistribution, crit: CriticalSet, a_m: 
     diagonal lies inside the box, so the read sums all of them."""
     exact = mode == EXACT
     if exact:  # in integers: deltas and weights over common denominators
-        den = math.lcm(*(d.denominator for _, _, d in crit.entries))
-
-        def scaled(d: Fraction) -> int:
-            return d.numerator * (den // d.denominator)
-
+        den, deltas = crit.scaled
         law = dist.weights
     else:
-        den, scaled, law = 1, float, dist.probs
+        den, deltas, law = 1, crit.columns[2], dist.probs
     if law.size == 1:
-        cells = [e for e in crit.entries if e[0] <= a_m and e[1] <= b_m]
+        cells = [(a, b, d) for (a, b, _), d in zip(crit.entries, deltas) if a <= a_m and b <= b_m]
         a, b = np.array([e[:2] for e in cells], np.intp).reshape(-1, 2).T
         weights, w_den = _prefix_weights(a_m, b_m, a, b, mode)
         weights = weights.tolist()
@@ -308,7 +314,7 @@ def _value_from_distribution(dist: PrecedeDistribution, crit: CriticalSet, a_m: 
             weights, w_den = [math.exp(w) / w_den for w in weights], 1
         total = 0
         for w, (_, _, d) in zip(weights, cells):  # in entry order: fixes float bytes
-            total += w * scaled(d)
+            total += w * d
     else:
         # an exact cell holds an int up to the weights' denominator
         cell = 8 + sys.getsizeof((a_m + b_m + 1) * math.comb(a_m + b_m, a_m)) if exact else 8
@@ -322,12 +328,11 @@ def _value_from_distribution(dist: PrecedeDistribution, crit: CriticalSet, a_m: 
             np.add.at(by_diff, (box[0] - box[1] + b_m).ravel(), within.ravel())
             conv = np.convolve(law, by_diff)
             at = b_m - dist.origin[0]  # conv[at + d] weighs a - b = d
-            total = sum(conv[at + c] * scaled(d) for c, d in crit.diagonals.items()
+            total = sum(conv[at + c] * deltas[i] for c, i in crit.diagonals.items()
                         if 0 <= at + c < len(conv))
         elif exact:
             a, b, _ = crit.columns
-            d = np.array([scaled(d) for _, _, d in crit.entries], object)
-            total = _convolve_at(law, within, a, b, d)
+            total = _convolve_at(law, within, a, b, np.array(deltas, object))
         else:
             shape = [_fft_len(m + n - 1) for m, n in zip(law.shape, within.shape)]
             conv = np.fft.irfft2(np.fft.rfft2(law, shape) * np.fft.rfft2(within, shape), shape)

@@ -1,43 +1,53 @@
 """Owen payouts for a k-nearest-neighbor majority vote under a coalition
-partition.
+partition, and the one k-NN kernel: under the partition with one coalition
+the Owen value is the Shapley value (Owen 1977), so ``knn_shapley`` runs
+this module's query engine and report loop with every example coded 0.
 
-The same creation/change split as the Shapley case applies, but the
-predecessor mix now comes from two stages: whole coalitions landing ahead
-of the target coalition (the preceder law of the frequency Owen
-computation, over per-coalition label counts relative to one pivotal rank,
-with the pivot's coalition pinned ahead when it is not the target's) and
-the within-coalition ordering (the usual precedence weight).  Law inputs
-are clamped to the read window before caching: any per-coalition count at
-or beyond cap+1 overflows the window on every path, so clamping changes
+Each example's value splits into a creation term (the example arrives as
+the k-th member and casts the deciding pattern) and a change term (the
+example arrives later and knocks the current k-th voter out).  The
+predecessor mix comes from two stages: whole coalitions landing ahead of
+the target coalition (the preceder law of the frequency Owen computation,
+over per-coalition label counts relative to one pivotal rank, with the
+pivot's coalition pinned ahead when it is not the target's) and the
+within-coalition ordering (the usual precedence weight).  Law inputs are
+clamped to the read window before caching: any per-coalition count at or
+beyond cap+1 overflows the window on every path, so clamping changes
 nothing a caller can observe while making cache keys collide often.
 
 Both terms depend on an example only through its coalition and its label
 class (and, for the change term, its rank).  The creation term is computed
 once per (coalition, class).  The change term of rank i sums what every
 farther opposite-class rank j adds to each member of i's coalition and
-class nearer than j: one suffix total per (coalition, class), added
-farthest rank first.  With h = (k - 1) / 2, a coalition with more than h
-nearer members of either class overflows the law's window whenever it is
-ahead, so only the first k members of each coalition change any law's
-inputs or add to other coalitions' members.  Between two such ranks a
-same-coalition term is a closed form in the member's own nearer counts,
-evaluated over the whole run at once: a query costs O(m^2 * k) law
+class nearer than j, times that class's delta.  With h = (k - 1) / 2, a
+coalition with more than h nearer members of either class overflows the
+law's window whenever it is ahead, so only the first k members of each
+coalition (the live ranks) change any law's inputs or add to other
+coalitions' members.  Between two live ranks a same-coalition add is a
+closed form in the member's own nearer counts, evaluated over the whole
+run at once; a member reads the suffix total of its coalition's adds at
+its own count of nearer opposite-class mates, and searches only the few
+adds of other coalitions' live ranks.  A query costs O(m^2 * k) law
 lookups plus O(n) array work for n examples and m coalitions.
 
-The report codes coalitions once (``CoalitionStructure.codes``) and sums
-each query's values as one array, in the k-NN Shapley report's query loop.
+The report codes coalitions once (``CoalitionStructure.codes``), ranks the
+examples once per query and sums each query's values as one array.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import functools
+import math
+import operator
+import time
+from fractions import Fraction
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .combinatorics import Money, check_mode, precede_probability
+from .combinatorics import EXACT, Money, check_mode, precede_probability
 from .errors import InputError
 from .freq_owen import owen_precede_distribution
-from .knn_shapley import _knn_report, _pivot_weights, _zeros
 from .model import (CoalitionStructure, Dataset, KnnConfig, OutcomeValues, Query,
                     RankedNeighborhood, rank_by_distance, to_money)
 from .report import ValueReport, assemble_report
@@ -47,14 +57,79 @@ METHOD = "owen-knn"
 # the preceder law, bound under the name through which this module calls it
 knn_owen_distribution = owen_precede_distribution
 
-# rank_by_distance and assemble_report are not called here (the report runs
-# knn_shapley's loop), but stay bound under the names perfbench/spans.py wraps
+
+def _log_binom_table(n: int, r: int) -> np.ndarray:
+    """ln C(m, r) for m = -1 .. n at entry m + 1, -inf where the zero
+    convention applies, read-only.  Prefix counts stay in that range, so a
+    sweep gathers from one table per r instead of taking logs at every
+    position.  Each entry sums the r logs of m, m - 1, ..., m - r + 1 and
+    subtracts ln r!, which for the small r of a k-NN vote keeps it to a few
+    ulps; a difference of log-gammas would cancel most of its digits."""
+    table = np.full(n + 2, -np.inf)
+    if 0 <= r <= n:
+        log_fall, m = table[r + 1:], np.arange(r, n + 1.0)
+        log_fall[:] = 0.0
+        for _ in range(r):
+            log_fall += np.log(m)
+            m -= 1.0
+        log_fall -= math.lgamma(r + 1)
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=1)
+def _log_binom_rows(n: int) -> dict:
+    """The rows ``_log_binom_table(n, r)`` by r, each built when first read.
+    Every query of a report ranks the same n examples, so the report builds
+    each of the k + 1 rows it reads once, whatever k is, and no rows of
+    another n are held."""
+    return {}
+
+
+def _pivot_weights(p: np.ndarray, q: np.ndarray, a: int, b: int, n: int, scale: Money,
+                   mode: str) -> np.ndarray:
+    """``scale`` times C(p - 1, a) C(q - 1, b) / (t C(t - 1, a + b + 1)) for
+    t = p + q, elementwise: the probability that, of p - 1 and q - 1 examples
+    in two classes, exactly a and b precede one more example, and one pivot
+    precedes it too, in a uniform order of all t.  Zero where p <= a or
+    q <= b; t is at most n."""
+    if mode == EXACT:  # p > a and q > b keep the denominator non-zero
+        num, den = scale.numerator, scale.denominator
+        return np.array([Fraction(num * math.comb(u - 1, a) * math.comb(v - 1, b),
+                                  den * (u + v) * math.comb(u + v - 1, a + b + 1))
+                         if u > a and v > b else Fraction(0)
+                         for u, v in zip(p.tolist(), q.tolist())], dtype=object)
+    rows = _log_binom_rows(n)
+    for r in {a, b, a + b + 1} - rows.keys():
+        rows[r] = _log_binom_table(n, r)
+    t = p + q
+    # summed as precede_probability sums them; a short count gives nan, weight 0
+    with np.errstate(invalid="ignore"):
+        w = -rows[a + b + 1][t]
+        w += rows[a][p]
+        w += rows[b][q]
+        np.exp(w, out=w)
+        w /= t
+    w[np.isnan(w)] = 0.0
+    w *= scale
+    return w
+
+
+def _suffix_sums(x: np.ndarray) -> np.ndarray:
+    """``x`` with every entry but the last (the empty sum) replaced, in
+    place, by its sum with the entries after it, added farthest first."""
+    np.cumsum(x[-2::-1], out=x[-2::-1])
+    return x
+
+
+def _zeros(n: int, mode: str) -> np.ndarray:
+    return np.full(n, Fraction(0), dtype=object) if mode == EXACT else np.zeros(n)
 
 
 class _QueryEngine:
-    """One query's state: at each rank position the coalition's code
-    (0 .. m - 1) and class and the coalition-mates nearer than it, by
-    class; and the law cache."""
+    """One query's state: the coalition (codes 0 .. m - 1) and class at every
+    rank position, each coalition's members of each class, and the law
+    cache."""
 
     def __init__(self, ranking: RankedNeighborhood, codes: np.ndarray, m: int, k: int,
                  ov: OutcomeValues, mode: str):
@@ -65,17 +140,19 @@ class _QueryEngine:
         self.mode = mode
         self.m, self.codes = m, codes
         self.matches = matches = np.asarray(ranking.matches, dtype=bool)
-        # each coalition's positions, nearest first, and at every position its
-        # coalition-mates nearer than it, by class
+        # Per coalition and class (matches first), nearest first: the members'
+        # rank positions and, at each, its coalition-mates of the other class
+        # nearer than it; the i-th member has i mates of its own class nearer.
         order = np.argsort(codes, kind="stable")
-        ends = np.cumsum(np.bincount(codes, minlength=m))
-        self.members = [order[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
-        self.own_a, self.own_b = np.zeros((2, len(order)), dtype=np.int64)
-        for pos in self.members:
-            self.own_a[pos] = np.cumsum(matches[pos]) - matches[pos]
-            self.own_b[pos] = np.arange(len(pos)) - self.own_a[pos]
-        self.tot_match = [int(matches[pos].sum()) for pos in self.members]
-        self.tot_mismatch = [len(pos) - a for pos, a in zip(self.members, self.tot_match)]
+        ends = np.cumsum(np.bincount(codes, minlength=m)).tolist()
+        self.groups = []
+        for lo, hi in zip([0, *ends[:-1]], ends):
+            pos = order[lo:hi]
+            u = matches[pos]
+            self.groups.append([(pos[i], i - np.arange(len(i)))
+                                for i in (np.flatnonzero(u), np.flatnonzero(~u))])
+        self.tot_match = [len(both[0][0]) for both in self.groups]
+        self.tot_mismatch = [len(both[1][0]) for both in self.groups]
         correct, wrong, none = (to_money(v, mode) for v in (ov.correct, ov.wrong, ov.none))
         self.d_change = {True: correct - wrong, False: wrong - correct}
         self.d_wrong, self.d_correct = wrong - none, correct - none
@@ -133,70 +210,73 @@ class _QueryEngine:
     def change_terms(self) -> np.ndarray:
         """Change term of every rank position: the exclusive suffix total,
         per (coalition, class), of what the farther opposite-class ranks add
-        to that coalition's members of that class."""
-        h, m, n = self.half, self.m, len(self.codes)
-        codes, matches, own_a, own_b = self.codes, self.matches, self.own_a, self.own_b
+        to that coalition's members of that class, times the class's delta."""
+        h, m, n, mode = self.half, self.m, len(self.codes), self.mode
+        d_change, zero, groups = self.d_change, self.zero, self.groups
         # A rank is live while its coalition has at most h nearer members of
         # each class; past that, every law reads the coalition as (h + 1, h + 1).
         # Segment s spans the ranks with s live ranks nearer; rows[s][c] is
         # coalition c's clamped (match, mismatch) row there.
-        live = np.flatnonzero((own_a <= h) & (own_b <= h))
+        live = np.sort(np.concatenate([np.zeros(0, np.intp)] + [
+            ranks[:h + 1][other[:h + 1] <= h] for both in groups for ranks, other in both]))
+        live_codes, live_match = self.codes[live], self.matches[live]
         step = np.zeros((len(live) + 1, m, 2), dtype=np.int64)
-        step[np.arange(1, len(live) + 1), codes[live], (~matches[live]).astype(np.int64)] = 1
+        step[np.arange(1, len(live) + 1), live_codes, (~live_match).astype(np.int64)] = 1
         rows = [[tuple(r) if max(r) <= h else (h + 1, h + 1) for r in seg]
                 for seg in np.cumsum(step, axis=0).tolist()]
-        seg = np.searchsorted(live, np.arange(n))
 
-        # Within a coalition: one law per (segment, coalition) run.  a_m / b_m
-        # count the displaced member's coalition-mates nearer than the rank.
-        same = _zeros(n, self.mode)
-        a_m, b_m = own_a - ~matches, own_b - matches
-        run = seg * m + codes
-        order = np.argsort(run, kind="stable")
-        bounds = [*np.flatnonzero(np.diff(run[order], prepend=-1)).tolist(), n]
-        for lo, hi in zip(bounds, bounds[1:]):
-            pos = order[lo:hi]
-            s, c = divmod(int(run[pos[0]]), m)
-            inner, x, y = _zeros(len(pos), self.mode), a_m[pos], b_m[pos]
-            # a law entry leaves h - qa and h - qb of those mates ahead
-            for qa, qb, mass in self._dp(None, tuple(sorted(rows[s][:c] + rows[s][c + 1:])), (h, h)):
-                inner += mass * _pivot_weights(x, y, h - qa, h - qb, n, self.mode)
-            same[pos] = inner
-
-        # Across coalitions, from the live ranks alone: near[c] holds
-        # coalition c's members nearer than each of them, by class.
-        live_codes = codes[live]
-        near = [(np.searchsorted(pos[matches[pos]], live).tolist(),
-                 np.searchsorted(pos[~matches[pos]], live).tolist()) for pos in self.members]
-        across = [_zeros(len(live), self.mode) for _ in range(m)]
-        for i, (j, cj, uj) in enumerate(zip(live.tolist(), live_codes.tolist(), matches[live].tolist())):
+        # Across coalitions, from the live ranks alone: live rank i, in
+        # segment i, adds to every other coalition's members of its other
+        # class nearer than it; near[c] counts c's members of each class nearer.
+        near = [[np.searchsorted(ranks, live).tolist() for ranks, _ in both] for both in groups]
+        across = np.full((m, len(live)), zero, object if mode == EXACT else float)
+        for i, (cj, uj) in enumerate(zip(live_codes.tolist(), live_match.tolist())):
             for c in set(range(m)) - {cj}:
                 a, b = near[c][0][i] - (not uj), near[c][1][i] - uj
-                across[c][i] = self._change_inner(c, cj, a, b, rows[seg[j]])
+                across[c, i] = self._change_inner(c, cj, a, b, rows[i]) * d_change[not uj]
 
-        out = _zeros(n, self.mode)
-        for c, mine in enumerate(self.members):
-            theirs = live_codes != c
-            pos = np.concatenate([mine, live[theirs]])
-            adds = np.concatenate([same[mine], across[c][theirs]])
-            by_rank = np.argsort(pos, kind="stable")
-            pos, adds = pos[by_rank], adds[by_rank]
-            for u in (True, False):
-                src = matches[pos] != u
-                # added farthest first; a reader sees only the farther terms
-                suffix = np.append(np.cumsum(adds[src][::-1])[::-1], self.zero)
-                readers = mine[matches[mine] == u]
-                out[readers] = suffix[np.searchsorted(pos[src], readers)] * self.d_change[u]
+        out = _zeros(n, mode)
+        for c, both in enumerate(groups):
+            laws: dict = {}  # by segment, read by both classes
+            for u, (ranks, other), (readers, ahead) in ((True, *both), (False, *both[::-1])):
+                # Within the coalition, one law per segment.  A member of class u
+                # pivots for the other class's nearer members: a law entry leaves
+                # h - qa and h - qb of its other nearer mates ahead of the one
+                # displaced, and p - 1 and q - 1 count those mates by class.
+                mine = np.arange(1, len(ranks) + 1)
+                p, q = (mine, other) if u else (other, mine)
+                adds = _zeros(len(ranks) + 1, mode)  # and the empty sum
+                cuts = [0, *np.searchsorted(ranks, live, side="right").tolist(), len(ranks)]
+                for s, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+                    if lo == hi:
+                        continue
+                    if s not in laws:
+                        others = tuple(sorted(rows[s][:c] + rows[s][c + 1:]))
+                        laws[s] = self._dp(None, others, (h, h))
+                    adds[lo:hi] = functools.reduce(operator.add, (
+                        _pivot_weights(p[lo:hi], q[lo:hi], h - qa, h - qb, n,
+                                       mass * d_change[not u], mode)
+                        for qa, qb, mass in laws[s]))
+                # a reader sees only the farther adds, past the ``ahead`` of
+                # them nearer than it ...
+                got = _suffix_sums(adds)[ahead]
+                # ... and the farther adds of other coalitions' class-u live ranks
+                src = (live_codes != c) & (live_match == u)
+                tail = _suffix_sums(np.append(across[c, src], zero))
+                reach = np.searchsorted(readers, live[src].max(initial=-1))
+                got[:reach] += tail[np.searchsorted(live[src], readers[:reach])]
+                out[readers] = got
         return out
 
     def values(self) -> np.ndarray:
-        """Owen value of every rank position: its creation term, from a
-        table with one entry per (coalition, class), plus its change term."""
-        cell = 2 * self.codes + self.matches  # entry 2c + 1 for c's matches
-        made = _zeros(2 * self.m, self.mode)
-        for x in np.unique(cell).tolist():
-            made[x] = self.creation(x // 2, bool(x % 2))
-        return made[cell] + self.change_terms()
+        """Owen value of every rank position: its change term plus its
+        creation term, computed once per (coalition, class) present."""
+        out = self.change_terms()
+        for c, both in enumerate(self.groups):
+            for u, (ranks, _) in zip((True, False), both):
+                if len(ranks):
+                    out[ranks] += self.creation(c, u)
+        return out
 
 
 def knn_owen_creation(ranking: RankedNeighborhood, coalitions: CoalitionStructure, example_id: int,
@@ -218,6 +298,32 @@ def knn_owen_change(ranking: RankedNeighborhood, coalitions: CoalitionStructure,
     return eng.change_terms().tolist()[ranking.position_of(example_id)]
 
 
+def _knn_report(method: str, dataset: Dataset, codes: np.ndarray, m: int,
+                queries: Sequence[Query], config: KnnConfig, mode: str, per_query: bool,
+                coalition_column: Optional[list] = None) -> ValueReport:
+    """Total payout per example over a batch of queries, each example in the
+    coalition coded ``codes`` (by dataset row, 0 .. m - 1), for either k-NN
+    method: each query ranks the examples once, and the engine gives the
+    values that the rows, in rank order, add to their totals."""
+    check_mode(mode)
+    t0 = time.perf_counter()
+    codes = codes.astype(np.min_scalar_type(m - 1), copy=False)  # a byte each up to m = 256
+    totals = _zeros(len(dataset), mode)
+    rows = []
+    for q in queries:
+        ranking = rank_by_distance(dataset, q.features, q.label, config.metric)
+        values = _QueryEngine(ranking, codes[ranking.rows], m, config.k,
+                              config.outcome_values, mode).values()
+        totals[ranking.rows] += values
+        if per_query:
+            rows.append(dict(zip(ranking.ordering.tolist(), values.tolist())))
+    return assemble_report(
+        method=method, mode=mode, dataset=dataset, values=totals, query_count=len(queries),
+        wall_time=time.perf_counter() - t0, k=config.k, per_query=rows if per_query else None,
+        coalition_column=coalition_column,
+    )
+
+
 def knn_owen_report(
     dataset: Dataset,
     coalitions: CoalitionStructure,
@@ -226,13 +332,7 @@ def knn_owen_report(
     mode: str = "float",
     per_query: bool = False,
 ) -> ValueReport:
-    """Total Owen payout per example over a batch of queries, summed by the
-    query loop that the k-NN Shapley report runs."""
+    """Total Owen payout per example over a batch of queries."""
     cids, codes = coalitions.codes(dataset.ids)  # by dataset row
-
-    def ranked_values(ranking: RankedNeighborhood) -> np.ndarray:
-        return _QueryEngine(ranking, codes[ranking.rows], len(cids), config.k,
-                            config.outcome_values, mode).values()
-
-    return _knn_report(METHOD, dataset, queries, config, mode, per_query, ranked_values,
+    return _knn_report(METHOD, dataset, codes, len(cids), queries, config, mode, per_query,
                        cids[codes].tolist())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Tuple, Union
@@ -494,15 +495,22 @@ class RankedNeighborhood:
 
     ``prefix_match[j]`` / ``prefix_mismatch[j]`` count examples strictly
     before rank position j (0-based), so position 0 has counts (0, 0) and
-    the two arrays always sum to the position index.  ``rows[j]`` is the
-    dataset row (position in ``Dataset.examples``) of the example at rank j.
+    the two arrays always sum to the position index; they are counted when
+    first read.  ``rows[j]`` is the dataset row (position in
+    ``Dataset.examples``) of the example at rank j.
     """
 
     ordering: np.ndarray        # example ids, nearest first
     matches: np.ndarray         # bool, label == query label, by position
-    prefix_match: np.ndarray    # int, by position
-    prefix_mismatch: np.ndarray
     rows: np.ndarray            # dataset row, by position
+
+    @cached_property
+    def prefix_match(self) -> np.ndarray:
+        return np.cumsum(self.matches) - self.matches
+
+    @cached_property
+    def prefix_mismatch(self) -> np.ndarray:
+        return np.arange(len(self.matches)) - self.prefix_match
 
     def __len__(self):
         return len(self.ordering)
@@ -558,13 +566,7 @@ def rank_by_distance(
         # equal (or NaN) distances: only a sort keyed on id as well fixes
         # their order; without them the plain sort is already that order
         order = np.lexsort((ids, dist))
-    matches = dataset.label_mask(query_label)[order]
-    pm = np.zeros(len(order), dtype=np.int64)
-    pmm = np.zeros(len(order), dtype=np.int64)
-    if len(order) > 1:
-        pm[1:] = np.cumsum(matches[:-1])
-        pmm[1:] = np.cumsum(~matches[:-1])
-    return RankedNeighborhood(ids[order], matches, pm, pmm, order)
+    return RankedNeighborhood(ids[order], dataset.label_mask(query_label)[order], order)
 
 
 def knn_subset_value(

@@ -1,11 +1,15 @@
 """Shared random-instance generators for the test suite.
 
 Instances are small enough for the enumeration oracle and are drawn from
-seeded ``random.Random`` streams so every run sees the same cases.
+seeded ``random.Random`` streams so every run sees the same cases.  The
+Hypothesis tests draw theirs deterministically too, and keep no example
+database.
 """
 
 import random
 from fractions import Fraction
+
+from hypothesis import settings
 
 from divvy import (
     Dataset,
@@ -16,6 +20,9 @@ from divvy import (
     Query,
     TableValueFunction,
 )
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 LABELS = ["relevant", "other"]
 BINS = ["b0", "b1", "b2"]

@@ -19,6 +19,7 @@ from divvy import (
     knn_owen_change,
     knn_owen_creation,
     knn_owen_report,
+    knn_shapley_report,
     knn_shapley_values,
     knn_subset_value,
     owen_precede_distribution,
@@ -302,13 +303,14 @@ def test_float_tracks_exact_at_hundreds_of_examples():
             assert abs(float(v) - approx.value_of(i)) <= 1e-9 * max(1.0, abs(v)), i
 
 
-def _calls(monkeypatch, n, owner, name):
-    """Calls made to ``owner.name`` by one float report of n examples in 5
-    coalitions, one query, k = 3."""
+def _calls(monkeypatch, n, owner, name, groups=5):
+    """Calls made to ``owner.name`` by one float report of n examples, one
+    query, k = 3: the k-NN Owen report over ``groups`` coalitions, or for
+    one group the k-NN Shapley report."""
     rng = random.Random(69)
     dataset = Dataset(
         Example(i, rng.choice("ab"), features=(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-                coalition=f"g{rng.randrange(5)}")
+                coalition=f"g{rng.randrange(groups)}")
         for i in range(n)
     )
     calls = [0]
@@ -319,9 +321,11 @@ def _calls(monkeypatch, n, owner, name):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
-    query = Query(label="a", features=(0.1, -0.2))
-    knn_owen_report(dataset, dataset.coalition_structure(), [query],
-                    KnnConfig(3, UNIT), mode="float")
+    query, config = Query(label="a", features=(0.1, -0.2)), KnnConfig(3, UNIT)
+    if groups == 1:
+        knn_shapley_report(dataset, [query], config, mode="float")
+    else:
+        knn_owen_report(dataset, dataset.coalition_structure(), [query], config, mode="float")
     return calls[0]
 
 
@@ -343,6 +347,35 @@ def test_law_lookups_do_not_grow_with_n(monkeypatch):
     bound = m * (m * k + 1) + m * k * (m - 1) + 2 * m
     for n in (400, 4000):
         assert _calls(monkeypatch, n, knn_owen._QueryEngine, "_dp") <= bound < n * m, n
+    # With every example in one coalition (the Shapley report) at most k ranks
+    # are live: one lookup per segment, at most k + 1, and one per class.
+    for n in (400, 4000):
+        assert 1 <= _calls(monkeypatch, n, knn_owen._QueryEngine, "_dp", groups=1) <= k + 3, n
+
+
+def test_each_log_binom_row_is_built_once_per_report(monkeypatch):
+    # A query reads the rows r = 0 .. k of its dataset's size n.  An 8-entry
+    # cache of (n, r) rows thrashed once k >= 9, rebuilding rows within one
+    # query; a report now builds each row once, whatever k is.
+    built = []
+    build = knn_owen._log_binom_table
+    monkeypatch.setattr(knn_owen, "_log_binom_table", lambda n, r: built.append((n, r)) or build(n, r))
+    rng = random.Random(73)
+    n, k = 300, 9
+    dataset = Dataset(
+        Example(i, rng.choice("ab"), features=(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                coalition=f"g{rng.randrange(5)}")
+        for i in range(n)
+    )
+    queries = [Query(label="a", features=(rng.uniform(-1, 1), rng.uniform(-1, 1))) for _ in range(3)]
+    config = KnnConfig(k, UNIT)
+    for report in (lambda: knn_owen_report(dataset, dataset.coalition_structure(), queries, config),
+                   lambda: knn_shapley_report(dataset, queries, config)):
+        built.clear()
+        knn_owen._log_binom_rows.cache_clear()
+        report()
+        assert built and len(built) == len(set(built)), built
+        assert set(built) <= {(n, r) for r in range(k + 1)}, built
 
 
 def test_empty_dataset_gives_an_empty_report():
