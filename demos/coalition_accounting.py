@@ -30,13 +30,12 @@ dataset = Dataset([
     Example(1, "sell", bin="volatile", coalition="vendor_a"),
     Example(2, "buy", bin="volatile", coalition="vendor_b"),
 ])
-structure = dataset.coalition_structure()
-
 plain = shapley_frequency_report(
     Dataset(Example(ex.id, ex.label, bin=ex.bin) for ex in dataset),
     [query], payout, mode="exact",
 )
-grouped = owen_frequency_report(dataset, structure, [query], payout, mode="exact")
+# The Owen report reads the partition from the examples' coalition ids.
+grouped = owen_frequency_report(dataset, [query], payout, mode="exact")
 
 print("value without groups vs. bargaining in blocks:")
 for row in grouped.examples:
@@ -54,8 +53,7 @@ for name, assign in [("singletons", lambda i: f"s{i}"), ("one block", lambda i: 
         Example(i, labels[i], bin="volatile", coalition=assign(i))
         for i in range(9)
     )
-    owen = owen_frequency_report(ds, ds.coalition_structure(), [query], payout,
-                                 mode="exact")
+    owen = owen_frequency_report(ds, [query], payout, mode="exact")
     flat = shapley_frequency_report(
         Dataset(Example(i, labels[i], bin="volatile") for i in range(9)),
         [query], payout, mode="exact",

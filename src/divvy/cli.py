@@ -138,96 +138,53 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 # subcommand bodies
 
 
-def _load_freq_inputs(args):
-    dataset = parse_dataset(args.data, "frequency")
-    queries = parse_queries(args.queries, "frequency")
-    vf = parse_value_function(args.value)
-    return dataset, queries, vf
-
-
-def _apply_coalitions(args, dataset):
+def _inputs(args, family: str) -> tuple:
+    """The dataset, with any ``--coalitions`` file applied, the queries,
+    and the value function (frequency) or the k-NN configuration."""
+    dataset = parse_dataset(args.data, family)
+    queries = parse_queries(args.queries, family)
+    if family == "frequency":
+        rule = parse_value_function(args.value)
+    elif args.k is None or args.values is None:
+        raise InputError("k-NN runs need --k and --values")
+    else:
+        rule = KnnConfig(args.k, parse_outcome_values(args.values))
     if getattr(args, "coalitions", None):
-        dataset = with_coalitions(dataset, parse_coalition_file(args.coalitions))
-    return dataset
+        dataset = with_coalitions(dataset, parse_coalition_file(args.coalitions), args.coalitions)
+    return dataset, queries, rule
+
+
+def _flags(args) -> dict:
+    return {"mode": args.numeric, "per_query": args.per_query}
 
 
 def _run_shapley_freq(args):
-    dataset, queries, vf = _load_freq_inputs(args)
-    return shapley_frequency_report(
-        dataset,
-        queries,
-        vf,
-        mode=args.numeric,
-        per_query=args.per_query,
-    )
+    return shapley_frequency_report(*_inputs(args, "frequency"), **_flags(args))
 
 
 def _run_owen_freq(args):
-    dataset, queries, vf = _load_freq_inputs(args)
-    dataset = _apply_coalitions(args, dataset)
-    return owen_frequency_report(
-        dataset,
-        dataset.coalition_structure(),
-        queries,
-        vf,
-        mode=args.numeric,
-        per_query=args.per_query,
-    )
-
-
-def _knn_config(args) -> KnnConfig:
-    if args.k is None or args.values is None:
-        raise InputError("k-NN runs need --k and --values")
-    return KnnConfig(args.k, parse_outcome_values(args.values))
+    return owen_frequency_report(*_inputs(args, "frequency"), **_flags(args))
 
 
 def _run_shapley_knn(args):
-    dataset = parse_dataset(args.data, "knn")
-    queries = parse_queries(args.queries, "knn")
-    return knn_shapley_report(
-        dataset,
-        queries,
-        _knn_config(args),
-        mode=args.numeric,
-        per_query=args.per_query,
-    )
+    return knn_shapley_report(*_inputs(args, "knn"), **_flags(args))
 
 
 def _run_owen_knn(args):
-    dataset = parse_dataset(args.data, "knn")
-    queries = parse_queries(args.queries, "knn")
-    dataset = _apply_coalitions(args, dataset)
-    return knn_owen_report(
-        dataset,
-        dataset.coalition_structure(),
-        queries,
-        _knn_config(args),
-        mode=args.numeric,
-        per_query=args.per_query,
-    )
+    return knn_owen_report(*_inputs(args, "knn"), **_flags(args))
 
 
 def _run_oracle(args):
     family = args.family
-    if family == "frequency":
-        if args.value is None:
-            raise InputError("oracle --family frequency needs --value")
-        dataset = parse_dataset(args.data, "frequency")
-        queries = parse_queries(args.queries, "frequency")
-        vf = parse_value_function(args.value)
+    if family == "frequency" and args.value is None:
+        raise InputError("oracle --family frequency needs --value")
+    dataset, queries, rule = _inputs(args, family)
 
-        def build_game(q):
-            return frequency_game(dataset, q, q.value_function or vf)
+    def build_game(q):
+        if family == "frequency":
+            return frequency_game(dataset, q, q.value_function or rule)
+        return knn_game(dataset, q, rule)
 
-    else:
-        dataset = parse_dataset(args.data, "knn")
-        queries = parse_queries(args.queries, "knn")
-        config = _knn_config(args)
-
-        def build_game(q):
-            return knn_game(dataset, q, config)
-
-    dataset = _apply_coalitions(args, dataset)
     method = args.method
     mode = FLOAT if method == "mc-shapley" else EXACT
     zero = 0.0 if mode == FLOAT else Fraction(0)
@@ -256,17 +213,9 @@ def _run_oracle(args):
     if method == "mc-shapley":
         extras["samples"] = args.samples
         extras["seed"] = args.seed
-    return assemble_report(
-        "oracle",
-        mode,
-        dataset,
-        totals,
-        query_count=len(queries),
-        wall_time=wall,
-        k=args.k if family == "knn" else None,
-        per_query=rows_per_query,
-        extras=extras,
-    )
+    return assemble_report("oracle", mode, dataset, totals, query_count=len(queries),
+                           wall_time=wall, k=args.k if family == "knn" else None,
+                           per_query=rows_per_query, extras=extras)
 
 
 # name, help, flag groups in help order, body

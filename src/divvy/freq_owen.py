@@ -26,7 +26,7 @@ import numpy as np
 
 from .combinatorics import EXACT, Money, check_mode, log_binom, precede_probability
 from .errors import GuardError, InputError
-from .model import CoalitionStructure, Dataset, FrequencyValueFunction, Query, to_money
+from .model import Dataset, FrequencyValueFunction, Query, to_money
 from .report import ValueReport, assemble_report
 
 METHOD = "owen-freq"
@@ -120,7 +120,10 @@ def _guard(need: int, what: str) -> None:
 def _nodes(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The n Gauss-Legendre nodes as t and 1 - t on [0, 1], each rounded
     once, ascending in t, and their weights on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)  # ascending, symmetric about 0
+    if n == 1:  # leggauss(1), without importing numpy.polynomial for it
+        x, w = np.zeros(1), np.full(1, 2.0)
+    else:
+        x, w = np.polynomial.legendre.leggauss(n)  # ascending, symmetric about 0
     return (1 + x[:, None, None]) / 2, (1 - x[:, None, None]) / 2, w
 
 
@@ -386,21 +389,20 @@ def owen_frequency_single(
 
 def owen_frequency_report(
     dataset: Dataset,
-    coalitions: CoalitionStructure,
     queries: Sequence[Query],
     vf: FrequencyValueFunction,
     mode: str = "float",
     per_query: bool = False,
 ) -> ValueReport:
-    """Total Owen payout per example over a batch of queries."""
+    """Total Owen payout per example over a batch of queries, under the
+    partition the dataset's coalition ids make."""
     check_mode(mode)
     dataset.require_bins()
-    cids, owner = coalitions.codes(dataset.ids)
-    return _frequency_report(METHOD, dataset, owner, queries, vf, mode, per_query,
-                             cids[owner].tolist())
+    _, owner = dataset.partition_codes()
+    return _frequency_report(METHOD, dataset, owner, queries, vf, mode, per_query)
 
 
-def _frequency_report(method, dataset, owner, queries, vf, mode, per_query, coalition_column=None):
+def _frequency_report(method, dataset, owner, queries, vf, mode, per_query):
     """Total payout per example over a batch of queries, each example in
     the coalition coded ``owner``.  Values are summed per (bin, coalition,
     label) group, read by the rows once at the end.  Per query the critical
@@ -454,12 +456,6 @@ def _frequency_report(method, dataset, owner, queries, vf, mode, per_query, coal
             q_values[in_bin] = values
             rows.append(dict(zip(ids, q_values[group].tolist())))
     return assemble_report(
-        method=method,
-        mode=mode,
-        dataset=dataset,
-        values=totals[group],
-        query_count=len(queries),
-        wall_time=time.perf_counter() - t0,
-        per_query=rows if per_query else None,
-        coalition_column=coalition_column,
+        method=method, mode=mode, dataset=dataset, values=totals[group], query_count=len(queries),
+        wall_time=time.perf_counter() - t0, per_query=rows if per_query else None,
     )

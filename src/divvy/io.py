@@ -16,7 +16,7 @@ import math
 import os
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, List
+from typing import Iterable, List, Mapping, Tuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .model import (
     OutcomeValues,
     Query,
     TableValueFunction,
+    code_cells,
     duplicate_row,
     label_codes,
 )
@@ -193,9 +194,11 @@ def parse_dataset(path, family: str) -> Dataset:
             f"found a third symbol {third!r}"
         )
     if "coalition" in columns:
-        coalitions = [c.strip() or None for c in columns["coalition"]]
+        raw, codes = code_cells(columns["coalition"])  # strip each distinct cell once
+        names, stripped = code_cells([c.strip() or None for c in raw])
+        coalitions = names, stripped[codes]
     else:
-        coalitions = [None] * n
+        coalitions = (), np.full(n, -1, dtype=np.intp)
     return Dataset._from_columns(
         np.array(ids, dtype=np.int64),
         symbols,
@@ -311,8 +314,9 @@ def parse_outcome_values(text: str) -> OutcomeValues:
     return OutcomeValues(vc, vw, vn)
 
 
-def parse_coalition_file(path) -> Dict[int, str]:
-    """Read an id,coalition CSV overriding any coalition column."""
+def parse_coalition_file(path) -> Tuple[np.ndarray, List[str]]:
+    """Read an id,coalition CSV overriding any coalition column: its ids as
+    an int64 array and its coalition cells, in file order."""
     columns, n = _read_columns(path)
     for col in ("id", "coalition"):
         if col not in columns:
@@ -335,13 +339,27 @@ def parse_coalition_file(path) -> Dict[int, str]:
                 raise InputError(f"{path} line {line}: duplicate id {ex_id}") from None
             seen.add(ex_id)
         raise InputError(f"{path}: malformed rows") from None
-    return dict(zip(ids, cids))
+    return np.array(ids, dtype=np.int64), cids
 
 
-def with_coalitions(dataset: Dataset, mapping: Dict[int, str]) -> Dataset:
-    """New dataset with coalition ids replaced from the mapping."""
-    ids = dataset.ids
-    missing = [i for i in ids if i not in mapping]
-    if missing:
-        raise InputError(f"coalition file does not cover example ids {missing[:5]}")
-    return dataset.with_coalition_column([mapping[i] for i in ids])
+def with_coalitions(dataset: Dataset, assignment, source="coalition file") -> Dataset:
+    """New dataset with coalition ids replaced.  ``assignment`` holds
+    distinct example ids and their coalition ids, as ``parse_coalition_file``
+    gives them or as a mapping; it must name each example of the dataset
+    once and no other id.  Errors name ``source``."""
+    if isinstance(assignment, Mapping):
+        assignment = list(assignment), list(assignment.values())
+    ids, cells = np.asarray(assignment[0], dtype=np.int64), assignment[1]
+    own = dataset.id_array()
+    missing = own[~np.isin(own, ids)]
+    if len(missing):
+        raise InputError(f"{source} does not cover example ids {missing[:5].tolist()}")
+    unknown = ids[~np.isin(ids, own)]
+    if len(unknown):
+        raise InputError(f"{source} names unknown example ids {unknown[:5].tolist()}")
+    if len(ids) != len(own):
+        raise InputError(f"{source} names an example id more than once")
+    names, codes = code_cells(cells)
+    order = np.argsort(ids)
+    rows = order[np.searchsorted(ids, own, sorter=order)]  # each example's row in the assignment
+    return dataset.with_coalition_codes(names, codes[rows])

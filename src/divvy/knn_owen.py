@@ -30,8 +30,9 @@ its own count of nearer opposite-class mates, and searches only the few
 adds of other coalitions' live ranks.  A query costs O(m^2 * k) law
 lookups plus O(n) array work for n examples and m coalitions.
 
-The report codes coalitions once (``CoalitionStructure.codes``), ranks the
-examples once per query and sums each query's values as one array.
+The report reads the coalition codes the dataset holds
+(``Dataset.partition_codes``), ranks the examples once per query and sums
+each query's values as one array.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import math
 import operator
 import time
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -299,8 +300,8 @@ def knn_owen_change(ranking: RankedNeighborhood, coalitions: CoalitionStructure,
 
 
 def _knn_report(method: str, dataset: Dataset, codes: np.ndarray, m: int,
-                queries: Sequence[Query], config: KnnConfig, mode: str, per_query: bool,
-                coalition_column: Optional[list] = None) -> ValueReport:
+                queries: Sequence[Query], config: KnnConfig, mode: str,
+                per_query: bool) -> ValueReport:
     """Total payout per example over a batch of queries, each example in the
     coalition coded ``codes`` (by dataset row, 0 .. m - 1), for either k-NN
     method: each query ranks the examples once, and the engine gives the
@@ -320,19 +321,17 @@ def _knn_report(method: str, dataset: Dataset, codes: np.ndarray, m: int,
     return assemble_report(
         method=method, mode=mode, dataset=dataset, values=totals, query_count=len(queries),
         wall_time=time.perf_counter() - t0, k=config.k, per_query=rows if per_query else None,
-        coalition_column=coalition_column,
     )
 
 
 def knn_owen_report(
     dataset: Dataset,
-    coalitions: CoalitionStructure,
     queries: Sequence[Query],
     config: KnnConfig,
     mode: str = "float",
     per_query: bool = False,
 ) -> ValueReport:
-    """Total Owen payout per example over a batch of queries."""
-    cids, codes = coalitions.codes(dataset.ids)  # by dataset row
-    return _knn_report(METHOD, dataset, codes, len(cids), queries, config, mode, per_query,
-                       cids[codes].tolist())
+    """Total Owen payout per example over a batch of queries, under the
+    partition the dataset's coalition ids make."""
+    names, codes = dataset.partition_codes()
+    return _knn_report(METHOD, dataset, codes, len(names), queries, config, mode, per_query)

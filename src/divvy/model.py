@@ -60,7 +60,8 @@ class Dataset:
     """A validated set of examples, held as columns in dataset order.
 
     Columns: an int64 id array, label codes into at most two label symbols,
-    and per-example bin (coded on first use), coalition and feature columns.
+    coalition codes into the distinct coalition ids (-1 where an example has
+    none), and per-example bin (coded on first use) and feature columns.
     ``examples`` (and iteration) give ``Example`` row views, built once on
     first use; the frequency reports and the k-NN float path read only the
     columns, so a parsed dataset keeps no Python object per example.  Missing bins or features are reported when a method
@@ -83,7 +84,7 @@ class Dataset:
             symbols,
             label_codes(labels, symbols),
             [ex.bin for ex in rows],
-            [ex.coalition for ex in rows],
+            code_cells([ex.coalition for ex in rows]),
             [ex.features for ex in rows],
         )
         self._rows = rows
@@ -95,12 +96,13 @@ class Dataset:
         symbols: tuple,
         codes: np.ndarray,
         bins: list,
-        coalitions: list,
+        coalitions: Tuple[tuple, np.ndarray],
         features: Optional[np.ndarray] = None,
     ) -> "Dataset":
         """A dataset over columns the caller has already validated: unique
-        int64 ids, ``codes`` indexing ``symbols``, and an optional float
-        feature matrix with one row per example."""
+        int64 ids, ``codes`` indexing ``symbols``, coalition names and codes
+        as ``code_cells`` gives them, and an optional float feature matrix
+        with one row per example."""
         if features is None:
             features = [None] * len(ids)
         dataset = cls.__new__(cls)
@@ -113,6 +115,7 @@ class Dataset:
         self._symbols = symbols
         self._codes = codes
         self._bins = bins
+        coalitions[1].flags.writeable = False
         self._coalitions = coalitions
         # a float matrix, or per-example tuples (None where absent) until
         # feature_matrix() checks them and builds one
@@ -122,13 +125,15 @@ class Dataset:
         self._label_masks = None
         self._bin_codes = None
 
-    def with_coalition_column(self, coalitions: Sequence[Optional[Hashable]]) -> "Dataset":
-        """The same examples with their coalition ids replaced, given in
-        dataset order; every other column, and its caches, is shared."""
-        if len(coalitions) != len(self):
-            raise InputError(f"{len(coalitions)} coalition ids given for {len(self)} examples")
+    def with_coalition_codes(self, names: tuple, codes: np.ndarray) -> "Dataset":
+        """The same examples with their coalitions replaced by ``names`` and
+        per-row ``codes``, as ``code_cells`` gives them, in dataset order;
+        every other column, and its caches, is shared."""
+        if len(codes) != len(self):
+            raise InputError(f"{len(codes)} coalition ids given for {len(self)} examples")
         other = copy.copy(self)
-        other._coalitions = list(coalitions)
+        codes.flags.writeable = False
+        other._coalitions = (names, codes)
         other._rows = None
         return other
 
@@ -146,9 +151,9 @@ class Dataset:
             if isinstance(feats, np.ndarray):
                 feats = list(map(tuple, feats.tolist()))
             labels = [self._symbols[c] for c in self._codes.tolist()]
+            cids = self.coalition_column()
             self._rows = [
-                Example(*row)
-                for row in zip(self._ids.tolist(), labels, self._bins, feats, self._coalitions)
+                Example(*row) for row in zip(self._ids.tolist(), labels, self._bins, feats, cids)
             ]
         return self._rows
 
@@ -235,7 +240,22 @@ class Dataset:
 
     def coalition_column(self) -> list:
         """Each example's coalition id (or None), in dataset order."""
-        return list(self._coalitions)
+        return code_names(*self._coalitions)
+
+    def coalition_codes(self) -> Tuple[tuple, np.ndarray]:
+        """The distinct coalition ids, sorted by ``str``, and each example's
+        index among them (-1 for none) as a read-only array."""
+        return self._coalitions
+
+    def partition_codes(self) -> Tuple[tuple, np.ndarray]:
+        """``coalition_codes()``, once every example has a coalition."""
+        names, codes = self._coalitions
+        if (codes < 0).any():
+            raise InputError(
+                f"examples {self._ids[codes < 0][:5].tolist()} carry no coalition id; "
+                "Owen methods need a full partition"
+            )
+        return names, codes
 
     def feature_matrix(self) -> np.ndarray:
         """All feature rows as a float array; validates presence and shape."""
@@ -251,15 +271,14 @@ class Dataset:
         return self._features
 
     def coalition_structure(self) -> "CoalitionStructure":
-        """The partition the coalition column makes, in one pass over it."""
-        groups: dict = {}
-        for i, c in zip(self.ids, self._coalitions):
-            groups.setdefault(c, []).append(i)
-        if None in groups:
-            raise InputError(
-                f"examples {groups[None][:5]} carry no coalition id; Owen methods need a full partition"
-            )
-        return CoalitionStructure({cid: frozenset(ids) for cid, ids in groups.items()})
+        """The partition the coalition codes make."""
+        names, codes = self.partition_codes()
+        order = np.argsort(codes, kind="stable")
+        ends = np.cumsum(np.bincount(codes, minlength=len(names))).tolist()
+        ids = self._ids[order].tolist()
+        return CoalitionStructure({
+            cid: frozenset(ids[lo:hi]) for cid, lo, hi in zip(names, [0, *ends[:-1]], ends)
+        })
 
 
 def duplicate_row(ids: Sequence[int]) -> Optional[int]:
@@ -272,6 +291,21 @@ def duplicate_row(ids: Sequence[int]) -> Optional[int]:
             return r
         seen.add(i)
     return None
+
+
+def code_cells(cells: Sequence[Optional[Hashable]]) -> Tuple[tuple, np.ndarray]:
+    """The distinct cells other than None, sorted by ``str`` (equal strings
+    in order of first appearance), and each cell's index among them, -1 for
+    None, as an intp array.  An unhashable cell raises TypeError."""
+    names = tuple(sorted((c for c in dict.fromkeys(cells) if c is not None), key=str))
+    code = {c: i for i, c in enumerate(names)}
+    code[None] = -1
+    return names, np.fromiter(map(code.__getitem__, cells), dtype=np.intp, count=len(cells))
+
+
+def code_names(names: Sequence, codes: np.ndarray, missing=None) -> list:
+    """Each code's name, ``missing`` for -1: ``code_cells`` undone."""
+    return np.fromiter((*names, missing), dtype=object, count=len(names) + 1)[codes].tolist()
 
 
 def label_codes(labels: Sequence[Label], symbols: tuple) -> np.ndarray:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .combinatorics import EXACT, Money, check_mode
 from .errors import InputError
+from .model import code_cells, code_names
 
 
 @dataclass(frozen=True)
@@ -39,12 +40,13 @@ class ValueReport:
     """Per-example payouts held as columns in dataset order.
 
     ``ids`` is an int64 array; ``value_column`` is a float64 array in float
-    mode and a list of ``Fraction``s in exact mode; ``coalition_column``
-    gives each example's coalition id, or None.  A held float-mode report
-    thus keeps no Python object per example: n of them would be rescanned by
-    every full pass of the cyclic garbage collector, which makes large runs
-    slower than linear in n.  Row views (``examples``) and the id index
-    behind ``value_of`` are built on demand.
+    mode and a list of ``Fraction``s in exact mode; ``coalition_codes``
+    gives each example's index in ``coalition_names`` (sorted by ``str``),
+    or -1 for none.  A held float-mode report thus keeps no Python object
+    per example: n of them would be rescanned by every full pass of the
+    cyclic garbage collector, which makes large runs slower than linear in
+    n.  Row views (``examples``) and the id index behind ``value_of`` are
+    built on demand.
     """
 
     method: str
@@ -53,7 +55,8 @@ class ValueReport:
     wall_time: float
     ids: np.ndarray
     value_column: Union[np.ndarray, List[Fraction]]
-    coalition_column: List[Optional[Hashable]]
+    coalition_names: tuple
+    coalition_codes: np.ndarray
     coalitions: List[Tuple[Hashable, Money]] = field(default_factory=list)
     k: Optional[int] = None
     per_query: Optional[List[Mapping[int, Money]]] = None
@@ -70,10 +73,8 @@ class ValueReport:
     @property
     def examples(self) -> List[ExampleRow]:
         """Row views in dataset order, built on each access."""
-        return [
-            ExampleRow(i, v, c)
-            for i, v, c in zip(self.ids.tolist(), self._value_list(), self.coalition_column)
-        ]
+        cids = code_names(self.coalition_names, self.coalition_codes)
+        return [ExampleRow(*row) for row in zip(self.ids.tolist(), self._value_list(), cids)]
 
     def value_of(self, example_id: int) -> Money:
         if self._row_of is None:
@@ -96,20 +97,21 @@ class ValueReport:
     def _fields(self) -> tuple:
         return (
             self.method, self.numeric_mode, self.query_count, self.wall_time,
-            self.ids.tolist(), self._value_list(), self.coalition_column,
-            self.coalitions, self.k, self.per_query, self.extras,
+            self.ids.tolist(), self._value_list(), self.coalition_names,
+            self.coalition_codes.tolist(), self.coalitions, self.k, self.per_query, self.extras,
         )
 
 
 def _coalition_totals(report: ValueReport) -> List[Tuple[Hashable, Money]]:
-    """Coalition totals as sums of member values, in row order per group so
-    the float result is reproducible bit-for-bit."""
-    zero = Fraction(0) if report.numeric_mode == EXACT else 0.0
-    groups: dict = {}
-    for cid, v in zip(report.coalition_column, report._value_list()):
-        if cid is not None:
-            groups[cid] = groups.get(cid, zero) + v
-    return [(cid, groups[cid]) for cid in sorted(groups, key=str)]
+    """Coalition totals as sums of member values.  ``np.add.at`` adds the
+    rows one at a time in row order, so a float total is reproducible bit
+    for bit."""
+    codes, exact = report.coalition_codes, report.numeric_mode == EXACT
+    held = codes >= 0
+    sums = np.full(len(report.coalition_names), Fraction(0) if exact else 0.0,
+                   object if exact else float)
+    np.add.at(sums, codes[held], np.asarray(report.value_column, dtype=sums.dtype)[held])
+    return list(zip(report.coalition_names, sums.tolist()))
 
 
 def assemble_report(
@@ -121,25 +123,15 @@ def assemble_report(
     wall_time: float,
     k: Optional[int] = None,
     per_query: Optional[List[Mapping[int, Money]]] = None,
-    coalition_column: Optional[Sequence[Optional[Hashable]]] = None,
     extras: Optional[Mapping[str, object]] = None,
 ) -> ValueReport:
-    """Build a report from per-example totals given in dataset order.
-
-    ``coalition_column``, also in dataset order, replaces the examples' own
-    coalition ids.
-    """
+    """Build a report from per-example totals given in dataset order; it
+    carries the dataset's coalition codes."""
     check_mode(mode)
     column = list(values) if mode == EXACT else np.asarray(values, dtype=float)
-    if coalition_column is None:
-        coalition_column = dataset.coalition_column()
-    else:
-        coalition_column = list(coalition_column)
-    if len(column) != len(dataset) or len(coalition_column) != len(dataset):
-        raise InputError(
-            f"{len(column)} values and {len(coalition_column)} coalition ids "
-            f"given for {len(dataset)} examples"
-        )
+    if len(column) != len(dataset):
+        raise InputError(f"{len(column)} values given for {len(dataset)} examples")
+    names, codes = dataset.coalition_codes()
     report = ValueReport(
         method=method,
         numeric_mode=mode,
@@ -147,7 +139,8 @@ def assemble_report(
         wall_time=wall_time,
         ids=dataset.id_array(),
         value_column=column,
-        coalition_column=coalition_column,
+        coalition_names=names,
+        coalition_codes=codes,
         k=k,
         per_query=per_query,
         extras=extras,
@@ -225,12 +218,6 @@ def _csv_cell(value) -> str:
     return buf.getvalue()[: -len(",\r\n")]
 
 
-def _cells(column: Sequence[Optional[Hashable]], encode) -> List[str]:
-    """Encode each distinct entry of a column once."""
-    text = {c: encode(c) for c in set(column)}
-    return [text[c] for c in column]
-
-
 def _json_list(items: List[str], depth: int) -> str:
     if not items:
         return "[]"
@@ -252,7 +239,9 @@ def report_to_json(report: ValueReport) -> str:
         for key in sorted(report.extras):
             meta[key] = report.extras[key]
     ids, _, values = _text_columns(report)
-    cells = _cells(report.coalition_column, lambda c: _nested(c, 3))
+    # each coalition's cell is encoded once and gathered by code
+    cells = code_names([_nested(c, 3) for c in report.coalition_names], report.coalition_codes,
+                       "null")
     examples = [
         f'    {{\n      "id": {i},\n      "coalition": {c},\n      "value": {v}\n    }}'
         for i, c, v in zip(ids, cells, values)
@@ -323,6 +312,7 @@ def read_report(path) -> ValueReport:
                     per_query.append(block)
         known = {"method", "numeric_mode", "k", "query_count", "wall_time_s"}
         extras = {k: v for k, v in meta.items() if k not in known} or None
+        names, codes = code_cells([r.get("coalition") for r in doc["examples"]])
         report = ValueReport(
             method=meta["method"],
             numeric_mode=mode,
@@ -330,7 +320,8 @@ def read_report(path) -> ValueReport:
             wall_time=meta["wall_time_s"],
             ids=np.asarray(ids, dtype=np.int64),
             value_column=values if mode == EXACT else np.asarray(values, dtype=float),
-            coalition_column=[r.get("coalition") for r in doc["examples"]],
+            coalition_names=names,
+            coalition_codes=codes,
             coalitions=coalitions,
             k=meta.get("k"),
             per_query=per_query,
@@ -348,7 +339,7 @@ def export_csv(report: ValueReport, path) -> None:
     """Examples table as CSV: id, coalition, value, quoted as csv.writer
     quotes and with its CRLF line ends."""
     ids, values, _ = _text_columns(report)
-    cells = _cells(report.coalition_column, lambda c: "" if c is None else _csv_cell(c))
+    cells = code_names(list(map(_csv_cell, report.coalition_names)), report.coalition_codes, "")
     with open(path, "w", newline="") as fh:
         fh.write("id,coalition,value\r\n")
         fh.write("".join([f"{i},{c},{v}\r\n" for i, c, v in zip(ids, cells, values)]))

@@ -7,9 +7,11 @@ database.
 """
 
 import random
+import tempfile
 from fractions import Fraction
 
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from divvy import (
     Dataset,
@@ -23,6 +25,11 @@ from divvy import (
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+# Hypothesis caches what it reads from the code under test (its "constants")
+# in its home directory, ./.hypothesis by default, even with no database;
+# a temporary home, removed when the session ends, keeps it out of the tree
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 LABELS = ["relevant", "other"]
 BINS = ["b0", "b1", "b2"]

@@ -93,7 +93,7 @@ def test_criterion_2_frequency_owen_equals_enumeration(capsys):
                 rng, max_n=6, with_coalitions=True, max_groups=3
             )
             cs = dataset.coalition_structure()
-            got = owen_frequency_report(dataset, cs, [query], vf, mode="exact")
+            got = owen_frequency_report(dataset, [query], vf, mode="exact")
             game = frequency_game(dataset, query, vf)
             # override: a draw may put all six members in one block, which is
             # past the enumeration guard but still tiny
@@ -106,7 +106,7 @@ def test_criterion_2_frequency_owen_equals_enumeration(capsys):
         ])
         vf = MajorityValueFunction(Fraction(100), Fraction(-500), Fraction(0))
         rep = owen_frequency_report(
-            ds, ds.coalition_structure(), [Query(label="x", bin="b0")], vf,
+            ds, [Query(label="x", bin="b0")], vf,
             mode="exact",
         )
         assert rep.values() == {0: 175, 1: -175, 2: 100}
@@ -142,7 +142,7 @@ def test_criterion_4_knn_owen_equals_enumeration(capsys):
                 rng, max_n=6, ks=(1, 3), with_coalitions=True, max_groups=3
             )
             cs = dataset.coalition_structure()
-            got = knn_owen_report(dataset, cs, [query], config, mode="exact")
+            got = knn_owen_report(dataset, [query], config, mode="exact")
             game = knn_game(dataset, query, config)
             want = exact_owen_all(game, cs, override=True)
             assert got.values() == want, trial
@@ -270,7 +270,7 @@ def test_criterion_6_degenerate_structures_reduce_to_shapley(capsys):
             for assign in (lambda i: f"s{i}", lambda i: "all"):
                 owen_ds = _with_coalitions(dataset, assign)
                 owen = owen_frequency_report(
-                    owen_ds, owen_ds.coalition_structure(), [query], vf,
+                    owen_ds, [query], vf,
                     mode="exact",
                 )
                 assert owen.values() == shap.values()
@@ -280,7 +280,7 @@ def test_criterion_6_degenerate_structures_reduce_to_shapley(capsys):
             for assign in (lambda i: f"s{i}", lambda i: "all"):
                 owen_ds = _with_coalitions(dataset, assign)
                 owen = knn_owen_report(
-                    owen_ds, owen_ds.coalition_structure(), [query], config,
+                    owen_ds, [query], config,
                     mode="exact",
                 )
                 assert owen.values() == shap
@@ -293,7 +293,7 @@ def test_criterion_6_degenerate_structures_reduce_to_shapley(capsys):
         for assign in (lambda i: f"s{i}", lambda i: "all"):
             owen_ds = _with_coalitions(dataset, assign)
             owen = owen_frequency_report(
-                owen_ds, owen_ds.coalition_structure(), [query], vf, mode="float"
+                owen_ds, [query], vf, mode="float"
             )
             for i in dataset.ids:
                 assert relative_gap(owen.value_of(i), shap.value_of(i)) < 1e-9, i
@@ -309,7 +309,7 @@ def test_criterion_6_degenerate_structures_reduce_to_shapley(capsys):
         for assign in (lambda i: f"s{i}", lambda i: "all"):
             owen_ds = _with_coalitions(dataset, assign)
             owen = knn_owen_report(
-                owen_ds, owen_ds.coalition_structure(), [query], config,
+                owen_ds, [query], config,
                 mode="float",
             )
             for i in dataset.ids:

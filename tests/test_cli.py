@@ -188,6 +188,17 @@ def test_knn_commands(knn_files, tmp_path, capsys):
     ])
     assert rc == 0
     assert json.loads(out.read_text())["meta"]["method"] == "owen-knn"
+    capsys.readouterr()
+
+    # a coalition file naming an id the dataset lacks is refused, by name
+    groups.write_text("id,coalition\n0,a\n1,a\n2,b\n3,b\n4,b\n99,b\n")
+    rc = run_command([
+        "owen-knn", "--data", str(data), "--queries", str(queries),
+        "--k", "1", "--values", "1,-1,0", "--coalitions", str(groups),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "g.csv names unknown example ids [99]" in err, err
 
     rc = run_command([
         "shapley-knn", "--data", str(data), "--queries", str(queries),

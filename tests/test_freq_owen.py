@@ -237,7 +237,7 @@ def _law_cells(monkeypatch, vf):
     with monkeypatch.context() as patch:
         patch.setattr(freq_owen, "owen_precede_distribution", counting)
         owen_frequency_report(
-            ds, ds.coalition_structure(), [Query(label="x", bin="b0")], vf, mode="float"
+            ds, [Query(label="x", bin="b0")], vf, mode="float"
         )
     return cells
 
@@ -266,9 +266,8 @@ def test_float_report_tracks_exact_on_repeated_queries():
         dataset, query, vf = random_frequency_instance(
             rng, max_n=9, with_coalitions=True, max_groups=5
         )
-        cs = dataset.coalition_structure()
-        exact = owen_frequency_report(dataset, cs, [query, query], vf, mode="exact")
-        approx = owen_frequency_report(dataset, cs, [query, query], vf, mode="float")
+        exact = owen_frequency_report(dataset, [query, query], vf, mode="exact")
+        approx = owen_frequency_report(dataset, [query, query], vf, mode="float")
         for i, v in exact.values().items():
             gap = abs(float(v) - approx.value_of(i))
             assert gap <= 1e-9 * max(1.0, abs(float(v))), (trial, i)
@@ -286,7 +285,7 @@ def test_critical_set_built_once_per_label_class(monkeypatch):
         freq_owen, "critical_set", lambda *a: calls.append(a) or real(*a)
     )
     queries = [Query(label="x", bin="b0"), Query(label="y", bin="b0")]
-    owen_frequency_report(ds, ds.coalition_structure(), queries, PAYOUT, mode="float")
+    owen_frequency_report(ds, queries, PAYOUT, mode="float")
     assert len(calls) <= 2 * len(queries), len(calls)
 
 
@@ -360,7 +359,7 @@ def test_majority_law_built_once_per_count_difference(monkeypatch, mode):
         freq_owen, "owen_precede_distribution", lambda *a: calls.append(a) or real(*a)
     )
     query = Query(label="x", bin="b0")
-    owen_frequency_report(ds, ds.coalition_structure(), [query], PAYOUT, mode=mode)
+    owen_frequency_report(ds, [query], PAYOUT, mode=mode)
     assert len(calls) == len(diffs), (len(calls), len(diffs), len(tallies))
 
 
@@ -380,8 +379,7 @@ def test_single_rejects_negative_counts():
 
 
 def _report_values(dataset, query, vf, mode="exact"):
-    cs = dataset.coalition_structure()
-    return owen_frequency_report(dataset, cs, [query], vf, mode=mode)
+    return owen_frequency_report(dataset, [query], vf, mode=mode)
 
 
 def test_report_matches_oracle():
@@ -393,7 +391,7 @@ def test_report_matches_oracle():
         cs = dataset.coalition_structure()
         game = frequency_game(dataset, query, vf)
         want = exact_owen_all(game, cs)
-        rep = owen_frequency_report(dataset, cs, [query], vf, mode="exact")
+        rep = owen_frequency_report(dataset, [query], vf, mode="exact")
         assert rep.values() == want, trial
 
 
@@ -409,7 +407,7 @@ def test_coalitions_spanning_bins_match_oracle():
     q = Query(label="spam", bin="b0")
     cs = ds.coalition_structure()
     want = exact_owen_all(frequency_game(ds, q, PAYOUT), cs)
-    rep = owen_frequency_report(ds, cs, [q], PAYOUT, mode="exact")
+    rep = owen_frequency_report(ds, [q], PAYOUT, mode="exact")
     assert rep.values() == want
     assert rep.value_of(1) == 0 and rep.value_of(4) == 0
 
@@ -444,9 +442,8 @@ def test_float_tracks_exact_through_convolution():
         dataset, query, vf = random_frequency_instance(
             rng, max_n=7, with_coalitions=True
         )
-        cs = dataset.coalition_structure()
-        exact = owen_frequency_report(dataset, cs, [query], vf, mode="exact")
-        approx = owen_frequency_report(dataset, cs, [query], vf, mode="float")
+        exact = owen_frequency_report(dataset, [query], vf, mode="exact")
+        approx = owen_frequency_report(dataset, [query], vf, mode="float")
         for i, v in exact.values().items():
             assert relative_gap(float(v), approx.value_of(i)) < 1e-9, i
 
@@ -458,10 +455,9 @@ def test_cache_changes_nothing():
     rng = random.Random(16)
     for _ in range(20):
         dataset, query, vf = random_frequency_instance(rng, max_n=7, with_coalitions=True)
-        cs = dataset.coalition_structure()
         queries = mixed_frequency_queries(rng, dataset, query)
-        batch = owen_frequency_report(dataset, cs, queries, vf, mode="exact")
-        singles = [owen_frequency_report(dataset, cs, [q], vf, mode="exact") for q in queries]
+        batch = owen_frequency_report(dataset, queries, vf, mode="exact")
+        singles = [owen_frequency_report(dataset, [q], vf, mode="exact") for q in queries]
         for i in dataset.ids:
             assert batch.value_of(i) == sum(r.value_of(i) for r in singles)
 

@@ -318,7 +318,7 @@ def test_parsed_frequency_dataset_builds_no_example_rows(tmp_path):
     dataset = parse_dataset(path, "frequency")
     shapley = shapley_frequency_report(dataset, queries, PAYOUT, mode="exact")
     owen = owen_frequency_report(
-        dataset, dataset.coalition_structure(), queries, PAYOUT, mode="float"
+        dataset, queries, PAYOUT, mode="float"
     )
     assert example_count() <= before
     assert len(shapley.values()) == len(owen.values()) == 300

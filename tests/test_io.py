@@ -11,6 +11,7 @@ from divvy import (
     Dataset,
     Example,
     MajorityValueFunction,
+    Query,
     TableValueFunction,
     assemble_report,
     export_csv,
@@ -266,11 +267,18 @@ def test_coalition_file_and_override(tmp_path):
     ds = parse_dataset(d, "frequency")
     c = _write(tmp_path, "c.csv", "id,coalition\n0,g0\n1,g1\n")
     mapping = parse_coalition_file(c)
-    assert mapping == {0: "g0", 1: "g1"}
+    assert mapping[0].tolist() == [0, 1] and mapping[1] == ["g0", "g1"]
     ds2 = with_coalitions(ds, mapping)
     assert [ex.coalition for ex in ds2] == ["g0", "g1"]
     with pytest.raises(InputError, match="cover"):
         with_coalitions(ds, {0: "g0"})
+    # an id the dataset lacks is refused, as the library refuses a partition
+    # that names one
+    extra = _write(tmp_path, "cx.csv", "id,coalition\n0,g0\n99,g2\n1,g1\n")
+    with pytest.raises(InputError, match=r"cx.csv names unknown example ids \[99\]"):
+        with_coalitions(ds, parse_coalition_file(extra), str(extra))
+    with pytest.raises(InputError, match=r"unknown example ids \[99\]"):
+        with_coalitions(ds, {0: "g0", 1: "g1", 99: "g2"})
     bad = _write(tmp_path, "cb.csv", "id,coalition\n0,g0\n0,g1\n")
     with pytest.raises(InputError, match="duplicate"):
         parse_coalition_file(bad)
@@ -391,6 +399,47 @@ def test_read_report_rejects_non_integer_ids(tmp_path):
             read_report(broken)
 
 
+def test_read_report_refuses_a_list_coalition_cell(tmp_path):
+    path = tmp_path / "r.json"
+    write_report(_sample_report("float"), path)
+    doc = json.loads(path.read_text())
+    doc["examples"][0]["coalition"] = ["g0"]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match="malformed report file"):
+        read_report(broken)
+    # a library report may name coalitions by tuples, which JSON writes as lists
+    ds = Dataset([Example(0, "x", bin="b0", coalition=("a", 1)),
+                  Example(1, "y", bin="b0", coalition=("b", 2))])
+    vf = MajorityValueFunction(Fraction(10), Fraction(-10), Fraction(0))
+    write_report(shapley_frequency_report(ds, [Query(label="x", bin="b0")], vf), path)
+    with pytest.raises(InputError, match="malformed report file"):
+        read_report(path)
+
+
+def test_coalition_totals_match_a_row_order_sum_bit_for_bit():
+    # float totals are one bincount; it must add each coalition's members in
+    # row order, as a plain Python loop does, to give the same bits
+    from divvy.model import code_cells
+    from divvy.report import ValueReport, _coalition_totals
+
+    rng = np.random.default_rng(1601)
+    for _ in range(300):
+        n, m = int(rng.integers(0, 5001)), int(rng.integers(1, 31))
+        draws = rng.integers(-1, m, n).tolist()  # -1: no coalition
+        names, codes = code_cells([None if c < 0 else f"g{c:02d}" for c in draws])
+        values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-10, 10, n)
+        report = ValueReport("shapley-knn", "float", 1, 0.0, np.arange(n, dtype=np.int64),
+                             values, names, codes)
+        want: dict = {}
+        for c, v in zip(codes.tolist(), values.tolist()):
+            if c >= 0:
+                want[names[c]] = want.get(names[c], 0.0) + v
+        got = _coalition_totals(report)
+        assert [c for c, _ in got] == sorted(want)
+        assert [v.hex() for _, v in got] == [want[c].hex() for c, _ in got]
+
+
 def test_report_equality_compares_columns(tmp_path):
     for mode in ("exact", "float"):
         rep = _sample_report(mode)
@@ -398,5 +447,5 @@ def test_report_equality_compares_columns(tmp_path):
         write_report(rep, path)
         back = read_report(path)
         assert back == rep
-        back.coalition_column = ["g1", "g0"]
+        back.coalition_codes = back.coalition_codes[::-1]
         assert back != rep

@@ -8,7 +8,6 @@ import pytest
 
 import divvy.knn_owen as knn_owen
 from divvy import (
-    CoalitionStructure,
     Dataset,
     Example,
     KnnConfig,
@@ -73,7 +72,7 @@ def test_creation_plus_change_decomposition():
     )
     cs = dataset.coalition_structure()
     ranking = rank_by_distance(dataset, query.features, query.label)
-    rep = knn_owen_report(dataset, cs, [query], config, mode="exact")
+    rep = knn_owen_report(dataset, [query], config, mode="exact")
     for ex in dataset:
         f = knn_owen_creation(ranking, cs, ex.id, config.k, config.outcome_values, "exact")
         g = knn_owen_change(ranking, cs, ex.id, config.k, config.outcome_values, "exact")
@@ -89,7 +88,7 @@ def test_report_matches_oracle():
         cs = dataset.coalition_structure()
         game = knn_game(dataset, query, config)
         want = exact_owen_all(game, cs)
-        rep = knn_owen_report(dataset, cs, [query], config, mode="exact")
+        rep = knn_owen_report(dataset, [query], config, mode="exact")
         assert rep.values() == want, trial
 
 
@@ -102,7 +101,7 @@ def test_singleton_coalitions_reduce_to_shapley():
             for ex in dataset
         )
         shap = knn_shapley_values(dataset, query, config, mode="exact")
-        rep = knn_owen_report(singles, singles.coalition_structure(), [query], config, mode="exact")
+        rep = knn_owen_report(singles, [query], config, mode="exact")
         assert rep.values() == shap
 
 
@@ -115,7 +114,7 @@ def test_grand_coalition_reduces_to_shapley():
             for ex in dataset
         )
         shap = knn_shapley_values(dataset, query, config, mode="exact")
-        rep = knn_owen_report(grand, grand.coalition_structure(), [query], config, mode="exact")
+        rep = knn_owen_report(grand, [query], config, mode="exact")
         assert rep.values() == shap
 
 
@@ -125,8 +124,7 @@ def test_efficiency():
         dataset, query, config = random_knn_instance(
             rng, max_n=7, ks=(1, 3), with_coalitions=True
         )
-        cs = dataset.coalition_structure()
-        rep = knn_owen_report(dataset, cs, [query], config, mode="exact")
+        rep = knn_owen_report(dataset, [query], config, mode="exact")
         r = rank_by_distance(dataset, query.features, query.label)
         v_full = knn_subset_value(dataset.ids, r, config.k, config.outcome_values)
         v_empty = knn_subset_value([], r, config.k, config.outcome_values)
@@ -139,9 +137,8 @@ def test_float_tracks_exact():
         dataset, query, config = random_knn_instance(
             rng, max_n=7, ks=(1, 3), with_coalitions=True
         )
-        cs = dataset.coalition_structure()
-        exact = knn_owen_report(dataset, cs, [query], config, mode="exact")
-        approx = knn_owen_report(dataset, cs, [query], config, mode="float")
+        exact = knn_owen_report(dataset, [query], config, mode="exact")
+        approx = knn_owen_report(dataset, [query], config, mode="float")
         for i, v in exact.values().items():
             assert relative_gap(float(v), approx.value_of(i)) < 1e-9, i
 
@@ -153,12 +150,11 @@ def test_report_equals_sum_of_one_query_reports():
         dataset, query, config = random_knn_instance(
             rng, max_n=7, ks=(3,), with_coalitions=True
         )
-        cs = dataset.coalition_structure()
         other = Query(label=query.label, features=tuple(-x for x in query.features))
         flipped = Query(label=LABELS[1 - LABELS.index(query.label)], features=query.features)
         queries = [query, query, other, flipped]
-        batch = knn_owen_report(dataset, cs, queries, config, mode="exact")
-        singles = [knn_owen_report(dataset, cs, [q], config, mode="exact") for q in queries]
+        batch = knn_owen_report(dataset, queries, config, mode="exact")
+        singles = [knn_owen_report(dataset, [q], config, mode="exact") for q in queries]
         for i in dataset.ids:
             assert batch.value_of(i) == sum(r.value_of(i) for r in singles)
 
@@ -169,7 +165,7 @@ def test_worked_example_two_points():
         Example(1, "neg", features=(2.0,), coalition="c1"),
     ])
     q = Query(label="pos", features=(0.5,))
-    rep = knn_owen_report(ds, ds.coalition_structure(), [q], KnnConfig(1, UNIT), mode="exact")
+    rep = knn_owen_report(ds, [q], KnnConfig(1, UNIT), mode="exact")
     assert rep.values() == {0: Fraction(3, 2), 1: Fraction(-1, 2)}
 
 
@@ -295,10 +291,10 @@ def test_float_tracks_exact_at_hundreds_of_examples():
     # the README's float rule: 1e-9, absolute below |v| = 1, relative above
     rng = random.Random(71)
     for _ in range(2):
-        dataset, query, _, cs = _ranked_groups(rng, 500, 5, 5)
+        dataset, query, _, _ = _ranked_groups(rng, 500, 5, 5)
         config = KnnConfig(5, OutcomeValues(Fraction(3), Fraction(-2), Fraction(1, 3)))
-        exact = knn_owen_report(dataset, cs, [query], config, mode="exact")
-        approx = knn_owen_report(dataset, cs, [query], config, mode="float")
+        exact = knn_owen_report(dataset, [query], config, mode="exact")
+        approx = knn_owen_report(dataset, [query], config, mode="float")
         for i, v in exact.values().items():
             assert abs(float(v) - approx.value_of(i)) <= 1e-9 * max(1.0, abs(v)), i
 
@@ -325,7 +321,7 @@ def _calls(monkeypatch, n, owner, name, groups=5):
     if groups == 1:
         knn_shapley_report(dataset, [query], config, mode="float")
     else:
-        knn_owen_report(dataset, dataset.coalition_structure(), [query], config, mode="float")
+        knn_owen_report(dataset, [query], config, mode="float")
     return calls[0]
 
 
@@ -369,7 +365,7 @@ def test_each_log_binom_row_is_built_once_per_report(monkeypatch):
     )
     queries = [Query(label="a", features=(rng.uniform(-1, 1), rng.uniform(-1, 1))) for _ in range(3)]
     config = KnnConfig(k, UNIT)
-    for report in (lambda: knn_owen_report(dataset, dataset.coalition_structure(), queries, config),
+    for report in (lambda: knn_owen_report(dataset, queries, config),
                    lambda: knn_shapley_report(dataset, queries, config)):
         built.clear()
         knn_owen._log_binom_rows.cache_clear()
@@ -383,6 +379,6 @@ def test_empty_dataset_gives_an_empty_report():
     queries = [Query(label="pos", features=(0.0, 1.0))]
     for mode in ("float", "exact"):
         rep = knn_owen_report(
-            Dataset([]), CoalitionStructure({}), queries, config, mode=mode, per_query=True
+            Dataset([]), queries, config, mode=mode, per_query=True
         )
         assert rep.values() == {} and rep.query_count == 1, mode

@@ -1,8 +1,12 @@
 """k-NN Shapley values: creation and change terms, sweep, and oracle checks."""
 
 import gc
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,8 +228,8 @@ def _bits(v):
 
 
 @pytest.mark.parametrize("report", [
-    lambda dataset, cs, queries, config: knn_shapley_report(dataset, queries, config),
-    lambda dataset, cs, queries, config: knn_owen_report(dataset, cs, queries, config),
+    knn_shapley_report,
+    knn_owen_report,
 ], ids=["shapley-knn", "owen-knn"])
 def test_held_float_report_costs_no_object_per_example(report):
     # One Python object per example in a held report makes each full pass of
@@ -241,14 +245,16 @@ def test_held_float_report_costs_no_object_per_example(report):
             Example(i, "pos" if i % 3 else "neg", features=tuple(pts[i]), coalition=f"g{i % 4}")
             for i in range(n)
         )
-        cs = dataset.coalition_structure()
-        report(dataset, cs, [query], config)  # fill caches
+        report(dataset, [query], config)  # fill caches
         gc.collect()
         before = len(gc.get_objects())
-        held_report = report(dataset, cs, [query], config)
+        held_report = report(dataset, [query], config)
         gc.collect()
         held = len(gc.get_objects()) - before
         assert len(held_report.values()) == n
+        # the coalition column is int codes into the four names, not n ids
+        assert held_report.coalition_codes.dtype.kind == "i"
+        assert held_report.coalition_names == ("g0", "g1", "g2", "g3")
         return held
 
     # A few interpreter objects (numpy's errstate context nodes) come and go
@@ -295,3 +301,23 @@ def test_empty_dataset_gives_an_empty_report():
     for mode in ("float", "exact"):
         rep = knn_shapley_report(Dataset([]), queries, config, mode=mode, per_query=True)
         assert rep.values() == {} and rep.query_count == 1, mode
+
+
+def test_float_report_leaves_numpy_polynomial_unimported():
+    # a one-coalition law integrates on the one Gauss-Legendre node t = 1/2,
+    # so a float shapley-knn report needs no numpy.polynomial import
+    script = (
+        "import sys\n"
+        "from divvy import Dataset, Example, KnnConfig, OutcomeValues, Query, knn_shapley_report\n"
+        "ds = Dataset(Example(i, 'pos' if i % 3 else 'neg', features=(i * 0.5, 1.0 - i))"
+        " for i in range(50))\n"
+        "rep = knn_shapley_report(ds, [Query('pos', features=(3.0, 0.0))],"
+        " KnnConfig(5, OutcomeValues(1, -1, 0)))\n"
+        "assert any(rep.value_column)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.strip() == "[]"
