@@ -45,7 +45,6 @@ from .knn_shapley import (
 )
 from .model import (
     BinTally,
-    CoalitionStructure,
     Dataset,
     Example,
     KnnConfig,
@@ -90,7 +89,6 @@ __all__ = [
     "NUMERIC_MODES",
     "BinTally",
     "CharacteristicGame",
-    "CoalitionStructure",
     "ConfigError",
     "Dataset",
     "DivvyError",

@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .combinatorics import EXACT, FLOAT, NUMERIC_MODES
 from .errors import GuardError, InputError
@@ -29,7 +30,7 @@ from .io import (
 )
 from .knn_owen import knn_owen_report
 from .knn_shapley import knn_shapley_report
-from .model import KnnConfig
+from .model import KnnConfig, to_money
 from .oracle import (
     exact_owen_all,
     exact_shapley_all,
@@ -187,26 +188,24 @@ def _run_oracle(args):
 
     method = args.method
     mode = FLOAT if method == "mc-shapley" else EXACT
-    zero = 0.0 if mode == FLOAT else Fraction(0)
-    totals = [zero] * len(dataset)
-    row = dataset.row_index()
-    rows_per_query = [] if args.per_query else None
-    structure = dataset.coalition_structure() if method == "exact-owen" else None
+    dtype = float if mode == FLOAT else object
+    totals = np.full(len(dataset), to_money(0, mode), dtype)
+    columns = []
+    codes = dataset.partition_codes()[1] if method == "exact-owen" else None
 
     started = time.perf_counter()
     for query in queries:
         game = build_game(query)
         if method == "exact-shapley":
-            values = exact_shapley_all(game, override=args.yes_i_know)
+            values = exact_shapley_all(game, override=args.yes_i_know).values()
         elif method == "exact-owen":
-            values = exact_owen_all(game, structure, override=args.yes_i_know)
+            values = exact_owen_all(game, codes, override=args.yes_i_know).values()
         else:
-            estimates = mc_shapley_all(game, args.samples, args.seed)
-            values = {p: e.estimate for p, e in estimates.items()}
-        for p, v in values.items():
-            totals[row[p]] += v
-        if rows_per_query is not None:
-            rows_per_query.append(dict(values))
+            values = [e.estimate for e in mc_shapley_all(game, args.samples, args.seed).values()]
+        # each oracle lists its values in player order, and the players are
+        # dataset.ids, so the values come in dataset order
+        columns.append(np.array(list(values), dtype))
+        totals += columns[-1]
     wall = time.perf_counter() - started
 
     extras = {"family": family, "oracle_method": method}
@@ -215,7 +214,7 @@ def _run_oracle(args):
         extras["seed"] = args.seed
     return assemble_report("oracle", mode, dataset, totals, query_count=len(queries),
                            wall_time=wall, k=args.k if family == "knn" else None,
-                           per_query=rows_per_query, extras=extras)
+                           per_query=columns if args.per_query else None, extras=extras)
 
 
 # name, help, flag groups in help order, body

@@ -420,7 +420,7 @@ def _frequency_report(method, dataset, owner, queries, vf, mode, per_query):
     zero = to_money(0, mode)
     dtype = object if mode == EXACT else float
     totals = np.full(len(keys), zero, dtype)
-    rows, ids = [], dataset.ids if per_query else None
+    columns = []
     value_cache: dict = {}
     for q in queries:
         q_vf = q.value_function if q.value_function is not None else vf
@@ -454,8 +454,8 @@ def _frequency_report(method, dataset, owner, queries, vf, mode, per_query):
         if per_query:
             q_values = np.full(len(keys), zero, dtype)
             q_values[in_bin] = values
-            rows.append(dict(zip(ids, q_values[group].tolist())))
+            columns.append(q_values[group])
     return assemble_report(
         method=method, mode=mode, dataset=dataset, values=totals[group], query_count=len(queries),
-        wall_time=time.perf_counter() - t0, per_query=rows if per_query else None,
+        wall_time=time.perf_counter() - t0, per_query=columns if per_query else None,
     )

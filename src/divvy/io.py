@@ -29,6 +29,7 @@ from .model import (
     Query,
     TableValueFunction,
     code_cells,
+    code_coalitions,
     duplicate_row,
     label_codes,
 )
@@ -359,7 +360,7 @@ def with_coalitions(dataset: Dataset, assignment, source="coalition file") -> Da
         raise InputError(f"{source} names unknown example ids {unknown[:5].tolist()}")
     if len(ids) != len(own):
         raise InputError(f"{source} names an example id more than once")
-    names, codes = code_cells(cells)
+    names, codes = code_coalitions(ids, cells)
     order = np.argsort(ids)
     rows = order[np.searchsorted(ids, own, sorter=order)]  # each example's row in the assignment
     return dataset.with_coalition_codes(names, codes[rows])

@@ -49,8 +49,8 @@ import numpy as np
 from .combinatorics import EXACT, Money, check_mode, precede_probability
 from .errors import InputError
 from .freq_owen import owen_precede_distribution
-from .model import (CoalitionStructure, Dataset, KnnConfig, OutcomeValues, Query,
-                    RankedNeighborhood, rank_by_distance, to_money)
+from .model import (Dataset, KnnConfig, OutcomeValues, Query, RankedNeighborhood,
+                    dense_codes, rank_by_distance, to_money)
 from .report import ValueReport, assemble_report
 
 METHOD = "owen-knn"
@@ -280,22 +280,30 @@ class _QueryEngine:
         return out
 
 
-def knn_owen_creation(ranking: RankedNeighborhood, coalitions: CoalitionStructure, example_id: int,
+def _term_engine(ranking: RankedNeighborhood, codes: Sequence[int], k: int, ov: OutcomeValues,
+                 mode: str) -> _QueryEngine:
+    """The engine for one query over coalition ``codes`` by dataset row."""
+    check_mode(mode)
+    m, codes = dense_codes(codes, len(ranking))
+    return _QueryEngine(ranking, codes[ranking.rows], m, k, ov, mode)
+
+
+def knn_owen_creation(ranking: RankedNeighborhood, codes: Sequence[int], example_id: int,
                       k: int, ov: OutcomeValues, mode: str = "float") -> Money:
-    """Creation term of one example's Owen value."""
-    check_mode(mode)
-    cids, codes = coalitions.codes(ranking.ordering.tolist())
-    eng = _QueryEngine(ranking, codes, len(cids), k, ov, mode)
+    """Creation term of one example's Owen value.  ``codes[r]`` is the
+    coalition of dataset row r, any non-negative integer, as
+    ``Dataset.partition_codes()[1]`` gives them; ``ranking.rows`` maps the
+    rank positions to those rows."""
+    eng = _term_engine(ranking, codes, k, ov, mode)
     pos = ranking.position_of(example_id)
-    return eng.creation(int(codes[pos]), bool(eng.matches[pos]))
+    return eng.creation(int(eng.codes[pos]), bool(eng.matches[pos]))
 
 
-def knn_owen_change(ranking: RankedNeighborhood, coalitions: CoalitionStructure, example_id: int,
+def knn_owen_change(ranking: RankedNeighborhood, codes: Sequence[int], example_id: int,
                     k: int, ov: OutcomeValues, mode: str = "float") -> Money:
-    """Change term of one example's Owen value."""
-    check_mode(mode)
-    cids, codes = coalitions.codes(ranking.ordering.tolist())
-    eng = _QueryEngine(ranking, codes, len(cids), k, ov, mode)
+    """Change term of one example's Owen value; ``codes`` holds each
+    dataset row's coalition, as for ``knn_owen_creation``."""
+    eng = _term_engine(ranking, codes, k, ov, mode)
     return eng.change_terms().tolist()[ranking.position_of(example_id)]
 
 
@@ -310,17 +318,18 @@ def _knn_report(method: str, dataset: Dataset, codes: np.ndarray, m: int,
     t0 = time.perf_counter()
     codes = codes.astype(np.min_scalar_type(m - 1), copy=False)  # a byte each up to m = 256
     totals = _zeros(len(dataset), mode)
-    rows = []
+    columns = []
     for q in queries:
         ranking = rank_by_distance(dataset, q.features, q.label, config.metric)
         values = _QueryEngine(ranking, codes[ranking.rows], m, config.k,
                               config.outcome_values, mode).values()
         totals[ranking.rows] += values
         if per_query:
-            rows.append(dict(zip(ranking.ordering.tolist(), values.tolist())))
+            columns.append(_zeros(len(dataset), mode))
+            columns[-1][ranking.rows] = values
     return assemble_report(
         method=method, mode=mode, dataset=dataset, values=totals, query_count=len(queries),
-        wall_time=time.perf_counter() - t0, k=config.k, per_query=rows if per_query else None,
+        wall_time=time.perf_counter() - t0, k=config.k, per_query=columns if per_query else None,
     )
 
 

@@ -14,14 +14,13 @@ import numpy as np
 
 from .combinatorics import Money, check_mode, precede_probability
 from .errors import InputError
-from .knn_owen import _QueryEngine, _knn_report, _log_binom_table, _zeros
+from .knn_owen import _QueryEngine, _knn_report, _zeros
 from .model import (Dataset, KnnConfig, OutcomeValues, Query, RankedNeighborhood,
                     rank_by_distance)
 from .report import ValueReport, assemble_report
 
 # precede_probability and assemble_report are not called here, but stay
-# bound under the names that perfbench/spans.py wraps; _log_binom_table is
-# the kernel's binomial-row builder, importable here as well
+# bound under the names that perfbench/spans.py wraps
 
 METHOD = "shapley-knn"
 

@@ -64,8 +64,9 @@ class Dataset:
     none), and per-example bin (coded on first use) and feature columns.
     ``examples`` (and iteration) give ``Example`` row views, built once on
     first use; the frequency reports and the k-NN float path read only the
-    columns, so a parsed dataset keeps no Python object per example.  Missing bins or features are reported when a method
-    asks for them, not when the dataset is built.
+    columns, so a parsed dataset keeps no Python object per example.
+    Missing bins or features are reported when a method asks for them, not
+    when the dataset is built.
     """
 
     def __init__(self, examples: Iterable[Example]):
@@ -84,7 +85,7 @@ class Dataset:
             symbols,
             label_codes(labels, symbols),
             [ex.bin for ex in rows],
-            code_cells([ex.coalition for ex in rows]),
+            code_coalitions(ids, [ex.coalition for ex in rows]),
             [ex.features for ex in rows],
         )
         self._rows = rows
@@ -121,7 +122,6 @@ class Dataset:
         # feature_matrix() checks them and builds one
         self._features = features
         self._rows = None
-        self._row_of = None
         self._label_masks = None
         self._bin_codes = None
 
@@ -164,13 +164,6 @@ class Dataset:
     def id_array(self) -> np.ndarray:
         """Example ids in dataset order as a read-only int64 array."""
         return self._ids
-
-    def row_index(self) -> Mapping[int, int]:
-        """Read-only map from example id to its position in dataset order,
-        built once."""
-        if self._row_of is None:
-            self._row_of = MappingProxyType({i: r for r, i in enumerate(self.ids)})
-        return self._row_of
 
     def label_mask(self, label: Label) -> np.ndarray:
         """Read-only boolean array, True where an example's label equals
@@ -270,16 +263,6 @@ class Dataset:
             self._features = np.asarray(self._features, dtype=float)
         return self._features
 
-    def coalition_structure(self) -> "CoalitionStructure":
-        """The partition the coalition codes make."""
-        names, codes = self.partition_codes()
-        order = np.argsort(codes, kind="stable")
-        ends = np.cumsum(np.bincount(codes, minlength=len(names))).tolist()
-        ids = self._ids[order].tolist()
-        return CoalitionStructure({
-            cid: frozenset(ids[lo:hi]) for cid, lo, hi in zip(names, [0, *ends[:-1]], ends)
-        })
-
 
 def duplicate_row(ids: Sequence[int]) -> Optional[int]:
     """Position of the first id that repeats an earlier one, or None."""
@@ -303,6 +286,35 @@ def code_cells(cells: Sequence[Optional[Hashable]]) -> Tuple[tuple, np.ndarray]:
     return names, np.fromiter(map(code.__getitem__, cells), dtype=np.intp, count=len(cells))
 
 
+def code_coalitions(ids: Sequence[int], cells: Sequence) -> Tuple[tuple, np.ndarray]:
+    """``code_cells(cells)`` for the coalition ids of the examples ``ids``;
+    an unhashable one is refused by its example's id."""
+    try:
+        return code_cells(cells)
+    except TypeError:
+        for i, cell in zip(ids, cells):
+            try:
+                hash(cell)
+            except TypeError:
+                raise InputError(f"example {i} has an unhashable coalition id {cell!r}") from None
+        raise
+
+
+def dense_codes(codes: Sequence[int], n: int) -> Tuple[int, np.ndarray]:
+    """The number m of distinct coalitions among n players given one
+    coalition code each, any non-negative integers, and each player's code
+    renumbered to 0 .. m - 1 in code order; refuses a code count other
+    than n and a negative or non-integer code."""
+    codes = np.asarray(codes)
+    if codes.shape != (n,):
+        raise InputError(f"need one coalition code for each of {n} players, got {codes.shape}")
+    bad = codes[codes < 0] if codes.dtype.kind in "iu" else codes
+    if len(bad):
+        raise InputError(f"coalition codes must be non-negative integers, got {bad[:5].tolist()}")
+    present, dense = np.unique(codes, return_inverse=True)
+    return len(present), dense
+
+
 def code_names(names: Sequence, codes: np.ndarray, missing=None) -> list:
     """Each code's name, ``missing`` for -1: ``code_cells`` undone."""
     return np.fromiter((*names, missing), dtype=object, count=len(names) + 1)[codes].tolist()
@@ -312,52 +324,6 @@ def label_codes(labels: Sequence[Label], symbols: tuple) -> np.ndarray:
     """Each label's position in ``symbols``, as an int8 array."""
     code = {lab: c for c, lab in enumerate(symbols)}
     return np.fromiter(map(code.__getitem__, labels), dtype=np.int8, count=len(labels))
-
-
-@dataclass(frozen=True)
-class CoalitionStructure:
-    """A partition of example ids into named coalitions."""
-
-    members: Mapping[Hashable, frozenset]
-
-    def __post_init__(self):
-        owner = {i: cid for cid, ids in self.members.items() for i in ids}
-        if len(owner) != sum(map(len, self.members.values())):  # find the overlap
-            seen: dict = {}
-            for cid, ids in self.members.items():
-                for i in ids:
-                    if i in seen:
-                        raise InputError(
-                            f"example {i} appears in coalitions {seen[i]!r} and {cid!r}"
-                        )
-                    seen[i] = cid
-        object.__setattr__(self, "_owner", owner)
-
-    def coalition_of(self, example_id: int) -> Hashable:
-        try:
-            return self._owner[example_id]
-        except KeyError:
-            raise InputError(f"example {example_id} belongs to no coalition") from None
-
-    def coalition_ids(self) -> list:
-        return sorted(self.members.keys(), key=str)
-
-    def validate_partition(self, ids: Iterable[int]) -> None:
-        ids = set(ids)
-        covered = set(self._owner)
-        if ids - covered:
-            raise InputError(f"examples {sorted(ids - covered)[:5]} are missing from the coalition partition")
-        if covered - ids:
-            raise InputError(f"coalition partition names unknown example ids {sorted(covered - ids)[:5]}")
-
-    def codes(self, ids: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        """``coalition_ids()`` as an object array, and the index in it of each
-        id's coalition; the partition must cover ``ids`` exactly."""
-        self.validate_partition(ids)
-        cids = self.coalition_ids()
-        code = {cid: c for c, cid in enumerate(cids)}
-        codes = map(code.__getitem__, map(self._owner.__getitem__, ids))
-        return np.fromiter(cids, object, len(cids)), np.fromiter(codes, np.intp, len(ids))
 
 
 # ---------------------------------------------------------------------------

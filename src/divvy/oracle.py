@@ -19,11 +19,11 @@ import numpy as np
 
 from .errors import GuardError, InputError
 from .model import (
-    CoalitionStructure,
     Dataset,
     FrequencyValueFunction,
     KnnConfig,
     Query,
+    dense_codes,
     knn_subset_value,
     rank_by_distance,
 )
@@ -134,52 +134,44 @@ def _check_owen_guard(blocks, override: bool) -> None:
 
 def exact_owen_all(
     game: CharacteristicGame,
-    coalitions: CoalitionStructure,
+    codes: Sequence[int],
     override: bool = False,
 ) -> Dict[int, Fraction]:
-    """Owen values by enumerating coalition orderings times within-coalition
-    orderings of each target coalition."""
-    coalitions.validate_partition(game.players)
-    cids = coalitions.coalition_ids()
-    blocks = [sorted(coalitions.members[cid]) for cid in cids]
+    """Owen values, in player order, by enumerating coalition orderings
+    times within-coalition orderings of each coalition.  ``codes[i]`` is the
+    coalition of ``game.players[i]``, any non-negative integer, as
+    ``Dataset.partition_codes()[1]`` gives them for a dataset's game."""
+    m, codes = dense_codes(codes, game.n)
+    blocks = [np.flatnonzero(codes == h).tolist() for h in range(m)]  # player indices
     _check_owen_guard(blocks, override)
-    m = len(blocks)
-    block_masks = [game.mask_of(b) for b in blocks]
-    counts: Dict[int, Dict[int, int]] = {p: {} for p in game.players}
+    counts: list = [dict() for _ in range(game.n)]
     for perm_c in itertools.permutations(range(m)):
         before = 0
-        union = {}
         for h in perm_c:
-            union[h] = before
-            before |= block_masks[h]
-        for h in range(m):
-            base = union[h]
             for perm_h in itertools.permutations(blocks[h]):
-                mask = base
-                for pid in perm_h:
-                    c = counts[pid]
+                mask = before
+                for p in perm_h:
+                    c = counts[p]
                     c[mask] = c.get(mask, 0) + 1
-                    mask |= 1 << game._index[pid]
+                    mask |= 1 << p
+            before |= sum(1 << p for p in blocks[h])
     out = {}
-    denom = math.factorial(m)
-    for h, block in enumerate(blocks):
-        scale = denom * math.factorial(len(block))
-        for pid in block:
-            bit = 1 << game._index[pid]
-            total = Fraction(0)
-            for mask, c in counts[pid].items():
-                total += c * (game.value_mask(mask | bit) - game.value_mask(mask))
-            out[pid] = total / scale
+    for p, (pid, h) in enumerate(zip(game.players, codes.tolist())):
+        bit = 1 << p
+        total = Fraction(0)
+        for mask, c in counts[p].items():
+            total += c * (game.value_mask(mask | bit) - game.value_mask(mask))
+        out[pid] = total / (math.factorial(m) * math.factorial(len(blocks[h])))
     return out
 
 
 def exact_owen(
     game: CharacteristicGame,
-    coalitions: CoalitionStructure,
+    codes: Sequence[int],
     player: int,
     override: bool = False,
 ) -> Fraction:
-    return exact_owen_all(game, coalitions, override)[player]
+    return exact_owen_all(game, codes, override)[player]
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +211,11 @@ def mc_shapley_all(game: CharacteristicGame, samples: int, seed: int) -> Dict[in
     """``mc_shapley`` for every player from one walk of the permutation
     stream: each sampled ordering gives every player's marginal
     contribution at once (Castro, Gomez & Tejada 2009)."""
+    if samples < 1 or seed < 0:
+        raise InputError(f"need samples >= 1 and seed >= 0 (got {samples}, {seed})")
     if not game.n:
         return {}
-    perms = sample_permutations(game.n, samples, seed)  # checks samples before the array
+    perms = sample_permutations(game.n, samples, seed)
     marginals = np.empty((game.n, samples))
     for s, perm in enumerate(perms):
         mask, before = 0, game.value_mask(0)

@@ -42,11 +42,12 @@ class ValueReport:
     ``ids`` is an int64 array; ``value_column`` is a float64 array in float
     mode and a list of ``Fraction``s in exact mode; ``coalition_codes``
     gives each example's index in ``coalition_names`` (sorted by ``str``),
-    or -1 for none.  A held float-mode report thus keeps no Python object
-    per example: n of them would be rescanned by every full pass of the
-    cyclic garbage collector, which makes large runs slower than linear in
-    n.  Row views (``examples``) and the id index behind ``value_of`` are
-    built on demand.
+    or -1 for none.  ``per_query``, when asked for, holds one column per
+    query, laid out like ``value_column``.  A held float-mode report thus
+    keeps no Python object per example: n of them would be rescanned by
+    every full pass of the cyclic garbage collector, which makes large runs
+    slower than linear in n.  Row views (``examples``) and the id index
+    behind ``value_of`` are built on demand.
     """
 
     method: str
@@ -59,16 +60,14 @@ class ValueReport:
     coalition_codes: np.ndarray
     coalitions: List[Tuple[Hashable, Money]] = field(default_factory=list)
     k: Optional[int] = None
-    per_query: Optional[List[Mapping[int, Money]]] = None
+    per_query: Optional[List[Union[np.ndarray, List[Fraction]]]] = None
     extras: Optional[Mapping[str, object]] = None
     _row_of: Optional[dict] = field(default=None, init=False, repr=False)
     _text: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def _value_list(self) -> list:
         """Values in dataset order as Python numbers."""
-        if self.numeric_mode == EXACT:
-            return self.value_column
-        return self.value_column.tolist()
+        return _numbers(self.value_column, self.numeric_mode)
 
     @property
     def examples(self) -> List[ExampleRow]:
@@ -95,11 +94,23 @@ class ValueReport:
         return self._fields() == other._fields()
 
     def _fields(self) -> tuple:
+        per_query = self.per_query and [_numbers(c, self.numeric_mode) for c in self.per_query]
         return (
             self.method, self.numeric_mode, self.query_count, self.wall_time,
             self.ids.tolist(), self._value_list(), self.coalition_names,
-            self.coalition_codes.tolist(), self.coalitions, self.k, self.per_query, self.extras,
+            self.coalition_codes.tolist(), self.coalitions, self.k, per_query, self.extras,
         )
+
+
+def _column(values: Union[np.ndarray, Sequence[Money]], mode: str):
+    """Money in dataset order as a report holds it: a list of ``Fraction``s
+    in exact mode, a float64 array in float mode."""
+    return list(values) if mode == EXACT else np.asarray(values, dtype=float)
+
+
+def _numbers(column, mode: str) -> list:
+    """A report column as a list of Python numbers."""
+    return column if mode == EXACT else column.tolist()
 
 
 def _coalition_totals(report: ValueReport) -> List[Tuple[Hashable, Money]]:
@@ -122,15 +133,19 @@ def assemble_report(
     query_count: int,
     wall_time: float,
     k: Optional[int] = None,
-    per_query: Optional[List[Mapping[int, Money]]] = None,
+    per_query: Optional[Sequence[Union[np.ndarray, Sequence[Money]]]] = None,
     extras: Optional[Mapping[str, object]] = None,
 ) -> ValueReport:
-    """Build a report from per-example totals given in dataset order; it
-    carries the dataset's coalition codes."""
+    """Build a report from per-example totals, and optionally each query's
+    values, given in dataset order; it carries the dataset's coalition
+    codes."""
     check_mode(mode)
-    column = list(values) if mode == EXACT else np.asarray(values, dtype=float)
-    if len(column) != len(dataset):
-        raise InputError(f"{len(column)} values given for {len(dataset)} examples")
+    column = _column(values, mode)
+    if per_query is not None:
+        per_query = [_column(c, mode) for c in per_query]
+    for given in [column, *(per_query or ())]:
+        if len(given) != len(dataset):
+            raise InputError(f"{len(given)} values given for {len(dataset)} examples")
     names, codes = dataset.coalition_codes()
     report = ValueReport(
         method=method,
@@ -254,10 +269,9 @@ def report_to_json(report: ValueReport) -> str:
     if report.per_query is None:
         per_query = "null"
     else:
-        id_list = report.ids.tolist()
         queries = []
-        for qi, q in enumerate(report.per_query):
-            _, q_values = _value_text([q[i] for i in id_list], mode)
+        for qi, column in enumerate(report.per_query):
+            _, q_values = _value_text(_numbers(column, mode), mode)
             rows = [
                 f'        {{\n          "id": {i},\n          "value": {v}\n        }}'
                 for i, v in zip(ids, q_values)
@@ -299,17 +313,23 @@ def read_report(path) -> ValueReport:
         ids = [r["id"] for r in doc["examples"]]
         if any(type(i) is not int or not 0 <= i < 2**63 for i in ids):
             raise ValueError("example ids must be integers in 0 .. 2**63 - 1")
+        if len(ids) != len(set(ids)):
+            raise InputError("report lists an example id more than once")
         with _long_ints():
             values = [_decode_value(r["value"], mode) for r in doc["examples"]]
             coalitions = [(c["id"], _decode_value(c["value"], mode)) for c in doc["coalitions"]]
             per_query = None
             if doc.get("per_query") is not None:
-                id_set, per_query = set(ids), []
+                row_of, per_query = {i: r for r, i in enumerate(ids)}, []
                 for qi, q in enumerate(doc["per_query"]):
-                    block = {r["id"]: _decode_value(r["value"], mode) for r in q["values"]}
-                    if len(block) != len(q["values"]) or block.keys() != id_set:
+                    block_ids = [r["id"] for r in q["values"]]  # true is not id 1, nor is 1.0
+                    rows = [row_of.get(i, -1) if type(i) is int else -1 for i in block_ids]
+                    if sorted(rows) != list(range(len(ids))):
                         raise ValueError(f"per-query block {qi} does not list each example id once")
-                    per_query.append(block)
+                    column = [None] * len(ids)
+                    for r, entry in zip(rows, q["values"]):
+                        column[r] = _decode_value(entry["value"], mode)
+                    per_query.append(_column(column, mode))
         known = {"method", "numeric_mode", "k", "query_count", "wall_time_s"}
         extras = {k: v for k, v in meta.items() if k not in known} or None
         names, codes = code_cells([r.get("coalition") for r in doc["examples"]])
@@ -319,7 +339,7 @@ def read_report(path) -> ValueReport:
             query_count=meta["query_count"],
             wall_time=meta["wall_time_s"],
             ids=np.asarray(ids, dtype=np.int64),
-            value_column=values if mode == EXACT else np.asarray(values, dtype=float),
+            value_column=_column(values, mode),
             coalition_names=names,
             coalition_codes=codes,
             coalitions=coalitions,
@@ -329,8 +349,6 @@ def read_report(path) -> ValueReport:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed report file: {exc}") from exc
-    if len(ids) != len(set(ids)):
-        raise InputError("report lists an example id more than once")
     _verify_coalition_sums(report)
     return report
 

@@ -92,12 +92,11 @@ def test_criterion_2_frequency_owen_equals_enumeration(capsys):
             dataset, query, vf = random_frequency_instance(
                 rng, max_n=6, with_coalitions=True, max_groups=3
             )
-            cs = dataset.coalition_structure()
             got = owen_frequency_report(dataset, [query], vf, mode="exact")
             game = frequency_game(dataset, query, vf)
             # override: a draw may put all six members in one block, which is
             # past the enumeration guard but still tiny
-            want = exact_owen_all(game, cs, override=True)
+            want = exact_owen_all(game, dataset.partition_codes()[1], override=True)
             assert got.values() == want, trial
         ds = Dataset([
             Example(0, "x", bin="b0", coalition="gA"),
@@ -141,10 +140,9 @@ def test_criterion_4_knn_owen_equals_enumeration(capsys):
             dataset, query, config = random_knn_instance(
                 rng, max_n=6, ks=(1, 3), with_coalitions=True, max_groups=3
             )
-            cs = dataset.coalition_structure()
             got = knn_owen_report(dataset, [query], config, mode="exact")
             game = knn_game(dataset, query, config)
-            want = exact_owen_all(game, cs, override=True)
+            want = exact_owen_all(game, dataset.partition_codes()[1], override=True)
             assert got.values() == want, trial
 
 

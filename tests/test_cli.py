@@ -413,13 +413,17 @@ def test_exact_within_grid_guard_counts_int_cells(tmp_path, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("flag, bad", [("--samples", "-3"), ("--seed", "-1")])
-def test_mc_shapley_rejects_a_bad_count_or_seed(freq_files, capsys, flag, bad):
+def test_mc_shapley_rejects_a_bad_count_or_seed(freq_files, knn_files, capsys, flag, bad):
     data, queries, vf = freq_files
-    argv = ["oracle", "--family", "frequency", "--method", "mc-shapley", "--data", str(data),
-            "--queries", str(queries), "--value", str(vf), flag, bad]
-    assert run_command(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("divvy: error:") and "samples >= 1 and seed >= 0" in err, err
+    knn_data, knn_queries = knn_files
+    knn_data.write_text("id,label,f0,f1\n")  # a header and no rows: a game of no players
+    for argv in (["--family", "frequency", "--data", str(data), "--queries", str(queries),
+                  "--value", str(vf)],
+                 ["--family", "knn", "--data", str(knn_data), "--queries", str(knn_queries),
+                  "--k", "1", "--values", "1,-1,0"]):
+        assert run_command(["oracle", "--method", "mc-shapley", *argv, flag, bad]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("divvy: error:") and "samples >= 1 and seed >= 0" in err, err
 
 
 def test_owen_freq_exact_on_many_equal_coalitions(tmp_path):
@@ -506,7 +510,7 @@ def test_one_cell_laws_build_no_within_grid(tmp_path, monkeypatch, capsys, numer
             if command == "shapley-freq":
                 values = divvy.exact_shapley_all(game)
             else:
-                values = divvy.exact_owen_all(game, dataset.coalition_structure(), override=True)
+                values = divvy.exact_owen_all(game, dataset.partition_codes()[1], override=True)
             for i, v in values.items():
                 total[i] += v
         return total

@@ -388,9 +388,8 @@ def test_report_matches_oracle():
         dataset, query, vf = random_frequency_instance(
             rng, max_n=6, with_coalitions=True, max_groups=3
         )
-        cs = dataset.coalition_structure()
         game = frequency_game(dataset, query, vf)
-        want = exact_owen_all(game, cs)
+        want = exact_owen_all(game, dataset.partition_codes()[1])
         rep = owen_frequency_report(dataset, [query], vf, mode="exact")
         assert rep.values() == want, trial
 
@@ -405,8 +404,7 @@ def test_coalitions_spanning_bins_match_oracle():
         Example(4, "spam", bin="b1", coalition="g2"),
     ])
     q = Query(label="spam", bin="b0")
-    cs = ds.coalition_structure()
-    want = exact_owen_all(frequency_game(ds, q, PAYOUT), cs)
+    want = exact_owen_all(frequency_game(ds, q, PAYOUT), ds.partition_codes()[1])
     rep = owen_frequency_report(ds, [q], PAYOUT, mode="exact")
     assert rep.values() == want
     assert rep.value_of(1) == 0 and rep.value_of(4) == 0

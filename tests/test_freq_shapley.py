@@ -263,8 +263,8 @@ def test_per_query_rows_sum_to_totals():
     q2 = Query(label=q1.label, bin=sorted(dataset.bins())[0])
     rep = shapley_frequency_report(dataset, [q1, q2], vf, mode="exact", per_query=True)
     assert len(rep.per_query) == 2
-    for i in dataset.ids:
-        assert rep.value_of(i) == sum(row[i] for row in rep.per_query)
+    for r, i in enumerate(dataset.ids):
+        assert rep.value_of(i) == sum(column[r] for column in rep.per_query)
 
 
 def test_per_query_value_function_override():

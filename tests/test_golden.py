@@ -114,7 +114,7 @@ def test_writers_match_json_and_csv_modules(tmp_path):
     cids = ["a,b", 'say "hi"', "Zoë", None, 7, ("t", 1), "a,b"]
     ids = [9, 2, 40, 3, 11, 5, 6]
     dataset = Dataset(Example(i, "x", coalition=c) for i, c in zip(ids, cids))
-    per_query = [dict(zip(ids, values)), dict(zip(ids, reversed(values)))]
+    per_query = [values, values[::-1]]
     extras = {"nested": {"list": [1, [2, 3]], "empty": {}}, "text": "Zoë"}
     report = assemble_report("shapley-knn", "float", dataset, values, 2, 0.25,
                              k=3, per_query=per_query, extras=extras)
@@ -125,7 +125,7 @@ def test_writers_match_json_and_csv_modules(tmp_path):
                      for i, c, v in zip(ids, cids, values)],
         "coalitions": [{"id": c, "value": v} for c, v in report.coalitions],
         "per_query": [
-            {"query_index": qi, "values": [{"id": i, "value": q[i]} for i in ids]}
+            {"query_index": qi, "values": [{"id": i, "value": v} for i, v in zip(ids, q)]}
             for qi, q in enumerate(per_query)
         ],
     }

@@ -272,6 +272,8 @@ def test_coalition_file_and_override(tmp_path):
     assert [ex.coalition for ex in ds2] == ["g0", "g1"]
     with pytest.raises(InputError, match="cover"):
         with_coalitions(ds, {0: "g0"})
+    with pytest.raises(InputError, match=r"example 0 has an unhashable coalition id \['a'\]"):
+        with_coalitions(ds, {0: ["a"], 1: "b"})
     # an id the dataset lacks is refused, as the library refuses a partition
     # that names one
     extra = _write(tmp_path, "cx.csv", "id,coalition\n0,g0\n99,g2\n1,g1\n")
@@ -313,6 +315,19 @@ def test_report_round_trip(tmp_path):
         again = tmp_path / f"r2_{mode}.json"
         write_report(back, again)
         assert again.read_text() == path.read_text()
+        # a per-query report reads back equal: each block's rows go to their
+        # ids' dataset rows, in whatever order the block lists them
+        ds = Dataset([Example(5, "x", bin="b0", coalition="g0"),
+                      Example(2, "y", bin="b0", coalition="g1"), Example(9, "x", bin="b1")])
+        vf = MajorityValueFunction(Fraction(3), Fraction(-1), Fraction(1, 3))
+        rep = shapley_frequency_report(ds, [Query(label="x", bin="b0"), Query(label="y", bin="b1")],
+                                       vf, mode=mode, per_query=True)
+        write_report(rep, path)
+        assert read_report(path) == rep
+        doc = json.loads(path.read_text())
+        doc["per_query"][0]["values"].reverse()
+        path.write_text(json.dumps(doc))
+        assert read_report(path) == rep
 
 
 def test_exact_values_past_the_int_text_cap_round_trip(tmp_path):
@@ -321,8 +336,7 @@ def test_exact_values_past_the_int_text_cap_round_trip(tmp_path):
     huge = Fraction(10**5000 + 1, 3)
     ds = Dataset([Example(0, "x", coalition="g0"), Example(1, "y", coalition="g0")])
     values = [huge, -huge / 7]
-    rep = assemble_report("shapley-freq", "exact", ds, values, 1, 0.0,
-                          per_query=[dict(zip(ds.ids, values))])
+    rep = assemble_report("shapley-freq", "exact", ds, values, 1, 0.0, per_query=[values])
     cap = sys.get_int_max_str_digits()
     path = tmp_path / "r.json"
     write_report(rep, path)
@@ -394,6 +408,14 @@ def test_read_report_rejects_non_integer_ids(tmp_path):
         doc = json.loads(path.read_text())
         doc["examples"][0]["id"] = bad
         broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match="malformed"):
+            read_report(broken)
+    # a per-query block's ids are held to the same rule: true and 1.0 are not id 1
+    write_report(_sample_report("exact", per_query=True), path)
+    for bad in (True, 1.0):
+        doc = json.loads(path.read_text())
+        doc["per_query"][0]["values"][1]["id"] = bad
         broken.write_text(json.dumps(doc))
         with pytest.raises(InputError, match="malformed"):
             read_report(broken)

@@ -25,6 +25,7 @@ from divvy import (
     precede_probability,
     rank_by_distance,
 )
+from divvy.errors import InputError
 
 from conftest import LABELS, insertion_dp, random_knn_instance, relative_gap
 
@@ -70,13 +71,30 @@ def test_creation_plus_change_decomposition():
     dataset, query, config = random_knn_instance(
         rng, max_n=6, ks=(1, 3), with_coalitions=True
     )
-    cs = dataset.coalition_structure()
+    codes = dataset.partition_codes()[1]
     ranking = rank_by_distance(dataset, query.features, query.label)
     rep = knn_owen_report(dataset, [query], config, mode="exact")
     for ex in dataset:
-        f = knn_owen_creation(ranking, cs, ex.id, config.k, config.outcome_values, "exact")
-        g = knn_owen_change(ranking, cs, ex.id, config.k, config.outcome_values, "exact")
+        f = knn_owen_creation(ranking, codes, ex.id, config.k, config.outcome_values, "exact")
+        g = knn_owen_change(ranking, codes, ex.id, config.k, config.outcome_values, "exact")
         assert rep.value_of(ex.id) == f + g
+
+
+def test_term_codes_are_checked():
+    rng = random.Random(61)
+    dataset, query, config = random_knn_instance(
+        rng, max_n=6, ks=(1, 3), with_coalitions=True
+    )
+    codes = dataset.partition_codes()[1]
+    ranking = rank_by_distance(dataset, query.features, query.label)
+    args = (config.k, config.outcome_values, "exact")
+    i = dataset.ids[0]
+    # any non-negative integers name the coalitions; only the grouping counts
+    for term in (knn_owen_creation, knn_owen_change):
+        assert term(ranking, 3 * codes + 5, i, *args) == term(ranking, codes, i, *args)
+        for bad in (codes[1:], np.append(codes, 0), codes - 1, codes + 0.0):
+            with pytest.raises(InputError, match="coalition code"):
+                term(ranking, bad, i, *args)
 
 
 def test_report_matches_oracle():
@@ -85,9 +103,8 @@ def test_report_matches_oracle():
         dataset, query, config = random_knn_instance(
             rng, max_n=6, ks=(1, 3), with_coalitions=True, max_groups=3
         )
-        cs = dataset.coalition_structure()
         game = knn_game(dataset, query, config)
-        want = exact_owen_all(game, cs)
+        want = exact_owen_all(game, dataset.partition_codes()[1])
         rep = knn_owen_report(dataset, [query], config, mode="exact")
         assert rep.values() == want, trial
 
@@ -169,16 +186,16 @@ def test_worked_example_two_points():
     assert rep.values() == {0: Fraction(3, 2), 1: Fraction(-1, 2)}
 
 
-def _quadratic_change_terms(ranking, coalitions, k, ov):
+def _quadratic_change_terms(ranking, codes, k, ov):
     """Change term of every rank position by the double loop that the suffix
-    sweep replaced: for each position i, every farther opposite-class j."""
+    sweep replaced: for each position i, every farther opposite-class j.
+    ``codes`` holds each dataset row's coalition, 0 .. m - 1."""
     ov = ov.as_fractions()
     h = (k - 1) // 2
     caps = (h, h)
-    cids = coalitions.coalition_ids()
-    coal = [cids.index(coalitions.coalition_of(int(i))) for i in ranking.ordering]
+    coal = codes[ranking.rows].tolist()
     matches = [bool(x) for x in ranking.matches]
-    n, m = len(coal), len(cids)
+    n, m = len(coal), int(codes.max(initial=-1)) + 1
 
     def nearer(c, j, u):  # members of coalition c in class u nearer than j
         return sum(1 for p in range(j) if coal[p] == c and matches[p] == u)
@@ -221,17 +238,17 @@ def test_change_sweep_matches_quadratic_loop():
         dataset, query, config = random_knn_instance(
             rng, max_n=12, ks=(1, 3, 5), with_coalitions=True, max_groups=4
         )
-        cs = dataset.coalition_structure()
+        names, codes = dataset.partition_codes()
         ranking = rank_by_distance(dataset, query.features, query.label)
         ov = config.outcome_values
-        want = _quadratic_change_terms(ranking, cs, config.k, ov)
-        cids, codes = cs.codes(ranking.ordering.tolist())
-        engine = knn_owen._QueryEngine(ranking, codes, len(cids), config.k, ov, "exact")
+        want = _quadratic_change_terms(ranking, codes, config.k, ov)
+        engine = knn_owen._QueryEngine(ranking, codes[ranking.rows], len(names), config.k, ov,
+                                       "exact")
         got = engine.change_terms().tolist()
         assert all(isinstance(v, Fraction) for v in got)
         assert got == want, trial
         i = int(ranking.ordering[-1])
-        assert knn_owen_change(ranking, cs, i, config.k, ov, "exact") == want[-1]
+        assert knn_owen_change(ranking, codes, i, config.k, ov, "exact") == want[-1]
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -242,9 +259,9 @@ def test_engine_returns_arrays(mode):
         rng, max_n=12, ks=(1, 3, 5), with_coalitions=True, max_groups=4
     )
     ranking = rank_by_distance(dataset, query.features, query.label)
-    cids, codes = dataset.coalition_structure().codes(ranking.ordering.tolist())
+    names, codes = dataset.partition_codes()
     ov = config.outcome_values
-    engine = knn_owen._QueryEngine(ranking, codes, len(cids), config.k, ov, mode)
+    engine = knn_owen._QueryEngine(ranking, codes[ranking.rows], len(names), config.k, ov, mode)
     for got in (engine.values(), engine.change_terms()):
         assert isinstance(got, np.ndarray) and got.shape == (len(dataset),)
         assert got.dtype == (object if mode == "exact" else np.float64)
@@ -263,11 +280,10 @@ def _ranked_groups(rng, n, m, k):
         )
         query = Query(label=rng.choice(LABELS), features=(rng.uniform(-1, 1), rng.uniform(-1, 1)))
         ranking = rank_by_distance(dataset, query.features, query.label)
-        cs = dataset.coalition_structure()
-        nearer = [(cs.coalition_of(int(i)), bool(u))
-                  for i, u in zip(ranking.ordering[:-1], ranking.matches[:-1])]
-        if all(nearer.count((f"g{c}", u)) > h for c in range(m) for u in (True, False)):
-            return dataset, query, ranking, cs
+        codes = dataset.partition_codes()[1]
+        nearer = list(zip(codes[ranking.rows[:-1]].tolist(), ranking.matches[:-1].tolist()))
+        if all(nearer.count((c, u)) > h for c in range(m) for u in (True, False)):
+            return dataset, query, ranking, codes
 
 
 def test_change_sweep_matches_quadratic_loop_on_saturated_tails():
@@ -277,12 +293,11 @@ def test_change_sweep_matches_quadratic_loop_on_saturated_tails():
     for trial in range(12):
         k = (1, 3, 5)[trial % 3]
         n, m = rng.randint(30, 60), rng.randint(1, 4)
-        dataset, query, ranking, cs = _ranked_groups(rng, n, m, k)
+        dataset, query, ranking, codes = _ranked_groups(rng, n, m, k)
         ov = OutcomeValues(Fraction(rng.randint(1, 6)), Fraction(rng.randint(-6, 0)),
                            Fraction(rng.randint(-2, 2)))
-        want = _quadratic_change_terms(ranking, cs, k, ov)
-        cids, codes = cs.codes(ranking.ordering.tolist())
-        engine = knn_owen._QueryEngine(ranking, codes, len(cids), k, ov, "exact")
+        want = _quadratic_change_terms(ranking, codes, k, ov)
+        engine = knn_owen._QueryEngine(ranking, codes[ranking.rows], m, k, ov, "exact")
         got = engine.change_terms().tolist()
         assert got == want, (trial, n, m, k)
 

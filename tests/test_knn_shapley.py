@@ -30,7 +30,7 @@ from divvy import (
     rank_by_distance,
 )
 from divvy.errors import InputError
-from divvy.knn_shapley import _log_binom_table
+from divvy.knn_owen import _log_binom_table
 
 from conftest import random_knn_instance, relative_gap
 
@@ -185,8 +185,8 @@ def test_report_totals_and_metadata():
     rep = knn_shapley_report(dataset, [q1, q2], config, mode="exact", per_query=True)
     assert rep.k == config.k
     assert rep.query_count == 2
-    for i in dataset.ids:
-        assert rep.value_of(i) == sum(row[i] for row in rep.per_query)
+    for r, i in enumerate(dataset.ids):
+        assert rep.value_of(i) == sum(column[r] for column in rep.per_query)
     v1 = knn_shapley_values(dataset, q1, config, mode="exact")
     v2 = knn_shapley_values(dataset, q2, config, mode="exact")
     for i in dataset.ids:
@@ -217,9 +217,9 @@ def test_report_rows_equal_single_query_values_bit_for_bit(mode):
     for dataset, queries, config in _kernel_cases(random.Random(55)):
         seen_small |= len(dataset) < config.k
         rep = knn_shapley_report(dataset, queries, config, mode=mode, per_query=True)
-        for row, q in zip(rep.per_query, queries):
+        for column, q in zip(rep.per_query, queries):
             want = knn_shapley_values(dataset, q, config, mode=mode)
-            assert {i: _bits(v) for i, v in row.items()} == {i: _bits(v) for i, v in want.items()}
+            assert [_bits(v) for v in column] == [_bits(want[i]) for i in dataset.ids]
     assert seen_small
 
 

@@ -9,7 +9,6 @@ import pytest
 
 from divvy import (
     BinTally,
-    CoalitionStructure,
     Dataset,
     Example,
     KnnConfig,
@@ -85,34 +84,25 @@ def test_require_bins_and_features():
         ragged.feature_matrix()
 
 
-def test_coalition_structure_from_dataset():
+def test_partition_codes_from_dataset():
     ds = Dataset([
         Example(0, "a", bin="x", coalition="g0"),
         Example(1, "b", bin="x", coalition="g1"),
         Example(2, "a", bin="x", coalition="g0"),
     ])
-    cs = ds.coalition_structure()
-    assert cs.coalition_of(2) == "g0"
-    assert cs.coalition_ids() == ["g0", "g1"]
-    cs.validate_partition([0, 1, 2])
-    with pytest.raises(InputError):
-        cs.validate_partition([0, 1])
-    with pytest.raises(InputError):
-        cs.coalition_of(99)
-    cids, codes = cs.codes([2, 1, 0])
-    assert cids.tolist() == ["g0", "g1"] and codes.tolist() == [0, 1, 0]
-    with pytest.raises(InputError, match="missing from the coalition partition"):
-        cs.codes([0, 1, 2, 3])
-    with pytest.raises(InputError, match="unknown example ids"):
-        cs.codes([0, 1])
+    names, codes = ds.partition_codes()
+    assert names == ("g0", "g1") and codes.tolist() == [0, 1, 0]
+    assert ds.coalition_column() == ["g0", "g1", "g0"]
+    # a coalition id is coded by hashing it, so a list is refused by its example
+    with pytest.raises(InputError, match=r"example 0 has an unhashable coalition id \['a'\]"):
+        Dataset([Example(0, "x", coalition=["a"])])
 
 
-def test_coalition_structure_needs_full_cover():
+def test_partition_codes_need_full_cover():
     ds = Dataset([Example(0, "a", bin="x", coalition="g0"), Example(1, "b", bin="x")])
-    with pytest.raises(InputError, match="coalition"):
-        ds.coalition_structure()
-    with pytest.raises(InputError, match="appears in"):
-        CoalitionStructure({"g0": frozenset([0, 1]), "g1": frozenset([1])})
+    assert ds.coalition_codes()[1].tolist() == [0, -1]
+    with pytest.raises(InputError, match=r"examples \[1\] carry no coalition id"):
+        ds.partition_codes()
 
 
 def test_majority_value_function():
@@ -338,7 +328,6 @@ def test_ids_outside_int64_are_refused_up_front():
     top = 2**63 - 1
     ds = Dataset([Example(top, "a", features=(0.0,)), Example(np.uint64(7), "a", features=(1.0,))])
     assert ds.id_array().tolist() == [top, 7]
-    assert ds.row_index()[top] == 0 and ds.row_index()[7] == 1
     for bad in (2**63, np.uint64(2**63), np.uint64(2**64 - 1), 2**64, -1, np.int64(-1)):
         with pytest.raises(InputError, match=r"2\*\*63"):
             Example(bad, "a", features=(0.0,))

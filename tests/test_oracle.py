@@ -9,7 +9,6 @@ import pytest
 
 from divvy import (
     CharacteristicGame,
-    CoalitionStructure,
     exact_owen,
     exact_owen_all,
     exact_shapley,
@@ -85,8 +84,7 @@ def test_additive_game_recovers_weights():
     game = table_game(players, table)
     assert exact_shapley_all(game) == w
     # coalition structure does not change an additive game's payouts
-    cs = CoalitionStructure({"u": frozenset([3, 5]), "v": frozenset([8, 13])})
-    assert exact_owen_all(game, cs) == w
+    assert exact_owen_all(game, [0, 0, 1, 1]) == w
 
 
 def test_sweep_matches_naive_enumeration():
@@ -110,11 +108,9 @@ def test_owen_matches_naive_enumeration():
         for p in players:
             blocks[rng.randrange(len(blocks))].append(p)
         blocks = [b for b in blocks if b]
-        cs = CoalitionStructure(
-            {f"c{i}": frozenset(b) for i, b in enumerate(blocks)}
-        )
+        codes = [h for p in players for h, b in enumerate(blocks) if p in b]
         game = table_game(players, table)
-        assert exact_owen_all(game, cs) == _naive_owen(players, table, blocks)
+        assert exact_owen_all(game, codes) == _naive_owen(players, table, blocks)
 
 
 def test_owen_efficiency_and_single_player_helper():
@@ -122,11 +118,22 @@ def test_owen_efficiency_and_single_player_helper():
     players = [0, 1, 2, 3, 4]
     table = _random_table(rng, players)
     game = table_game(players, table)
-    cs = CoalitionStructure({"a": frozenset([0, 1, 4]), "b": frozenset([2, 3])})
-    vals = exact_owen_all(game, cs)
+    codes = [0, 0, 1, 1, 0]
+    vals = exact_owen_all(game, codes)
     assert sum(vals.values()) == table[frozenset(players)] - table[frozenset()]
-    assert exact_owen(game, cs, 2) == vals[2]
+    assert exact_owen(game, codes, 2) == vals[2]
     assert exact_shapley(game, 0) == exact_shapley_all(game)[0]
+
+
+def test_owen_codes_are_checked():
+    rng = random.Random(5)
+    players = [0, 1, 2, 3]
+    game = table_game(players, _random_table(rng, players))
+    # any non-negative integers name the coalitions; only the grouping counts
+    assert exact_owen_all(game, [7, 2, 7, 40]) == exact_owen_all(game, [1, 0, 1, 2])
+    for bad in ([0, 1, 0], [0, 1, 0, 1, 1], [0, -1, 0, 1], [0.0, 1.0, 0.0, 1.0]):
+        with pytest.raises(InputError, match="coalition code"):
+            exact_owen_all(game, bad)
 
 
 def test_shapley_guard_and_override():
@@ -151,12 +158,12 @@ def test_owen_guard_and_override():
         for s in itertools.combinations(players, r)
     }
     game = table_game(players, table)
-    too_many = CoalitionStructure({f"c{i}": frozenset([i]) for i in players})
+    too_many = players  # each player a coalition of its own
     with pytest.raises(GuardError):
         exact_owen_all(game, too_many)
     vals = exact_owen_all(game, too_many, override=True)
     assert all(v == 1 for v in vals.values())
-    too_big = CoalitionStructure({"c0": frozenset([0, 1, 2, 3, 4, 5]), "c1": frozenset([6])})
+    too_big = [0, 0, 0, 0, 0, 0, 1]
     with pytest.raises(GuardError):
         exact_owen_all(game, too_big)
 
