@@ -40,6 +40,8 @@ from .oracle import (
 )
 from .report import assemble_report, export_csv, report_to_json, write_report
 
+# export_csv and report_to_json stay bound, uncalled, for perfbench/spans.py
+
 PROG = "divvy"
 
 
@@ -238,23 +240,13 @@ _COMMANDS = (
 # driver
 
 
-def _emit(report, args) -> None:
-    if args.out:
-        write_report(report, args.out)
-    else:
-        sys.stdout.write(report_to_json(report))
-    if args.csv:
-        export_csv(report, args.csv)
-
-
 def run_command(argv: Optional[Sequence[str]] = None) -> int:
     """Parse arguments, run a subcommand and return the process exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
-        report = args.handler(args)
-        _emit(report, args)
+        write_report(args.handler(args), args.out or sys.stdout, csv=args.csv)
         return 0
     except GuardError as exc:
         print(f"{PROG}: blocked: {exc}", file=sys.stderr)

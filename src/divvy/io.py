@@ -37,14 +37,17 @@ from .model import (
 _FEATURE_RE = re.compile(r"^f(\d+)$")
 
 
-# Rows are read in blocks of this many, so each block's row lists die young
-# instead of reaching the garbage collector's oldest generation.
+# Rows are read and typed in blocks of this many: each block's cells become
+# array and list columns as it arrives and are then dropped, so no column
+# of cell strings is ever held and a block's lists die young, before they
+# reach the garbage collector's oldest generation.
 _BLOCK = 512
 
 
-def _read_columns(path) -> tuple:
-    """One list of raw cells per column, keyed by the stripped header name,
-    and the number of data rows.
+def _csv_blocks(path):
+    """Yield the header's stripped names, then each block of up to _BLOCK
+    data rows as its first row's line and its columns, a tuple of cells by
+    header name.
 
     Blank lines are skipped; a row whose cell count differs from the
     header's is refused with its line.  Line numbers in messages count the
@@ -57,25 +60,28 @@ def _read_columns(path) -> tuple:
             if header is None:
                 raise InputError(f"{path}: empty file, expected a CSV header")
             fields = [f.strip() for f in header]
-            columns = [[] for _ in fields]
-            n_rows = 0
-            while True:
-                block = [row for row in itertools.islice(reader, _BLOCK) if row]
-                if not block:
-                    break
+            yield fields
+            line = 2
+            for rows in iter(lambda: list(itertools.islice(reader, _BLOCK)), []):
+                block = [row for row in rows if row]
                 for r, row in enumerate(block):
                     if len(row) != len(fields):
-                        raise InputError(
-                            f"{path} line {n_rows + r + 2}: {len(row)} cells, "
-                            f"but the header has {len(fields)}"
-                        )
-                for column, cells in zip(columns, zip(*block)):
-                    column.extend(cells)
-                n_rows += len(block)
+                        raise InputError(f"{path} line {line + r}: {len(row)} cells, "
+                                         f"but the header has {len(fields)}")
+                if block:
+                    # a repeated header name keeps its last column, as a dict of rows would
+                    yield line, dict(zip(fields, zip(*block)))
+                line += len(block)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    # a repeated header name keeps its last column, as a dict of rows would
-    return dict(zip(fields, columns)), n_rows
+
+
+def _raise_after(blocks, fault: InputError):
+    """Raise ``fault`` once the rest of the file is read: a row with the
+    wrong cell count anywhere in it is reported first."""
+    for _ in blocks:
+        pass
+    raise fault
 
 
 def _feature_columns(fields: Iterable[str], path) -> List[str]:
@@ -114,112 +120,129 @@ def _parse_feature(raw, path, line, col) -> float:
     return v
 
 
-def _id_list(cells: List[str]) -> List[int]:
-    """All ids as ints; ValueError if any is not an integer in range."""
-    ids = list(map(int, cells))
-    if ids and not (min(ids) >= 0 and max(ids) < 2**63):
+def _id_block(cells) -> np.ndarray:
+    """A block's ids as int64; ValueError or OverflowError if any is not an
+    integer in 0 .. 2**63 - 1."""
+    ids = np.fromiter(map(int, cells), dtype=np.int64, count=len(cells))
+    if ids.min() < 0:
         raise ValueError("id out of range")
     return ids
 
 
-def _nonempty(cells: List[str]) -> List[str]:
-    """Stripped cells; ValueError if any is empty."""
-    cells = [c.strip() for c in cells]
-    if "" in set(cells):
-        raise ValueError("empty cell")
-    return cells
+def _stripped(cells, memo: dict, allow_empty=False) -> list:
+    """A block's cells stripped, one shared str per distinct cell (``memo``
+    maps raw cells to stripped ones across blocks); an empty cell is None
+    if ``allow_empty``, else a ValueError."""
+    for raw in set(cells).difference(memo):
+        memo[raw] = raw.strip() or None
+        if memo[raw] is None and not allow_empty:
+            raise ValueError("empty cell")
+    return list(map(memo.__getitem__, cells))
 
 
-def _float_matrix(columns: List[List[str]], n: int) -> np.ndarray:
-    """Feature columns as an n x d float matrix; ValueError if a cell is
+def _float_block(columns: List[tuple]) -> np.ndarray:
+    """Feature columns as a rows x d float block; ValueError if a cell is
     not a number or not finite."""
-    matrix = np.empty((n, len(columns)))
+    block = np.empty((len(columns[0]), len(columns)))
     for j, cells in enumerate(columns):
-        matrix[:, j] = np.fromiter(map(float, cells), dtype=float, count=n)
-    if not np.isfinite(matrix).all():
+        block[:, j] = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    if not np.isfinite(block).all():
         raise ValueError("non-finite feature")
-    return matrix
+    return block
 
 
-def _row_fault(path, family, columns, feature_cols, n) -> InputError:
-    """The first row-level fault, found by checking each row in turn; run
-    only once a whole-column check has failed, to name the file and line."""
+def _row_fault(path, columns, line, empty: dict, feature_cols=(), seen=None) -> InputError:
+    """The first faulty row of a block starting at ``line``, checking each
+    row's id, then that no ``empty`` cell (column: its name in messages) is
+    empty, then that its id is not in ``seen`` (if given), then its
+    features.  Run once the block's typing has failed, to name the line."""
     try:
-        for r in range(n):
-            line = r + 2
-            _parse_id(columns["id"][r].strip(), path, line)
-            if not columns["label"][r].strip():
-                raise InputError(f"{path} line {line}: empty label")
-            if family == "frequency" and not columns["bin"][r].strip():
-                raise InputError(f"{path} line {line}: empty bin")
+        for r, raw_id in enumerate(columns["id"]):
+            ex_id = _parse_id(raw_id.strip(), path, line + r)
+            for col, what in empty.items():
+                if not columns[col][r].strip():
+                    raise InputError(f"{path} line {line + r}: empty {what}")
+            if seen is not None:
+                if ex_id in seen:
+                    raise InputError(f"{path} line {line + r}: duplicate id {ex_id}")
+                seen.add(ex_id)
             for c in feature_cols:
-                _parse_feature(columns[c][r].strip(), path, line, c)
+                _parse_feature(columns[c][r].strip(), path, line + r, c)
     except InputError as exc:
         return exc
     return InputError(f"{path}: malformed rows")
 
 
-def parse_dataset(path, family: str) -> Dataset:
-    """Read an in-sample dataset CSV for the given model family
-    ("frequency" or "knn")."""
-    columns, n = _read_columns(path)
-    if family == "frequency":
-        required = ["id", "bin", "label"]
-    elif family == "knn":
-        required = ["id", "label"]
-    else:
-        raise InputError(f"unknown model family {family!r}")
-    for col in required:
-        if col not in columns:
-            raise InputError(f"{path}: missing required column {col!r}")
-    feature_cols = _feature_columns(columns, path) if family == "knn" else []
-    features = None
-    try:
-        ids = _id_list(columns["id"])
-        labels = _nonempty(columns["label"])
-        if family == "frequency":
-            bins = _nonempty(columns["bin"])
-        else:
-            bins = [None] * n
-            features = _float_matrix([columns[c] for c in feature_cols], n)
-    except ValueError:
-        raise _row_fault(path, family, columns, feature_cols, n) from None
+def _refuse_repeats(path, ids: np.ndarray, what: str) -> None:
     dup = duplicate_row(ids)
     if dup is not None:
-        raise InputError(f"{path} line {dup + 2}: duplicate example id {ids[dup]}")
-    symbols = tuple(dict.fromkeys(labels))
+        raise InputError(f"{path} line {dup + 2}: {what} {ids[dup]}")
+
+
+def parse_dataset(path, family: str) -> Dataset:
+    """Read an in-sample dataset CSV for the given model family
+    ("frequency" or "knn"), typing it block by block.  Faults are reported
+    in this precedence, wherever they sit: a row whose cell count differs
+    from the header's, a header fault, the first faulty row (its cells
+    checked in the order id, label, bin, features), a repeated id, a third
+    label."""
+    blocks = _csv_blocks(path)
+    fields = next(blocks)
+    ids, codes, features = [np.empty(0, np.int64)], [np.empty(0, np.int8)], []
+    bins, coalitions, symbols = [], [], {}  # symbols: each label's first line
+    label_of, bin_of, coalition_of = {}, {}, {}  # raw cell -> stripped, across blocks
+    try:
+        if family not in ("frequency", "knn"):
+            raise InputError(f"unknown model family {family!r}")
+        empty = {"label": "label", "bin": "bin"} if family == "frequency" else {"label": "label"}
+        for col in ["id", *empty]:
+            if col not in fields:
+                raise InputError(f"{path}: missing required column {col!r}")
+        feature_cols = _feature_columns(fields, path) if family == "knn" else []
+        features.append(np.empty((0, len(feature_cols))))
+        for line, columns in blocks:
+            try:
+                ids.append(_id_block(columns["id"]))
+                labels = _stripped(columns["label"], label_of)
+                symbols.update({s: line + labels.index(s)
+                                for s in dict.fromkeys(labels) if s not in symbols})
+                if len(symbols) <= 2:  # else the file is refused below
+                    codes.append(label_codes(labels, tuple(symbols)))
+                if family == "frequency":
+                    bins.extend(_stripped(columns["bin"], bin_of))
+                else:
+                    features.append(_float_block([columns[c] for c in feature_cols]))
+                if "coalition" in columns:
+                    coalitions.extend(_stripped(columns["coalition"], coalition_of, True))
+            except (ValueError, OverflowError):
+                raise _row_fault(path, columns, line, empty, feature_cols) from None
+    except InputError as exc:
+        _raise_after(blocks, exc)
+    ids = np.concatenate(ids)
+    _refuse_repeats(path, ids, "duplicate example id")
     if len(symbols) > 2:
-        third = symbols[2]
-        raise InputError(
-            f"{path} line {labels.index(third) + 2}: labels must be binary; "
-            f"found a third symbol {third!r}"
-        )
-    if "coalition" in columns:
-        raw, codes = code_cells(columns["coalition"])  # strip each distinct cell once
-        names, stripped = code_cells([c.strip() or None for c in raw])
-        coalitions = names, stripped[codes]
-    else:
-        coalitions = (), np.full(n, -1, dtype=np.intp)
+        third, line = list(symbols.items())[2]
+        raise InputError(f"{path} line {line}: labels must be binary; "
+                         f"found a third symbol {third!r}")
     return Dataset._from_columns(
-        np.array(ids, dtype=np.int64),
-        symbols,
-        label_codes(labels, symbols),
-        bins,
-        coalitions,
-        features,
-    )
+        ids, tuple(symbols), np.concatenate(codes),
+        bins if family == "frequency" else [None] * len(ids),
+        code_cells(coalitions) if "coalition" in fields else ((), np.full(len(ids), -1, np.intp)),
+        np.concatenate(features) if family == "knn" else None)
 
 
 def parse_queries(path, family: str) -> List[Query]:
     """Read a query CSV.  Frequency queries may name a per-query value
     function file in a ``value_function`` column (resolved relative to the
     query file)."""
-    columns, _ = _read_columns(path)
-    rows = [dict(zip(columns, map(str.strip, cells))) for cells in zip(*columns.values())]
+    blocks = _csv_blocks(path)
+    fields = next(blocks)
+    rows = [dict(zip(columns, map(str.strip, cells)))
+            for _, columns in blocks for cells in zip(*columns.values())]
     queries = []
     if family == "frequency":
         for col in ("bin", "label"):
-            if col not in columns:
+            if col not in fields:
                 raise InputError(f"{path}: missing required column {col!r}")
         base = os.path.dirname(os.path.abspath(path))
         cache: dict = {}
@@ -235,9 +258,9 @@ def parse_queries(path, family: str) -> List[Query]:
                 vf = cache[full]
             queries.append(Query(label=row["label"], bin=row["bin"], value_function=vf))
     elif family == "knn":
-        if "label" not in columns:
+        if "label" not in fields:
             raise InputError(f"{path}: missing required column 'label'")
-        feature_cols = _feature_columns(columns, path)
+        feature_cols = _feature_columns(fields, path)
         for lineno, row in enumerate(rows, start=2):
             if not row["label"]:
                 raise InputError(f"{path} line {lineno}: empty label")
@@ -317,30 +340,31 @@ def parse_outcome_values(text: str) -> OutcomeValues:
 
 def parse_coalition_file(path) -> Tuple[np.ndarray, List[str]]:
     """Read an id,coalition CSV overriding any coalition column: its ids as
-    an int64 array and its coalition cells, in file order."""
-    columns, n = _read_columns(path)
-    for col in ("id", "coalition"):
-        if col not in columns:
-            raise InputError(f"{path}: missing required column {col!r}")
+    an int64 array and its coalition cells, in file order.  The first
+    faulty row is named: a bad id, an empty coalition id or a repeated id,
+    checked in that order."""
+    blocks = _csv_blocks(path)
+    fields = next(blocks)
+    ids, cells, memo = [np.empty(0, np.int64)], [], {}
     try:
-        ids = _id_list(columns["id"])
-        cids = _nonempty(columns["coalition"])
-        dup = duplicate_row(ids)
-        if dup is not None:
-            raise ValueError("duplicate id")
-    except ValueError:
-        # name the first faulty row, checked in the order of its cells
-        seen = set()
-        for r in range(n):
-            line = r + 2
-            ex_id = _parse_id(columns["id"][r].strip(), path, line)
-            if not columns["coalition"][r].strip():
-                raise InputError(f"{path} line {line}: empty coalition id") from None
-            if ex_id in seen:
-                raise InputError(f"{path} line {line}: duplicate id {ex_id}") from None
-            seen.add(ex_id)
-        raise InputError(f"{path}: malformed rows") from None
-    return np.array(ids, dtype=np.int64), cids
+        for col in ("id", "coalition"):
+            if col not in fields:
+                raise InputError(f"{path}: missing required column {col!r}")
+        for line, columns in blocks:
+            try:
+                block = _id_block(columns["id"]), _stripped(columns["coalition"], memo)
+            except (ValueError, OverflowError):
+                earlier = np.concatenate(ids)  # a repeat among these comes first
+                _refuse_repeats(path, earlier, "duplicate id")
+                raise _row_fault(path, columns, line, {"coalition": "coalition id"},
+                                 seen=set(earlier.tolist())) from None
+            ids.append(block[0])
+            cells.extend(block[1])
+    except InputError as exc:
+        _raise_after(blocks, exc)
+    ids = np.concatenate(ids)
+    _refuse_repeats(path, ids, "duplicate id")
+    return ids, cells
 
 
 def with_coalitions(dataset: Dataset, assignment, source="coalition file") -> Dataset:
@@ -350,7 +374,12 @@ def with_coalitions(dataset: Dataset, assignment, source="coalition file") -> Da
     once and no other id.  Errors name ``source``."""
     if isinstance(assignment, Mapping):
         assignment = list(assignment), list(assignment.values())
-    ids, cells = np.asarray(assignment[0], dtype=np.int64), assignment[1]
+    ids, cells = assignment
+    if not (isinstance(ids, np.ndarray) and ids.dtype == np.int64):
+        for i in ids:  # no bool, float or text is cast to an id
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or i >= 2**63:
+                raise InputError(f"{source} names example id {i!r}, not a 64-bit integer")
+        ids = np.asarray(ids, dtype=np.int64)
     own = dataset.id_array()
     missing = own[~np.isin(own, ids)]
     if len(missing):

@@ -72,9 +72,8 @@ class Dataset:
     def __init__(self, examples: Iterable[Example]):
         rows = list(examples)
         ids = [int(ex.id) for ex in rows]
-        dup = duplicate_row(ids)
-        if dup is not None:
-            raise InputError(f"duplicate example id {ids[dup]}")
+        if len(set(ids)) < len(ids):  # a set of the ints in hand; the row only to name it
+            raise InputError(f"duplicate example id {ids[duplicate_row(ids)]}")
         labels = [ex.label for ex in rows]
         strs = sorted(set(map(str, labels)))
         if len(strs) > 2:
@@ -266,14 +265,10 @@ class Dataset:
 
 def duplicate_row(ids: Sequence[int]) -> Optional[int]:
     """Position of the first id that repeats an earlier one, or None."""
-    if len(set(ids)) == len(ids):
-        return None
-    seen = set()
-    for r, i in enumerate(ids):
-        if i in seen:
-            return r
-        seen.add(i)
-    return None
+    ids = np.asarray(ids)
+    order = np.argsort(ids, kind="stable")  # equal ids in row order
+    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
+    return int(repeats.min()) if len(repeats) else None
 
 
 def code_cells(cells: Sequence[Optional[Hashable]]) -> Tuple[tuple, np.ndarray]:

@@ -4,7 +4,9 @@ Reports are deterministic: fixed key order, example rows in dataset order,
 coalition rows sorted by id.  Exact-mode values travel as fraction strings
 ("3/2"), float-mode values as JSON numbers, so a report round-trips
 bit-for-bit in either mode.  The wall-time field is the one thing two
-otherwise identical runs are allowed to disagree on.
+otherwise identical runs are allowed to disagree on.  One writer serves the
+JSON and CSV forms: it walks the rows in blocks, encodes each block's ids
+and values once for both, and holds no text column and no whole document.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -63,7 +64,6 @@ class ValueReport:
     per_query: Optional[List[Union[np.ndarray, List[Fraction]]]] = None
     extras: Optional[Mapping[str, object]] = None
     _row_of: Optional[dict] = field(default=None, init=False, repr=False)
-    _text: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def _value_list(self) -> list:
         """Values in dataset order as Python numbers."""
@@ -117,11 +117,13 @@ def _coalition_totals(report: ValueReport) -> List[Tuple[Hashable, Money]]:
     """Coalition totals as sums of member values.  ``np.add.at`` adds the
     rows one at a time in row order, so a float total is reproducible bit
     for bit."""
-    codes, exact = report.coalition_codes, report.numeric_mode == EXACT
-    held = codes >= 0
+    codes, column = report.coalition_codes, report.value_column
+    exact = report.numeric_mode == EXACT
+    held = np.flatnonzero(codes >= 0)  # only these rows' values are converted
     sums = np.full(len(report.coalition_names), Fraction(0) if exact else 0.0,
                    object if exact else float)
-    np.add.at(sums, codes[held], np.asarray(report.value_column, dtype=sums.dtype)[held])
+    values = np.array([column[r] for r in held.tolist()], object) if exact else column[held]
+    np.add.at(sums, codes[held], values)
     return list(zip(report.coalition_names, sums.tolist()))
 
 
@@ -199,24 +201,25 @@ def _value_text(values: Sequence[Money], mode: str) -> Tuple[List[str], List[str
         with _long_ints():
             text = [memo.get(id(v)) or memo.setdefault(id(v), str(Fraction(v))) for v in values]
         return text, [f'"{s}"' for s in text]
-    floats = list(map(float, values))
-    text = list(map(repr, floats))
-    if all(map(math.isfinite, floats)):
+    text = list(map(repr, map(float, values)))
+    if _NON_FINITE_JSON.keys().isdisjoint(text):
         return text, text
     return text, [_NON_FINITE_JSON.get(s, s) for s in text]
 
 
-def _text_columns(report: ValueReport) -> Tuple[List[str], List[str], List[str]]:
-    """Ids, CSV values and JSON values as text, built once per report and
-    shared by the JSON and CSV writers (reports are not edited in place
-    once assembled)."""
-    cached = report._text
-    if cached is None or cached[0] is not report.ids or cached[1] is not report.value_column:
-        ids = list(map(str, report.ids.tolist()))
-        cached = (report.ids, report.value_column, ids,
-                  *_value_text(report._value_list(), report.numeric_mode))
-        report._text = cached
-    return cached[2:]
+# Rows are encoded and written in blocks of this many; a block's text is
+# dropped before the next one is built, so the writer's memory does not grow
+# with the report (larger blocks run no faster)
+_BLOCK = 1024
+
+
+def _text_blocks(ids: np.ndarray, column, mode: str):
+    """Each block of rows as (its first row, ids as text, values as CSV
+    cells, values as JSON literals)."""
+    for start in range(0, len(ids), _BLOCK):
+        stop = start + _BLOCK
+        yield (start, list(map(str, ids[start:stop].tolist())),
+               *_value_text(_numbers(column[start:stop], mode), mode))
 
 
 def _nested(value, depth: int) -> str:
@@ -233,66 +236,89 @@ def _csv_cell(value) -> str:
     return buf.getvalue()[: -len(",\r\n")]
 
 
-def _json_list(items: List[str], depth: int) -> str:
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n" + "  " * depth + "]"
+def _write_list(out, blocks, depth: int) -> None:
+    """Write JSON items, given block by block as lists of texts, as one
+    list laid out as json.dumps(indent=2) lays it out ``depth`` levels deep."""
+    head = "[\n"
+    for items in filter(None, blocks):
+        out.write(head + ",\n".join(items))
+        head = ",\n"
+    out.write("[]" if head == "[\n" else "\n" + "  " * depth + "]")
+
+
+def _write(report: ValueReport, out, csv_out=None) -> None:
+    """Write the report as JSON in the json module's indent=2 layout to the
+    text stream ``out`` and its examples table as CSV to ``csv_out``, either
+    of which may be None, in one pass over blocks of rows."""
+    mode, codes, names = report.numeric_mode, report.coalition_codes, report.coalition_names
+    # each coalition's cell is encoded once and gathered by code
+    json_cells = np.array([*(_nested(c, 3) for c in names), "null"], object)
+    csv_cells = np.array([*map(_csv_cell, names), ""], object)
+
+    def examples():
+        for start, ids, csv_values, json_values in _text_blocks(report.ids, report.value_column,
+                                                                 mode):
+            block = codes[start:start + len(ids)]
+            if csv_out is not None:
+                csv_out.write("".join([f"{i},{c},{v}\r\n" for i, c, v in
+                                       zip(ids, csv_cells[block].tolist(), csv_values)]))
+            if out is not None:
+                yield [f'    {{\n      "id": {i},\n      "coalition": {c},\n'
+                       f'      "value": {v}\n    }}'
+                       for i, c, v in zip(ids, json_cells[block].tolist(), json_values)]
+
+    if csv_out is not None:
+        csv_out.write("id,coalition,value\r\n")
+    if out is None:
+        for _ in examples():  # writes the CSV rows
+            pass
+        return
+    meta = {"method": report.method, "numeric_mode": mode, "k": report.k,
+            "query_count": report.query_count, "wall_time_s": report.wall_time,
+            **{key: report.extras[key] for key in sorted(report.extras or ())}}
+    out.write('{\n  "meta": ' + _nested(meta, 1) + ',\n  "examples": ')
+    _write_list(out, examples(), 1)
+    _, totals = _value_text([v for _, v in report.coalitions], mode)
+    out.write(',\n  "coalitions": ')
+    _write_list(out, [[f'    {{\n      "id": {_nested(cid, 3)},\n      "value": {v}\n    }}'
+                       for (cid, _), v in zip(report.coalitions, totals)]], 1)
+    queries = report.per_query  # a list written item by item, each in blocks
+    out.write(',\n  "per_query": ' + ("null" if queries is None else "[" if queries else "[]"))
+    for qi, column in enumerate(queries or ()):
+        out.write(("\n" if qi == 0 else ",\n")
+                  + f'    {{\n      "query_index": {qi},\n      "values": ')
+        _write_list(out, ([f'        {{\n          "id": {i},\n          "value": {v}\n        }}'
+                           for i, v in zip(ids, json_values)]
+                          for _, ids, _, json_values in _text_blocks(report.ids, column, mode)), 3)
+        out.write("\n    }")
+    out.write("\n  ]\n}\n" if queries else "\n}\n")
+
+
+def _opened(target, newline=None):
+    """A context giving ``target`` as a text stream: a path is opened."""
+    if target is None or hasattr(target, "write"):
+        return nullcontext(target)
+    return open(target, "w", newline=newline)
 
 
 def report_to_json(report: ValueReport) -> str:
-    """The report as JSON text in the json module's indent=2 layout,
-    written from text columns rather than one dict per example."""
-    mode = report.numeric_mode
-    meta = {
-        "method": report.method,
-        "numeric_mode": mode,
-        "k": report.k,
-        "query_count": report.query_count,
-        "wall_time_s": report.wall_time,
-    }
-    if report.extras:
-        for key in sorted(report.extras):
-            meta[key] = report.extras[key]
-    ids, _, values = _text_columns(report)
-    # each coalition's cell is encoded once and gathered by code
-    cells = code_names([_nested(c, 3) for c in report.coalition_names], report.coalition_codes,
-                       "null")
-    examples = [
-        f'    {{\n      "id": {i},\n      "coalition": {c},\n      "value": {v}\n    }}'
-        for i, c, v in zip(ids, cells, values)
-    ]
-    _, totals = _value_text([v for _, v in report.coalitions], mode)
-    coalitions = [
-        f'    {{\n      "id": {_nested(cid, 3)},\n      "value": {v}\n    }}'
-        for (cid, _), v in zip(report.coalitions, totals)
-    ]
-    if report.per_query is None:
-        per_query = "null"
-    else:
-        queries = []
-        for qi, column in enumerate(report.per_query):
-            _, q_values = _value_text(_numbers(column, mode), mode)
-            rows = [
-                f'        {{\n          "id": {i},\n          "value": {v}\n        }}'
-                for i, v in zip(ids, q_values)
-            ]
-            queries.append(
-                f'    {{\n      "query_index": {qi},\n      "values": {_json_list(rows, 3)}\n    }}'
-            )
-        per_query = _json_list(queries, 1)
-    return (
-        '{\n  "meta": ' + _nested(meta, 1)
-        + ',\n  "examples": ' + _json_list(examples, 1)
-        + ',\n  "coalitions": ' + _json_list(coalitions, 1)
-        + ',\n  "per_query": ' + per_query
-        + "\n}\n"
-    )
+    """The report as JSON text in the json module's indent=2 layout."""
+    buf = io.StringIO()
+    _write(report, buf)
+    return buf.getvalue()
 
 
-def write_report(report: ValueReport, path) -> None:
+def write_report(report: ValueReport, out, csv=None) -> None:
+    """Write the report as JSON to ``out`` and, if ``csv`` is given, its
+    examples table as CSV there (as ``export_csv`` writes it), in one pass
+    over the rows.  Each is a path or a text stream; a CSV stream should
+    not translate line ends.  Coalition totals are checked first."""
     _verify_coalition_sums(report)
-    with open(path, "w") as fh:
-        fh.write(report_to_json(report))
+    try:
+        with _opened(out) as json_fh, _opened(csv, newline="") as csv_fh:
+            _write(report, json_fh, csv_fh)
+    except OSError as exc:
+        raise InputError(f"cannot write the report: {exc}") from exc
 
 
 def _verify_coalition_sums(report: ValueReport) -> None:
@@ -355,9 +381,6 @@ def read_report(path) -> ValueReport:
 
 def export_csv(report: ValueReport, path) -> None:
     """Examples table as CSV: id, coalition, value, quoted as csv.writer
-    quotes and with its CRLF line ends."""
-    ids, values, _ = _text_columns(report)
-    cells = code_names(list(map(_csv_cell, report.coalition_names)), report.coalition_codes, "")
-    with open(path, "w", newline="") as fh:
-        fh.write("id,coalition,value\r\n")
-        fh.write("".join([f"{i},{c},{v}\r\n" for i, c, v in zip(ids, cells, values)]))
+    quotes and with its CRLF line ends; ``path`` may be a text stream."""
+    with _opened(path, newline="") as fh:
+        _write(report, None, fh)

@@ -17,6 +17,7 @@ import pytest
 import divvy
 import divvy.freq_owen as freq_owen
 import divvy.io
+import divvy.report
 from divvy.cli import run_command
 
 
@@ -107,6 +108,39 @@ def test_out_csv_and_per_query(freq_files, tmp_path, capsys):
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0] == "id,coalition,value"
     assert len(lines) == 7
+
+
+@pytest.mark.parametrize("numeric", ["float", "exact"])
+def test_stdout_equals_the_out_file_at_block_edges(tmp_path, capsysbinary, numeric):
+    # the report goes to stdout or to --out through one writer; both carry
+    # the same bytes, and the CSV beside them too, at every block boundary
+    block = divvy.report._BLOCK
+    queries = tmp_path / "q.csv"
+    queries.write_text("label,f0,f1\nx,0.5,1\ny,3,-2\n")
+    for n in (0, 1, block - 1, block, block + 1, 2 * block + 1):
+        data = tmp_path / "d.csv"
+        data.write_text("id,label,coalition,f0,f1\n" + "".join(
+            f"{7 * i},{'xy'[i % 2]},{'' if i % 4 == 0 else f'g{i % 5}'},{i % 13},{i % 11 / 3}\n"
+            for i in range(n)))
+        argv = ["shapley-knn", "--data", str(data), "--queries", str(queries), "--k", "3",
+                "--values", "1,-1,0.5", "--numeric", numeric, "--per-query"]
+        assert run_command(argv + ["--csv", str(tmp_path / "a.csv")]) == 0
+        printed = capsysbinary.readouterr().out
+        assert run_command(argv + ["--out", str(tmp_path / "b.json"),
+                                   "--csv", str(tmp_path / "b.csv")]) == 0
+        assert capsysbinary.readouterr().out == b""
+        written = (tmp_path / "b.json").read_bytes()
+        assert _strip_wall(printed.decode()) == _strip_wall(written.decode()), n
+        assert len(json.loads(written)["examples"]) == n
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes(), n
+
+
+def test_unwritable_output_exits_1(freq_files, tmp_path, capsys):
+    for flag in ("--out", "--csv"):
+        argv = _freq_argv(*freq_files, flag, str(tmp_path / "absent" / "r"))
+        assert run_command(argv) == 1
+        err = capsys.readouterr().err
+        assert "cannot write the report" in err and "absent" in err, flag
 
 
 def test_rerun_is_stable_except_wall_time(freq_files, tmp_path):

@@ -20,12 +20,15 @@ import io
 import json
 import math
 import os
+import random
 import re
 import sys
+from fractions import Fraction
 
 import pytest
 
-from divvy import Dataset, Example, assemble_report, export_csv, report_to_json
+import divvy.report as report_module
+from divvy import Dataset, Example, assemble_report, export_csv, report_to_json, write_report
 from divvy.cli import run_command
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")
@@ -139,6 +142,52 @@ def test_writers_match_json_and_csv_modules(tmp_path):
     export_csv(report, tmp_path / "r.csv")
     with open(tmp_path / "r.csv", newline="") as fh:
         assert fh.read() == expected.getvalue()
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_writers_match_the_modules_at_block_edges(mode, tmp_path):
+    # reports of 0, 1, B - 1, B, B + 1 and 2B + 1 rows, with coalitions and
+    # per-query columns: every writer gives the modules' text, whatever the
+    # block boundaries, and the path and stream forms write the same
+    block = report_module._BLOCK
+    rng = random.Random(block)
+    for n in (0, 1, block - 1, block, block + 1, 2 * block + 1):
+        ids = rng.sample(range(10 * n + 1), n)
+        cids = [rng.choice(["a,b", 'say "hi"', "Zoë", None, 7]) for _ in ids]
+        if mode == "float":
+            columns = [[rng.uniform(-1, 1) * 10.0 ** rng.randint(-30, 30) for _ in ids]
+                       for _ in range(3)]
+        else:
+            columns = [[Fraction(rng.randint(-999, 999), rng.randint(1, 99)) for _ in ids]
+                       for _ in range(3)]
+        dataset = Dataset(Example(i, "x", coalition=c) for i, c in zip(ids, cids))
+        report = assemble_report("shapley-knn", mode, dataset, columns[0], 2, 0.5, k=3,
+                                 per_query=columns[1:])
+        out = str if mode == "exact" else float
+        doc = {
+            "meta": {"method": "shapley-knn", "numeric_mode": mode, "k": 3, "query_count": 2,
+                     "wall_time_s": 0.5},
+            "examples": [{"id": i, "coalition": c, "value": out(v)}
+                         for i, c, v in zip(ids, cids, columns[0])],
+            "coalitions": [{"id": c, "value": out(v)} for c, v in report.coalitions],
+            "per_query": [
+                {"query_index": qi, "values": [{"id": i, "value": out(v)} for i, v in zip(ids, q)]}
+                for qi, q in enumerate(columns[1:])
+            ],
+        }
+        text = json.dumps(doc, indent=2) + "\n"
+        assert report_to_json(report) == text, n
+        table = io.StringIO()
+        csv.writer(table).writerows([["id", "coalition", "value"]] + [
+            [i, "" if c is None else c, out(v)] for i, c, v in zip(ids, cids, columns[0])])
+        write_report(report, tmp_path / "r.json", csv=tmp_path / "r.csv")
+        export_csv(report, tmp_path / "e.csv")
+        json_stream, csv_stream = io.StringIO(), io.StringIO(newline="")
+        write_report(report, json_stream, csv=csv_stream)
+        assert json_stream.getvalue() == (tmp_path / "r.json").read_text() == text, n
+        for written in (csv_stream.getvalue(), *(
+                (tmp_path / name).read_bytes().decode() for name in ("r.csv", "e.csv"))):
+            assert written == table.getvalue(), n
 
 
 def test_empty_report_layout():

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from divvy import (
     shapley_frequency_report,
     write_report,
 )
+import divvy.io as divvy_io
 from divvy.errors import InputError
 from divvy.io import (
     parse_coalition_file,
@@ -471,3 +473,153 @@ def test_report_equality_compares_columns(tmp_path):
         assert back == rep
         back.coalition_codes = back.coalition_codes[::-1]
         assert back != rep
+
+
+def test_mapping_keys_that_are_not_integers_are_refused(tmp_path):
+    ds = Dataset([Example(0, "x", bin="b0"), Example(1, "y", bin="b0")])
+    with pytest.raises(InputError, match=r"names example id 0\.5, not a 64-bit integer"):
+        with_coalitions(ds, {0.5: "g", 1: "h"})
+    with pytest.raises(InputError, match=r"names example id 'a', not a 64-bit integer"):
+        with_coalitions(ds, {"a": "g", 1: "h"})
+    with pytest.raises(InputError, match=r"names example id True, not a 64-bit integer"):
+        with_coalitions(ds, {True: "g", 0: "h"})
+    with pytest.raises(InputError, match=r"names example id 9223372036854775808, not a 64"):
+        with_coalitions(ds, {2**63: "g", 0: "h"})
+    with pytest.raises(InputError, match=r"unknown example ids \[-1\]"):
+        with_coalitions(ds, {-1: "g", 0: "h", 1: "h"})
+    assert with_coalitions(ds, {np.int64(1): "h", 0: "g"}).coalition_column() == ["g", "h"]
+
+
+# parse blocks: data rows 0 .. B - 1 sit on lines 2 .. B + 1
+B = divvy_io._BLOCK
+
+
+def _knn_rows(n, label=lambda i: "xy"[i % 2]):
+    return [f"{i},{label(i)},{i * 0.5},{-i}" for i in range(n)]
+
+
+def _knn_file(tmp_path, rows, name="d.csv"):
+    return _write(tmp_path, name, "id,label,f0,f1\n" + "\n".join(rows) + "\n")
+
+
+def test_parse_faults_in_later_blocks_name_their_line(tmp_path):
+    n = 2 * B + 40
+    for r, cells, message in [
+        (B, "x,x,1,1", "id 'x' is not an integer"),
+        (B + 7, f"{B + 7},,1,1", "empty label"),
+        (2 * B + 3, f"{2 * B + 3},x,1,inf", "f1='inf' is not finite"),
+        (2 * B + 39, f"{2 * B + 39},x,,1", "missing value in feature column f0"),
+        (n - 1, f"{2 ** 63},x,1,1", r"id must be .*below 2\*\*63"),
+    ]:
+        rows = _knn_rows(n)
+        rows[r] = cells
+        with pytest.raises(InputError, match=rf"d.csv line {r + 2}: {message}"):
+            parse_dataset(_knn_file(tmp_path, rows), "knn")
+    # a repeat and a third label are found across blocks, at their first row
+    rows = _knn_rows(n)
+    rows[2 * B + 1] = f"{B - 1},x,1,1"
+    with pytest.raises(InputError, match=rf"d.csv line {2 * B + 3}: duplicate example id {B - 1}"):
+        parse_dataset(_knn_file(tmp_path, rows), "knn")
+    rows = _knn_rows(n, lambda i: "z" if i in (B + 5, 2 * B) else "xy"[i % 2])
+    with pytest.raises(InputError, match=rf"d.csv line {B + 7}: .*third symbol 'z'"):
+        parse_dataset(_knn_file(tmp_path, rows), "knn")
+    rows = _knn_rows(n)
+    rows[2 * B] += ",9"
+    with pytest.raises(InputError, match=rf"d.csv line {2 * B + 2}: 5 cells, but the header has 4"):
+        parse_dataset(_knn_file(tmp_path, rows), "knn")
+
+
+def test_parse_fault_precedence_across_blocks(tmp_path):
+    # a wrong cell count anywhere beats a value fault in an earlier block,
+    # and beats a missing column
+    rows = _knn_rows(2 * B + 1)
+    rows[3] = "3,x,wide,1"
+    rows[2 * B] = "9"
+    with pytest.raises(InputError, match=rf"line {2 * B + 2}: 1 cells, but the header has 4"):
+        parse_dataset(_knn_file(tmp_path, rows), "knn")
+    with pytest.raises(InputError, match=rf"line {2 * B + 2}: 1 cells"):
+        parse_dataset(_knn_file(tmp_path, rows), "frequency")
+    # a bad feature in a later block beats a duplicate id in an earlier one,
+    # and a duplicate id beats a third label before it
+    rows = _knn_rows(2 * B + 1, lambda i: "z" if i == 1 else "xy"[i % 2])
+    rows[5] = "4,x,1,1"
+    rows[2 * B] = f"{2 * B},x,1,nan"
+    with pytest.raises(InputError, match=rf"line {2 * B + 2}: f1='nan' is not finite"):
+        parse_dataset(_knn_file(tmp_path, rows), "knn")
+    rows[2 * B] = f"{2 * B},x,1,1"
+    with pytest.raises(InputError, match=r"line 7: duplicate example id 4"):
+        parse_dataset(_knn_file(tmp_path, rows), "knn")
+    # queries: a wrong cell count in a later block beats an empty label
+    q = _write(tmp_path, "q.csv", "label,f0,f1\n,1,1\n" + "x,1,1\n" * B + "x,1\n")
+    with pytest.raises(InputError, match=rf"q.csv line {B + 3}: 2 cells"):
+        parse_queries(q, "knn")
+
+
+def test_coalition_file_faults_across_blocks(tmp_path):
+    def rows(n, **cells):
+        return "id,coalition\n" + "".join(f"{cells.get(f'r{i}', f'{i},g{i % 3}')}\n"
+                                          for i in range(n))
+
+    n = 2 * B + 2
+    ids, cids = parse_coalition_file(_write(tmp_path, "c.csv", rows(n)))
+    assert ids.tolist() == list(range(n)) and cids[B + 1] == f"g{(B + 1) % 3}"
+    cases = [
+        # (edits, line named): the first faulty row wins, a repeat included
+        ({"r3": "1,g0", f"r{B + 1}": f"{B + 1},"}, "line 5: duplicate id 1"),
+        ({"r3": "3, ", f"r{B + 1}": "1,g0"}, "line 5: empty coalition id"),
+        ({f"r{B + 4}": "2,g0", f"r{B + 9}": "x,g0"}, rf"line {B + 6}: duplicate id 2"),
+        ({f"r{B + 4}": f"{B + 4},", f"r{B + 9}": "2,g0"}, rf"line {B + 6}: empty coalition"),
+        ({f"r{2 * B + 1}": "7,g0"}, rf"line {2 * B + 3}: duplicate id 7"),
+    ]
+    for edits, message in cases:
+        with pytest.raises(InputError, match=message):
+            parse_coalition_file(_write(tmp_path, "c.csv", rows(n, **edits)))
+
+
+def test_blank_lines_do_not_end_the_file(tmp_path):
+    # a run of blank lines longer than a block is skipped like a short one
+    p = _write(tmp_path, "d.csv", "id,label,f0,f1\n0,x,1,2\n" + "\n" * (2 * B + 5) + "1,y,3,4\n")
+    assert parse_dataset(p, "knn").ids == [0, 1]
+
+
+def test_parse_across_blocks_matches_examples(tmp_path):
+    n = 2 * B + 3
+    rows = [f" {i} ,{' x' if i % 3 else 'y '},b{i % 4} ,{'' if i % 5 == 0 else f' g{i % 7}'}"
+            for i in range(n)]
+    parsed = parse_dataset(_write(tmp_path, "d.csv", "id,label,bin,coalition\n" + "\n".join(rows)),
+                           "frequency")
+    built = Dataset(Example(i, "x" if i % 3 else "y", bin=f"b{i % 4}",
+                            coalition=None if i % 5 == 0 else f"g{i % 7}") for i in range(n))
+    assert parsed.examples == built.examples
+    assert parsed.coalition_codes()[0] == built.coalition_codes()[0]
+    assert parsed.coalition_codes()[1].tolist() == built.coalition_codes()[1].tolist()
+    assert parsed.label_mask("y").tolist() == built.label_mask("y").tolist()
+
+
+def test_parse_and_write_hold_no_text_column(tmp_path):
+    # the parser keeps no cell string past its block and the writer no text
+    # past its block: traced peaks stay within a small multiple of the
+    # arrays, where whole-file text columns take over ten times them
+    n = 20_000
+    rng = np.random.default_rng(18)
+    feats = rng.normal(size=(n, 4)).round(6)
+    path = _knn_file(tmp_path, [f"{i},{'xy'[i % 2]},{a},{b},{c},{d}"
+                                for i, (a, b, c, d) in enumerate(feats.tolist())])
+    path.write_text(path.read_text().replace("f0,f1", "f0,f1,f2,f3", 1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ds = parse_dataset(path, "knn")
+        parse_peak = tracemalloc.get_traced_memory()[1] - before
+        report = assemble_report("shapley-knn", "float", ds, rng.normal(size=n), 1, 0.0, k=3)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        write_report(report, tmp_path / "r.json", csv=tmp_path / "r.csv")
+        write_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(ds.feature_matrix(), feats)
+    parsed = ds.id_array().nbytes + ds.feature_matrix().nbytes + n  # one int8 label code a row
+    assert parse_peak < 3 * parsed, (parse_peak, parsed)
+    written = report.ids.nbytes + report.value_column.nbytes
+    assert write_peak < 3 * written, (write_peak, written)
