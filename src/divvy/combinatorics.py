@@ -2,9 +2,9 @@
 
 Two numeric modes run through the whole package: "exact" works in
 fractions.Fraction and is the ground truth; "float" evaluates the same
-formulas in binary64, forming binomial ratios as exp() of summed
-log-binomials so that large populations neither overflow nor lose the
-leading digits.
+formulas in binary64: the exact integer sum rounded once where that costs
+no more, else binomial ratios as exp() of summed log-binomials, so that
+large populations neither overflow nor lose the leading digits.
 """
 
 from __future__ import annotations

@@ -49,20 +49,21 @@ class CriticalSet:
     entries: Tuple[Tuple[int, int, Fraction], ...]
 
     @cached_property
-    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The entries as arrays: a, b, and the deltas in float."""
-        a, b, d = zip(*self.entries) if self.entries else ((), (), ())
-        return np.array(a, dtype=np.intp), np.array(b, dtype=np.intp), np.array(d, dtype=float)
+    def columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The entries' cells as arrays: a, and b."""
+        a, b, _ = zip(*self.entries) if self.entries else ((), (), ())
+        return np.array(a, dtype=np.intp), np.array(b, dtype=np.intp)
 
     @cached_property
-    def scaled(self) -> Tuple[int, list]:
+    def scaled(self) -> Tuple[int, np.ndarray]:
         """The deltas over their common denominator: it, and each entry's
-        numerator over it.  A rule repeats a few delta objects, and each is
-        scaled once."""
-        distinct = {id(d): d for _, _, d in self.entries}
+        integer numerator over it, as an object array.  A rule repeats a few
+        delta objects, and each is scaled once."""
+        deltas = [d for _, _, d in self.entries]
+        distinct = dict(zip(map(id, deltas), deltas))
         den = math.lcm(*(d.denominator for d in distinct.values()))
         num = {i: d.numerator * (den // d.denominator) for i, d in distinct.items()}
-        return den, [num[id(d)] for _, _, d in self.entries]
+        return den, np.array(list(map(num.__getitem__, map(id, deltas))), object)
 
     @cached_property
     def diagonals(self) -> dict:
@@ -248,11 +249,12 @@ def _prefix_weights(size_a: int, size_b: int, a: np.ndarray, b: np.ndarray, mode
     mismatches precede one more example in a uniform order of them all, at
     the cells of the broadcast arrays ``a`` and ``b``: with t = size_a +
     size_b + 1, C(a + b, a) C(t - 1 - a - b, size_a - a) / (t C(t - 1,
-    size_a)).  Exact mode gives Python-int numerators, walked up each
-    diagonal a - b from its lowest wanted cells (one ``math.comb`` pair
-    each) by one multiply and one exact divide per step, and the
-    denominator; float mode the numerators' logs, summed as
-    ``precede_probability`` sums them, and t, for the caller to exponentiate."""
+    size_a)), and their denominator.  Exact mode, which the one-cell read
+    asks for in both modes, walks Python-int numerators up each diagonal
+    a - b from its lowest wanted cells (one ``math.comb`` pair each) by one
+    multiply and one exact divide per step.  Float mode, for the box alone
+    (an integer box would hold exact-size ints), gives probabilities over 1:
+    exp of log-binomials summed as ``precede_probability`` sums them, / t."""
     t = size_a + size_b + 1
     if mode == EXACT:
         a, b = np.broadcast_arrays(a, b)
@@ -268,7 +270,8 @@ def _prefix_weights(size_a: int, size_b: int, a: np.ndarray, b: np.ndarray, mode
             below = x, y
         back = np.argsort(order)  # walk order back to cell order
         return np.array(weights, object)[back].reshape(a.shape), t * math.comb(t - 1, size_a)
-    return -_log_binoms(t - 1, a + b) + _log_binoms(size_a, a) + _log_binoms(size_b, b), t
+    logs = -_log_binoms(t - 1, a + b) + _log_binoms(size_a, a) + _log_binoms(size_b, b)
+    return np.exp(logs, out=logs) / t, 1
 
 
 def _convolve_at(x: np.ndarray, y: np.ndarray, a: np.ndarray, b: np.ndarray, d: np.ndarray):
@@ -295,37 +298,29 @@ def _fft_len(n: int) -> int:
 
 def _value_from_distribution(dist: PrecedeDistribution, crit: CriticalSet, a_m: int, b_m: int,
                              mode: str) -> Money:
-    """Inner Owen sum: critical pairs weighted by (others-ahead counts)
-    convolved with the within-coalition prefix weights.  A one-cell law is
-    the point mass at the origin (no other coalition moves the counts): the
-    weights are read at the critical cells alone.  A law of a - b alone
+    """Inner Owen sum: the deltas' integer numerators weighted by
+    (others-ahead counts) convolved with the within-coalition prefix
+    weights.  A one-cell law is the point mass at the origin (no other
+    coalition moves the counts): integer weights are read at the critical
+    cells alone in both modes, so a float value is the exact one rounded
+    once, by the closing division.  A law of a - b alone
     (``by_difference`` rules) is convolved with the weights summed along each
     diagonal a' - b', then read once per critical diagonal: every cell of a
     diagonal lies inside the box, so the read sums all of them."""
     exact = mode == EXACT
-    if exact:  # in integers: deltas and weights over common denominators
-        den, deltas = crit.scaled
-        law = dist.weights
-    else:
-        den, deltas, law = 1, crit.columns[2], dist.probs
-    if law.size == 1:
-        cells = [(a, b, d) for (a, b, _), d in zip(crit.entries, deltas) if a <= a_m and b <= b_m]
-        a, b = np.array([e[:2] for e in cells], np.intp).reshape(-1, 2).T
-        weights, w_den = _prefix_weights(a_m, b_m, a, b, mode)
-        weights = weights.tolist()
-        if not exact:  # math.exp, as precede_probability: np.exp may round otherwise
-            weights, w_den = [math.exp(w) / w_den for w in weights], 1
-        total = 0
-        for w, (_, _, d) in zip(weights, cells):  # in entry order: fixes float bytes
-            total += w * d
+    den, deltas = crit.scaled
+    law = dist.weights
+    if law.size == 1:  # weight 1 over scale 1, in either mode
+        a, b = crit.columns
+        inside = np.flatnonzero((a <= a_m) & (b <= b_m))
+        weights, w_den = _prefix_weights(a_m, b_m, a[inside], b[inside], EXACT)
+        total = weights @ deltas[inside]
     else:
         # an exact cell holds an int up to the weights' denominator
         cell = 8 + sys.getsizeof((a_m + b_m + 1) * math.comb(a_m + b_m, a_m)) if exact else 8
         _guard((a_m + 1) * (b_m + 1) * cell, "within-coalition grid")
         box = np.arange(a_m + 1)[:, None], np.arange(b_m + 1)
         within, w_den = _prefix_weights(a_m, b_m, *box, mode)
-        if not exact:
-            within, w_den = np.exp(within, out=within) / w_den, 1
         if law.ndim == 1:
             by_diff = np.zeros(a_m + b_m + 1, law.dtype)  # a' - b' from -b_m up
             np.add.at(by_diff, (box[0] - box[1] + b_m).ravel(), within.ravel())
@@ -334,16 +329,13 @@ def _value_from_distribution(dist: PrecedeDistribution, crit: CriticalSet, a_m: 
             total = sum(conv[at + c] * deltas[i] for c, i in crit.diagonals.items()
                         if 0 <= at + c < len(conv))
         elif exact:
-            a, b, _ = crit.columns
-            total = _convolve_at(law, within, a, b, np.array(deltas, object))
+            total = _convolve_at(law, within, *crit.columns, deltas)
         else:
             shape = [_fft_len(m + n - 1) for m, n in zip(law.shape, within.shape)]
             conv = np.fft.irfft2(np.fft.rfft2(law, shape) * np.fft.rfft2(within, shape), shape)
-            a, b, d = crit.columns
-            total = conv[a, b] @ d
-    if not exact:
-        return float(total)
-    return Fraction(total, den * dist.scale * w_den)
+            total = conv[crit.columns] @ deltas.astype(float)
+    scale = den * dist.scale * w_den
+    return Fraction(total, scale) if exact else float(total / scale)
 
 
 def _preceder_law(other_tallies: Sequence[CountPair], vf: FrequencyValueFunction, mode: str):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -41,14 +42,15 @@ class ValueReport:
     """Per-example payouts held as columns in dataset order.
 
     ``ids`` is an int64 array; ``value_column`` is a float64 array in float
-    mode and a list of ``Fraction``s in exact mode; ``coalition_codes``
-    gives each example's index in ``coalition_names`` (sorted by ``str``),
-    or -1 for none.  ``per_query``, when asked for, holds one column per
-    query, laid out like ``value_column``.  A held float-mode report thus
-    keeps no Python object per example: n of them would be rescanned by
-    every full pass of the cyclic garbage collector, which makes large runs
-    slower than linear in n.  Row views (``examples``) and the id index
-    behind ``value_of`` are built on demand.
+    mode and an object array of ``Fraction``s in exact mode;
+    ``coalition_codes`` gives each example's index in ``coalition_names``
+    (sorted by ``str``), or -1 for none.  ``per_query``, when asked for,
+    holds one column per query, laid out like ``value_column``.  A held
+    float-mode report thus keeps no Python object per example: n of them
+    would be rescanned by every full pass of the cyclic garbage collector,
+    which makes large runs slower than linear in n.  Coalition totals, row
+    views (``examples``) and the id index behind ``value_of`` are derived
+    from the columns on demand, so they follow any edit to them.
     """
 
     method: str
@@ -56,24 +58,25 @@ class ValueReport:
     query_count: int
     wall_time: float
     ids: np.ndarray
-    value_column: Union[np.ndarray, List[Fraction]]
+    value_column: np.ndarray
     coalition_names: tuple
     coalition_codes: np.ndarray
-    coalitions: List[Tuple[Hashable, Money]] = field(default_factory=list)
     k: Optional[int] = None
-    per_query: Optional[List[Union[np.ndarray, List[Fraction]]]] = None
+    per_query: Optional[List[np.ndarray]] = None
     extras: Optional[Mapping[str, object]] = None
     _row_of: Optional[dict] = field(default=None, init=False, repr=False)
 
-    def _value_list(self) -> list:
-        """Values in dataset order as Python numbers."""
-        return _numbers(self.value_column, self.numeric_mode)
+    @property
+    def coalitions(self) -> List[Tuple[Hashable, Money]]:
+        """Each coalition's id and its members' sum, summed on each read."""
+        return _coalition_totals(self)
 
     @property
     def examples(self) -> List[ExampleRow]:
         """Row views in dataset order, built on each access."""
         cids = code_names(self.coalition_names, self.coalition_codes)
-        return [ExampleRow(*row) for row in zip(self.ids.tolist(), self._value_list(), cids)]
+        rows = zip(self.ids.tolist(), self.value_column.tolist(), cids)
+        return [ExampleRow(*row) for row in rows]
 
     def value_of(self, example_id: int) -> Money:
         if self._row_of is None:
@@ -85,7 +88,7 @@ class ValueReport:
         return v if self.numeric_mode == EXACT else float(v)
 
     def values(self) -> dict:
-        return dict(zip(self.ids.tolist(), self._value_list()))
+        return dict(zip(self.ids.tolist(), self.value_column.tolist()))
 
     def __eq__(self, other):
         """Field-by-field equality, comparing the columns by their values."""
@@ -94,23 +97,18 @@ class ValueReport:
         return self._fields() == other._fields()
 
     def _fields(self) -> tuple:
-        per_query = self.per_query and [_numbers(c, self.numeric_mode) for c in self.per_query]
+        per_query = self.per_query and [c.tolist() for c in self.per_query]
         return (
             self.method, self.numeric_mode, self.query_count, self.wall_time,
-            self.ids.tolist(), self._value_list(), self.coalition_names,
-            self.coalition_codes.tolist(), self.coalitions, self.k, per_query, self.extras,
+            self.ids.tolist(), self.value_column.tolist(), self.coalition_names,
+            self.coalition_codes.tolist(), self.k, per_query, self.extras,
         )
 
 
-def _column(values: Union[np.ndarray, Sequence[Money]], mode: str):
-    """Money in dataset order as a report holds it: a list of ``Fraction``s
-    in exact mode, a float64 array in float mode."""
-    return list(values) if mode == EXACT else np.asarray(values, dtype=float)
-
-
-def _numbers(column, mode: str) -> list:
-    """A report column as a list of Python numbers."""
-    return column if mode == EXACT else column.tolist()
+def _column(values: Union[np.ndarray, Sequence[Money]], mode: str) -> np.ndarray:
+    """Money in dataset order as a report holds it: an object array of
+    ``Fraction``s in exact mode, a float64 array in float mode."""
+    return np.asarray(values, dtype=object if mode == EXACT else float)
 
 
 def _coalition_totals(report: ValueReport) -> List[Tuple[Hashable, Money]]:
@@ -118,12 +116,9 @@ def _coalition_totals(report: ValueReport) -> List[Tuple[Hashable, Money]]:
     rows one at a time in row order, so a float total is reproducible bit
     for bit."""
     codes, column = report.coalition_codes, report.value_column
-    exact = report.numeric_mode == EXACT
-    held = np.flatnonzero(codes >= 0)  # only these rows' values are converted
-    sums = np.full(len(report.coalition_names), Fraction(0) if exact else 0.0,
-                   object if exact else float)
-    values = np.array([column[r] for r in held.tolist()], object) if exact else column[held]
-    np.add.at(sums, codes[held], values)
+    held = codes >= 0
+    sums = np.zeros(len(report.coalition_names), column.dtype)
+    np.add.at(sums, codes[held], column[held])
     return list(zip(report.coalition_names, sums.tolist()))
 
 
@@ -149,7 +144,7 @@ def assemble_report(
         if len(given) != len(dataset):
             raise InputError(f"{len(given)} values given for {len(dataset)} examples")
     names, codes = dataset.coalition_codes()
-    report = ValueReport(
+    return ValueReport(
         method=method,
         numeric_mode=mode,
         query_count=query_count,
@@ -162,8 +157,6 @@ def assemble_report(
         per_query=per_query,
         extras=extras,
     )
-    report.coalitions = _coalition_totals(report)
-    return report
 
 
 _NON_FINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -219,7 +212,7 @@ def _text_blocks(ids: np.ndarray, column, mode: str):
     for start in range(0, len(ids), _BLOCK):
         stop = start + _BLOCK
         yield (start, list(map(str, ids[start:stop].tolist())),
-               *_value_text(_numbers(column[start:stop], mode), mode))
+               *_value_text(column[start:stop].tolist(), mode))
 
 
 def _nested(value, depth: int) -> str:
@@ -278,10 +271,11 @@ def _write(report: ValueReport, out, csv_out=None) -> None:
             **{key: report.extras[key] for key in sorted(report.extras or ())}}
     out.write('{\n  "meta": ' + _nested(meta, 1) + ',\n  "examples": ')
     _write_list(out, examples(), 1)
-    _, totals = _value_text([v for _, v in report.coalitions], mode)
+    coalitions = report.coalitions  # summed on each read, so read once
+    _, totals = _value_text([v for _, v in coalitions], mode)
     out.write(',\n  "coalitions": ')
     _write_list(out, [[f'    {{\n      "id": {_nested(cid, 3)},\n      "value": {v}\n    }}'
-                       for (cid, _), v in zip(report.coalitions, totals)]], 1)
+                       for (cid, _), v in zip(coalitions, totals)]], 1)
     queries = report.per_query  # a list written item by item, each in blocks
     out.write(',\n  "per_query": ' + ("null" if queries is None else "[" if queries else "[]"))
     for qi, column in enumerate(queries or ()):
@@ -294,11 +288,20 @@ def _write(report: ValueReport, out, csv_out=None) -> None:
     out.write("\n  ]\n}\n" if queries else "\n}\n")
 
 
-def _opened(target, newline=None):
-    """A context giving ``target`` as a text stream: a path is opened."""
+def _staged(target, staged: list, newline=None):
+    """A context giving ``target`` as a text stream.  A path to a regular
+    file, or to no file yet, is opened under a temporary name beside it,
+    and (temporary name, path) is appended to ``staged`` for the caller to
+    rename; a device or a pipe is opened as it is."""
     if target is None or hasattr(target, "write"):
         return nullcontext(target)
-    return open(target, "w", newline=newline)
+    path = os.path.realpath(target)
+    if os.path.exists(path) and not os.path.isfile(path):
+        return open(path, "w", newline=newline)
+    temp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(temp, "x", newline=newline)
+    staged.append((temp, path))
+    return fh
 
 
 def report_to_json(report: ValueReport) -> str:
@@ -312,18 +315,20 @@ def write_report(report: ValueReport, out, csv=None) -> None:
     """Write the report as JSON to ``out`` and, if ``csv`` is given, its
     examples table as CSV there (as ``export_csv`` writes it), in one pass
     over the rows.  Each is a path or a text stream; a CSV stream should
-    not translate line ends.  Coalition totals are checked first."""
-    _verify_coalition_sums(report)
+    not translate line ends.  Files are written under temporary names and
+    renamed into place once every output is complete, so a failed write
+    leaves no partial report."""
+    staged: list = []
     try:
-        with _opened(out) as json_fh, _opened(csv, newline="") as csv_fh:
+        with _staged(out, staged) as json_fh, _staged(csv, staged, newline="") as csv_fh:
             _write(report, json_fh, csv_fh)
+        while staged:
+            os.replace(*staged.pop())
     except OSError as exc:
         raise InputError(f"cannot write the report: {exc}") from exc
-
-
-def _verify_coalition_sums(report: ValueReport) -> None:
-    if _coalition_totals(report) != list(report.coalitions):
-        raise InputError("report coalition totals do not equal member sums")
+    finally:
+        for temp, _ in staged:
+            os.remove(temp)
 
 
 def _decode_value(v, mode: str) -> Money:
@@ -368,19 +373,18 @@ def read_report(path) -> ValueReport:
             value_column=_column(values, mode),
             coalition_names=names,
             coalition_codes=codes,
-            coalitions=coalitions,
             k=meta.get("k"),
             per_query=per_query,
             extras=extras,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed report file: {exc}") from exc
-    _verify_coalition_sums(report)
+    if report.coalitions != coalitions:
+        raise InputError("report coalition totals do not equal member sums")
     return report
 
 
 def export_csv(report: ValueReport, path) -> None:
     """Examples table as CSV: id, coalition, value, quoted as csv.writer
     quotes and with its CRLF line ends; ``path`` may be a text stream."""
-    with _opened(path, newline="") as fh:
-        _write(report, None, fh)
+    write_report(report, None, csv=path)

@@ -141,6 +141,15 @@ def test_unwritable_output_exits_1(freq_files, tmp_path, capsys):
         assert run_command(argv) == 1
         err = capsys.readouterr().err
         assert "cannot write the report" in err and "absent" in err, flag
+    # a report is renamed into place only once every output is complete:
+    # a CSV that cannot be written leaves no JSON file, whole or partial,
+    # and no temporary file beside it
+    before = sorted(p.name for p in tmp_path.iterdir())
+    argv = _freq_argv(*freq_files, "--out", str(tmp_path / "o.json"),
+                      "--csv", str(tmp_path / "absent" / "r.csv"))
+    assert run_command(argv) == 1
+    assert "cannot write the report" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_rerun_is_stable_except_wall_time(freq_files, tmp_path):

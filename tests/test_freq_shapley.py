@@ -198,14 +198,25 @@ def test_single_values_match_oracle():
         assert rep.values() == want, trial
 
 
+def _one_bin(n_match, n_mismatch):
+    labels = ["x"] * n_match + ["y"] * n_mismatch
+    return Dataset(Example(i, s, bin="b0") for i, s in enumerate(labels))
+
+
 def test_float_tracks_exact():
+    # a one-query float value is the exact one rounded once, bit for bit
     rng = random.Random(41)
-    for _ in range(50):
-        dataset, query, vf = random_frequency_instance(rng, max_n=7)
+    cases = [random_frequency_instance(rng, max_n=7) for _ in range(50)]
+    query = Query(label="x", bin="b0")
+    cases.append((_one_bin(2000, 2000), query, PAYOUT))
+    decimal = {(0, 0): Fraction("0.1"), (1, 0): Fraction("0.35"), (3, 2): Fraction("-1.7"),
+               (7, 4): Fraction("2.05"), (12, 9): Fraction("0.3")}
+    cases.append((_one_bin(15, 11), query, TableValueFunction(decimal, default=Fraction("0.2"))))
+    for dataset, query, vf in cases:
         exact = shapley_frequency_report(dataset, [query], vf, mode="exact")
         approx = shapley_frequency_report(dataset, [query], vf, mode="float")
         for i, v in exact.values().items():
-            assert relative_gap(float(v), approx.value_of(i)) < 1e-9
+            assert approx.value_of(i) == float(v), (len(dataset), i)
 
 
 def test_efficiency_null_and_symmetry():

@@ -1,7 +1,10 @@
 """CSV/JSON parsing and the report file round trip."""
 
 import json
+import os
+import stat
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -462,6 +465,48 @@ def test_coalition_totals_match_a_row_order_sum_bit_for_bit():
         got = _coalition_totals(report)
         assert [c for c, _ in got] == sorted(want)
         assert [v.hex() for _, v in got] == [want[c].hex() for c, _ in got]
+
+
+def test_coalition_totals_follow_the_columns(tmp_path, monkeypatch):
+    # a report stores no totals: assembling one sums nothing, writing it
+    # sums once, an edited value shows in the next totals read, and a file
+    # whose totals disagree with its members' sums is refused
+    import divvy.report as report_module
+
+    calls = []
+    sums = report_module._coalition_totals
+    monkeypatch.setattr(report_module, "_coalition_totals", lambda r: calls.append(r) or sums(r))
+    for mode in ("exact", "float"):
+        rep = _sample_report(mode, per_query=True)
+        assert calls == [], mode
+        path = tmp_path / f"r_{mode}.json"
+        write_report(rep, path, csv=tmp_path / f"r_{mode}.csv")
+        assert len(calls) == 1, mode
+        before = dict(rep.coalitions)
+        rep.value_column[0] += 7
+        assert dict(rep.coalitions) == {"g0": before["g0"] + 7, "g1": before["g1"]}, mode
+        doc = json.loads(path.read_text())
+        doc["coalitions"][1]["value"] = "1/7" if mode == "exact" else 0.125
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match="do not equal member sums"):
+            read_report(path)
+        calls.clear()
+
+
+def test_write_report_writes_a_pipe_in_place(tmp_path):
+    # a path that is no regular file (a pipe, /dev/stdout) is written as it
+    # is: renaming a finished temporary file over it would replace it
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
+    reader.start()
+    rep = _sample_report("exact")
+    write_report(rep, pipe)
+    reader.join(10)
+    assert got == [report_to_json(rep)]
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 def test_report_equality_compares_columns(tmp_path):
