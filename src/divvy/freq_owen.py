@@ -244,32 +244,39 @@ def _log_binoms(n: int, k: np.ndarray) -> np.ndarray:
     return np.array([log_binom(n, i) for i in range(int(k.max(initial=-1)) + 1)])[k]
 
 
+def _diagonal_walk(size_a: int, size_b: int, a: np.ndarray, b: np.ndarray):
+    """(index, integer prefix weight over t C(t - 1, size_a)) for each cell
+    of the 1-D arrays ``a`` and ``b``, up each diagonal a - b: one
+    ``math.comb`` pair at its lowest cell, then one multiply and one exact
+    divide a step."""
+    t = size_a + size_b + 1
+    order = np.lexsort((a, a - b))  # by diagonal, then up it
+    below = None
+    for i, x, y in zip(order.tolist(), a[order].tolist(), b[order].tolist()):
+        if below == (x - 1, y - 1):  # the binomials' ratio from the cell below
+            w = w * (x + y - 1) * (x + y) * (size_a + 1 - x) * (size_b + 1 - y) // (
+                x * y * (t + 1 - x - y) * (t - x - y))
+        else:
+            w = math.comb(x + y, x) * math.comb(t - 1 - x - y, size_a - x)
+        yield i, w
+        below = x, y
+
+
 def _prefix_weights(size_a: int, size_b: int, a: np.ndarray, b: np.ndarray, mode: str):
     """Probability that exactly a of ``size_a`` matches and b of ``size_b``
     mismatches precede one more example in a uniform order of them all, at
     the cells of the broadcast arrays ``a`` and ``b``: with t = size_a +
     size_b + 1, C(a + b, a) C(t - 1 - a - b, size_a - a) / (t C(t - 1,
-    size_a)), and their denominator.  Exact mode, which the one-cell read
-    asks for in both modes, walks Python-int numerators up each diagonal
-    a - b from its lowest wanted cells (one ``math.comb`` pair each) by one
-    multiply and one exact divide per step.  Float mode, for the box alone
-    (an integer box would hold exact-size ints), gives probabilities over 1:
-    exp of log-binomials summed as ``precede_probability`` sums them, / t."""
+    size_a)), and their denominator: ``_diagonal_walk``'s ints in exact
+    mode, and in float (an integer box would hold exact-size ints) exp of
+    log-binomials summed as ``precede_probability`` sums them, / t, over 1."""
     t = size_a + size_b + 1
     if mode == EXACT:
         a, b = np.broadcast_arrays(a, b)
-        order = np.lexsort((a.ravel(), (a - b).ravel()))  # by diagonal, then up it
-        weights, below = [], None
-        for x, y in zip(a.ravel()[order].tolist(), b.ravel()[order].tolist()):
-            if below == (x - 1, y - 1):  # the binomials' ratio from the cell below
-                w = w * (x + y - 1) * (x + y) * (size_a + 1 - x) * (size_b + 1 - y) // (
-                    x * y * (t + 1 - x - y) * (t - x - y))
-            else:
-                w = math.comb(x + y, x) * math.comb(t - 1 - x - y, size_a - x)
-            weights.append(w)
-            below = x, y
-        back = np.argsort(order)  # walk order back to cell order
-        return np.array(weights, object)[back].reshape(a.shape), t * math.comb(t - 1, size_a)
+        weights = np.empty(a.size, object)
+        for i, w in _diagonal_walk(size_a, size_b, a.ravel(), b.ravel()):
+            weights[i] = w
+        return weights.reshape(a.shape), t * math.comb(t - 1, size_a)
     logs = -_log_binoms(t - 1, a + b) + _log_binoms(size_a, a) + _log_binoms(size_b, b)
     return np.exp(logs, out=logs) / t, 1
 
@@ -298,42 +305,46 @@ def _fft_len(n: int) -> int:
 
 def _value_from_distribution(dist: PrecedeDistribution, crit: CriticalSet, a_m: int, b_m: int,
                              mode: str) -> Money:
-    """Inner Owen sum: the deltas' integer numerators weighted by
-    (others-ahead counts) convolved with the within-coalition prefix
-    weights.  A one-cell law is the point mass at the origin (no other
-    coalition moves the counts): integer weights are read at the critical
-    cells alone in both modes, so a float value is the exact one rounded
-    once, by the closing division.  A law of a - b alone
-    (``by_difference`` rules) is convolved with the weights summed along each
-    diagonal a' - b', then read once per critical diagonal: every cell of a
-    diagonal lies inside the box, so the read sums all of them."""
+    """Inner Owen sum: the deltas weighted by (others-ahead counts)
+    convolved with the within-coalition prefix weights.  A one-cell law is
+    the point mass at the origin: in both modes, each critical cell's
+    integer weight times its delta's numerator is summed as the walk makes
+    it, so a float value is the exact one rounded once, by the closing
+    division.  A law of a - b alone (``by_difference`` rules) is convolved
+    with the weights summed along each diagonal a' - b' and read once per
+    critical diagonal: every cell of a diagonal lies inside the box."""
     exact = mode == EXACT
     den, deltas = crit.scaled
     law = dist.weights
     if law.size == 1:  # weight 1 over scale 1, in either mode
         a, b = crit.columns
         inside = np.flatnonzero((a <= a_m) & (b <= b_m))
-        weights, w_den = _prefix_weights(a_m, b_m, a[inside], b[inside], EXACT)
-        total = weights @ deltas[inside]
+        d = deltas[inside].tolist()
+        total = sum(w * d[i] for i, w in _diagonal_walk(a_m, b_m, a[inside], b[inside]))
+        w_den = (a_m + b_m + 1) * math.comb(a_m + b_m, a_m)
     else:
         # an exact cell holds an int up to the weights' denominator
         cell = 8 + sys.getsizeof((a_m + b_m + 1) * math.comb(a_m + b_m, a_m)) if exact else 8
         _guard((a_m + 1) * (b_m + 1) * cell, "within-coalition grid")
         box = np.arange(a_m + 1)[:, None], np.arange(b_m + 1)
         within, w_den = _prefix_weights(a_m, b_m, *box, mode)
+        # float mode reads each delta as numerator / den, rounded once, and
+        # has nothing left to divide: a numerator alone can pass 1e308
         if law.ndim == 1:
             by_diff = np.zeros(a_m + b_m + 1, law.dtype)  # a' - b' from -b_m up
             np.add.at(by_diff, (box[0] - box[1] + b_m).ravel(), within.ravel())
             conv = np.convolve(law, by_diff)
             at = b_m - dist.origin[0]  # conv[at + d] weighs a - b = d
-            total = sum(conv[at + c] * deltas[i] for c, i in crit.diagonals.items()
-                        if 0 <= at + c < len(conv))
+            total = sum(conv[at + c] * (deltas[i] if exact else deltas[i] / den)
+                        for c, i in crit.diagonals.items() if 0 <= at + c < len(conv))
         elif exact:
             total = _convolve_at(law, within, *crit.columns, deltas)
         else:
             shape = [_fft_len(m + n - 1) for m, n in zip(law.shape, within.shape)]
             conv = np.fft.irfft2(np.fft.rfft2(law, shape) * np.fft.rfft2(within, shape), shape)
-            total = conv[crit.columns] @ deltas.astype(float)
+            total = conv[crit.columns] @ (deltas / den).astype(float)
+        if not exact:
+            return float(total)
     scale = den * dist.scale * w_den
     return Fraction(total, scale) if exact else float(total / scale)
 

@@ -16,7 +16,7 @@ import io
 import json
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -290,17 +290,20 @@ def _write(report: ValueReport, out, csv_out=None) -> None:
 
 def _staged(target, staged: list, newline=None):
     """A context giving ``target`` as a text stream.  A path to a regular
-    file, or to no file yet, is opened under a temporary name beside it,
-    and (temporary name, path) is appended to ``staged`` for the caller to
-    rename; a device or a pipe is opened as it is."""
+    file (links followed), or to none yet, is opened under a temporary name
+    beside that file, with its permission bits, and (temporary name, file)
+    is appended to ``staged`` for the caller to rename; anything else (a
+    pipe, a device, ``/dev/fd/N``) is opened as it is."""
     if target is None or hasattr(target, "write"):
         return nullcontext(target)
+    if os.path.exists(target) and not os.path.isfile(target):
+        return open(target, "w", newline=newline)
     path = os.path.realpath(target)
-    if os.path.exists(path) and not os.path.isfile(path):
-        return open(path, "w", newline=newline)
     temp = f"{path}.{os.urandom(4).hex()}.tmp"
     fh = open(temp, "x", newline=newline)
     staged.append((temp, path))
+    if os.path.exists(path):
+        os.chmod(fh.fileno(), os.stat(path).st_mode)  # chmod keeps the permission bits
     return fh
 
 
@@ -317,18 +320,21 @@ def write_report(report: ValueReport, out, csv=None) -> None:
     over the rows.  Each is a path or a text stream; a CSV stream should
     not translate line ends.  Files are written under temporary names and
     renamed into place once every output is complete, so a failed write
-    leaves no partial report."""
+    leaves no partial report (other hard links to a replaced file keep the
+    old one)."""
     staged: list = []
     try:
         with _staged(out, staged) as json_fh, _staged(csv, staged, newline="") as csv_fh:
             _write(report, json_fh, csv_fh)
         while staged:
-            os.replace(*staged.pop())
+            os.replace(*staged[-1])
+            staged.pop()
     except OSError as exc:
         raise InputError(f"cannot write the report: {exc}") from exc
     finally:
         for temp, _ in staged:
-            os.remove(temp)
+            with suppress(OSError):
+                os.remove(temp)
 
 
 def _decode_value(v, mode: str) -> Money:

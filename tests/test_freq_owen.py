@@ -203,7 +203,11 @@ def test_majority_law_of_a_minus_b_matches_the_two_axis_law():
         others = [(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(rng.randint(0, 8))]
         cases.append((others + [(0, 0)] * rng.randint(0, 2), rng.randint(0, 4), rng.randint(0, 4)))
     cases.append(([(1, 0), (0, 1), (2, 1), (0, 0)] * 23, 1, 1))
-    vfs = [PAYOUT, MajorityValueFunction(Fraction(7, 3), Fraction(-5, 2), Fraction(1, 4))]
+    # the last payouts' deltas have a common denominator near 1e401, so
+    # their numerators over it are past the largest float
+    near = Fraction(1, 10**200 + 1), Fraction(1, 10**200 + 3)
+    vfs = [PAYOUT, MajorityValueFunction(Fraction(7, 3), Fraction(-5, 2), Fraction(1, 4)),
+           MajorityValueFunction(Fraction(7, 3) + near[0], Fraction(-5, 2) + near[1], Fraction(1, 4))]
     for others, a_m, b_m in cases:
         size_a = sum(a for a, _ in others) + a_m
         size_b = sum(b for _, b in others) + b_m

@@ -507,6 +507,52 @@ def test_write_report_writes_a_pipe_in_place(tmp_path):
     assert got == [report_to_json(rep)]
     assert stat.S_ISFIFO(os.stat(pipe).st_mode)
     assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+    # a /dev/fd/N link to an anonymous pipe (as /dev/stdout is, piped, and
+    # a shell's process substitution) resolves to no path a file could sit
+    # beside, so it is opened as given
+    if not os.path.isdir("/dev/fd"):
+        return
+    r, w = os.pipe()
+    chunks = []
+
+    def drain():
+        with os.fdopen(r) as fh:
+            chunks.append(fh.read())
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    try:
+        write_report(rep, f"/dev/fd/{w}", csv=tmp_path / "r.csv")
+    finally:
+        os.close(w)
+    reader.join(10)
+    assert chunks == [report_to_json(rep)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe", "r.csv"]
+
+
+def test_write_report_replaces_a_file_keeping_its_mode(tmp_path, monkeypatch):
+    # a report written over an existing file keeps that file's permission
+    # bits; a rename that fails leaves no temporary file behind
+    import divvy.report as report_module
+
+    rep = _sample_report("float")
+    path, table = tmp_path / "r.json", tmp_path / "r.csv"
+    path.write_text("old")
+    path.chmod(0o600)
+    write_report(rep, path)
+    assert path.read_text() == report_to_json(rep)
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+    real = os.replace
+
+    def fail_on_json(src, dst):
+        if str(dst).endswith(".json"):
+            raise PermissionError("no rename")
+        real(src, dst)
+
+    monkeypatch.setattr(report_module.os, "replace", fail_on_json)
+    with pytest.raises(InputError, match="cannot write the report"):
+        write_report(rep, path, csv=table)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.json"]
 
 
 def test_report_equality_compares_columns(tmp_path):
