@@ -5,7 +5,10 @@ id,label[,coalition],f0..fd.  Queries: bin,label[,value_function] for
 frequency (the optional column holds a path to a per-query value-function
 JSON), label,f0..fd for k-NN.  Value functions are JSON documents; numeric
 literals in them are parsed as exact decimals.
-"""
+
+CSV files are read in blocks of lines, each typed in one call by numpy's C
+reader where it reads them exactly as csv.reader, int() and float() would,
+and by csv.reader and Python otherwise: same values, same messages."""
 
 from __future__ import annotations
 
@@ -44,36 +47,71 @@ _FEATURE_RE = re.compile(r"^f(\d+)$")
 _BLOCK = 512
 
 
-def _csv_blocks(path):
+def _csv_blocks(path, kind=lambda name: object):
     """Yield the header's stripped names, then each block of up to _BLOCK
-    data rows as its first row's line and its columns, a tuple of cells by
-    header name.
+    data rows as its first row's line and its columns by header name.
+
+    numpy's C reader types a block of lines if it can (see _typed_block),
+    each column as ``kind(name)`` says: np.int64, float or object (raw
+    cells).  Any other block is read by csv.reader, its columns tuples of
+    raw cells for the caller to type; from the first ``"`` on csv.reader
+    reads the rest of the file, since a quoted cell may span lines.
 
     Blank lines are skipped; a row whose cell count differs from the
     header's is refused with its line.  Line numbers in messages count the
-    header as line 1 and each data row after it.
+    header as line 1 and each data row after it.  A repeated header name
+    keeps its last column, as a dict of rows would.
     """
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            header = next(csv.reader(fh), None)
             if header is None:
                 raise InputError(f"{path}: empty file, expected a CSV header")
             fields = [f.strip() for f in header]
             yield fields
+            dtype = np.dtype([(str(i), kind(f)) for i, f in enumerate(fields)])
             line = 2
-            for rows in iter(lambda: list(itertools.islice(reader, _BLOCK)), []):
-                block = [row for row in rows if row]
-                for r, row in enumerate(block):
-                    if len(row) != len(fields):
-                        raise InputError(f"{path} line {line + r}: {len(row)} cells, "
-                                         f"but the header has {len(fields)}")
-                if block:
-                    # a repeated header name keeps its last column, as a dict of rows would
-                    yield line, dict(zip(fields, zip(*block)))
-                line += len(block)
-    except OSError as exc:
+            for lines in iter(lambda: list(itertools.islice(fh, _BLOCK)), []):
+                text = "".join(lines)
+                quoted = '"' in text
+                typed = None if quoted else _typed_block(lines, text, dtype)
+                if typed is not None:
+                    yield line, {f: typed[str(i)].copy() for i, f in enumerate(fields)}
+                    line += len(typed)
+                    continue
+                reader = csv.reader(itertools.chain(lines, fh) if quoted else lines)
+                for rows in iter(lambda: list(itertools.islice(reader, _BLOCK)), []):
+                    block = [row for row in rows if row]
+                    for r, row in enumerate(block):
+                        if len(row) != len(fields):
+                            raise InputError(f"{path} line {line + r}: {len(row)} cells, "
+                                             f"but the header has {len(fields)}")
+                    if block:
+                        yield line, dict(zip(fields, zip(*block)))
+                    line += len(block)
+    except (OSError, csv.Error) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _typed_block(lines: List[str], text: str, dtype: np.dtype):
+    """``lines`` (joined: ``text``) typed by numpy's C reader, or None if
+    csv.reader must read them: blank lines only (loadtxt would warn), text
+    it reads otherwise than int() and float() do (\x1c-\x1f as spaces, some
+    non-ASCII letters as digits), a line past csv.reader's cell limit (which
+    it refuses), a cell the C reader refuses, or a value out of range."""
+    limit = csv.field_size_limit()
+    if (not text.isascii() or any(map(text.__contains__, "\x1c\x1d\x1e\x1f"))
+            or not text.strip("\r\n") or len(text) > limit and max(map(len, lines)) > limit):
+        return None
+    try:
+        block = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    for name, (kind, _) in dtype.fields.items():
+        if (kind == np.int64 and (block[name] < 0).any()
+                or kind == float and not np.isfinite(block[name]).all()):
+            return None
+    return block
 
 
 def _raise_after(blocks, fault: InputError):
@@ -121,8 +159,10 @@ def _parse_feature(raw, path, line, col) -> float:
 
 
 def _id_block(cells) -> np.ndarray:
-    """A block's ids as int64; ValueError or OverflowError if any is not an
-    integer in 0 .. 2**63 - 1."""
+    """A block's ids as int64 (as given if the block reader typed them);
+    ValueError or OverflowError if any is not an integer in 0 .. 2**63 - 1."""
+    if isinstance(cells, np.ndarray):
+        return cells
     ids = np.fromiter(map(int, cells), dtype=np.int64, count=len(cells))
     if ids.min() < 0:
         raise ValueError("id out of range")
@@ -141,11 +181,12 @@ def _stripped(cells, memo: dict, allow_empty=False) -> list:
 
 
 def _float_block(columns: List[tuple]) -> np.ndarray:
-    """Feature columns as a rows x d float block; ValueError if a cell is
-    not a number or not finite."""
+    """Feature columns, typed or raw cells, as a rows x d float block;
+    ValueError if a cell is not a number or not finite."""
     block = np.empty((len(columns[0]), len(columns)))
     for j, cells in enumerate(columns):
-        block[:, j] = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+        block[:, j] = cells if isinstance(cells, np.ndarray) else np.fromiter(
+            map(float, cells), dtype=float, count=len(cells))
     if not np.isfinite(block).all():
         raise ValueError("non-finite feature")
     return block
@@ -155,10 +196,11 @@ def _row_fault(path, columns, line, empty: dict, feature_cols=(), seen=None) -> 
     """The first faulty row of a block starting at ``line``, checking each
     row's id, then that no ``empty`` cell (column: its name in messages) is
     empty, then that its id is not in ``seen`` (if given), then its
-    features.  Run once the block's typing has failed, to name the line."""
+    features.  Run once the block's typing has failed, to name the line;
+    cells the block reader typed are valid, so they pass as text."""
     try:
         for r, raw_id in enumerate(columns["id"]):
-            ex_id = _parse_id(raw_id.strip(), path, line + r)
+            ex_id = _parse_id(str(raw_id).strip(), path, line + r)
             for col, what in empty.items():
                 if not columns[col][r].strip():
                     raise InputError(f"{path} line {line + r}: empty {what}")
@@ -167,7 +209,7 @@ def _row_fault(path, columns, line, empty: dict, feature_cols=(), seen=None) -> 
                     raise InputError(f"{path} line {line + r}: duplicate id {ex_id}")
                 seen.add(ex_id)
             for c in feature_cols:
-                _parse_feature(columns[c][r].strip(), path, line + r, c)
+                _parse_feature(str(columns[c][r]).strip(), path, line + r, c)
     except InputError as exc:
         return exc
     return InputError(f"{path}: malformed rows")
@@ -186,7 +228,8 @@ def parse_dataset(path, family: str) -> Dataset:
     from the header's, a header fault, the first faulty row (its cells
     checked in the order id, label, bin, features), a repeated id, a third
     label."""
-    blocks = _csv_blocks(path)
+    blocks = _csv_blocks(path, lambda name: np.int64 if name == "id" else
+                         float if family == "knn" and _FEATURE_RE.match(name) else object)
     fields = next(blocks)
     ids, codes, features = [np.empty(0, np.int64)], [np.empty(0, np.int8)], []
     bins, coalitions, symbols = [], [], {}  # symbols: each label's first line
@@ -343,7 +386,7 @@ def parse_coalition_file(path) -> Tuple[np.ndarray, List[str]]:
     an int64 array and its coalition cells, in file order.  The first
     faulty row is named: a bad id, an empty coalition id or a repeated id,
     checked in that order."""
-    blocks = _csv_blocks(path)
+    blocks = _csv_blocks(path, lambda name: np.int64 if name == "id" else object)
     fields = next(blocks)
     ids, cells, memo = [np.empty(0, np.int64)], [], {}
     try:

@@ -377,10 +377,9 @@ class MajorityValueFunction(FrequencyValueFunction):
         da, db = (0, 1) if label_matches else (1, 0)
         tie = Fraction(delta_value(self, 0, 0, label_matches))
         off = Fraction(delta_value(self, da, db, label_matches))
-        return sorted(
-            [(c, c, tie) for c in range(min(size_a, size_b) + 1) if tie]
-            + [(c + da, c + db, off) for c in range(min(size_a - da, size_b - db) + 1) if off]
-        )
+        ties = range(min(size_a, size_b) + 1 if tie else 0)  # a zero delta lists no cell
+        offs = range(min(size_a - da, size_b - db) + 1 if off else 0)
+        return sorted([(c, c, tie) for c in ties] + [(c + da, c + db, off) for c in offs])
 
 
 @dataclass(frozen=True)

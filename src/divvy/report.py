@@ -183,7 +183,7 @@ def _long_ints():
         sys.set_int_max_str_digits(cap)
 
 
-def _value_text(values: Sequence[Money], mode: str) -> Tuple[List[str], List[str]]:
+def _value_text(values: np.ndarray, mode: str) -> Tuple[List[str], List[str]]:
     """Values as CSV cells and as JSON literals.  Exact mode: "p/q", quoted
     in JSON.  Float mode: the float repr in both, except that JSON spells
     nan and the infinities as the json module does (NaN, Infinity)."""
@@ -194,8 +194,8 @@ def _value_text(values: Sequence[Money], mode: str) -> Tuple[List[str], List[str
         with _long_ints():
             text = [memo.get(id(v)) or memo.setdefault(id(v), str(Fraction(v))) for v in values]
         return text, [f'"{s}"' for s in text]
-    text = list(map(repr, map(float, values)))
-    if _NON_FINITE_JSON.keys().isdisjoint(text):
+    text = list(map(repr, values.tolist()))
+    if np.isfinite(values).all():
         return text, text
     return text, [_NON_FINITE_JSON.get(s, s) for s in text]
 
@@ -212,7 +212,7 @@ def _text_blocks(ids: np.ndarray, column, mode: str):
     for start in range(0, len(ids), _BLOCK):
         stop = start + _BLOCK
         yield (start, list(map(str, ids[start:stop].tolist())),
-               *_value_text(column[start:stop].tolist(), mode))
+               *_value_text(column[start:stop], mode))
 
 
 def _nested(value, depth: int) -> str:
@@ -272,7 +272,7 @@ def _write(report: ValueReport, out, csv_out=None) -> None:
     out.write('{\n  "meta": ' + _nested(meta, 1) + ',\n  "examples": ')
     _write_list(out, examples(), 1)
     coalitions = report.coalitions  # summed on each read, so read once
-    _, totals = _value_text([v for _, v in coalitions], mode)
+    _, totals = _value_text(_column([v for _, v in coalitions], mode), mode)
     out.write(',\n  "coalitions": ')
     _write_list(out, [[f'    {{\n      "id": {_nested(cid, 3)},\n      "value": {v}\n    }}'
                        for (cid, _), v in zip(coalitions, totals)]], 1)

@@ -6,6 +6,7 @@ import stat
 import sys
 import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -714,3 +715,133 @@ def test_parse_and_write_hold_no_text_column(tmp_path):
     assert parse_peak < 3 * parsed, (parse_peak, parsed)
     written = report.ids.nbytes + report.value_column.nbytes
     assert write_peak < 3 * written, (write_peak, written)
+
+
+def _parsed(parse, path):
+    """What a parse gives, as plain values: a dataset's or a coalition
+    file's columns (feature bits included), or the InputError's message."""
+    try:
+        result = parse(path)
+    except InputError as exc:
+        return str(exc)
+    if isinstance(result, tuple):  # parse_coalition_file
+        return result[0].dtype, result[0].tolist(), result[1]
+    symbols, labels = result.label_column()
+    names, codes = result.coalition_codes()
+    try:
+        features = result.feature_matrix().tobytes()
+    except InputError:  # a frequency dataset has none
+        features = None
+    return (result.id_array().dtype, result.ids, symbols, labels.dtype, labels.tolist(),
+            [ex.bin for ex in result], names, codes.tolist(), features)
+
+
+def _both_readers(monkeypatch, parse, path):
+    """``_parsed`` with numpy's C reader typing what it can, then with
+    csv.reader forced on every block, and the C reader's verdict on each
+    block it was offered."""
+    real, typed, outcomes = divvy_io._typed_block, [], []
+
+    def counted(*args):
+        block = real(*args)
+        typed.append(block is not None)
+        return block
+
+    for reader in (counted, lambda *args: None):
+        monkeypatch.setattr(divvy_io, "_typed_block", reader)
+        outcomes.append(_parsed(parse, path))
+    monkeypatch.setattr(divvy_io, "_typed_block", real)
+    return outcomes, typed
+
+
+def _typed_cases():
+    """(name, family, header, rows) for files the two readers must read
+    alike, each three blocks long."""
+    rng = np.random.default_rng(20)
+    n = 2 * B + 40
+    scaled = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-8, 8, (n, 2))
+    feats = [[repr(x) for x in row] for row in scaled.tolist()]
+    feats[5] = ["-0.0", "1e-310"]
+    knn = [f"{i},{'xy'[i % 3 == 0]},g{i % 5},{a},{b}" for i, (a, b) in enumerate(feats)]
+    freq = [f"{i},b{i % 7},{'xy'[i % 2]},{'' if i % 4 == 0 else f'g{i % 3}'}" for i in range(n)]
+    coal = [f"{i},c{i % 6}" for i in range(n)]
+    kh, fh, ch = "id,label,coalition,f0,f1", "id,bin,label,coalition", "id,coalition"
+
+    def edit(rows, cells):
+        rows = list(rows)
+        for r, cell in cells.items():
+            rows[r] = cell
+        return rows
+
+    late = 2 * B + 7
+    yield "plain", "knn", kh, knn
+    yield "plain", "frequency", fh, freq
+    yield "plain", "coalitions", ch, coal
+    yield "padded", "knn", kh, [" " + r.replace(",", " ,\t") + " " for r in knn]
+    yield "padded", "frequency", fh, [r.replace(",", " , ") for r in freq]
+    yield "padded", "coalitions", ch, [f" {r} " for r in coal]
+    yield "quoted comma", "knn", kh, edit(knn, {3: '3,x,"g,0",1,2'})
+    yield "quoted comma", "coalitions", ch, edit(coal, {late: f'{late},"c,1"'})
+    # the quoted cell opens on the first block's last line and closes on the next
+    yield "quoted newline", "frequency", fh, edit(freq, {B - 1: f'{B - 1},b0,x,"g\n0"'})
+    yield "blank lines", "knn", kh, edit(knn, {2: knn[2] + "\n\n\r\n", late: knn[late] + "\n"})
+    yield "whitespace-only line", "knn", kh, edit(knn, {late: knn[late] + "\n \t"})
+    yield "crlf", "knn", kh, [r + "\r" for r in knn]
+    yield "bare cr", "frequency", fh, ["\r".join(freq)]
+    yield "bare cr", "coalitions", ch, ["\r".join(coal) + "\r\r"]
+    for cell in ("1_000_000", "٣٣٣٣", "Ǿ", "-1", str(2**63), "1.0", ""):
+        yield f"id {cell!r}", "knn", kh, edit(knn, {late: f"{cell},x,g0,1,2"})
+        yield f"id {cell!r}", "coalitions", ch, edit(coal, {4: f"{cell},c0"})
+    for cell in ("1_0.5", "٣.٥", "nan", "inf", "-Infinity", "1e400", "", "1,5", "0x1p3"):
+        yield f"feature {cell!r}", "knn", kh, edit(knn, {late: f"{late},x,g0,1,{cell}"})
+    yield "feature \\x1c", "knn", kh, edit(knn, {9: "9,x,g0,1,\x1c2"})
+    yield "repeated name", "knn", kh + ",f1,label", [f"{r},{i % 3}.5,{'yx'[i % 2]}"
+                                                    for i, r in enumerate(knn)]
+    yield "repeated id", "coalitions", "id,coalition,id", [f"x{r},{i}" for i, r in enumerate(coal)]
+    yield "empty label", "knn", kh, edit(knn, {late: f"{late}, ,g0,1,2"})
+    yield "empty bin", "frequency", fh, edit(freq, {late: f"{late},,x,g0"})
+    yield "empty coalition", "coalitions", ch, edit(coal, {late: f"{late},\t"})
+    yield "non-ascii label", "knn", kh, [r.replace(",y,", ",é,") for r in knn]
+    # csv.reader refuses a cell past its limit, quoted or not
+    for cell in ("x" * 131_073, '"' + "x" * 131_073 + '"', "x" * 100_000):
+        yield f"{len(cell)}-character cell", "coalitions", ch, edit(coal, {late: f"{late},{cell}"})
+    yield "third label late", "frequency", fh, edit(freq, {late: f"{late},b0,z,"})
+    yield "duplicate id late", "knn", kh, edit(knn, {late: "3,x,g0,1,2"})
+    yield "duplicate id late", "coalitions", ch, edit(coal, {late: "3,c0"})
+    yield "wrong count after a fault", "knn", kh, edit(knn, {3: "3,,g0,1,2", late: f"{late},x,1,2"})
+    yield "wrong count after a fault", "coalitions", ch, edit(coal, {3: "3,", late: "9"})
+
+
+def test_typed_reader_matches_csv_reader(tmp_path, monkeypatch):
+    # numpy's C reader types the blocks it can and csv.reader the rest; on
+    # every file both give the same columns, bit for bit, or the same fault
+    parsers = {"knn": lambda p: parse_dataset(p, "knn"),
+               "frequency": lambda p: parse_dataset(p, "frequency"),
+               "coalitions": parse_coalition_file}
+    verdicts = {}
+    for name, family, header, rows in _typed_cases():
+        path = tmp_path / "d.csv"
+        path.write_bytes((header + "\n" + "\n".join(rows) + "\n").encode())
+        (typed, forced), verdicts[name, family] = _both_readers(monkeypatch, parsers[family], path)
+        assert typed == forced, (name, family)
+    # the cases above are not all read by csv.reader: plain, padded and
+    # blank-lined files are typed in C throughout
+    for key in [("plain", "knn"), ("plain", "frequency"), ("plain", "coalitions"),
+                ("padded", "knn"), ("padded", "coalitions"), ("blank lines", "knn"),
+                ("crlf", "knn"), ("bare cr", "frequency")]:
+        assert verdicts[key] and all(verdicts[key]), key
+    assert verdicts["id '-1'", "knn"] == [True, True, False]  # only its block is read again
+    assert verdicts["quoted comma", "knn"] == [], "a quote hands the file to csv.reader"
+
+
+def test_typed_reader_lets_no_warning_through(tmp_path):
+    # a header-only file and an all-blank body read as no rows, as before,
+    # without numpy's "input contained no data" warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for body in ("", "\n", "\n\r\n\r\n" * B):
+            path = _write(tmp_path, "d.csv", "id,label,f0\n" + body)
+            assert parse_dataset(path, "knn").ids == []
+            path.write_bytes(("id,coalition\n" + body).encode())
+            ids, cells = parse_coalition_file(path)
+            assert ids.tolist() == [] and cells == []
