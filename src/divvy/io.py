@@ -7,8 +7,8 @@ JSON), label,f0..fd for k-NN.  Value functions are JSON documents; numeric
 literals in them are parsed as exact decimals.
 
 CSV files are read in blocks of lines, each typed in one call by numpy's C
-reader where it reads them exactly as csv.reader, int() and float() would,
-and by csv.reader and Python otherwise: same values, same messages."""
+reader (numpy 2.4 on) where it reads them as csv.reader, int() and float()
+would, and by csv.reader and Python otherwise: same values, same messages."""
 
 from __future__ import annotations
 
@@ -45,6 +45,9 @@ _FEATURE_RE = re.compile(r"^f(\d+)$")
 # of cell strings is ever held and a block's lists die young, before they
 # reach the garbage collector's oldest generation.
 _BLOCK = 512
+# numpy before 2.4 is not checked against csv.reader, int() and float() (1.x
+# reads an int64 cell "1.7" as 1, only warning): csv.reader reads every block.
+_C_TYPED = np.lib.NumpyVersion(np.__version__) >= "2.4.0"
 
 
 def _csv_blocks(path, kind=lambda name: object):
@@ -100,7 +103,7 @@ def _typed_block(lines: List[str], text: str, dtype: np.dtype):
     non-ASCII letters as digits), a line past csv.reader's cell limit (which
     it refuses), a cell the C reader refuses, or a value out of range."""
     limit = csv.field_size_limit()
-    if (not text.isascii() or any(map(text.__contains__, "\x1c\x1d\x1e\x1f"))
+    if (not _C_TYPED or not text.isascii() or any(map(text.__contains__, "\x1c\x1d\x1e\x1f"))
             or not text.strip("\r\n") or len(text) > limit and max(map(len, lines)) > limit):
         return None
     try:

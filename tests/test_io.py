@@ -824,6 +824,9 @@ def test_typed_reader_matches_csv_reader(tmp_path, monkeypatch):
         path.write_bytes((header + "\n" + "\n".join(rows) + "\n").encode())
         (typed, forced), verdicts[name, family] = _both_readers(monkeypatch, parsers[family], path)
         assert typed == forced, (name, family)
+    if not divvy_io._C_TYPED:  # numpy before 2.4: csv.reader reads every block
+        assert not any(map(any, verdicts.values()))
+        return
     # the cases above are not all read by csv.reader: plain, padded and
     # blank-lined files are typed in C throughout
     for key in [("plain", "knn"), ("plain", "frequency"), ("plain", "coalitions"),
@@ -832,6 +835,24 @@ def test_typed_reader_matches_csv_reader(tmp_path, monkeypatch):
         assert verdicts[key] and all(verdicts[key]), key
     assert verdicts["id '-1'", "knn"] == [True, True, False]  # only its block is read again
     assert verdicts["quoted comma", "knn"] == [], "a quote hands the file to csv.reader"
+
+
+def test_numpy_before_2_4_reads_every_block_through_csv_reader(tmp_path, monkeypatch):
+    # numpy 1.x's C reader reads an int64 cell "1.7" as 1, with only a
+    # DeprecationWarning; below 2.4 it is never called and such an id is refused
+    calls = []
+    monkeypatch.setattr(divvy_io, "_C_TYPED", False)
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append(args))
+    rows = "".join(f"{i},{'xy'[i % 2]},{i}.5\n" for i in range(B + 2))
+    path = _write(tmp_path, "d.csv", "id,label,f0\n" + rows)
+    assert parse_dataset(path, "knn").ids == list(range(B + 2))
+    path.write_text("id,label,f0\n" + rows + "1.7,x,1\n")
+    with pytest.raises(InputError, match=rf"line {B + 4}: id '1.7' is not an integer"):
+        parse_dataset(path, "knn")
+    path.write_text("id,coalition\n0,a\n1e3,b\n")
+    with pytest.raises(InputError, match=r"line 3: id '1e3' is not an integer"):
+        parse_coalition_file(path)
+    assert calls == []
 
 
 def test_typed_reader_lets_no_warning_through(tmp_path):
