@@ -7,7 +7,11 @@ coalition contribute: one expansion of Owen's multilinear extension over a
 dense array (``owen_precede_distribution``), which the k-NN Owen
 computation shares.  The inner layer is the probability that a prefix of
 the target coalition's own in-bin members precedes the example, correlated
-with the law at the critical entries.  Out-of-bin members of any coalition
+with the law at the critical entries.  For a rule of a - b alone those
+probabilities summed along a diagonal are a prefix sum of one binomial row
+(``_diagonal_sums``), so its law of a - b is read against them at the
+critical diagonals, with no within-coalition grid; a table rule's law of
+(a, b) is convolved with the grid.  Out-of-bin members of any coalition
 never move the value, so they are ignored throughout.
 """
 
@@ -43,33 +47,43 @@ GRID_BUDGET_BYTES = 2**28
 
 @dataclass(frozen=True)
 class CriticalSet:
-    """Count pairs (a, b) where one more example of the fixed label class
-    changes the value, with the (exact) deltas."""
+    """Count pairs (a, b) of the box [0, size_a] x [0, size_b] where one more
+    example of the fixed label class changes the value, with the (exact)
+    deltas: listed cell by cell, or for a rule of a - b alone as
+    ``diagonals``, each diagonal a - b = d that crosses the box with its
+    one delta."""
 
-    entries: Tuple[Tuple[int, int, Fraction], ...]
+    size: CountPair
+    cells: Tuple[Tuple[int, int, Fraction], ...] = ()
+    diagonals: Optional[dict] = None
+
+    @cached_property
+    def entries(self) -> Tuple[Tuple[int, int, Fraction], ...]:
+        """Every critical cell (a, b, delta), in (a, b) order."""
+        if self.diagonals is None:
+            return self.cells
+        size_a, size_b = self.size
+        return tuple(sorted((b + d, b, x) for d, x in self.diagonals.items()
+                            for b in range(max(-d, 0), min(size_b, size_a - d) + 1)))
 
     @cached_property
     def columns(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The entries' cells as arrays: a, and b."""
-        a, b, _ = zip(*self.entries) if self.entries else ((), (), ())
+        """The cells as arrays: a, and b."""
+        a, b, _ = zip(*self.cells) if self.cells else ((), (), ())
         return np.array(a, dtype=np.intp), np.array(b, dtype=np.intp)
 
     @cached_property
     def scaled(self) -> Tuple[int, np.ndarray]:
-        """The deltas over their common denominator: it, and each entry's
-        integer numerator over it, as an object array.  A rule repeats a few
-        delta objects, and each is scaled once."""
-        deltas = [d for _, _, d in self.entries]
+        """The deltas over their common denominator: it, and the integer
+        numerator of each cell's delta, or each diagonal's, over it, as an
+        object array.  A rule repeats a few delta objects, and each is
+        scaled once."""
+        deltas = [*self.diagonals.values()] if self.diagonals is not None else [
+            x for *_, x in self.cells]
         distinct = dict(zip(map(id, deltas), deltas))
         den = math.lcm(*(d.denominator for d in distinct.values()))
         num = {i: d.numerator * (den // d.denominator) for i, d in distinct.items()}
         return den, np.array(list(map(num.__getitem__, map(id, deltas))), object)
-
-    @cached_property
-    def diagonals(self) -> dict:
-        """Each diagonal a - b the entries touch, with the index of an entry
-        on it: the rules of a - b alone have one delta per diagonal."""
-        return {a - b: i for i, (a, b, _) in enumerate(self.entries)}
 
 
 def critical_set(
@@ -79,10 +93,14 @@ def critical_set(
     label_matches: bool,
 ) -> CriticalSet:
     """All (a, b) with 0 <= a <= size_a, 0 <= b <= size_b and a non-zero
-    delta for the given label class, as the value function lists them."""
+    delta for the given label class, as the value function lists them: by
+    diagonal for a rule of a - b alone."""
     if size_a < 0 or size_b < 0:
         raise InputError("critical_set needs non-negative box sizes")
-    return CriticalSet(tuple(vf.critical_cells(size_a, size_b, label_matches)))
+    if vf.by_difference:
+        return CriticalSet((size_a, size_b), diagonals=vf.critical_diagonals(
+            size_a, size_b, label_matches))
+    return CriticalSet((size_a, size_b), tuple(vf.critical_cells(size_a, size_b, label_matches)))
 
 
 @dataclass(frozen=True)
@@ -294,6 +312,56 @@ def _convolve_at(x: np.ndarray, y: np.ndarray, a: np.ndarray, b: np.ndarray, d: 
     return sum(d @ padded[a[:, None] + p, cols] @ x[pa - p, ::-1] for p in range(pa + 1))
 
 
+def _row_prefix(t: int, j: int, term: int) -> int:
+    """The sum S(j) of C(t, i) over i <= j <= t / 2, given term = C(t, j), by
+    binary splitting (Haible & Papanikolaou 1998) over the row's shorter
+    stretch: up from 0, or down from h = floor(t / 2), where the row's
+    symmetry makes S(h) 2^(t - 1), plus C(t, h) / 2 for an even t."""
+    def split(lo, hi):  # P / Q = C(t, hi - 1) / C(t, lo - 1), and T / Q the sum from lo
+        if hi - lo <= 16:
+            p, q, total = 1, 1, 0
+            for i in range(lo, hi):  # C(t, i) / C(t, i - 1) = (t - i + 1) / i
+                total, p, q = total * i + p * (t - i + 1), p * (t - i + 1), q * i
+            return p, q, total
+        (p1, q1, t1), (p2, q2, t2) = split(lo, (lo + hi) // 2), split((lo + hi) // 2, hi)
+        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+    if j < t // 2 - j:
+        _, q, total = split(1, j + 1)
+        return 1 + total // q
+    p, q, total = split(j + 1, t // 2 + 1)
+    return (1 << t - 1) - term * (2 * total - (t % 2 == 0) * p) // (2 * q)
+
+
+def _diagonal_sums(size_a: int, size_b: int, lo: int, hi: int, exact: bool):
+    """``_prefix_weights`` summed along diagonals, from one binomial row: the
+    cells of the box on a - b = d weigh S(j) / (t C(t - 1, size_a)) in all,
+    with t = size_a + size_b + 1, j = min(size_a, size_b, size_a - d,
+    size_b + d) and S as in ``_row_prefix`` (0 for j < 0).  Returns S(j) at
+    entry j - lo + 1 for lo <= j <= hi, 0 at entry 0, and the denominator;
+    in float, each S(j) divided by it, rounded once, over 1.
+
+    Proof, for a box A x B: C(x + y, x) C(A + B - x - y, A - x) counts the
+    lattice paths from (0, 0) to (A, B) through (x, y), so the diagonal's
+    sum F(A, B, d) counts (path, visit to the diagonal) pairs.  A path's
+    last step ends at (A, B) from (A - 1, B) or (A, B - 1), so
+    F(A, B, d) = F(A - 1, B, d) + F(A, B - 1, d) + [d = A - B] C(A + B, A).
+    On the right j = min(u, v), u = A - max(d, 0), v = B - max(-d, 0), and
+    the boxes (A - 1, B) and (A, B - 1) lower u and v by one.  Pascal's rule
+    makes S(j) of row t S(j) + S(j - 1) of row t - 1: the two smaller boxes'
+    sums if u != v; if u = v (d = A - B) both have j - 1, and C(A + B, j) =
+    C(A + B, A) is left over.  Both sides vanish when A or B is -1, so they
+    agree by induction on A + B."""
+    t, short = size_a + size_b + 1, min(size_a, size_b)
+    term = math.comb(t, hi)  # t C(t - 1, size_a) = C(t, short) (1 + the longer side)
+    den = (term if hi == short else math.comb(t, short)) * (t - short)
+    total = _row_prefix(t, hi, term)
+    sums = np.zeros(hi - lo + 2, object if exact else float)
+    for j in range(hi, lo - 1, -1):
+        sums[j - lo + 1] = total if exact else total / den
+        total, term = total - term, term * j // (t - j + 1)
+    return sums, den if exact else 1
+
+
 def _fft_len(n: int) -> int:
     """Smallest 2^i 3^j 5^k >= n; a prime length takes several times longer."""
     k = n
@@ -306,17 +374,38 @@ def _fft_len(n: int) -> int:
 def _value_from_distribution(dist: PrecedeDistribution, crit: CriticalSet, a_m: int, b_m: int,
                              mode: str) -> Money:
     """Inner Owen sum: the deltas weighted by (others-ahead counts)
-    convolved with the within-coalition prefix weights.  A one-cell law is
-    the point mass at the origin: in both modes, each critical cell's
-    integer weight times its delta's numerator is summed as the walk makes
-    it, so a float value is the exact one rounded once, by the closing
-    division.  A law of a - b alone (``by_difference`` rules) is convolved
-    with the weights summed along each diagonal a' - b' and read once per
-    critical diagonal: every cell of a diagonal lies inside the box."""
+    convolved with the within-coalition prefix weights.  A rule of a - b
+    alone reads a law of a - b: each critical diagonal c is one dot product
+    of the law with ``_diagonal_sums`` at the target's a - b = c minus the
+    others', every cell of which lies inside the box.  Any other rule
+    convolves its law of (a, b) with the box of prefix weights.  A one-cell
+    law is the point mass at the origin: in both modes each critical
+    integer weight times its delta's numerator is summed, so a float value
+    is the exact one rounded once, by the closing division."""
     exact = mode == EXACT
     den, deltas = crit.scaled
     law = dist.weights
-    if law.size == 1:  # weight 1 over scale 1, in either mode
+    ints = exact or law.size == 1  # weight 1 over scale 1, in either mode
+    if crit.diagonals is not None:
+        c = [*crit.diagonals] or [0]  # ascending
+        low, top = c[0] - dist.origin[0] - law.size + 1, c[-1] - dist.origin[0]  # target a - b
+        short = min(a_m, b_m)  # the j of a diagonal a - b = r is min(short, a_m - r, b_m + r)
+        lo, hi = max(min(short, a_m - top, b_m + low), 0), min(short, a_m - low, b_m + top)
+        if hi < 0 or not crit.diagonals:
+            return to_money(0, mode)
+        if exact:  # as the box was: an int below 2^t per entry
+            cell = 8 + sys.getsizeof(1 << a_m + b_m + 1)
+            _guard((hi - lo + 2) * cell, "within-coalition diagonal sums")
+        sums, w_den = _diagonal_sums(a_m, b_m, lo, hi, ints)
+        r = np.arange(low, top + 1)
+        by_diff = sums[np.maximum(np.minimum(np.minimum(a_m - r, b_m + r), short) - lo + 1, 0)]
+        # the law against by_diff, one dot product per diagonal from c[0] up
+        along = (by_diff if law.size == 1 else np.convolve(by_diff, law, "valid"))[
+            np.subtract(c, c[0])]
+        # float mode reads each delta as numerator / den, rounded once, and
+        # has nothing left to divide: a numerator alone can pass 1e308
+        total = deltas @ along if ints else along @ (deltas / den).astype(float)
+    elif law.size == 1:
         a, b = crit.columns
         inside = np.flatnonzero((a <= a_m) & (b <= b_m))
         d = deltas[inside].tolist()
@@ -328,23 +417,14 @@ def _value_from_distribution(dist: PrecedeDistribution, crit: CriticalSet, a_m: 
         _guard((a_m + 1) * (b_m + 1) * cell, "within-coalition grid")
         box = np.arange(a_m + 1)[:, None], np.arange(b_m + 1)
         within, w_den = _prefix_weights(a_m, b_m, *box, mode)
-        # float mode reads each delta as numerator / den, rounded once, and
-        # has nothing left to divide: a numerator alone can pass 1e308
-        if law.ndim == 1:
-            by_diff = np.zeros(a_m + b_m + 1, law.dtype)  # a' - b' from -b_m up
-            np.add.at(by_diff, (box[0] - box[1] + b_m).ravel(), within.ravel())
-            conv = np.convolve(law, by_diff)
-            at = b_m - dist.origin[0]  # conv[at + d] weighs a - b = d
-            total = sum(conv[at + c] * (deltas[i] if exact else deltas[i] / den)
-                        for c, i in crit.diagonals.items() if 0 <= at + c < len(conv))
-        elif exact:
+        if exact:
             total = _convolve_at(law, within, *crit.columns, deltas)
         else:
             shape = [_fft_len(m + n - 1) for m, n in zip(law.shape, within.shape)]
             conv = np.fft.irfft2(np.fft.rfft2(law, shape) * np.fft.rfft2(within, shape), shape)
             total = conv[crit.columns] @ (deltas / den).astype(float)
-        if not exact:
-            return float(total)
+    if not ints:
+        return float(total)
     scale = den * dist.scale * w_den
     return Fraction(total, scale) if exact else float(total / scale)
 

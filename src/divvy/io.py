@@ -150,7 +150,7 @@ def _parse_id(raw, path, line) -> int:
 
 
 def _parse_feature(raw, path, line, col) -> float:
-    if raw == "":
+    if not raw.strip():
         raise InputError(f"{path} line {line}: missing value in feature column {col}")
     try:
         v = float(raw)
@@ -200,10 +200,12 @@ def _row_fault(path, columns, line, empty: dict, feature_cols=(), seen=None) -> 
     row's id, then that no ``empty`` cell (column: its name in messages) is
     empty, then that its id is not in ``seen`` (if given), then its
     features.  Run once the block's typing has failed, to name the line;
-    cells the block reader typed are valid, so they pass as text."""
+    cells the block reader typed are valid, so they pass as text.  Ids and
+    features are read raw, by int() and float() as the typing reads them:
+    str.strip() would also drop \x1c-\x1f, which those refuse."""
     try:
         for r, raw_id in enumerate(columns["id"]):
-            ex_id = _parse_id(str(raw_id).strip(), path, line + r)
+            ex_id = _parse_id(str(raw_id), path, line + r)
             for col, what in empty.items():
                 if not columns[col][r].strip():
                     raise InputError(f"{path} line {line + r}: empty {what}")
@@ -212,7 +214,7 @@ def _row_fault(path, columns, line, empty: dict, feature_cols=(), seen=None) -> 
                     raise InputError(f"{path} line {line + r}: duplicate id {ex_id}")
                 seen.add(ex_id)
             for c in feature_cols:
-                _parse_feature(str(columns[c][r]).strip(), path, line + r, c)
+                _parse_feature(str(columns[c][r]), path, line + r, c)
     except InputError as exc:
         return exc
     return InputError(f"{path}: malformed rows")

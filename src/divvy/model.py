@@ -335,7 +335,8 @@ class FrequencyValueFunction:
 
     A subclass implements ``value``; it may override ``critical_cells`` with
     a faster listing of the same cells, and sets ``by_difference`` only when
-    the value depends on a - b alone."""
+    the value depends on a - b alone (its critical cells are then read as
+    ``critical_diagonals``)."""
 
     by_difference = False
 
@@ -349,6 +350,12 @@ class FrequencyValueFunction:
         cells = ((a, b, Fraction(delta_value(self, a, b, label_matches)))
                  for a in range(size_a + 1) for b in range(size_b + 1))
         return [cell for cell in cells if cell[2]]
+
+    def critical_diagonals(self, size_a: int, size_b: int, label_matches: bool) -> dict:
+        """For a rule of a - b alone: each diagonal a - b = d that crosses the
+        box and holds critical cells, with its one delta, in d order."""
+        cells = self.critical_cells(size_a, size_b, label_matches)
+        return dict(sorted((a - b, x) for a, b, x in cells))
 
 
 @dataclass(frozen=True)
@@ -371,15 +378,14 @@ class MajorityValueFunction(FrequencyValueFunction):
             return self.wrong
         return self.none
 
-    def critical_cells(self, size_a: int, size_b: int, label_matches: bool) -> list:
-        # adding a match moves the value only on a == b and b == a + 1, a
-        # mismatch only on a == b and a == b + 1; each diagonal has one delta
+    def critical_diagonals(self, size_a: int, size_b: int, label_matches: bool) -> dict:
+        # adding a match moves the value only on a - b = 0 and -1, a mismatch
+        # only on a - b = 0 and 1; a diagonal crosses the box if -size_b <= d <= size_a
         da, db = (0, 1) if label_matches else (1, 0)
-        tie = Fraction(delta_value(self, 0, 0, label_matches))
-        off = Fraction(delta_value(self, da, db, label_matches))
-        ties = range(min(size_a, size_b) + 1 if tie else 0)  # a zero delta lists no cell
-        offs = range(min(size_a - da, size_b - db) + 1 if off else 0)
-        return sorted([(c, c, tie) for c in ties] + [(c + da, c + db, off) for c in offs])
+        deltas = {da - db: delta_value(self, da, db, label_matches),
+                  0: delta_value(self, 0, 0, label_matches)}
+        return {d: Fraction(x) for d, x in sorted(deltas.items())  # a zero delta lists none
+                if x and -size_b <= d <= size_a}
 
 
 @dataclass(frozen=True)

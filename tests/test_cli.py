@@ -407,22 +407,34 @@ def test_oracle_frequency_requires_value(big_freq, capsys):
     assert "--value" in capsys.readouterr().err
 
 
+# a table with a default still convolves its (a, b) law with the 2-D box
+# of within-coalition prefix weights; a majority rule reads diagonal sums
+_TABLE_WITH_DEFAULT = '{"family": "table", "default": 0, "entries": [{"a": 1, "b": 0, "value": 1}]}'
+_MAJORITY = '{"family": "majority", "correct": %d, "wrong": -1, "none": 0}'
+
+
+def _coalition_totals(out):
+    """The Fraction sum of a report's coalition totals: its examples' sum."""
+    return sum(Fraction(str(c["value"])) for c in json.loads(out.read_text())["coalitions"])
+
+
 @pytest.mark.parametrize("numeric", ["float", "exact"])
 def test_owen_freq_grid_guard_exits_2_before_allocating(tmp_path, capsys, numeric):
     # one bin: a coalition of 5,800 + 5,800 examples and one of a single
-    # match, so the large coalition's law has two cells and its
-    # within-coalition grid is 5,800 x 5,801 (~257 MiB of float64 or of
-    # object pointers), over the fixed budget
+    # match, so under a table rule the large coalition's law has two cells
+    # and its within-coalition grid is 5,800 x 5,801 (~257 MiB of float64 or
+    # of object pointers), over the fixed budget; a majority rule of the
+    # same bin computes, and its values sum to v(N) - v(empty) = 1
     data = tmp_path / "wide.csv"
     rows = ["id,bin,label,coalition"]
     rows += [f"{i},b0,{'xy'[i % 2]},g{i // 11600}" for i in range(11601)]
     data.write_text("\n".join(rows) + "\n")
     queries = tmp_path / "q.csv"
     queries.write_text("bin,label\nb0,x\n")
-    vf = tmp_path / "v.json"
-    vf.write_text('{"family": "majority", "correct": 1, "wrong": -1, "none": 0}')
+    vf, out = tmp_path / "v.json", tmp_path / "out.json"
     argv = ["owen-freq", "--data", str(data), "--queries", str(queries), "--value", str(vf),
-            "--numeric", numeric]
+            "--numeric", numeric, "--out", str(out)]
+    vf.write_text(_TABLE_WITH_DEFAULT)
     tracemalloc.start()
     try:
         assert run_command(argv) == 2
@@ -431,14 +443,20 @@ def test_owen_freq_grid_guard_exits_2_before_allocating(tmp_path, capsys, numeri
         tracemalloc.stop()
     assert "MiB budget" in capsys.readouterr().err
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MiB: the grid was allocated"
+    vf.write_text(_MAJORITY % 1)
+    assert run_command(argv) == 0
+    total = _coalition_totals(out)
+    assert total == 1 if numeric == "exact" else abs(total - 1) <= 1e-9, total
 
 
 def test_exact_within_grid_guard_counts_int_cells(tmp_path, monkeypatch, capsys):
     # one bin: a coalition of 40 + 40 examples and two more of tallies
-    # (1, 0) and (0, 2), so the large coalition's law has several cells and
-    # its within-coalition grid is 40 x 41.  That is 13,120 bytes at 8
-    # bytes a cell, but an exact cell also holds an int of ~2^82 (36
-    # bytes), ~72 KB in all: over a 32 KiB budget in exact mode alone
+    # (1, 0) and (0, 2), so under a table rule the large coalition's law has
+    # several cells and its within-coalition grid is 40 x 41.  That is
+    # 13,120 bytes at 8 bytes a cell, but an exact cell also holds an int of
+    # ~2^82 (36 bytes), ~72 KB in all: over a 32 KiB budget in exact mode
+    # alone.  A majority rule of the same bin computes in both modes, and
+    # its values sum to v(N) - v(empty) = -1
     monkeypatch.setattr(freq_owen, "GRID_BUDGET_BYTES", 2**15)
     data = tmp_path / "d.csv"
     rows = [f"{i},b0,{'xy'[i % 2]},g0" for i in range(80)]
@@ -446,13 +464,18 @@ def test_exact_within_grid_guard_counts_int_cells(tmp_path, monkeypatch, capsys)
     data.write_text("id,bin,label,coalition\n" + "\n".join(rows) + "\n")
     queries = tmp_path / "q.csv"
     queries.write_text("bin,label\nb0,x\n")
-    vf = tmp_path / "v.json"
-    vf.write_text('{"family": "majority", "correct": 3, "wrong": -1, "none": 0}')
+    vf, out = tmp_path / "v.json", tmp_path / "out.json"
     argv = ["owen-freq", "--data", str(data), "--queries", str(queries), "--value", str(vf),
-            "--out", str(tmp_path / "out.json"), "--numeric"]
+            "--out", str(out), "--numeric"]
+    vf.write_text(_TABLE_WITH_DEFAULT)
     assert run_command(argv + ["float"]) == 0
     assert run_command(argv + ["exact"]) == 2
     assert "within-coalition grid" in capsys.readouterr().err
+    vf.write_text(_MAJORITY % 3)
+    assert run_command(argv + ["exact"]) == 0
+    assert _coalition_totals(out) == -1
+    assert run_command(argv + ["float"]) == 0
+    assert abs(_coalition_totals(out) + 1) <= 1e-9
 
 
 @pytest.mark.parametrize("flag, bad", [("--samples", "-3"), ("--seed", "-1")])
@@ -517,12 +540,14 @@ def test_no_module_imports_scipy():
 
 @pytest.mark.parametrize("numeric", ["float", "exact"])
 def test_one_cell_laws_build_no_within_grid(tmp_path, monkeypatch, capsys, numeric):
-    # With a 64-byte budget a within-coalition grid of more than 8 cells is
-    # refused.  A preceder law of one cell (no other coalition moves the
-    # bin's counts: every shapley-freq value, and an owen-freq target alone
-    # in its bin) reads the prefix weights at the critical cells alone, so
-    # it computes, and matches the oracle; a two-cell law still exits 2.
-    monkeypatch.setattr(freq_owen, "GRID_BUDGET_BYTES", 64)
+    # With a budget of 64 bytes (float) or 256 (exact) a within-coalition
+    # grid of more than 8 cells, or 7 cells of ints, is refused.  A preceder
+    # law of one cell (no other coalition moves the bin's counts: every
+    # shapley-freq value, and an owen-freq target alone in its bin) reads
+    # the prefix weights at the critical cells alone, so it computes, and
+    # matches the oracle.  So does a majority rule's two-cell law, which
+    # reads at most 4 diagonal sums; a table rule's still exits 2.
+    monkeypatch.setattr(freq_owen, "GRID_BUDGET_BYTES", 64 if numeric == "float" else 256)
     vf = tmp_path / "v.json"
     vf.write_text('{"family": "majority", "correct": 3, "wrong": -1, "none": 0}')
     payout = divvy.io.parse_value_function(vf)
@@ -560,7 +585,12 @@ def test_one_cell_laws_build_no_within_grid(tmp_path, monkeypatch, capsys, numer
 
     assert run("shapley-freq", lone, [("b0", "x"), ("b0", "y")])[0] == 0
     assert run("owen-freq", lone + shared, [("b0", "x")])[0] == 0
-    # g1 shares its bin with g2: its law has two cells and its grid 3 x 3
+    # g1 shares its bin with g2: its law has two cells
+    assert run("owen-freq", lone + shared, [("b1", "x")])[0] == 0
+    # but under a table rule its law is of (a, b) and its grid 3 x 3 (72
+    # bytes, or 324 of ints): one of them is over the budget
+    vf.write_text(_TABLE_WITH_DEFAULT)
+    payout = divvy.io.parse_value_function(vf)
     assert run("owen-freq", lone + shared, [("b1", "x")])[0] == 2
     assert "budget" in capsys.readouterr().err
 

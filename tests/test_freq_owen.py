@@ -1,8 +1,10 @@
 """Owen values for frequency rules: the preceder law and full pipeline."""
 
+import collections
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -322,11 +324,60 @@ def test_exact_prefix_weights_match_the_formula():
         assert all(type(w) is int for w in got.tolist())
 
 
+def test_row_prefix_sums_either_stretch_of_the_row():
+    # up from 0 when j is under a quarter of the row, else down from its
+    # middle: both give the plain sum of binomials, for odd and even rows
+    rng = random.Random(21)
+    cases = [(t, j) for t in range(1, 80) for j in range(t // 2 + 1)]
+    cases += [(t, rng.randint(0, t // 2)) for t in (2_001, 3_000, 4_097) for _ in range(4)]
+    for t, j in cases:
+        want = sum(math.comb(t, i) for i in range(j + 1))
+        assert freq_owen._row_prefix(t, j, math.comb(t, j)) == want, (t, j)
+
+
+def test_diagonal_sums_equal_the_walk_on_every_diagonal():
+    # the one-row identity, exhaustively: in every box up to 30 x 30, the
+    # walk's ints summed along each diagonal a - b = d (empty ones too) are
+    # S(min(A, B, A - d, B + d)), over the walk's denominator
+    for size_a in range(31):
+        for size_b in range(31):
+            a, b = (g.ravel() for g in np.indices((size_a + 1, size_b + 1)))
+            walked = collections.Counter()
+            for i, w in freq_owen._diagonal_walk(size_a, size_b, a, b):
+                walked[int(a[i] - b[i])] += w
+            top = min(size_a, size_b)
+            sums, den = freq_owen._diagonal_sums(size_a, size_b, 0, top, True)
+            assert den == (size_a + size_b + 1) * math.comb(size_a + size_b, size_a)
+            for d in range(-size_b - 2, size_a + 3):
+                j = min(size_a, size_b, size_a - d, size_b + d)
+                assert (sums[j + 1] if j >= 0 else 0) == walked[d], (size_a, size_b, d)
+            # a sub-range holds the same entries over the same denominator
+            for lo, hi in [(top // 2, top), (0, top // 2), (top // 3, 2 * top // 3)]:
+                part = freq_owen._diagonal_sums(size_a, size_b, lo, hi, True)
+                assert part[0].tolist() == [0, *sums[lo + 1 : hi + 2].tolist()], (size_a, size_b)
+                assert part[1] == den, (size_a, size_b, lo, hi)
+
+
+def test_float_diagonal_sums_are_the_exact_ones_rounded_once():
+    # box-free float weights: each exact sum over its denominator, rounded
+    # once, so within 1e-12 relative of exact wherever that is a normal
+    # float (the first weights of a 400 x 1,000 box are ~1e-360, and 0.0)
+    for size_a, size_b in [(0, 0), (3, 9), (30, 30), (400, 1_000), (2_500, 2_500), (5_000, 20)]:
+        top = min(size_a, size_b)
+        exact, den = freq_owen._diagonal_sums(size_a, size_b, 0, top, True)
+        approx, one = freq_owen._diagonal_sums(size_a, size_b, 0, top, False)
+        assert one == 1 and approx.dtype == float
+        for e, f in zip(exact.tolist(), approx.tolist()):
+            assert f == float(Fraction(e, den)), (size_a, size_b)
+            if Fraction(e, den) >= sys.float_info.min:
+                assert relative_gap(Fraction(e, den), Fraction(f)) <= 1e-12, (size_a, size_b)
+
+
 def test_exact_weights_cost_no_more_binomials_on_a_larger_bin(monkeypatch):
-    # a majority rule's critical cells lie on two diagonals: one math.comb
-    # pair seeds each, and the denominator costs one more, per label class
-    # and whatever the bin's size: 11 calls here (two per cell made 1,603
-    # and 6,403)
+    # a majority value reads prefix sums of one binomial row: a math.comb
+    # for its term, and one for the denominator where the sums stop short of
+    # min(A, B), per label class and whatever the bin's size: 3 calls here
+    # (11 walking the diagonals; two per cell made 1,603 and 6,403)
     calls = [0]
     real = math.comb
 

@@ -13,6 +13,10 @@ overrides it with the sparse table that has a default.  To rewrite the
 golden files from the program on ``PYTHONPATH``:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It names each file whose values moved, and by how much; a file whose exact
+values moved, or float values by more than 1e-13 relative, is kept unless
+``--accept`` follows.  Float files also stay within 1e-13 of the exact ones.
 """
 
 import csv
@@ -106,6 +110,30 @@ def test_report_bytes_match_golden(name, tmp_path):
         assert report == fh.read()
     with open(os.path.join(GOLDEN, f"{name}.csv"), "rb") as fh:
         assert table == fh.read()
+
+
+def _values(text):
+    """Every value of a JSON report, as Fractions: examples, coalition
+    totals, then each query's values."""
+    doc = json.loads(text)
+    rows = doc["examples"] + doc["coalitions"]
+    rows += [r for q in doc["per_query"] or () for r in q["values"]]
+    return [Fraction(str(r["value"])) for r in rows]
+
+
+def _worst_move(old, new):
+    """The largest relative gap between two equal-length value lists."""
+    return max((abs(x - y) / max(abs(x), abs(y)) for x, y in zip(old, new) if x != y), default=0)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if "-float" in n and "oracle" not in n))
+def test_float_golden_files_track_the_exact_ones(name):
+    # float values are the exact ones up to rounding: within 1e-13 relative
+    with open(os.path.join(GOLDEN, f"{name}.json"), "rb") as fh:
+        approx = _values(fh.read())
+    with open(os.path.join(GOLDEN, f"{name.replace('-float', '-exact')}.json"), "rb") as fh:
+        exact = _values(fh.read())
+    assert len(approx) == len(exact) and _worst_move(exact, approx) <= 1e-13
 
 
 def test_writers_match_json_and_csv_modules(tmp_path):
@@ -203,12 +231,32 @@ def test_empty_report_layout():
 if __name__ == "__main__":
     import tempfile
 
+    # a rewrite may move float values by rounding alone: a file whose values
+    # change in number, or move at all in exact mode or by more than 1e-13
+    # relative in float, is left as it is and named, unless --accept is given
+    refused = []
     with tempfile.TemporaryDirectory() as scratch:
         for name, argv in sorted(CASES.items()):
             report, table = _run(argv, os.path.join(scratch, "r.json"),
                                  os.path.join(scratch, "r.csv"))
+            path = os.path.join(GOLDEN, f"{name}.json")
+            old, new = [], _values(report)
+            if os.path.exists(path):  # a new case has no file yet
+                with open(path, "rb") as fh:
+                    old = _values(fh.read())
+            moved = sum(x != y for x, y in zip(old, new))
+            if moved or old and len(old) != len(new):
+                worst = _worst_move(old, new) if len(old) == len(new) else math.inf
+                print(f"{name}: {moved} of {len(old)} values moved, "
+                      f"by at most {float(worst):.2g} relative", file=sys.stderr)
+                bound = 1e-13 if b'"numeric_mode": "float"' in report else 0
+                if worst > bound and "--accept" not in sys.argv:
+                    refused.append(name)
+                    continue
             with open(os.path.join(GOLDEN, f"{name}.json"), "wb") as fh:
                 fh.write(report)
             with open(os.path.join(GOLDEN, f"{name}.csv"), "wb") as fh:
                 fh.write(table)
             print(f"wrote {name}", file=sys.stderr)
+    if refused:
+        sys.exit(f"not rewritten, values moved past the bound: {', '.join(refused)}")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 import sys
 import threading
@@ -619,6 +620,25 @@ def test_parse_faults_in_later_blocks_name_their_line(tmp_path):
     rows[2 * B] += ",9"
     with pytest.raises(InputError, match=rf"d.csv line {2 * B + 2}: 5 cells, but the header has 4"):
         parse_dataset(_knn_file(tmp_path, rows), "knn")
+
+
+@pytest.mark.parametrize("cell", ["\x1c2", "2\x1f", "\x1e 2"])
+def test_separator_characters_are_refused_at_their_cell(tmp_path, cell):
+    # str.strip() drops \x1c-\x1f, but int() and float() refuse them: a
+    # cell holding one is refused with its line and column, in any block
+    for r in (3, B + 2):
+        rows = _knn_rows(B + 5)
+        rows[r] = f"{r},x,{cell},1"
+        message = rf"d.csv line {r + 2}: f0={re.escape(repr(cell))} is not numeric"
+        with pytest.raises(InputError, match=message):
+            parse_dataset(_knn_file(tmp_path, rows), "knn")
+        rows[r] = f"{cell},x,1,1"
+        message = rf"d.csv line {r + 2}: id {re.escape(repr(cell))} is not an integer"
+        with pytest.raises(InputError, match=message):
+            parse_dataset(_knn_file(tmp_path, rows), "knn")
+    path = _write(tmp_path, "c.csv", f"id,coalition\n0,a\n{cell},b\n")
+    with pytest.raises(InputError, match=rf"c.csv line 3: id {re.escape(repr(cell))} is not"):
+        parse_coalition_file(path)
 
 
 def test_parse_fault_precedence_across_blocks(tmp_path):
