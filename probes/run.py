@@ -24,6 +24,9 @@ Probes:
 
 - ``freq-bin-N``: ``shapley-freq`` on one majority bin of N matches and
   N + 1 mismatches, so each value sums one binomial row of ~2N;
+- ``freq-bin-N-3N``: the same on a lopsided bin of N matches and 3N
+  mismatches, whose row of ~4N is summed over a stretch of ~N terms, not
+  one: the case the row's binary splitting is for;
 - ``owen-freq-box-H``: ``owen-freq`` on one bin of three coalitions,
   (H, H), (H, H) and (H/2, H/3) matches and mismatches, whose within-
   coalition prefix weights once filled an (H + 1) x (H + 1) box per value.
@@ -54,7 +57,7 @@ MAJORITY = {"correct": 100, "wrong": -500, "none": 0}
 
 @dataclass(frozen=True)
 class Probe:
-    kind: str                  # "freq-bin" or "owen-freq-box"
+    kind: str                  # "freq-bin", "freq-bin-lopsided" or "owen-freq-box"
     size: int
     numeric: str = "float"
 
@@ -63,6 +66,7 @@ PROBES = {
     "freq-bin-10k": Probe("freq-bin", 10_000),
     "freq-bin-20k": Probe("freq-bin", 20_000),
     "freq-bin-50k": Probe("freq-bin", 50_000),
+    "freq-bin-25k-75k": Probe("freq-bin-lopsided", 25_000),
     "owen-freq-box-1k": Probe("owen-freq-box", 1_000),
     "owen-freq-box-3k": Probe("owen-freq-box", 3_000),
     "owen-freq-box-5k": Probe("owen-freq-box", 5_000),
@@ -101,6 +105,8 @@ def write_inputs(probe: Probe, seed: int, directory: str):
     n = probe.size
     if probe.kind == "freq-bin":
         command, groups = "shapley-freq", [(None, n, n + 1)]
+    elif probe.kind == "freq-bin-lopsided":
+        command, groups = "shapley-freq", [(None, n, 3 * n)]
     elif probe.kind == "owen-freq-box":
         command, groups = "owen-freq", [("target", n, n), ("even", n, n), ("lean", n // 2, n // 3)]
     else:

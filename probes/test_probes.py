@@ -19,16 +19,17 @@ _spec.loader.exec_module(probes)
 
 def test_the_named_probes():
     assert set(probes.PROBES) == {
-        "freq-bin-10k", "freq-bin-20k", "freq-bin-50k", "owen-freq-box-1k",
+        "freq-bin-10k", "freq-bin-20k", "freq-bin-50k", "freq-bin-25k-75k", "owen-freq-box-1k",
         "owen-freq-box-3k", "owen-freq-box-5k", "owen-freq-box-1k-exact"}
 
 
-@pytest.mark.parametrize("kind, size", [("freq-bin", 30), ("owen-freq-box", 24)])
+@pytest.mark.parametrize("kind, size", [("freq-bin", 30), ("freq-bin-lopsided", 12),
+                                        ("owen-freq-box", 24)])
 @pytest.mark.parametrize("numeric", ["float", "exact"])
 def test_small_probes_pass_their_verdict(kind, size, numeric):
     record = probes.run_probe("small", probes.Probe(kind, size, numeric), seed=3)
     assert record["exit"] == 0 and record["efficiency"]["ok"], record
-    assert record["command"] == {"freq-bin": "shapley-freq", "owen-freq-box": "owen-freq"}[kind]
+    assert record["command"] == ("owen-freq" if kind == "owen-freq-box" else "shapley-freq")
     assert 0 < record["wall_s"] < record["process_s"]
     assert record["peak_rss_mb"] > 0 and record["minor_faults"] >= 0
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .combinatorics import EXACT, Money, check_mode, log_binom, precede_probability
 from .errors import GuardError, InputError
-from .model import Dataset, FrequencyValueFunction, Query, to_money
+from .model import Dataset, FrequencyValueFunction, Query, diagonal_cells, to_money
 from .report import ValueReport, assemble_report
 
 METHOD = "owen-freq"
@@ -51,7 +51,7 @@ class CriticalSet:
     example of the fixed label class changes the value, with the (exact)
     deltas: listed cell by cell, or for a rule of a - b alone as
     ``diagonals``, each diagonal a - b = d that crosses the box with its
-    one delta."""
+    one delta, in d order."""
 
     size: CountPair
     cells: Tuple[Tuple[int, int, Fraction], ...] = ()
@@ -60,11 +60,8 @@ class CriticalSet:
     @cached_property
     def entries(self) -> Tuple[Tuple[int, int, Fraction], ...]:
         """Every critical cell (a, b, delta), in (a, b) order."""
-        if self.diagonals is None:
-            return self.cells
-        size_a, size_b = self.size
-        return tuple(sorted((b + d, b, x) for d, x in self.diagonals.items()
-                            for b in range(max(-d, 0), min(size_b, size_a - d) + 1)))
+        return self.cells if self.diagonals is None else tuple(
+            diagonal_cells(self.diagonals, *self.size))
 
     @cached_property
     def columns(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -97,9 +94,9 @@ def critical_set(
     diagonal for a rule of a - b alone."""
     if size_a < 0 or size_b < 0:
         raise InputError("critical_set needs non-negative box sizes")
-    if vf.by_difference:
-        return CriticalSet((size_a, size_b), diagonals=vf.critical_diagonals(
-            size_a, size_b, label_matches))
+    if vf.by_difference:  # in d order, however the rule lists them
+        diagonals = vf.critical_diagonals(size_a, size_b, label_matches)
+        return CriticalSet((size_a, size_b), diagonals=dict(sorted(diagonals.items())))
     return CriticalSet((size_a, size_b), tuple(vf.critical_cells(size_a, size_b, label_matches)))
 
 
@@ -387,7 +384,7 @@ def _value_from_distribution(dist: PrecedeDistribution, crit: CriticalSet, a_m: 
     law = dist.weights
     ints = exact or law.size == 1  # weight 1 over scale 1, in either mode
     if crit.diagonals is not None:
-        c = [*crit.diagonals] or [0]  # ascending
+        c = [*crit.diagonals] or [0]  # in d order
         low, top = c[0] - dist.origin[0] - law.size + 1, c[-1] - dist.origin[0]  # target a - b
         short = min(a_m, b_m)  # the j of a diagonal a - b = r is min(short, a_m - r, b_m + r)
         lo, hi = max(min(short, a_m - top, b_m + low), 0), min(short, a_m - low, b_m + top)

@@ -353,9 +353,8 @@ class FrequencyValueFunction:
 
     def critical_diagonals(self, size_a: int, size_b: int, label_matches: bool) -> dict:
         """For a rule of a - b alone: each diagonal a - b = d that crosses the
-        box and holds critical cells, with its one delta, in d order."""
-        cells = self.critical_cells(size_a, size_b, label_matches)
-        return dict(sorted((a - b, x) for a, b, x in cells))
+        box and holds critical cells, with its one delta, in any order."""
+        return {a - b: x for a, b, x in self.critical_cells(size_a, size_b, label_matches)}
 
 
 @dataclass(frozen=True)
@@ -384,8 +383,12 @@ class MajorityValueFunction(FrequencyValueFunction):
         da, db = (0, 1) if label_matches else (1, 0)
         deltas = {da - db: delta_value(self, da, db, label_matches),
                   0: delta_value(self, 0, 0, label_matches)}
-        return {d: Fraction(x) for d, x in sorted(deltas.items())  # a zero delta lists none
+        return {d: Fraction(x) for d, x in deltas.items()  # a zero delta lists none
                 if x and -size_b <= d <= size_a}
+
+    def critical_cells(self, size_a: int, size_b: int, label_matches: bool) -> list:
+        diagonals = self.critical_diagonals(size_a, size_b, label_matches)
+        return diagonal_cells(diagonals, size_a, size_b)
 
 
 @dataclass(frozen=True)
@@ -423,6 +426,13 @@ class TableValueFunction(FrequencyValueFunction):
         cells = ((a, b, Fraction(delta_value(self, a, b, label_matches))) for a, b in sorted(near)
                  if 0 <= a <= size_a and 0 <= b <= size_b)
         return [cell for cell in cells if cell[2]]
+
+
+def diagonal_cells(diagonals: Mapping[int, Fraction], size_a: int, size_b: int) -> list:
+    """Each cell (a, b, delta) of the box [0, size_a] x [0, size_b] on a
+    diagonal a - b = d that ``diagonals`` maps to its delta, in (a, b) order."""
+    return sorted((b + d, b, x) for d, x in diagonals.items()
+                  for b in range(max(-d, 0), min(size_b, size_a - d) + 1))
 
 
 def delta_value(vf: FrequencyValueFunction, a: int, b: int, label_matches: bool) -> Numeric:

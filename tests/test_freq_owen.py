@@ -373,6 +373,25 @@ def test_float_diagonal_sums_are_the_exact_ones_rounded_once():
                 assert relative_gap(Fraction(e, den), Fraction(f)) <= 1e-12, (size_a, size_b)
 
 
+def test_a_rule_may_list_its_diagonals_in_any_order():
+    # critical_set sorts them: a rule listing d = 0 before d = -1 reads
+    # the same values as one listing them in d order, with a one-cell law
+    # and with a law of several cells, in both modes
+    class Reversed(MajorityValueFunction):
+        def critical_diagonals(self, size_a, size_b, label_matches):
+            diagonals = super().critical_diagonals(size_a, size_b, label_matches)
+            return dict(reversed(diagonals.items()))
+
+    rule = Reversed(Fraction(100), Fraction(-500), Fraction(0))
+    assert [*rule.critical_diagonals(4, 4, True)] == [0, -1]
+    assert [*freq_owen.critical_set(rule, 4, 4, True).diagonals] == [-1, 0]
+    for others, own, matches in [((), (3, 4), True), (((2, 1), (0, 3)), (4, 2), False),
+                                 (((5, 5), (1, 4), (3, 0)), (2, 6), True)]:
+        for mode in ("float", "exact"):
+            want = owen_frequency_single(others, *own, PAYOUT, matches, mode)
+            assert owen_frequency_single(others, *own, rule, matches, mode) == want
+
+
 def test_exact_weights_cost_no_more_binomials_on_a_larger_bin(monkeypatch):
     # a majority value reads prefix sums of one binomial row: a math.comb
     # for its term, and one for the denominator where the sums stop short of

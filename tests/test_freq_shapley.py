@@ -126,6 +126,7 @@ def test_critical_set_fast_path_equals_full_scan():
             assert (
                 critical_set(maj, size_a, size_b, matches).entries
                 == critical_set(table, size_a, size_b, matches).entries
+                == tuple(maj.critical_cells(size_a, size_b, matches))
             ), (vals, size_a, size_b, matches)
     # a table with a default lists the cells at and one step below its
     # entries; here its entries lie inside, on the edge of and outside the
@@ -181,6 +182,16 @@ def test_critical_cells_cost_what_the_rule_holds():
     for vf_class, args in ((TableValueFunction, table), (MajorityValueFunction, PAYOUT_ARGS)):
         small, large = _value_reads(vf_class, args, 100), _value_reads(vf_class, args, 1000)
         assert small == large and max(large) <= 24, (vf_class, small, large)
+    # a majority rule lists its cells from its two diagonals, called directly too
+    reads = [0]
+
+    class Counting(MajorityValueFunction):
+        def value(self, a, b):
+            reads[0] += 1
+            return super().value(a, b)
+
+    cells = Counting(*PAYOUT_ARGS).critical_cells(1000, 1000, True)
+    assert len(cells) == 2001 and reads[0] <= 4
 
 
 def test_critical_set_drops_zero_deltas():

@@ -15,8 +15,9 @@ golden files from the program on ``PYTHONPATH``:
     PYTHONPATH=src python tests/test_golden.py
 
 It names each file whose values moved, and by how much; a file whose exact
-values moved, or float values by more than 1e-13 relative, is kept unless
-``--accept`` follows.  Float files also stay within 1e-13 of the exact ones.
+values moved, or float values by more than 1e-13 relative, is kept.  To
+rewrite such a file on purpose, delete it first: a case with no file is new
+and is written.  Float files also stay within 1e-13 of the exact ones.
 """
 
 import csv
@@ -233,7 +234,7 @@ if __name__ == "__main__":
 
     # a rewrite may move float values by rounding alone: a file whose values
     # change in number, or move at all in exact mode or by more than 1e-13
-    # relative in float, is left as it is and named, unless --accept is given
+    # relative in float, is left as it is and named
     refused = []
     with tempfile.TemporaryDirectory() as scratch:
         for name, argv in sorted(CASES.items()):
@@ -250,7 +251,7 @@ if __name__ == "__main__":
                 print(f"{name}: {moved} of {len(old)} values moved, "
                       f"by at most {float(worst):.2g} relative", file=sys.stderr)
                 bound = 1e-13 if b'"numeric_mode": "float"' in report else 0
-                if worst > bound and "--accept" not in sys.argv:
+                if worst > bound:
                     refused.append(name)
                     continue
             with open(os.path.join(GOLDEN, f"{name}.json"), "wb") as fh:
