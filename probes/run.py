@@ -29,7 +29,16 @@ Probes:
   one: the case the row's binary splitting is for;
 - ``owen-freq-box-H``: ``owen-freq`` on one bin of three coalitions,
   (H, H), (H, H) and (H/2, H/3) matches and mismatches, whose within-
-  coalition prefix weights once filled an (H + 1) x (H + 1) box per value.
+  coalition prefix weights once filled an (H + 1) x (H + 1) box per value;
+- ``knn-query-N`` and ``knn-query-N-dD``: one ``shapley-knn`` query on N
+  points of 4 (or D) features.  The child parses the inputs once, untimed,
+  then calls ``knn_shapley_report`` once to warm up and 10 times more:
+  ``wall_s`` and ``minor_faults`` are the medians per call, so they show
+  the query's own time and the pages its temporaries refault;
+- a ``-trim`` twin of a probe runs its child alone with
+  ``MALLOC_TRIM_THRESHOLD_=131072``, which fixes glibc's trim threshold:
+  freed heap tops are then given back at once, and every n-sized
+  temporary a call allocates faults its pages in again.
 
 The command exits 1 if any probe failed its verdict or did not exit 0.
 """
@@ -49,6 +58,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
+import numpy as np
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
 
@@ -57,9 +68,11 @@ MAJORITY = {"correct": 100, "wrong": -500, "none": 0}
 
 @dataclass(frozen=True)
 class Probe:
-    kind: str                  # "freq-bin", "freq-bin-lopsided" or "owen-freq-box"
+    kind: str                  # "freq-bin", "freq-bin-lopsided", "owen-freq-box" or "knn-query"
     size: int
     numeric: str = "float"
+    dims: int = 4              # features per point, for "knn-query"
+    trim: bool = False         # the child runs with a fixed glibc trim threshold
 
 
 PROBES = {
@@ -71,17 +84,17 @@ PROBES = {
     "owen-freq-box-3k": Probe("owen-freq-box", 3_000),
     "owen-freq-box-5k": Probe("owen-freq-box", 5_000),
     "owen-freq-box-1k-exact": Probe("owen-freq-box", 1_000, "exact"),
+    "knn-query-100k": Probe("knn-query", 100_000),
+    "knn-query-100k-trim": Probe("knn-query", 100_000, trim=True),
+    "knn-query-100k-d16": Probe("knn-query", 100_000, dims=16),
+    "knn-query-100k-d16-trim": Probe("knn-query", 100_000, dims=16, trim=True),
 }
 
-# The child: one run_command, then its own time, faults and high-water mark.
-CHILD = r"""
-import json, resource, sys, time
-from divvy.cli import run_command
-faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-t0 = time.perf_counter()
-rc = run_command(json.loads(sys.argv[1]))
-wall = time.perf_counter() - t0
-faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+KNN_K = 5
+TRIM_ENV = {"MALLOC_TRIM_THRESHOLD_": "131072"}
+
+# Every child's last lines: its high-water mark, and one JSON line.
+HWM = r"""
 hwm = None
 try:
     with open("/proc/self/status") as fh:
@@ -92,6 +105,41 @@ print(json.dumps({"exit": rc, "wall_s": wall, "minor_faults": faults,
                   "peak_rss_mb": None if hwm is None else hwm / 1024}))
 """
 
+# The child: one run_command, then its own time, faults and high-water mark.
+CHILD = r"""
+import json, resource, sys, time
+from divvy.cli import run_command
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+t0 = time.perf_counter()
+rc = run_command(json.loads(sys.argv[1]))
+wall = time.perf_counter() - t0
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+""" + HWM
+
+# The k-NN query child: the inputs parsed once, a warm-up report, then the
+# medians of 10 more.  Its argv is the CLI's; the last report is written.
+QUERY_CHILD = r"""
+import json, resource, statistics, sys, time
+from divvy.cli import build_parser
+from divvy.io import parse_dataset, parse_outcome_values, parse_queries
+from divvy.knn_shapley import knn_shapley_report
+from divvy.model import KnnConfig
+from divvy.report import write_report
+args = build_parser("shapley-knn").parse_args(json.loads(sys.argv[1]))
+inputs = (parse_dataset(args.data, "knn"), parse_queries(args.queries, "knn"),
+          KnnConfig(args.k, parse_outcome_values(args.values)))
+report = knn_shapley_report(*inputs, mode=args.numeric)
+walls, faults = [], []
+for _ in range(10):
+    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    t0 = time.perf_counter()
+    report = knn_shapley_report(*inputs, mode=args.numeric)
+    walls.append(time.perf_counter() - t0)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+write_report(report, args.out)
+rc, wall, faults = 0, statistics.median(walls), statistics.median(faults)
+""" + HWM
+
 
 def majority(a: int, b: int) -> int:
     return MAJORITY["correct"] if a > b else MAJORITY["wrong"] if a < b else MAJORITY["none"]
@@ -101,6 +149,8 @@ def write_inputs(probe: Probe, seed: int, directory: str):
     """The probe's CSV and JSON inputs under ``directory``, rows and ids
     shuffled by ``seed``: the CLI argv (without ``--out``) and
     v(N) - v(empty) for its one query."""
+    if probe.kind == "knn-query":
+        return _knn_inputs(probe, seed, directory)
     rng = random.Random(f"{probe.kind}:{probe.size}:{seed}")
     n = probe.size
     if probe.kind == "freq-bin":
@@ -129,6 +179,34 @@ def write_inputs(probe: Probe, seed: int, directory: str):
     return argv, majority(a, b) - majority(0, 0)
 
 
+def _knn_inputs(probe: Probe, seed: int, directory: str):
+    """``write_inputs`` for a k-NN query: N points labelled x or y at
+    random, each feature normal around +0.5 (x) or -0.5 (y), under shuffled
+    ids, and one query labelled x.  v(N) is the probe's own vote of the k
+    nearest points, ties to the lower id; v(empty) pays ``none``."""
+    rng = np.random.default_rng(random.Random(f"{probe.kind}:{probe.size}:{probe.dims}:{seed}")
+                                .getrandbits(64))
+    n, d = probe.size, probe.dims
+    is_x = rng.random(n) < 0.5
+    feats = rng.normal(size=(n, d)) + np.where(is_x, 0.5, -0.5)[:, None]
+    query = rng.normal(size=d) + 0.5
+    ids = rng.permutation(10 * n)[:n]
+    names = ",".join(f"f{j}" for j in range(d))
+    data, queries = os.path.join(directory, "data.csv"), os.path.join(directory, "queries.csv")
+    with open(data, "w") as fh:  # repr: the shortest text that reads back as the same float
+        fh.write(f"id,label,{names}\n")
+        fh.writelines(f"{i},{'x' if x else 'y'},{','.join(map(repr, row))}\n"
+                      for i, x, row in zip(ids.tolist(), is_x.tolist(), feats.tolist()))
+    with open(queries, "w") as fh:
+        fh.write(f"label,{names}\nx,{','.join(map(repr, query.tolist()))}\n")
+    nearest = np.lexsort((ids, ((feats - query) ** 2).sum(axis=1)))[:KNN_K]
+    votes = int(is_x[nearest].sum())
+    vote = MAJORITY["correct"] if 2 * votes > KNN_K else MAJORITY["wrong"]
+    argv = ["shapley-knn", "--data", data, "--queries", queries, "--k", str(KNN_K),
+            "--values", "{correct},{wrong},{none}".format(**MAJORITY), "--numeric", probe.numeric]
+    return argv, vote - MAJORITY["none"]
+
+
 def efficiency(report: dict, expected: int) -> dict:
     """Whether the report's values sum to ``expected``: exactly in exact
     mode, within 1e-9 of the values' absolute sum (at least 1) in float."""
@@ -146,14 +224,17 @@ def run_probe(name: str, probe: Probe, seed: int) -> dict:
     with tempfile.TemporaryDirectory(prefix="divvy-probe-") as work:
         argv, expected = write_inputs(probe, seed, work)
         out = os.path.join(work, "report.json")
-        env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
+               **(TRIM_ENV if probe.trim else {})}
+        child = QUERY_CHILD if probe.kind == "knn-query" else CHILD
         t0 = time.perf_counter()
-        done = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argv + ["--out", out])],
+        done = subprocess.run([sys.executable, "-c", child, json.dumps(argv + ["--out", out])],
                               env=env, capture_output=True, text=True)
         process_s = time.perf_counter() - t0
         if done.returncode != 0 or not done.stdout.strip():
             raise RuntimeError(f"probe {name}: the child failed:\n{done.stderr}")
         record = {"probe": name, "seed": seed, "command": argv[0], "numeric": probe.numeric,
+                  "trim": probe.trim,
                   **json.loads(done.stdout.splitlines()[-1]), "process_s": process_s}
         if record["exit"] == 0:
             with open(out) as fh:

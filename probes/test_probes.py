@@ -4,6 +4,7 @@ Run from the repository root with ``python3 -m pytest probes``.  Each test
 runs the real CLI in a fresh interpreter, on inputs of a few dozen rows.
 """
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -20,7 +21,11 @@ _spec.loader.exec_module(probes)
 def test_the_named_probes():
     assert set(probes.PROBES) == {
         "freq-bin-10k", "freq-bin-20k", "freq-bin-50k", "freq-bin-25k-75k", "owen-freq-box-1k",
-        "owen-freq-box-3k", "owen-freq-box-5k", "owen-freq-box-1k-exact"}
+        "owen-freq-box-3k", "owen-freq-box-5k", "owen-freq-box-1k-exact", "knn-query-100k",
+        "knn-query-100k-trim", "knn-query-100k-d16", "knn-query-100k-d16-trim"}
+    for name, probe in probes.PROBES.items():  # a -trim twin differs in its child's env alone
+        if name.endswith("-trim"):
+            assert probe == dataclasses.replace(probes.PROBES[name[:-5]], trim=True)
 
 
 @pytest.mark.parametrize("kind, size", [("freq-bin", 30), ("freq-bin-lopsided", 12),
@@ -32,6 +37,41 @@ def test_small_probes_pass_their_verdict(kind, size, numeric):
     assert record["command"] == ("owen-freq" if kind == "owen-freq-box" else "shapley-freq")
     assert 0 < record["wall_s"] < record["process_s"]
     assert record["peak_rss_mb"] > 0 and record["minor_faults"] >= 0
+
+
+@pytest.mark.parametrize("dims", [1, 4, 16])
+@pytest.mark.parametrize("numeric", ["float", "exact"])
+def test_small_knn_query_probes_pass_their_verdict(dims, numeric):
+    record = probes.run_probe("small", probes.Probe("knn-query", 40, numeric, dims), seed=3)
+    assert record["exit"] == 0 and record["efficiency"]["ok"], record
+    assert record["command"] == "shapley-knn" and record["efficiency"]["expected"] in (100, -500)
+    assert 0 < record["wall_s"] < record["process_s"] and record["minor_faults"] >= 0
+
+
+def test_a_trim_twin_fixes_the_threshold_in_its_child_alone(monkeypatch):
+    monkeypatch.delenv("MALLOC_TRIM_THRESHOLD_", raising=False)
+    seen, run = [], probes.subprocess.run
+
+    def spy(argv, env, **kwargs):
+        seen.append(env.get("MALLOC_TRIM_THRESHOLD_"))
+        return run(argv, env=env, **kwargs)
+
+    monkeypatch.setattr(probes.subprocess, "run", spy)
+    for trim in (False, True):
+        record = probes.run_probe("small", probes.Probe("knn-query", 20, trim=trim), seed=2)
+        assert record["efficiency"]["ok"] and record["trim"] is trim
+    assert seen == [None, "131072"] and "MALLOC_TRIM_THRESHOLD_" not in os.environ
+
+
+def test_knn_inputs_follow_the_seed_alone(tmp_path):
+    texts = []
+    for seed, trim in ((1, False), (1, True), (2, False)):
+        work = tmp_path / f"run{len(texts)}"
+        work.mkdir()
+        argv, expected = probes.write_inputs(probes.Probe("knn-query", 30, trim=trim), seed, str(work))
+        texts.append((work / "data.csv").read_text() + (work / "queries.csv").read_text())
+        assert argv[0] == "shapley-knn" and expected in (100, -500)
+    assert texts[0] == texts[1] != texts[2]
 
 
 def test_inputs_follow_the_seed(tmp_path):

@@ -13,6 +13,7 @@ would, and by csv.reader and Python otherwise: same values, same messages."""
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -184,9 +185,9 @@ def _stripped(cells, memo: dict, allow_empty=False) -> list:
 
 
 def _float_block(columns: List[tuple]) -> np.ndarray:
-    """Feature columns, typed or raw cells, as a rows x d float block;
-    ValueError if a cell is not a number or not finite."""
-    block = np.empty((len(columns[0]), len(columns)))
+    """Feature columns, typed or raw cells, as a rows x d float block in
+    column-major order; ValueError if a cell is not a number or not finite."""
+    block = np.empty((len(columns[0]), len(columns)), order="F")
     for j, cells in enumerate(columns):
         block[:, j] = cells if isinstance(cells, np.ndarray) else np.fromiter(
             map(float, cells), dtype=float, count=len(cells))
@@ -276,7 +277,8 @@ def parse_dataset(path, family: str) -> Dataset:
         ids, tuple(symbols), np.concatenate(codes),
         bins if family == "frequency" else [None] * len(ids),
         code_cells(coalitions) if "coalition" in fields else ((), np.full(len(ids), -1, np.intp)),
-        np.concatenate(features) if family == "knn" else None)
+        np.concatenate(features, out=np.empty((len(ids), len(feature_cols)), order="F"))
+        if family == "knn" else None)
 
 
 def parse_queries(path, family: str) -> List[Query]:
@@ -285,7 +287,8 @@ def parse_queries(path, family: str) -> List[Query]:
     query file)."""
     blocks = _csv_blocks(path)
     fields = next(blocks)
-    rows = [dict(zip(columns, map(str.strip, cells)))
+    raw = set(filter(_FEATURE_RE.match, fields))  # read by float() as written, as in a dataset
+    rows = [{f: c if f in raw else c.strip() for f, c in zip(columns, cells)}
             for _, columns in blocks for cells in zip(*columns.values())]
     queries = []
     if family == "frequency":
@@ -293,17 +296,12 @@ def parse_queries(path, family: str) -> List[Query]:
             if col not in fields:
                 raise InputError(f"{path}: missing required column {col!r}")
         base = os.path.dirname(os.path.abspath(path))
-        cache: dict = {}
+        load = functools.lru_cache(maxsize=None)(parse_value_function)  # each file once
         for lineno, row in enumerate(rows, start=2):
             if not row["bin"] or not row["label"]:
                 raise InputError(f"{path} line {lineno}: queries need bin and label")
-            vf = None
-            vf_path = row.get("value_function") or None
-            if vf_path:
-                full = vf_path if os.path.isabs(vf_path) else os.path.join(base, vf_path)
-                if full not in cache:
-                    cache[full] = parse_value_function(full)
-                vf = cache[full]
+            vf_path = row.get("value_function")  # joined to base unless absolute
+            vf = load(os.path.join(base, vf_path)) if vf_path else None
             queries.append(Query(label=row["label"], bin=row["bin"], value_function=vf))
     elif family == "knn":
         if "label" not in fields:

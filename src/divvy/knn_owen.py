@@ -142,15 +142,14 @@ class _QueryEngine:
         self.m, self.codes = m, codes
         self.matches = matches = np.asarray(ranking.matches, dtype=bool)
         # Per coalition and class (matches first), nearest first: the members'
-        # rank positions and, at each, its coalition-mates of the other class
-        # nearer than it; the i-th member has i mates of its own class nearer.
-        order = np.argsort(codes, kind="stable")
-        ends = np.cumsum(np.bincount(codes, minlength=m)).tolist()
+        # rank positions (pos None: one coalition, every rank) and, at each, its
+        # mates of the other class nearer; the i-th has i of its own class nearer.
+        parts = [None] if m == 1 else np.split(np.argsort(codes, kind="stable"),
+                                               np.cumsum(np.bincount(codes, minlength=m)))[:m]
         self.groups = []
-        for lo, hi in zip([0, *ends[:-1]], ends):
-            pos = order[lo:hi]
-            u = matches[pos]
-            self.groups.append([(pos[i], i - np.arange(len(i)))
+        for pos in parts:
+            u = matches if pos is None else matches[pos]
+            self.groups.append([(i if pos is None else pos[i], i - np.arange(len(i)))
                                 for i in (np.flatnonzero(u), np.flatnonzero(~u))])
         self.tot_match = [len(both[0][0]) for both in self.groups]
         self.tot_mismatch = [len(both[1][0]) for both in self.groups]
@@ -323,7 +322,7 @@ def _knn_report(method: str, dataset: Dataset, codes: np.ndarray, m: int,
         ranking = rank_by_distance(dataset, q.features, q.label, config.metric)
         values = _QueryEngine(ranking, codes[ranking.rows], m, config.k,
                               config.outcome_values, mode).values()
-        totals[ranking.rows] += values
+        np.add.at(totals, ranking.rows, values)  # no gathered copy of totals
         if per_query:
             columns.append(_zeros(len(dataset), mode))
             columns[-1][ranking.rows] = values

@@ -250,7 +250,7 @@ class Dataset:
         return names, codes
 
     def feature_matrix(self) -> np.ndarray:
-        """All feature rows as a float array; validates presence and shape."""
+        """All feature rows as a column-major float array; validates presence and shape."""
         if not isinstance(self._features, np.ndarray):
             dims = set()
             for i, feats in zip(self.ids, self._features):
@@ -259,7 +259,7 @@ class Dataset:
                 dims.add(len(feats))
             if len(dims) > 1:
                 raise InputError(f"feature dimensions are ragged: {sorted(dims)}")
-            self._features = np.asarray(self._features, dtype=float)
+            self._features = np.array(self._features, dtype=float, order="F")
         return self._features
 
 
@@ -532,6 +532,29 @@ class RankedNeighborhood:
         return int(hits[0])
 
 
+def _squared_distances(feats: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Each row's sum of (feats[:, j] - q[j])**2, added a column at a time as numpy 2.4's
+    row sum of a C-ordered matrix adds (from 0, a no-op on squares): distances keep their bits."""
+    tmp = np.empty(len(feats))  # the scratch column of every term but each sum's first
+    return _column_sums(feats, q, 0, len(q), tmp) if len(q) else np.zeros(len(feats))
+
+
+def _column_sums(feats, q, lo: int, hi: int, tmp: np.ndarray) -> np.ndarray:
+    """``_squared_distances`` over the columns lo .. hi - 1 (hi > lo)."""
+    count, lanes = hi - lo, 8 if hi - lo >= 8 else 1  # in sequence below 8 terms
+    if count > 128:  # halves, the first a multiple of 8
+        out = _column_sums(feats, q, lo, lo + count // 16 * 8, tmp)
+        return np.add(out, _column_sums(feats, q, lo + count // 16 * 8, hi, tmp), out=out)
+    r = [np.square(x, out=x) for x in (feats[:, j] - q[j] for j in range(lo, lo + lanes))]
+    for j in range(lo + lanes, hi - count % lanes):
+        r[(j - lo) % lanes] += np.square(np.subtract(feats[:, j], q[j], out=tmp), out=tmp)
+    while len(r) > 1:  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        r = [np.add(x, y, out=x) for x, y in zip(r[::2], r[1::2])]
+    for j in range(hi - count % lanes, hi):
+        r[0] += np.square(np.subtract(feats[:, j], q[j], out=tmp), out=tmp)
+    return r[0]
+
+
 def rank_by_distance(
     dataset: Dataset,
     query_features: Sequence[float],
@@ -542,8 +565,8 @@ def rank_by_distance(
 
     The metric is any real-valued function of two feature vectors (no
     symmetry or triangle inequality assumed); "euclidean" selects the
-    built-in vectorized one.  Equal distances fall back to ascending id,
-    which keeps every downstream computation deterministic.
+    built-in one, summed a column at a time.  Equal distances fall back
+    to ascending id, which keeps every downstream computation deterministic.
     """
     dataset.check_query_label(query_label)
     feats = dataset.feature_matrix()
@@ -556,7 +579,7 @@ def rank_by_distance(
         )
     if metric == "euclidean":
         with np.errstate(over="ignore"):
-            dist = np.sqrt(((feats - q) ** 2).sum(axis=1))
+            dist = np.sqrt(_squared_distances(feats, q))
             if not np.isfinite(dist).all() and np.isfinite(q).all():
                 # finite features beyond ~1e154 overflow the squares; one exact
                 # power-of-two rescale of those rows brings them into range

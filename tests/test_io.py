@@ -153,6 +153,8 @@ def test_parsed_dataset_matches_one_built_from_examples(tmp_path):
     assert parsed.ids == built.ids == [7, 3, 11]
     assert parsed.coalition_column() == built.coalition_column() == ["g0", None, "g1"]
     assert np.array_equal(parsed.feature_matrix(), built.feature_matrix())
+    for ds in (parsed, built):  # column-major on both ways in, for the distance kernel
+        assert ds.feature_matrix().flags.f_contiguous and not ds.feature_matrix().flags.c_contiguous
     assert parsed.label_mask("x").tolist() == built.label_mask("x").tolist()
     assert parsed.examples is parsed.examples, "row views are built once"
     regrouped = with_coalitions(parsed, {3: "h", 7: "h", 11: "k"})
@@ -193,6 +195,23 @@ def test_parse_knn_queries(tmp_path):
         parse_queries(_write(tmp_path, "e.csv", "label,f0\n"), "knn")
     with pytest.raises(InputError, match="bin"):
         parse_queries(_write(tmp_path, "nb.csv", "label\nx\n"), "frequency")
+
+
+def test_query_features_are_read_raw_as_dataset_features_are(tmp_path):
+    # float() refuses the separators \x1c-\x1f that str.strip() drops, so a
+    # query cell is refused with its file, line and column, as a dataset's is
+    for sep in "\x1c\x1d\x1e\x1f":
+        q = _write(tmp_path, "q.csv", f"label,f0,f1\nx,1,2\n y ,3,{sep}2\n")
+        with pytest.raises(InputError, match=re.escape(f"q.csv line 3: f1={sep + '2'!r} is not numeric")):
+            parse_queries(q, "knn")
+        d = _write(tmp_path, "d.csv", f"id,label,f0,f1\n0,x,1,2\n1,y,3,{sep}2\n")
+        with pytest.raises(InputError, match=re.escape(f"d.csv line 3: f1={sep + '2'!r} is not numeric")):
+            parse_dataset(d, "knn")
+    q = _write(tmp_path, "q.csv", "label,f0,f1\n y , 0.5 ,\t4\n")
+    (query,) = parse_queries(q, "knn")
+    assert query.label == "y" and query.features == (0.5, 4.0), "labels stripped, spaces read by float()"
+    with pytest.raises(InputError, match=r"q.csv line 2: missing value in feature column f1"):
+        parse_queries(_write(tmp_path, "q.csv", "label,f0,f1\nx,1,  \n"), "knn")
 
 
 def test_parse_value_function_majority_exact_decimals(tmp_path):
@@ -730,7 +749,7 @@ def test_parse_and_write_hold_no_text_column(tmp_path):
         write_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert np.array_equal(ds.feature_matrix(), feats)
+    assert np.array_equal(ds.feature_matrix(), feats) and ds.feature_matrix().flags.f_contiguous
     parsed = ds.id_array().nbytes + ds.feature_matrix().nbytes + n  # one int8 label code a row
     assert parse_peak < 3 * parsed, (parse_peak, parsed)
     written = report.ids.nbytes + report.value_column.nbytes

@@ -220,6 +220,9 @@ def test_report_rows_equal_single_query_values_bit_for_bit(mode):
         for column, q in zip(rep.per_query, queries):
             want = knn_shapley_values(dataset, q, config, mode=mode)
             assert [_bits(v) for v in column] == [_bits(want[i]) for i in dataset.ids]
+        # each column its own array, and the totals their sum in query order
+        assert len({id(column) for column in rep.per_query}) == len(queries)
+        assert [_bits(v) for v in rep.value_column] == [_bits(v) for v in sum(rep.per_query)]
     assert seen_small
 
 

@@ -1,5 +1,6 @@
 """Dataset plumbing, value functions, rankings and subset votes."""
 
+import gc
 import random
 import warnings
 from fractions import Fraction
@@ -21,7 +22,7 @@ from divvy import (
     tally_bin,
 )
 from divvy.errors import ConfigError, InputError, MissingValueError
-from divvy.model import to_money
+from divvy.model import _squared_distances, to_money
 
 
 def _freq_dataset():
@@ -243,6 +244,101 @@ def test_rank_by_distance_survives_overflowing_squares():
         warnings.simplefilter("error")
         assert rank_by_distance(one_d, (0.0,), "a").ordering.tolist() == [2, 1, 0]
         assert rank_by_distance(two_d, (0.0, 0.0), "a").ordering.tolist() == [2, 1, 0, 3]
+
+
+def _row_sum_distances(rows, q):
+    """Euclidean distances as a C-ordered matrix's row sum gives them,
+    with the power-of-two rescale of rows whose squares overflow."""
+    with np.errstate(over="ignore"):
+        dist = np.sqrt(((rows - q) ** 2).sum(axis=1))
+        far = ~np.isfinite(dist)
+        if far.any():
+            _, e = np.frexp(max(np.abs(rows[far]).max(), np.abs(q).max()))
+            d = np.ldexp(rows[far], -e) - np.ldexp(q, -e)
+            dist[far] = np.ldexp(np.sqrt((d**2).sum(axis=1)), e)
+    return dist
+
+
+def _rank_spying(monkeypatch, ds, q):
+    """``rank_by_distance(ds, q, "a")``, the distances it sorted, and
+    whether ties sent it to the lexsort fallback."""
+    ds.feature_matrix()  # built before numpy is watched
+    seen = {}
+
+    def spy(name):
+        real = getattr(np, name)
+
+        def call(keys, *args, **kwargs):
+            seen[name] = keys[-1] if name == "lexsort" else keys
+            return real(keys, *args, **kwargs)
+        return call
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "argsort", spy("argsort"))
+        m.setattr(np, "lexsort", spy("lexsort"))
+        ranking = rank_by_distance(ds, q, "a")
+    return ranking, seen["argsort"], "lexsort" in seen
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 127, 128, 129, 300])
+def test_column_kernel_keeps_the_row_sum_bits(monkeypatch, d):
+    # columns of scales 1e-6 .. 1e6, so the order of the adds shows in the bits
+    rng = np.random.default_rng(d)
+    rows = rng.normal(size=(40, d)) * 10.0 ** rng.integers(-6, 7, size=d)
+    q = rng.normal(size=d) * 10.0 ** rng.integers(-6, 7, size=d)
+    want = ((rows - q) ** 2).sum(axis=1)
+    got = _squared_distances(np.asfortranarray(rows), q)
+    assert got.tobytes() == want.tobytes()
+    ids = rng.permutation(1000)[:40]
+    ds = Dataset([Example(int(i), "a", features=tuple(r)) for i, r in zip(ids, rows.tolist())])
+    ranking, dist, tied = _rank_spying(monkeypatch, ds, tuple(q))
+    assert dist.tobytes() == np.sqrt(want).tobytes() and not tied
+    assert ranking.ordering.tolist() == ids[np.lexsort((ids, want))].tolist()
+
+
+def test_ranking_leaves_no_reference_cycle():
+    # a cycle would hold the query's n-sized scratch arrays until the cyclic
+    # collector ran, so a loop of queries would grow the heap by one per query
+    rng = np.random.default_rng(3)
+    for d in (4, 300):
+        rows = rng.normal(size=(50, d)).tolist()
+        ds = Dataset([Example(i, "a", features=tuple(r)) for i, r in enumerate(rows)])
+        rank_by_distance(ds, tuple(rng.normal(size=d)), "a")
+        gc.collect()
+        gc.disable()
+        try:
+            rank_by_distance(ds, tuple(rng.normal(size=d)), "a")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def test_overflow_rescale_gives_the_row_sum_distances(monkeypatch):
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 9):
+        rows = rng.normal(size=(30, d)) * np.where(rng.random((30, 1)) < 0.5, 1e200, 1.0)
+        q = rng.normal(size=d) * 1e199
+        ds = Dataset([Example(i, "a", features=tuple(r)) for i, r in enumerate(rows.tolist())])
+        _, dist, _ = _rank_spying(monkeypatch, ds, tuple(q))
+        want = _row_sum_distances(rows, q)
+        assert np.isfinite(want).all() and dist.tobytes() == want.tobytes()
+
+
+def test_tied_distances_take_the_lexsort_fallback(monkeypatch):
+    ds = Dataset([Example(i, "a", features=(float(i % 3), 1.0)) for i in (5, 2, 8, 0, 4)])
+    ranking, dist, tied = _rank_spying(monkeypatch, ds, (0.0, 1.0))
+    assert tied and ranking.ordering.tolist() == [0, 4, 2, 5, 8]
+    apart = Dataset([Example(i, "a", features=(float(i), 1.0)) for i in (5, 2, 8)])
+    assert not _rank_spying(monkeypatch, apart, (0.0, 1.0))[2]
+
+
+def test_feature_matrix_is_column_major_and_built_once():
+    ds = Dataset([Example(i, "a", features=(float(i), -1.0, 2.0)) for i in range(5)])
+    feats = ds.feature_matrix()
+    assert feats.flags.f_contiguous and not feats.flags.c_contiguous
+    assert feats.tolist() == [[float(i), -1.0, 2.0] for i in range(5)]
+    assert ds.feature_matrix() is feats
+    assert ds.with_coalition_codes(("g",), np.zeros(5, np.intp)).feature_matrix() is feats
 
 
 def test_rank_by_distance_prefix_counts_sum_to_position():
