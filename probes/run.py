@@ -38,7 +38,13 @@ Probes:
 - a ``-trim`` twin of a probe runs its child alone with
   ``MALLOC_TRIM_THRESHOLD_=131072``, which fixes glibc's trim threshold:
   freed heap tops are then given back at once, and every n-sized
-  temporary a call allocates faults its pages in again.
+  temporary a call allocates faults its pages in again;
+- ``knn-exact-N-4c`` and ``knn-exact-N-qQ``: one exact ``shapley-knn`` CLI
+  run, k = 5, on N two-feature points dealt at random into 4 coalitions,
+  with one query or Q: exact values carry denominators of thousands of
+  bits, so their sums and their text dominate.  The verdict sums the
+  values over each distinct denominator first, as a sequential sum of
+  such fractions would take longer than the run.
 
 The command exits 1 if any probe failed its verdict or did not exit 0.
 """
@@ -68,11 +74,13 @@ MAJORITY = {"correct": 100, "wrong": -500, "none": 0}
 
 @dataclass(frozen=True)
 class Probe:
-    kind: str                  # "freq-bin", "freq-bin-lopsided", "owen-freq-box" or "knn-query"
-    size: int
+    kind: str                  # "freq-bin", "freq-bin-lopsided", "owen-freq-box", "knn-query"
+    size: int                  # or "knn-exact"
     numeric: str = "float"
-    dims: int = 4              # features per point, for "knn-query"
+    dims: int = 4              # features per point, for "knn-query" and "knn-exact"
     trim: bool = False         # the child runs with a fixed glibc trim threshold
+    queries: int = 1           # for "knn-exact"
+    coalitions: int = 0        # for "knn-exact": the points are dealt into this many
 
 
 PROBES = {
@@ -88,6 +96,8 @@ PROBES = {
     "knn-query-100k-trim": Probe("knn-query", 100_000, trim=True),
     "knn-query-100k-d16": Probe("knn-query", 100_000, dims=16),
     "knn-query-100k-d16-trim": Probe("knn-query", 100_000, dims=16, trim=True),
+    "knn-exact-10k-4c": Probe("knn-exact", 10_000, "exact", dims=2, coalitions=4),
+    "knn-exact-5k-q10": Probe("knn-exact", 5_000, "exact", dims=2, queries=10, coalitions=4),
 }
 
 KNN_K = 5
@@ -149,7 +159,7 @@ def write_inputs(probe: Probe, seed: int, directory: str):
     """The probe's CSV and JSON inputs under ``directory``, rows and ids
     shuffled by ``seed``: the CLI argv (without ``--out``) and
     v(N) - v(empty) for its one query."""
-    if probe.kind == "knn-query":
+    if probe.kind in ("knn-query", "knn-exact"):
         return _knn_inputs(probe, seed, directory)
     rng = random.Random(f"{probe.kind}:{probe.size}:{seed}")
     n = probe.size
@@ -180,31 +190,38 @@ def write_inputs(probe: Probe, seed: int, directory: str):
 
 
 def _knn_inputs(probe: Probe, seed: int, directory: str):
-    """``write_inputs`` for a k-NN query: N points labelled x or y at
+    """``write_inputs`` for k-NN queries: N points labelled x or y at
     random, each feature normal around +0.5 (x) or -0.5 (y), under shuffled
-    ids, and one query labelled x.  v(N) is the probe's own vote of the k
-    nearest points, ties to the lower id; v(empty) pays ``none``."""
+    ids (with a coalition column if the probe asks for one), and queries
+    labelled x.  v(N) is the sum of the probe's own votes of each query's k
+    nearest points, ties to the lower id; v(empty) pays ``none`` per query."""
     rng = np.random.default_rng(random.Random(f"{probe.kind}:{probe.size}:{probe.dims}:{seed}")
                                 .getrandbits(64))
     n, d = probe.size, probe.dims
     is_x = rng.random(n) < 0.5
     feats = rng.normal(size=(n, d)) + np.where(is_x, 0.5, -0.5)[:, None]
-    query = rng.normal(size=d) + 0.5
+    queries = rng.normal(size=(probe.queries, d)) + 0.5
     ids = rng.permutation(10 * n)[:n]
+    groups = ([f",g{c}" for c in rng.integers(0, probe.coalitions, n)] if probe.coalitions
+              else [""] * n)
     names = ",".join(f"f{j}" for j in range(d))
-    data, queries = os.path.join(directory, "data.csv"), os.path.join(directory, "queries.csv")
+    data, query_file = os.path.join(directory, "data.csv"), os.path.join(directory, "queries.csv")
     with open(data, "w") as fh:  # repr: the shortest text that reads back as the same float
-        fh.write(f"id,label,{names}\n")
-        fh.writelines(f"{i},{'x' if x else 'y'},{','.join(map(repr, row))}\n"
-                      for i, x, row in zip(ids.tolist(), is_x.tolist(), feats.tolist()))
-    with open(queries, "w") as fh:
-        fh.write(f"label,{names}\nx,{','.join(map(repr, query.tolist()))}\n")
-    nearest = np.lexsort((ids, ((feats - query) ** 2).sum(axis=1)))[:KNN_K]
-    votes = int(is_x[nearest].sum())
-    vote = MAJORITY["correct"] if 2 * votes > KNN_K else MAJORITY["wrong"]
-    argv = ["shapley-knn", "--data", data, "--queries", queries, "--k", str(KNN_K),
+        fh.write(f"id,label,{names}{',coalition' if probe.coalitions else ''}\n")
+        fh.writelines(f"{i},{'x' if x else 'y'},{','.join(map(repr, row))}{g}\n"
+                      for i, x, row, g in zip(ids.tolist(), is_x.tolist(), feats.tolist(), groups))
+    with open(query_file, "w") as fh:
+        fh.write(f"label,{names}\n")
+        fh.writelines(f"x,{','.join(map(repr, q))}\n" for q in queries.tolist())
+    expected = 0
+    for query in queries:
+        nearest = np.lexsort((ids, ((feats - query) ** 2).sum(axis=1)))[:KNN_K]
+        votes = int(is_x[nearest].sum())
+        vote = MAJORITY["correct"] if 2 * votes > KNN_K else MAJORITY["wrong"]
+        expected += vote - MAJORITY["none"]
+    argv = ["shapley-knn", "--data", data, "--queries", query_file, "--k", str(KNN_K),
             "--values", "{correct},{wrong},{none}".format(**MAJORITY), "--numeric", probe.numeric]
-    return argv, vote - MAJORITY["none"]
+    return argv, expected
 
 
 def efficiency(report: dict, expected: int) -> dict:
@@ -212,7 +229,17 @@ def efficiency(report: dict, expected: int) -> dict:
     mode, within 1e-9 of the values' absolute sum (at least 1) in float."""
     values = [r["value"] for r in report["examples"]]
     if report["meta"]["numeric_mode"] == "exact":
-        total = sum(map(Fraction, values))
+        numerators: dict = {}  # denominator text -> its values' numerators summed
+        cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        try:
+            if cap:  # lifted while the values' text is read: it may be longer
+                sys.set_int_max_str_digits(0)
+            for p, _, q in (v.partition("/") for v in values):
+                numerators[q] = numerators.get(q, 0) + int(p)
+            total = sum(Fraction(p, int(q or 1)) for q, p in numerators.items())
+        finally:
+            if cap:
+                sys.set_int_max_str_digits(cap)
         return {"sum": str(total), "expected": expected, "ok": total == expected}
     total = math.fsum(values)
     scale = max(1.0, math.fsum(map(abs, values)))

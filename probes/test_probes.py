@@ -22,7 +22,8 @@ def test_the_named_probes():
     assert set(probes.PROBES) == {
         "freq-bin-10k", "freq-bin-20k", "freq-bin-50k", "freq-bin-25k-75k", "owen-freq-box-1k",
         "owen-freq-box-3k", "owen-freq-box-5k", "owen-freq-box-1k-exact", "knn-query-100k",
-        "knn-query-100k-trim", "knn-query-100k-d16", "knn-query-100k-d16-trim"}
+        "knn-query-100k-trim", "knn-query-100k-d16", "knn-query-100k-d16-trim",
+        "knn-exact-10k-4c", "knn-exact-5k-q10"}
     for name, probe in probes.PROBES.items():  # a -trim twin differs in its child's env alone
         if name.endswith("-trim"):
             assert probe == dataclasses.replace(probes.PROBES[name[:-5]], trim=True)
@@ -46,6 +47,33 @@ def test_small_knn_query_probes_pass_their_verdict(dims, numeric):
     assert record["exit"] == 0 and record["efficiency"]["ok"], record
     assert record["command"] == "shapley-knn" and record["efficiency"]["expected"] in (100, -500)
     assert 0 < record["wall_s"] < record["process_s"] and record["minor_faults"] >= 0
+
+
+@pytest.mark.parametrize("queries", [1, 3])
+def test_small_knn_exact_probes_pass_their_verdict(tmp_path, queries):
+    probe = probes.Probe("knn-exact", 60, "exact", dims=2, queries=queries, coalitions=4)
+    record = probes.run_probe("small", probe, seed=3)
+    assert record["exit"] == 0 and record["efficiency"]["ok"], record
+    assert record["command"] == "shapley-knn" and record["numeric"] == "exact"
+    # one vote per query, each paying 100 or -500; the points sit in 4 coalitions
+    assert record["efficiency"]["expected"] in {100 * x - 500 * (queries - x)
+                                                for x in range(queries + 1)}
+    probes.write_inputs(probe, 3, str(tmp_path))
+    rows = (tmp_path / "data.csv").read_text().splitlines()
+    assert rows[0] == "id,label,f0,f1,coalition" and len(rows) == 61
+    assert {row.rsplit(",", 1)[1] for row in rows[1:]} == {"g0", "g1", "g2", "g3"}
+    assert len((tmp_path / "queries.csv").read_text().splitlines()) == queries + 1
+
+
+def test_the_exact_verdict_reads_values_past_the_int_text_cap():
+    # a value's text may run past the interpreter's cap on int digits; the
+    # verdict sums it all the same, and leaves the cap as it found it
+    big = "1" + "0" * 5000  # 10**5000; its numerator below is 10**5000 + 1
+    exact = {"meta": {"numeric_mode": "exact"}, "examples": [
+        {"value": f"{big[:-1]}1/{big}"}, {"value": f"-1/{big}"}, {"value": "2"}]}
+    cap = sys.get_int_max_str_digits()
+    assert probes.efficiency(exact, 3)["ok"]
+    assert sys.get_int_max_str_digits() == cap
 
 
 def test_a_trim_twin_fixes_the_threshold_in_its_child_alone(monkeypatch):

@@ -485,7 +485,7 @@ def owen_frequency_report(
 def _frequency_report(method, dataset, owner, queries, vf, mode, per_query):
     """Total payout per example over a batch of queries, each example in
     the coalition coded ``owner``.  Values are summed per (bin, coalition,
-    label) group, read by the rows once at the end.  Per query the critical
+    label) group, which the report's rows read by code.  Per query the critical
     set is built once per class, the preceder law once per law key and the
     value once per (tally, class), reused across queries alike in bin,
     label and value function."""
@@ -534,8 +534,9 @@ def _frequency_report(method, dataset, owner, queries, vf, mode, per_query):
         if per_query:
             q_values = np.full(len(keys), zero, dtype)
             q_values[in_bin] = values
-            columns.append(q_values[group])
+            columns.append(q_values)
     return assemble_report(
-        method=method, mode=mode, dataset=dataset, values=totals[group], query_count=len(queries),
+        method=method, mode=mode, dataset=dataset, values=totals, query_count=len(queries),
         wall_time=time.perf_counter() - t0, per_query=columns if per_query else None,
+        value_codes=group,
     )

@@ -34,8 +34,8 @@ from .model import (
     TableValueFunction,
     code_cells,
     code_coalitions,
+    code_names,
     duplicate_row,
-    label_codes,
 )
 
 _FEATURE_RE = re.compile(r"^f(\d+)$")
@@ -93,7 +93,7 @@ def _csv_blocks(path, kind=lambda name: object):
                     if block:
                         yield line, dict(zip(fields, zip(*block)))
                     line += len(block)
-    except (OSError, csv.Error) as exc:
+    except (OSError, csv.Error, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -173,15 +173,26 @@ def _id_block(cells) -> np.ndarray:
     return ids
 
 
-def _stripped(cells, memo: dict, allow_empty=False) -> list:
-    """A block's cells stripped, one shared str per distinct cell (``memo``
-    maps raw cells to stripped ones across blocks); an empty cell is None
-    if ``allow_empty``, else a ValueError."""
-    for raw in set(cells).difference(memo):
-        memo[raw] = raw.strip() or None
-        if memo[raw] is None and not allow_empty:
+class _Codes(dict):
+    """Raw cell -> code, across a file's blocks: a raw cell not seen before
+    is stripped and numbered in order of first appearance of the stripped
+    cells (``names`` maps each to its code), or coded -1 if empty."""
+
+    def __init__(self):
+        super().__init__()
+        self.names = {}
+
+    def __missing__(self, raw):
+        name = raw.strip()
+        self[raw] = code = self.names.setdefault(name, len(self.names)) if name else -1
+        return code
+
+    def block(self, cells, allow_empty=False) -> np.ndarray:
+        """A block's cells as codes, in one pass; ValueError on an empty one unless allowed."""
+        codes = np.fromiter(map(self.__getitem__, cells), np.intp, count=len(cells))
+        if not allow_empty and codes.min(initial=0) < 0:
             raise ValueError("empty cell")
-    return list(map(memo.__getitem__, cells))
+        return codes
 
 
 def _float_block(columns: List[tuple]) -> np.ndarray:
@@ -238,8 +249,8 @@ def parse_dataset(path, family: str) -> Dataset:
                          float if family == "knn" and _FEATURE_RE.match(name) else object)
     fields = next(blocks)
     ids, codes, features = [np.empty(0, np.int64)], [np.empty(0, np.int8)], []
-    bins, coalitions, symbols = [], [], {}  # symbols: each label's first line
-    label_of, bin_of, coalition_of = {}, {}, {}  # raw cell -> stripped, across blocks
+    bins, coalitions = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    label_of, bin_of, coalition_of = _Codes(), _Codes(), _Codes()
     try:
         if family not in ("frequency", "knn"):
             raise InputError(f"unknown model family {family!r}")
@@ -252,31 +263,28 @@ def parse_dataset(path, family: str) -> Dataset:
         for line, columns in blocks:
             try:
                 ids.append(_id_block(columns["id"]))
-                labels = _stripped(columns["label"], label_of)
-                symbols.update({s: line + labels.index(s)
-                                for s in dict.fromkeys(labels) if s not in symbols})
-                if len(symbols) <= 2:  # else the file is refused below
-                    codes.append(label_codes(labels, tuple(symbols)))
+                labels = label_of.block(columns["label"])  # a third is refused below, at code 2
+                codes.append(labels.astype(np.int8))  # a code past 127 wraps, after code 2's row
                 if family == "frequency":
-                    bins.extend(_stripped(columns["bin"], bin_of))
+                    bins.append(bin_of.block(columns["bin"]))
                 else:
                     features.append(_float_block([columns[c] for c in feature_cols]))
-                if "coalition" in columns:
-                    coalitions.extend(_stripped(columns["coalition"], coalition_of, True))
+                coalitions.append(coalition_of.block(columns["coalition"], True) if "coalition"
+                                  in columns else np.full(len(labels), -1, np.intp))
             except (ValueError, OverflowError):
                 raise _row_fault(path, columns, line, empty, feature_cols) from None
     except InputError as exc:
         _raise_after(blocks, exc)
     ids = np.concatenate(ids)
     _refuse_repeats(path, ids, "duplicate example id")
-    if len(symbols) > 2:
-        third, line = list(symbols.items())[2]
-        raise InputError(f"{path} line {line}: labels must be binary; "
-                         f"found a third symbol {third!r}")
+    codes, symbols = np.concatenate(codes), tuple(label_of.names)
+    if len(symbols) > 2:  # data row r sits on line r + 2
+        raise InputError(f"{path} line {np.argmax(codes == 2) + 2}: labels must be binary; "
+                         f"found a third symbol {symbols[2]!r}")
+    names, rank = code_cells(tuple(coalition_of.names))  # sorted by str, as code_cells sorts
     return Dataset._from_columns(
-        ids, tuple(symbols), np.concatenate(codes),
-        bins if family == "frequency" else [None] * len(ids),
-        code_cells(coalitions) if "coalition" in fields else ((), np.full(len(ids), -1, np.intp)),
+        ids, symbols, codes, (bin_of.names, np.concatenate(bins)) if family == "frequency" else None,
+        (names, np.append(rank, -1)[np.concatenate(coalitions)]),
         np.concatenate(features, out=np.empty((len(ids), len(feature_cols)), order="F"))
         if family == "knn" else None)
 
@@ -334,7 +342,7 @@ def parse_value_function(path) -> FrequencyValueFunction:
     try:
         with open(path) as fh:
             doc = json.load(fh, parse_float=Fraction)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
@@ -391,26 +399,26 @@ def parse_coalition_file(path) -> Tuple[np.ndarray, List[str]]:
     checked in that order."""
     blocks = _csv_blocks(path, lambda name: np.int64 if name == "id" else object)
     fields = next(blocks)
-    ids, cells, memo = [np.empty(0, np.int64)], [], {}
+    ids, codes, memo = [np.empty(0, np.int64)], [np.empty(0, np.intp)], _Codes()
     try:
         for col in ("id", "coalition"):
             if col not in fields:
                 raise InputError(f"{path}: missing required column {col!r}")
         for line, columns in blocks:
             try:
-                block = _id_block(columns["id"]), _stripped(columns["coalition"], memo)
+                block = _id_block(columns["id"]), memo.block(columns["coalition"])
             except (ValueError, OverflowError):
                 earlier = np.concatenate(ids)  # a repeat among these comes first
                 _refuse_repeats(path, earlier, "duplicate id")
                 raise _row_fault(path, columns, line, {"coalition": "coalition id"},
                                  seen=set(earlier.tolist())) from None
             ids.append(block[0])
-            cells.extend(block[1])
+            codes.append(block[1])
     except InputError as exc:
         _raise_after(blocks, exc)
     ids = np.concatenate(ids)
     _refuse_repeats(path, ids, "duplicate id")
-    return ids, cells
+    return ids, code_names(tuple(memo.names), np.concatenate(codes))
 
 
 def with_coalitions(dataset: Dataset, assignment, source="coalition file") -> Dataset:

@@ -59,9 +59,9 @@ class Query:
 class Dataset:
     """A validated set of examples, held as columns in dataset order.
 
-    Columns: an int64 id array, label codes into at most two label symbols,
-    coalition codes into the distinct coalition ids (-1 where an example has
-    none), and per-example bin (coded on first use) and feature columns.
+    Columns: an int64 id array, codes into at most two label symbols, into
+    the distinct bins in order of first appearance (a missing bin is None)
+    and into the distinct coalition ids (-1 for none), and a feature column.
     ``examples`` (and iteration) give ``Example`` row views, built once on
     first use; the frequency reports and the k-NN float path read only the
     columns, so a parsed dataset keeps no Python object per example.
@@ -78,12 +78,12 @@ class Dataset:
         strs = sorted(set(map(str, labels)))
         if len(strs) > 2:
             raise InputError(f"labels must be binary; found a third symbol {strs[2]!r}")
-        symbols = tuple(dict.fromkeys(labels))
+        symbols, codes = first_codes(labels)
         self._set_columns(
             np.array(ids, dtype=np.int64),
-            symbols,
-            label_codes(labels, symbols),
-            [ex.bin for ex in rows],
+            tuple(symbols),
+            codes.astype(np.int8),
+            first_codes([ex.bin for ex in rows]),
             code_coalitions(ids, [ex.coalition for ex in rows]),
             [ex.features for ex in rows],
         )
@@ -95,16 +95,16 @@ class Dataset:
         ids: np.ndarray,
         symbols: tuple,
         codes: np.ndarray,
-        bins: list,
+        bins: Optional[Tuple[Mapping, np.ndarray]],
         coalitions: Tuple[tuple, np.ndarray],
         features: Optional[np.ndarray] = None,
     ) -> "Dataset":
-        """A dataset over columns the caller has already validated: unique
-        int64 ids, ``codes`` indexing ``symbols``, coalition names and codes
-        as ``code_cells`` gives them, and an optional float feature matrix
-        with one row per example."""
-        if features is None:
-            features = [None] * len(ids)
+        """A dataset over validated columns: unique int64 ids, ``codes``
+        indexing ``symbols``, bins as ``first_codes`` gives them (None: no
+        example has one), coalitions as ``code_cells`` gives them, and an
+        optional float feature matrix with one row per example."""
+        if bins is None:
+            bins = {None: 0} if len(ids) else {}, np.zeros(len(ids), np.intp)
         dataset = cls.__new__(cls)
         dataset._set_columns(ids, symbols, codes, bins, coalitions, features)
         return dataset
@@ -114,15 +114,15 @@ class Dataset:
         self._ids = ids
         self._symbols = symbols
         self._codes = codes
-        self._bins = bins
+        bins[1].flags.writeable = False
+        self._bin_codes = (MappingProxyType(bins[0]), bins[1])
         coalitions[1].flags.writeable = False
         self._coalitions = coalitions
-        # a float matrix, or per-example tuples (None where absent) until
-        # feature_matrix() checks them and builds one
+        # a float matrix, or per-example tuples (None where absent) or None
+        # (none has features) until feature_matrix() checks them and builds one
         self._features = features
         self._rows = None
         self._label_masks = None
-        self._bin_codes = None
 
     def with_coalition_codes(self, names: tuple, codes: np.ndarray) -> "Dataset":
         """The same examples with their coalitions replaced by ``names`` and
@@ -150,10 +150,10 @@ class Dataset:
             if isinstance(feats, np.ndarray):
                 feats = list(map(tuple, feats.tolist()))
             labels = [self._symbols[c] for c in self._codes.tolist()]
-            cids = self.coalition_column()
-            self._rows = [
-                Example(*row) for row in zip(self._ids.tolist(), labels, self._bins, feats, cids)
-            ]
+            bins = code_names(tuple(self._bin_codes[0]), self._bin_codes[1])
+            rows = zip(self._ids.tolist(), labels, bins, feats or [None] * len(self),
+                       self.coalition_column())
+            self._rows = [Example(*row) for row in rows]
         return self._rows
 
     @property
@@ -192,14 +192,7 @@ class Dataset:
 
     def bin_codes(self) -> Tuple[Mapping[Hashable, int], np.ndarray]:
         """Read-only map from bin (None if missing) to code, in order of first
-        appearance, and each example's code as a read-only array; built once."""
-        if self._bin_codes is None:
-            code: dict = {}
-            codes = np.fromiter(
-                (code.setdefault(b, len(code)) for b in self._bins), dtype=np.intp, count=len(self)
-            )
-            codes.flags.writeable = False
-            self._bin_codes = (MappingProxyType(code), codes)
+        appearance, and each example's code as a read-only array."""
         return self._bin_codes
 
     def bin_mask(self, bin_id: Hashable) -> np.ndarray:
@@ -253,13 +246,13 @@ class Dataset:
         """All feature rows as a column-major float array; validates presence and shape."""
         if not isinstance(self._features, np.ndarray):
             dims = set()
-            for i, feats in zip(self.ids, self._features):
+            for i, feats in zip(self.ids, self._features or [None] * len(self)):
                 if feats is None:
                     raise InputError(f"example {i} has no features; k-NN methods need them")
                 dims.add(len(feats))
             if len(dims) > 1:
                 raise InputError(f"feature dimensions are ragged: {sorted(dims)}")
-            self._features = np.array(self._features, dtype=float, order="F")
+            self._features = np.array(self._features or [], dtype=float, order="F")
         return self._features
 
 
@@ -315,10 +308,11 @@ def code_names(names: Sequence, codes: np.ndarray, missing=None) -> list:
     return np.fromiter((*names, missing), dtype=object, count=len(names) + 1)[codes].tolist()
 
 
-def label_codes(labels: Sequence[Label], symbols: tuple) -> np.ndarray:
-    """Each label's position in ``symbols``, as an int8 array."""
-    code = {lab: c for c, lab in enumerate(symbols)}
-    return np.fromiter(map(code.__getitem__, labels), dtype=np.int8, count=len(labels))
+def first_codes(cells: Sequence[Hashable]) -> Tuple[dict, np.ndarray]:
+    """Each distinct cell's code, in order of first appearance, and each
+    cell's code as an intp array."""
+    code: dict = {}
+    return code, np.fromiter((code.setdefault(c, len(code)) for c in cells), np.intp, len(cells))
 
 
 # ---------------------------------------------------------------------------

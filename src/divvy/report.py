@@ -5,8 +5,9 @@ coalition rows sorted by id.  Exact-mode values travel as fraction strings
 ("3/2"), float-mode values as JSON numbers, so a report round-trips
 bit-for-bit in either mode.  The wall-time field is the one thing two
 otherwise identical runs are allowed to disagree on.  One writer serves the
-JSON and CSV forms: it walks the rows in blocks, encodes each block's ids
-and values once for both, and holds no text column and no whole document.
+JSON and CSV forms: it walks the rows in blocks, encodes ids and values
+once for both (a value shared by code once per report), and holds no text
+column and no whole document.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ class ValueReport:
     would be rescanned by every full pass of the cyclic garbage collector,
     which makes large runs slower than linear in n.  Coalition totals, row
     views (``examples``) and the id index behind ``value_of`` are derived
-    from the columns on demand, so they follow any edit to them.
+    from the columns on demand, so they follow any edit to them.  Rows with
+    one ``value_codes`` code, if given, hold one value in every column, which
+    the writer encodes once: clear the codes before editing one such row.
     """
 
     method: str
@@ -64,6 +67,7 @@ class ValueReport:
     k: Optional[int] = None
     per_query: Optional[List[np.ndarray]] = None
     extras: Optional[Mapping[str, object]] = None
+    value_codes: Optional[np.ndarray] = None
     _row_of: Optional[dict] = field(default=None, init=False, repr=False)
 
     @property
@@ -105,10 +109,12 @@ class ValueReport:
         )
 
 
-def _column(values: Union[np.ndarray, Sequence[Money]], mode: str) -> np.ndarray:
+def _column(values: Union[np.ndarray, Sequence[Money]], mode: str, codes=None) -> np.ndarray:
     """Money in dataset order as a report holds it: an object array of
-    ``Fraction``s in exact mode, a float64 array in float mode."""
-    return np.asarray(values, dtype=object if mode == EXACT else float)
+    ``Fraction``s in exact mode, a float64 array in float mode; with
+    ``codes``, ``values`` holds one entry per code and each row reads its own."""
+    column = np.asarray(values, dtype=object if mode == EXACT else float)
+    return column if codes is None else column[codes]
 
 
 def _coalition_totals(report: ValueReport) -> List[Tuple[Hashable, Money]]:
@@ -132,14 +138,15 @@ def assemble_report(
     k: Optional[int] = None,
     per_query: Optional[Sequence[Union[np.ndarray, Sequence[Money]]]] = None,
     extras: Optional[Mapping[str, object]] = None,
+    value_codes: Optional[np.ndarray] = None,
 ) -> ValueReport:
     """Build a report from per-example totals, and optionally each query's
     values, given in dataset order; it carries the dataset's coalition
-    codes."""
+    codes.  With ``value_codes``, each example's code, values come one per code."""
     check_mode(mode)
-    column = _column(values, mode)
+    column = _column(values, mode, value_codes)
     if per_query is not None:
-        per_query = [_column(c, mode) for c in per_query]
+        per_query = [_column(c, mode, value_codes) for c in per_query]
     for given in [column, *(per_query or ())]:
         if len(given) != len(dataset):
             raise InputError(f"{len(given)} values given for {len(dataset)} examples")
@@ -156,6 +163,7 @@ def assemble_report(
         k=k,
         per_query=per_query,
         extras=extras,
+        value_codes=value_codes,
     )
 
 
@@ -188,11 +196,8 @@ def _value_text(values: np.ndarray, mode: str) -> Tuple[List[str], List[str]]:
     in JSON.  Float mode: the float repr in both, except that JSON spells
     nan and the infinities as the json module does (NaN, Infinity)."""
     if mode == EXACT:
-        # rows often share one value object: encode each once, keyed by
-        # identity, since hashing a Fraction computes a modular inverse
-        memo: dict = {}
         with _long_ints():
-            text = [memo.get(id(v)) or memo.setdefault(id(v), str(Fraction(v))) for v in values]
+            text = [str(Fraction(v)) for v in values]
         return text, [f'"{s}"' for s in text]
     text = list(map(repr, values.tolist()))
     if np.isfinite(values).all():
@@ -206,13 +211,19 @@ def _value_text(values: np.ndarray, mode: str) -> Tuple[List[str], List[str]]:
 _BLOCK = 1024
 
 
-def _text_blocks(ids: np.ndarray, column, mode: str):
+def _text_blocks(ids: np.ndarray, column, mode: str, codes=None):
     """Each block of rows as (its first row, ids as text, values as CSV
-    cells, values as JSON literals)."""
+    cells, values as JSON literals); with ``codes``, each code's value is
+    encoded once, from the last row holding it, and gathered by code."""
+    if codes is not None:
+        rows = np.zeros(int(codes.max(initial=-1)) + 1, np.intp)
+        rows[codes] = np.arange(len(codes))
+        table = [np.array(text, object) for text in _value_text(column[rows], mode)]
     for start in range(0, len(ids), _BLOCK):
         stop = start + _BLOCK
         yield (start, list(map(str, ids[start:stop].tolist())),
-               *_value_text(column[start:stop], mode))
+               *(_value_text(column[start:stop], mode) if codes is None
+                 else [text[codes[start:stop]].tolist() for text in table]))
 
 
 def _nested(value, depth: int) -> str:
@@ -250,7 +261,7 @@ def _write(report: ValueReport, out, csv_out=None) -> None:
 
     def examples():
         for start, ids, csv_values, json_values in _text_blocks(report.ids, report.value_column,
-                                                                 mode):
+                                                                 mode, report.value_codes):
             block = codes[start:start + len(ids)]
             if csv_out is not None:
                 csv_out.write("".join([f"{i},{c},{v}\r\n" for i, c, v in
@@ -283,7 +294,8 @@ def _write(report: ValueReport, out, csv_out=None) -> None:
                   + f'    {{\n      "query_index": {qi},\n      "values": ')
         _write_list(out, ([f'        {{\n          "id": {i},\n          "value": {v}\n        }}'
                            for i, v in zip(ids, json_values)]
-                          for _, ids, _, json_values in _text_blocks(report.ids, column, mode)), 3)
+                          for _, ids, _, json_values in _text_blocks(report.ids, column, mode,
+                                                                     report.value_codes)), 3)
         out.write("\n    }")
     out.write("\n  ]\n}\n" if queries else "\n}\n")
 
@@ -342,9 +354,9 @@ def _decode_value(v, mode: str) -> Money:
 
 
 def read_report(path) -> ValueReport:
-    with open(path) as fh:
-        doc = json.load(fh)
     try:
+        with open(path) as fh:
+            doc = json.load(fh)
         meta = doc["meta"]
         mode = check_mode(meta["numeric_mode"])
         ids = [r["id"] for r in doc["examples"]]
@@ -384,7 +396,7 @@ def read_report(path) -> ValueReport:
             extras=extras,
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed report file: {exc}") from exc
+        raise InputError(f"malformed report file {path}: {exc}") from exc
     if report.coalitions != coalitions:
         raise InputError("report coalition totals do not equal member sums")
     return report

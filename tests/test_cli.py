@@ -298,6 +298,22 @@ def test_third_label_exits_1(tmp_path, freq_files, capsys):
     assert "third symbol" in capsys.readouterr().err
 
 
+def test_input_that_is_not_utf8_exits_1(tmp_path, freq_files, capsys):
+    # a dataset, query, value-function or coalition file holding a byte
+    # UTF-8 cannot decode is an input error naming that file, not a traceback
+    data, queries, vf = freq_files
+    coalitions = tmp_path / "c.csv"
+    coalitions.write_text("id,coalition\n" + "".join(f"{i},g{i % 2}\n" for i in range(6)))
+    for path in (data, queries, vf, coalitions):
+        good = path.read_bytes()
+        path.write_bytes(good.replace(b"0", b"0\xe9", 1))
+        argv = _freq_argv(data, queries, vf, "--coalitions", str(coalitions))
+        assert run_command(["owen-freq", *argv[1:]]) == 1
+        assert f"cannot read {path}: 'utf-8' codec can't decode" in capsys.readouterr().err
+        path.write_bytes(good)
+    assert run_command(["owen-freq", *argv[1:]]) == 0
+
+
 @pytest.fixture
 def big_freq(tmp_path):
     data = tmp_path / "big.csv"

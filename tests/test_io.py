@@ -1,7 +1,11 @@
 """CSV/JSON parsing and the report file round trip."""
 
+import csv
+import dataclasses
+import io
 import json
 import os
+import random
 import re
 import stat
 import sys
@@ -21,6 +25,7 @@ from divvy import (
     TableValueFunction,
     assemble_report,
     export_csv,
+    owen_frequency_report,
     read_report,
     report_to_json,
     shapley_frequency_report,
@@ -905,3 +910,195 @@ def test_typed_reader_lets_no_warning_through(tmp_path):
             path.write_bytes(("id,coalition\n" + body).encode())
             ids, cells = parse_coalition_file(path)
             assert ids.tolist() == [] and cells == []
+
+
+@pytest.mark.parametrize("reader", ["dataset", "queries", "coalitions", "value function",
+                                    "report"])
+def test_text_that_is_not_utf8_is_an_input_error(tmp_path, reader):
+    # a byte such as \xe9 that UTF-8 cannot decode, early or in a later
+    # block, names the file in an InputError instead of a traceback
+    texts = {
+        "dataset": (lambda p: parse_dataset(p, "frequency"),
+                    "id,bin,label\n" + "".join(f"{i},b0,x\n" for i in range(3 * B)), "2,b0,x"),
+        "queries": (lambda p: parse_queries(p, "frequency"), "bin,label\nb0,x\n" * B, "b0,x"),
+        "coalitions": (parse_coalition_file,
+                       "id,coalition\n" + "".join(f"{i},g0\n" for i in range(3 * B)), "5,g0"),
+        "value function": (parse_value_function,
+                           '{"family": "majority", "correct": 1, "wrong": -1, "none": 0, '
+                           '"note": "caf"}', "caf"),
+    }
+    if reader == "report":
+        path = tmp_path / "r.json"
+        write_report(_sample_report("exact"), path)
+        parse, text, cell = read_report, path.read_text(), '"x"'
+        text = text.replace("{", '{"note": "x",', 1)
+    else:
+        parse, text, cell = texts[reader]
+    for at in (text.index(cell), text.rindex(cell)):
+        path = tmp_path / "bad"
+        data = text.encode()
+        path.write_bytes(data[:at + len(cell) - 1] + b"\xe9" + data[at + len(cell) - 1:])
+        with pytest.raises(InputError, match=rf"{re.escape(str(path))}: 'utf-8' codec can't"):
+            parse(path)
+
+
+def _reference_columns(text: str):
+    """A frequency dataset's label, bin and coalition columns as a row by
+    row reading codes them: every row through csv.reader, blank ones
+    skipped, each cell stripped; labels and bins numbered in order of first
+    appearance, coalitions (empty: -1) by their sorted names.  Or the
+    message naming the first empty label or bin, else a third label's
+    first line."""
+    rows = [row for row in csv.reader(io.StringIO(text)) if row][1:]
+    symbols, bins, labels, bin_col, cells = {}, {}, [], [], []
+    for line, (_, b, lab, c) in enumerate(rows, start=2):
+        b, lab, c = b.strip(), lab.strip(), c.strip() or None
+        if not lab or not b:
+            return f"line {line}: empty {'label' if not lab else 'bin'}"
+        labels.append(symbols.setdefault(lab, (len(symbols), line))[0])
+        bin_col.append(bins.setdefault(b, len(bins)))
+        cells.append(c)
+    if len(symbols) > 2:
+        third, (_, line) = list(symbols.items())[2]
+        return f"line {line}: labels must be binary; found a third symbol {third!r}"
+    names = sorted({c for c in cells if c is not None})
+    return (tuple(symbols), labels, bins, bin_col, tuple(names),
+            [-1 if c is None else names.index(c) for c in cells])
+
+
+def test_coded_columns_match_a_row_by_row_reading(tmp_path, monkeypatch):
+    # labels, bins and coalitions are coded a block at a time, each raw
+    # cell stripped once; both block readers give the columns, and the
+    # faults, of reading row by row, whitespace variants of one cell alike
+    rng = random.Random(2300)
+    cells = {"label": ["x", " x", "x ", "\tx", "y", " y ", '" y"'],
+             "bin": ["b0", " b0", "b0 ", "b1", "b10", "B1", '"b,2"'],
+             "coalition": ["g0", " g0", "g1", "g10", "", " ", "\t", '" g1 "']}
+    faults = [None, None, ("label", ""), ("label", " "), ("bin", " \t"), ("label", "z")]
+    real, typed_blocks = divvy_io._typed_block, []
+
+    def counted(*args):
+        block = real(*args)
+        typed_blocks.append(block is not None)
+        return block
+
+    for case in range(60):
+        n = rng.choice([1, 7, B - 1, B, 2 * B + 17])
+        pool = {col: [c for c in cs if case % 3 or '"' not in c] for col, cs in cells.items()}
+        if case % 5 == 0:
+            pool["bin"] = pool["bin"] + ["bé"]  # not ASCII: its blocks go to csv.reader
+        rows = [[str(i), *(rng.choice(pool[col]) for col in ("bin", "label", "coalition"))]
+                for i in range(n)]
+        fault = rng.choice(faults)
+        if fault:
+            rows[rng.randrange(n)][1 + ["bin", "label"].index(fault[0])] = fault[1]
+        text = "id,bin,label,coalition\n" + "".join(",".join(r) + "\n" for r in rows)
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        want = _reference_columns(text)
+        for typed in (counted, lambda *args: None):
+            monkeypatch.setattr(divvy_io, "_typed_block", typed)
+            try:
+                ds = parse_dataset(path, "frequency")
+            except InputError as exc:
+                assert isinstance(want, str) and str(exc) == f"{path} {want}", (case, exc)
+                continue
+            symbols, labels = ds.label_column()
+            bins, bin_col = ds.bin_codes()
+            names, codes = ds.coalition_codes()
+            assert labels.dtype == np.int8 and bin_col.dtype == codes.dtype == np.intp
+            got = (symbols, labels.tolist(), dict(bins), bin_col.tolist(), names, codes.tolist())
+            assert got == want, case
+    monkeypatch.setattr(divvy_io, "_typed_block", real)
+    assert any(typed_blocks) == divvy_io._C_TYPED and not all(typed_blocks)
+    # hundreds of labels (codes past int8) name the third one's first line
+    rows = [f"{i},b0,{'xy'[i % 2] if i < B + 3 or i % 3 else f'l{i}'}" for i in range(3 * B)]
+    path = _write(tmp_path, "many.csv", "id,bin,label\n" + "\n".join(rows))
+    third = next(r for r in range(B + 3, 3 * B) if r % 3 == 0)
+    with pytest.raises(InputError, match=rf"line {third + 2}: .*third symbol 'l{third}'"):
+        parse_dataset(path, "frequency")
+    # the coalition file codes its cells the same way and gives them back as text
+    path = _write(tmp_path, "c.csv", "id,coalition\n" + "".join(
+        f"{i},{[' g0', 'g0 ', 'g1', ' g10'][i % 4]}\n" for i in range(B + 9)))
+    ids, cids = parse_coalition_file(path)
+    assert cids == [["g0", "g0", "g1", "g10"][i % 4] for i in range(B + 9)]
+
+
+def _sequences(obj, seen):
+    """Each list or tuple reachable from ``obj`` through containers and
+    instance attributes, arrays excluded."""
+    if id(obj) in seen or isinstance(obj, (str, bytes, np.ndarray)):
+        return
+    seen.add(id(obj))
+    if isinstance(obj, (list, tuple)):
+        yield obj
+    items = obj.items() if hasattr(obj, "items") else []
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        items = enumerate(obj)
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).items()
+    for key, value in items:
+        yield from _sequences(key, seen)
+        yield from _sequences(value, seen)
+
+
+def test_a_parsed_frequency_dataset_holds_no_sequence_per_example(tmp_path):
+    # labels, bins and coalitions are held as codes and features are absent:
+    # no list or tuple of n entries exists until the row views are asked for
+    n = B + 11
+    path = _write(tmp_path, "d.csv", "id,bin,label,coalition\n" + "".join(
+        f"{i},b{i % 3},{'xy'[i % 2]},{'' if i % 5 else 'g0'}\n" for i in range(n)))
+    ds = parse_dataset(path, "frequency")
+    ds.bin_codes(), ds.coalition_codes(), ds.label_mask("x"), ds.require_bins()
+    assert [len(s) for s in _sequences(ds, set()) if len(s) >= n] == []
+    assert ds.examples[4] == Example(4, "x", bin="b1")
+    assert n in [len(s) for s in _sequences(ds, set())]
+
+
+def _coded_reports(mode):
+    """Frequency reports, whose rows read their values by group code, over
+    more rows than one writer block: Shapley with some coalitions missing
+    and Owen, each with and without per-query columns."""
+    rng = random.Random(f"coded-{mode}")
+    n = 2 * 1024 + 37
+    rows = [(i, rng.choice("xy"), f"b{rng.randrange(5)}", rng.choice(["g0", "g1", "g2"]))
+            for i in rng.sample(range(10 * n), n)]
+    full = Dataset(Example(i, lab, bin=b, coalition=c) for i, lab, b, c in rows)
+    partial = Dataset(Example(i, lab, bin=b, coalition=c if i % 4 else None)
+                      for i, lab, b, c in rows)
+    queries = [Query(label=rng.choice("xy"), bin=f"b{rng.randrange(5)}") for _ in range(4)]
+    vf = MajorityValueFunction(Fraction(3, 2), Fraction(-5), Fraction(1, 3))
+    for per_query in (False, True):
+        yield shapley_frequency_report(partial, queries, vf, mode, per_query)
+        yield owen_frequency_report(full, queries, vf, mode, per_query)
+
+
+def _written(report, directory):
+    directory.mkdir()
+    write_report(report, directory / "r.json", csv=directory / "r.csv")
+    return (directory / "r.json").read_bytes(), (directory / "r.csv").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_a_coded_report_writes_the_bytes_of_its_rows(tmp_path, mode):
+    # each group's value is encoded once and gathered by code: the files are
+    # those of the same values written row by row, and read back equal
+    for r, report in enumerate(_coded_reports(mode)):
+        assert report.value_codes is not None and len(report.value_codes) == len(report.ids)
+        plain = dataclasses.replace(report, value_codes=None)
+        assert plain == report
+        coded_files = _written(report, tmp_path / f"coded{r}")
+        assert coded_files == _written(plain, tmp_path / f"plain{r}")
+        assert read_report(tmp_path / f"coded{r}" / "r.json") == report
+    # a table of non-finite, signed-zero and shared values, gathered by code
+    rng = np.random.default_rng(23)
+    ds = Dataset(Example(i, "x", bin="b0") for i in range(1500))
+    table = ([Fraction(1, 3), Fraction(-7, 2), Fraction(0), Fraction(1, 3)] if mode == "exact"
+             else [float("nan"), float("inf"), -float("inf"), -0.0, 0.1])
+    codes = rng.integers(0, len(table), len(ds))
+    report = assemble_report("shapley-freq", mode, ds, table, 3, 0.5, value_codes=codes,
+                             per_query=[table[::-1], table])
+    assert [str(v) for v in report.value_column] == [str(table[c]) for c in codes]
+    assert [str(v) for v in report.per_query[0]] == [str(table[::-1][c]) for c in codes]
+    assert (_written(report, tmp_path / "table")
+            == _written(dataclasses.replace(report, value_codes=None), tmp_path / "rows"))
