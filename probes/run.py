@@ -44,7 +44,16 @@ Probes:
   with one query or Q: exact values carry denominators of thousands of
   bits, so their sums and their text dominate.  The verdict sums the
   values over each distinct denominator first, as a sequential sum of
-  such fractions would take longer than the run.
+  such fractions would take longer than the run;
+- ``owen-knn-mM`` and ``owen-knn-kK``: one float ``owen-knn`` query on
+  10,000 two-feature points dealt at random into M coalitions (20 on the
+  k axis), with k = 5 or K: the preceder laws the engine builds per
+  coalition pair and live rank dominate;
+- ``owen-freq-mM``: one ``owen-freq`` query on one majority bin of 4,000
+  examples, labelled and dealt into M coalitions at random, so each
+  coalition's tally has its own preceder law;
+- ``exact-owen-5x5``: the ``oracle``'s exact Owen enumeration on one bin of
+  5 coalitions of 5 examples each, the largest its guard admits.
 
 The command exits 1 if any probe failed its verdict or did not exit 0.
 """
@@ -52,6 +61,7 @@ The command exits 1 if any probe failed its verdict or did not exit 0.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import math
 import os
@@ -74,13 +84,14 @@ MAJORITY = {"correct": 100, "wrong": -500, "none": 0}
 
 @dataclass(frozen=True)
 class Probe:
-    kind: str                  # "freq-bin", "freq-bin-lopsided", "owen-freq-box", "knn-query"
-    size: int                  # or "knn-exact"
+    kind: str                  # "freq-bin", "freq-bin-lopsided", "owen-freq-box", "owen-freq",
+    size: int                  # "exact-owen", "knn-query", "knn-exact" or "owen-knn"
     numeric: str = "float"
-    dims: int = 4              # features per point, for "knn-query" and "knn-exact"
+    dims: int = 4              # features per point, for the k-NN kinds
     trim: bool = False         # the child runs with a fixed glibc trim threshold
     queries: int = 1           # for "knn-exact"
-    coalitions: int = 0        # for "knn-exact": the points are dealt into this many
+    coalitions: int = 0        # the examples are dealt into this many, if any
+    k: int = 5                 # for the k-NN kinds
 
 
 PROBES = {
@@ -98,9 +109,19 @@ PROBES = {
     "knn-query-100k-d16-trim": Probe("knn-query", 100_000, dims=16, trim=True),
     "knn-exact-10k-4c": Probe("knn-exact", 10_000, "exact", dims=2, coalitions=4),
     "knn-exact-5k-q10": Probe("knn-exact", 5_000, "exact", dims=2, queries=10, coalitions=4),
+    "owen-knn-m20": Probe("owen-knn", 10_000, dims=2, coalitions=20),
+    "owen-knn-m100": Probe("owen-knn", 10_000, dims=2, coalitions=100),
+    "owen-knn-m200": Probe("owen-knn", 10_000, dims=2, coalitions=200),
+    "owen-knn-k5": Probe("owen-knn", 10_000, dims=2, coalitions=20, k=5),
+    "owen-knn-k21": Probe("owen-knn", 10_000, dims=2, coalitions=20, k=21),
+    "owen-knn-k51": Probe("owen-knn", 10_000, dims=2, coalitions=20, k=51),
+    "owen-freq-m200": Probe("owen-freq", 4_000, coalitions=200),
+    "owen-freq-m400": Probe("owen-freq", 4_000, coalitions=400),
+    "owen-freq-m800": Probe("owen-freq", 4_000, coalitions=800),
+    "owen-freq-m200-exact": Probe("owen-freq", 4_000, "exact", coalitions=200),
+    "exact-owen-5x5": Probe("exact-owen", 25, "exact", coalitions=5),
 }
 
-KNN_K = 5
 TRIM_ENV = {"MALLOC_TRIM_THRESHOLD_": "131072"}
 
 # Every child's last lines: its high-water mark, and one JSON line.
@@ -159,7 +180,7 @@ def write_inputs(probe: Probe, seed: int, directory: str):
     """The probe's CSV and JSON inputs under ``directory``, rows and ids
     shuffled by ``seed``: the CLI argv (without ``--out``) and
     v(N) - v(empty) for its one query."""
-    if probe.kind in ("knn-query", "knn-exact"):
+    if probe.kind in ("knn-query", "knn-exact", "owen-knn"):
         return _knn_inputs(probe, seed, directory)
     rng = random.Random(f"{probe.kind}:{probe.size}:{seed}")
     n = probe.size
@@ -169,6 +190,15 @@ def write_inputs(probe: Probe, seed: int, directory: str):
         command, groups = "shapley-freq", [(None, n, 3 * n)]
     elif probe.kind == "owen-freq-box":
         command, groups = "owen-freq", [("target", n, n), ("even", n, n), ("lean", n // 2, n // 3)]
+    elif probe.kind == "owen-freq":  # each example to a coalition and a label at random
+        tallies = collections.Counter((rng.randrange(probe.coalitions), rng.random() < 0.5)
+                                      for _ in range(n))
+        command, groups = "owen-freq", [(f"g{c}", tallies[c, True], tallies[c, False])
+                                        for c in range(probe.coalitions)]
+    elif probe.kind == "exact-owen":  # coalitions of n // coalitions, labelled at random
+        size = n // probe.coalitions
+        matches = [rng.randint(0, size) for _ in range(probe.coalitions)]
+        command, groups = "oracle", [(f"g{c}", x, size - x) for c, x in enumerate(matches)]
     else:
         raise ValueError(f"unknown probe kind {probe.kind!r}")
     labels = [(g, lab) for g, x, y in groups for lab in "x" * x + "y" * y]
@@ -184,8 +214,9 @@ def write_inputs(probe: Probe, seed: int, directory: str):
     with open(value, "w") as fh:
         json.dump({"family": "majority", **MAJORITY}, fh)
     a, b = sum(x for _, x, _ in groups), sum(y for *_, y in groups)
-    argv = [command, "--data", data, "--queries", queries, "--value", value,
-            "--numeric", probe.numeric]
+    argv = [command, "--data", data, "--queries", queries, "--value", value]
+    argv += (["--family", "frequency", "--method", "exact-owen"] if command == "oracle"
+             else ["--numeric", probe.numeric])
     return argv, majority(a, b) - majority(0, 0)
 
 
@@ -215,11 +246,12 @@ def _knn_inputs(probe: Probe, seed: int, directory: str):
         fh.writelines(f"x,{','.join(map(repr, q))}\n" for q in queries.tolist())
     expected = 0
     for query in queries:
-        nearest = np.lexsort((ids, ((feats - query) ** 2).sum(axis=1)))[:KNN_K]
+        nearest = np.lexsort((ids, ((feats - query) ** 2).sum(axis=1)))[:probe.k]
         votes = int(is_x[nearest].sum())
-        vote = MAJORITY["correct"] if 2 * votes > KNN_K else MAJORITY["wrong"]
+        vote = MAJORITY["correct"] if 2 * votes > probe.k else MAJORITY["wrong"]
         expected += vote - MAJORITY["none"]
-    argv = ["shapley-knn", "--data", data, "--queries", query_file, "--k", str(KNN_K),
+    command = "owen-knn" if probe.kind == "owen-knn" else "shapley-knn"
+    argv = [command, "--data", data, "--queries", query_file, "--k", str(probe.k),
             "--values", "{correct},{wrong},{none}".format(**MAJORITY), "--numeric", probe.numeric]
     return argv, expected
 

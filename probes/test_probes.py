@@ -23,7 +23,9 @@ def test_the_named_probes():
         "freq-bin-10k", "freq-bin-20k", "freq-bin-50k", "freq-bin-25k-75k", "owen-freq-box-1k",
         "owen-freq-box-3k", "owen-freq-box-5k", "owen-freq-box-1k-exact", "knn-query-100k",
         "knn-query-100k-trim", "knn-query-100k-d16", "knn-query-100k-d16-trim",
-        "knn-exact-10k-4c", "knn-exact-5k-q10"}
+        "knn-exact-10k-4c", "knn-exact-5k-q10", "owen-knn-m20", "owen-knn-m100",
+        "owen-knn-m200", "owen-knn-k5", "owen-knn-k21", "owen-knn-k51", "owen-freq-m200",
+        "owen-freq-m400", "owen-freq-m800", "owen-freq-m200-exact", "exact-owen-5x5"}
     for name, probe in probes.PROBES.items():  # a -trim twin differs in its child's env alone
         if name.endswith("-trim"):
             assert probe == dataclasses.replace(probes.PROBES[name[:-5]], trim=True)
@@ -63,6 +65,35 @@ def test_small_knn_exact_probes_pass_their_verdict(tmp_path, queries):
     assert rows[0] == "id,label,f0,f1,coalition" and len(rows) == 61
     assert {row.rsplit(",", 1)[1] for row in rows[1:]} == {"g0", "g1", "g2", "g3"}
     assert len((tmp_path / "queries.csv").read_text().splitlines()) == queries + 1
+
+
+@pytest.mark.parametrize("probe", [probes.Probe("owen-knn", 60, dims=2, coalitions=4, k=3),
+                                   probes.Probe("owen-knn", 60, dims=2, coalitions=7, k=5),
+                                   probes.Probe("owen-freq", 50, coalitions=6)])
+@pytest.mark.parametrize("numeric", ["float", "exact"])
+def test_small_owen_probes_pass_their_verdict(tmp_path, probe, numeric):
+    probe = dataclasses.replace(probe, numeric=numeric)
+    record = probes.run_probe("small", probe, seed=3)
+    assert record["exit"] == 0 and record["efficiency"]["ok"], record
+    assert record["command"] == probe.kind and record["numeric"] == numeric
+    argv, _ = probes.write_inputs(probe, 3, str(tmp_path))
+    if probe.kind == "owen-knn":
+        assert argv[argv.index("--k") + 1] == str(probe.k)
+    rows = (tmp_path / "data.csv").read_text().splitlines()[1:]
+    assert len(rows) == probe.size and len({row.rsplit(",", 1)[1] for row in rows}) > 1
+
+
+def test_small_exact_owen_probe_passes_its_verdict(tmp_path):
+    # the oracle has one numeric mode, exact; its guard admits 5 coalitions of 5
+    assert probes.PROBES["exact-owen-5x5"] == probes.Probe("exact-owen", 25, "exact",
+                                                           coalitions=5)
+    probe = probes.Probe("exact-owen", 6, "exact", coalitions=2)
+    record = probes.run_probe("small", probe, seed=3)
+    assert record["exit"] == 0 and record["efficiency"]["ok"], record
+    assert record["command"] == "oracle"
+    probes.write_inputs(probe, 3, str(tmp_path))
+    rows = (tmp_path / "data.csv").read_text().splitlines()[1:]
+    assert sorted(row.rsplit(",", 1)[1] for row in rows) == ["g0"] * 3 + ["g1"] * 3
 
 
 def test_the_exact_verdict_reads_values_past_the_int_text_cap():

@@ -112,8 +112,8 @@ def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=None, help="neighborhood size (knn family)")
     p.add_argument("--values", default=None, metavar="VC,VW,VN", help="knn outcome values")
     _add_coalition_flag(p)
-    p.add_argument("--samples", type=int, default=1000, help="mc-shapley sample count")
-    p.add_argument("--seed", type=int, default=0, help="mc-shapley RNG seed")
+    p.add_argument("--samples", type=int, default=None, help="mc-shapley sample count (1000)")
+    p.add_argument("--seed", type=int, default=None, help="mc-shapley RNG seed (0)")
     p.add_argument(
         "--yes-i-know",
         action="store_true",
@@ -178,9 +178,19 @@ def _run_owen_knn(args):
 
 
 def _run_oracle(args):
-    family = args.family
+    family, method = args.family, args.method
+    mc = method == "mc-shapley"
+    for flag, given, read in (("--samples", args.samples, mc), ("--seed", args.seed, mc),
+                              ("--yes-i-know", args.yes_i_know or None, not mc),
+                              ("--value", args.value, family == "frequency"),
+                              ("--k", args.k, family == "knn"),
+                              ("--values", args.values, family == "knn")):
+        if given is not None and not read:
+            raise InputError(f"oracle --family {family} --method {method} does not read {flag}")
     if family == "frequency" and args.value is None:
         raise InputError("oracle --family frequency needs --value")
+    samples = 1000 if args.samples is None else args.samples
+    seed = 0 if args.seed is None else args.seed
     dataset, queries, rule = _inputs(args, family)
 
     def build_game(q):
@@ -188,8 +198,7 @@ def _run_oracle(args):
             return frequency_game(dataset, q, q.value_function or rule)
         return knn_game(dataset, q, rule)
 
-    method = args.method
-    mode = FLOAT if method == "mc-shapley" else EXACT
+    mode = FLOAT if mc else EXACT
     dtype = float if mode == FLOAT else object
     totals = np.full(len(dataset), to_money(0, mode), dtype)
     columns = []
@@ -203,7 +212,7 @@ def _run_oracle(args):
         elif method == "exact-owen":
             values = exact_owen_all(game, codes, override=args.yes_i_know).values()
         else:
-            values = [e.estimate for e in mc_shapley_all(game, args.samples, args.seed).values()]
+            values = [e.estimate for e in mc_shapley_all(game, samples, seed).values()]
         # each oracle lists its values in player order, and the players are
         # dataset.ids, so the values come in dataset order
         columns.append(np.array(list(values), dtype))
@@ -211,11 +220,10 @@ def _run_oracle(args):
     wall = time.perf_counter() - started
 
     extras = {"family": family, "oracle_method": method}
-    if method == "mc-shapley":
-        extras["samples"] = args.samples
-        extras["seed"] = args.seed
+    if mc:
+        extras["samples"], extras["seed"] = samples, seed
     return assemble_report("oracle", mode, dataset, totals, query_count=len(queries),
-                           wall_time=wall, k=args.k if family == "knn" else None,
+                           wall_time=wall, k=args.k,
                            per_query=columns if args.per_query else None, extras=extras)
 
 

@@ -426,21 +426,19 @@ def _value_from_distribution(dist: PrecedeDistribution, crit: CriticalSet, a_m: 
     return Fraction(total, scale) if exact else float(total / scale)
 
 
+def _law_input(vf: FrequencyValueFunction, tally: CountPair) -> CountPair:
+    """A tally as the preceder law reads it: (a - b, 0) for a rule of a - b
+    alone, whose deltas depend on nothing else, else (a, b).  Tallies with
+    one input leave the others' inputs equal, so they share one law."""
+    return (tally[0] - tally[1], 0) if vf.by_difference else tally
+
+
 def _preceder_law(other_tallies: Sequence[CountPair], vf: FrequencyValueFunction, mode: str):
-    """The preceder law a value reads: for a rule of a - b alone, whose
-    deltas depend on nothing else, the law of a - b, as one axis; else the
-    law of (a, b)."""
+    """The law of the others' ``_law_input``s, as one axis for a rule of a - b alone."""
+    law = owen_precede_distribution([_law_input(vf, t) for t in other_tallies], mode)
     if not vf.by_difference:
-        return owen_precede_distribution(other_tallies, mode)
-    law = owen_precede_distribution([(a - b, 0) for a, b in other_tallies], mode)
+        return law
     return PrecedeDistribution(law.weights[:, 0], law.scale, law.origin[:1])
-
-
-def _law_key(vf: FrequencyValueFunction, tally: CountPair):
-    """Tallies with one key share one preceder law in a query.  Equal
-    tallies leave equal other coalitions; a law of a - b reads only the
-    others' a - b, which tallies with equal a - b leave equal too."""
-    return tally[0] - tally[1] if vf.by_difference else tally
 
 
 def owen_frequency_single(
@@ -486,7 +484,7 @@ def _frequency_report(method, dataset, owner, queries, vf, mode, per_query):
     """Total payout per example over a batch of queries, each example in
     the coalition coded ``owner``.  Values are summed per (bin, coalition,
     label) group, which the report's rows read by code.  Per query the critical
-    set is built once per class, the preceder law once per law key and the
+    set is built once per class, the preceder law once per law input and the
     value once per (tally, class), reused across queries alike in bin,
     label and value function."""
     check_mode(mode)
@@ -514,12 +512,12 @@ def _frequency_report(method, dataset, owner, queries, vf, mode, per_query):
         pairs = sorted(tallies)
         size_a, size_b = counts.sum(axis=0).tolist()
         crits: dict = {}  # label matches -> critical set
-        law_key, law = None, None  # tallies sharing a law key come in a row
+        law_key, law = None, None  # tallies sharing a law input come in a row
         alike = (id(q_vf), q.bin, q.label)  # plus (own tally, label matches): a value's key
         needed = {(t, m) for t in pairs for m in (True, False)
                   if t[not m] and alike + (t, m) not in value_cache}
-        for own, m in sorted(needed, key=lambda p: (_law_key(q_vf, p[0]), p)):
-            key = _law_key(q_vf, own)
+        for own, m in sorted(needed, key=lambda p: (_law_input(q_vf, p[0]), p)):
+            key = _law_input(q_vf, own)
             if key != law_key:
                 others = list(pairs)
                 others.remove(own)

@@ -160,20 +160,20 @@ class _QueryEngine:
         self._dp_cache: dict = {}
 
     def _dp(self, pinned, others, caps) -> list:
-        """The law for canonical clamped inputs, as (a, b, probability)
-        triples of Python numbers for its non-zero entries, fetched from the
-        cache or built."""
-        key = (pinned, others, caps)
+        """The law for clamped inputs, the ``others`` rows in any order, as
+        (a, b, probability) triples of Python numbers for its non-zero
+        entries, fetched from the cache (keyed by the sorted rows) or built."""
+        key = (pinned, tuple(sorted(others)), caps)
         if key not in self._dp_cache:
-            probs = knn_owen_distribution(others, self.mode, pinned, caps).probs.tolist()
+            probs = knn_owen_distribution(key[1], self.mode, pinned, caps).probs.tolist()
             self._dp_cache[key] = [(a, b, p) for a, r in enumerate(probs) for b, p in enumerate(r) if p]
         return self._dp_cache[key]
 
     def creation(self, c: int, i_match: bool) -> Money:
         """Creation term shared by coalition c's members of one class."""
         k = self.k
-        others = tuple(sorted((min(self.tot_match[o], k), min(self.tot_mismatch[o], k))
-                              for o in range(self.m) if o != c))
+        others = ((min(self.tot_match[o], k), min(self.tot_mismatch[o], k))
+                  for o in range(self.m) if o != c)
         q = self._dp(None, others, (k - 1, k - 1))
         a_m = self.tot_match[c] - i_match
         b_m = self.tot_mismatch[c] - (not i_match)
@@ -199,7 +199,7 @@ class _QueryEngine:
         h = self.half
         if a_m < 0 or b_m < 0:
             return self.zero  # no such member is nearer than j
-        others = tuple(sorted(clamped[o] for o in range(self.m) if o != c and o != cj))
+        others = (clamped[o] for o in range(self.m) if o != c and o != cj)
         inner = self.zero
         for qa, qb, mass in self._dp(clamped[cj], others, (h, h)):
             a, b = h - qa, h - qb
@@ -251,8 +251,7 @@ class _QueryEngine:
                     if lo == hi:
                         continue
                     if s not in laws:
-                        others = tuple(sorted(rows[s][:c] + rows[s][c + 1:]))
-                        laws[s] = self._dp(None, others, (h, h))
+                        laws[s] = self._dp(None, rows[s][:c] + rows[s][c + 1:], (h, h))
                     adds[lo:hi] = functools.reduce(operator.add, (
                         _pivot_weights(p[lo:hi], q[lo:hi], h - qa, h - qb, n,
                                        mass * d_change[not u], mode)
@@ -319,7 +318,7 @@ def _knn_report(method: str, dataset: Dataset, codes: np.ndarray, m: int,
     totals = _zeros(len(dataset), mode)
     columns = []
     for q in queries:
-        ranking = rank_by_distance(dataset, q.features, q.label, config.metric)
+        ranking = rank_by_distance(dataset, q.features, q.label)
         values = _QueryEngine(ranking, codes[ranking.rows], m, config.k,
                               config.outcome_values, mode).values()
         np.add.at(totals, ranking.rows, values)  # no gathered copy of totals

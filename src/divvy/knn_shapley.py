@@ -14,13 +14,13 @@ import numpy as np
 
 from .combinatorics import Money, check_mode, precede_probability
 from .errors import InputError
-from .knn_owen import _QueryEngine, _knn_report, _zeros
+from .knn_owen import _QueryEngine, _knn_report
 from .model import (Dataset, KnnConfig, OutcomeValues, Query, RankedNeighborhood,
                     rank_by_distance)
 from .report import ValueReport, assemble_report
 
-# precede_probability and assemble_report are not called here, but stay
-# bound under the names that perfbench/spans.py wraps
+# precede_probability, rank_by_distance and assemble_report are not called
+# here, but stay bound under the names that perfbench/spans.py wraps
 
 METHOD = "shapley-knn"
 
@@ -74,11 +74,7 @@ def knn_shapley_values(
     mode: str = "float",
 ) -> dict:
     """Shapley value per example id for a single query."""
-    check_mode(mode)
-    ranking = rank_by_distance(dataset, query.features, query.label, config.metric)
-    out = _zeros(len(dataset), mode)
-    out[ranking.rows] = _one_coalition(ranking, config.k, config.outcome_values, mode).values()
-    return dict(zip(dataset.ids, out.tolist()))
+    return knn_shapley_report(dataset, [query], config, mode).values()
 
 
 def knn_shapley_report(

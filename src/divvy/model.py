@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Hashable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -483,7 +483,6 @@ class OutcomeValues:
 class KnnConfig:
     k: int
     outcome_values: OutcomeValues
-    metric: Union[str, Callable] = "euclidean"
 
     def __post_init__(self):
         if not isinstance(self.k, (int, np.integer)) or self.k < 1:
@@ -549,19 +548,11 @@ def _column_sums(feats, q, lo: int, hi: int, tmp: np.ndarray) -> np.ndarray:
     return r[0]
 
 
-def rank_by_distance(
-    dataset: Dataset,
-    query_features: Sequence[float],
-    query_label: Label,
-    metric: Union[str, Callable] = "euclidean",
-) -> RankedNeighborhood:
-    """Rank the whole dataset by distance to the query point.
-
-    The metric is any real-valued function of two feature vectors (no
-    symmetry or triangle inequality assumed); "euclidean" selects the
-    built-in one, summed a column at a time.  Equal distances fall back
-    to ascending id, which keeps every downstream computation deterministic.
-    """
+def rank_by_distance(dataset: Dataset, query_features: Sequence[float],
+                     query_label: Label) -> RankedNeighborhood:
+    """Rank the whole dataset by Euclidean distance to the query point,
+    summed a column at a time.  Equal distances fall back to ascending id,
+    which keeps every downstream computation deterministic."""
     dataset.check_query_label(query_label)
     feats = dataset.feature_matrix()
     q = np.asarray(tuple(query_features), dtype=float)
@@ -571,21 +562,16 @@ def rank_by_distance(
         raise InputError(
             f"query has {q.shape[0]} features but the dataset has {feats.shape[1]}"
         )
-    if metric == "euclidean":
-        with np.errstate(over="ignore"):
-            dist = np.sqrt(_squared_distances(feats, q))
-            if not np.isfinite(dist).all() and np.isfinite(q).all():
-                # finite features beyond ~1e154 overflow the squares; one exact
-                # power-of-two rescale of those rows brings them into range
-                far = ~np.isfinite(dist) & np.isfinite(feats).all(axis=1)
-                if far.any():
-                    _, e = np.frexp(max(np.abs(feats[far]).max(), np.abs(q).max()))
-                    d = np.ldexp(feats[far], -e) - np.ldexp(q, -e)
-                    dist[far] = np.ldexp(np.sqrt((d**2).sum(axis=1)), e)
-    elif callable(metric):
-        dist = np.asarray([float(metric(ex.features, tuple(q))) for ex in dataset], dtype=float)
-    else:
-        raise ConfigError(f"unknown metric {metric!r}")
+    with np.errstate(over="ignore"):
+        dist = np.sqrt(_squared_distances(feats, q))
+        if not np.isfinite(dist).all() and np.isfinite(q).all():
+            # finite features beyond ~1e154 overflow the squares; one exact
+            # power-of-two rescale of those rows brings them into range
+            far = ~np.isfinite(dist) & np.isfinite(feats).all(axis=1)
+            if far.any():
+                _, e = np.frexp(max(np.abs(feats[far]).max(), np.abs(q).max()))
+                d = np.ldexp(feats[far], -e) - np.ldexp(q, -e)
+                dist[far] = np.ldexp(np.sqrt((d**2).sum(axis=1)), e)
     ids = dataset.id_array()
     order = np.argsort(dist)
     ranked = dist[order]

@@ -264,7 +264,7 @@ def frequency_game(dataset: Dataset, query: Query, vf: FrequencyValueFunction) -
 
 def knn_game(dataset: Dataset, query: Query, config: KnnConfig) -> CharacteristicGame:
     """Characteristic game whose subsets vote with their k nearest members."""
-    ranking = rank_by_distance(dataset, query.features, query.label, config.metric)
+    ranking = rank_by_distance(dataset, query.features, query.label)
 
     def value_of(subset: frozenset):
         return knn_subset_value(subset, ranking, config.k, config.outcome_values)

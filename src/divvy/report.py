@@ -395,6 +395,8 @@ def read_report(path) -> ValueReport:
             per_query=per_query,
             extras=extras,
         )
+    except (OSError, UnicodeDecodeError) as exc:  # the latter before ValueError, its base
+        raise InputError(f"cannot read {path}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed report file {path}: {exc}") from exc
     if report.coalitions != coalitions:

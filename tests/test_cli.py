@@ -413,6 +413,35 @@ def test_oracle_knn_family(knn_files, tmp_path):
     assert fast_vals == slow_vals
 
 
+@pytest.mark.parametrize("family, method, flag", [
+    ("frequency", "exact-shapley", ["--samples", "7"]),
+    ("knn", "exact-owen", ["--seed", "3"]),
+    ("frequency", "mc-shapley", ["--yes-i-know"]),
+    ("knn", "exact-shapley", ["--value", "v.json"]),
+    ("frequency", "exact-shapley", ["--k", "5"]),
+    ("frequency", "mc-shapley", ["--values", "1,2,3"]),
+])
+def test_oracle_refuses_a_flag_its_run_ignores(freq_files, knn_files, tmp_path, capsys, family,
+                                               method, flag):
+    # every accepted flag does what it says: one the family or method
+    # would not read exits 1 and names it, where the run without it passes
+    data, queries, vf = freq_files
+    knn_data, knn_queries = knn_files
+    groups = tmp_path / "g.csv"
+    groups.write_text("id,coalition\n0,a\n1,a\n2,b\n3,b\n4,b\n")
+    if family == "frequency":
+        inputs = ["--data", data, "--queries", queries, "--value", vf]
+    else:
+        inputs = ["--data", knn_data, "--queries", knn_queries, "--k", "1",
+                  "--values", "1,-1,0", "--coalitions", groups]
+    argv = ["oracle", "--family", family, "--method", method, *map(str, inputs),
+            "--out", str(tmp_path / "o.json")]
+    assert run_command(argv) == 0, capsys.readouterr().err
+    assert run_command(argv + flag) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("divvy: error:") and f"does not read {flag[0]}" in err, err
+
+
 def test_oracle_frequency_requires_value(big_freq, capsys):
     data, queries, _ = big_freq
     rc = run_command([

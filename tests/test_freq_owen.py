@@ -60,8 +60,9 @@ def _enumerate_preceding_counts(pairs, pinned=None):
 
 
 def _support(dist):
-    """The law's non-zero entries as a dict keyed (a, b)."""
-    return {(int(a), int(b)): dist.probs[a, b] for a, b in zip(*np.nonzero(dist.weights))}
+    """The law's non-zero entries as a dict keyed (a, b), counted from its origin."""
+    oa, ob = dist.origin
+    return {(int(a) + oa, int(b) + ob): dist.probs[a, b] for a, b in zip(*np.nonzero(dist.weights))}
 
 
 def _assert_law(pairs, want, mode, **kw):
@@ -178,6 +179,25 @@ def test_float_law_matches_insertion_dp():
             k = rng.randint(1, 4)
             pairs.append([(0, 0), (k, 0), (0, k), (k, rng.randint(1, 4))][kind])
         _float_tracks_exact_law(pairs)
+
+
+def test_laws_match_the_insertion_dp_at_larger_m():
+    # laws of a - b (one axis, negative tallies) up to m = 40, and the
+    # capped, pinned laws of k-NN Owen values up to m = 20: exact laws equal
+    # the insertion DP, float ones agree to within 1e-12 relative
+    rng = random.Random(59)
+    for m in (5, 11, 18, 24, 32, 40, 40):
+        pairs = [(rng.randint(-4, 4), 0) for _ in range(m)]
+        want = {k: v for k, v in insertion_dp(pairs).items() if v}
+        for mode in ("exact", "float"):
+            _assert_law(pairs, want, mode)
+    # a pinned row past the caps (h + 1 is the clamp) leaves an empty law
+    for m, h in ((9, 1), (12, 1), (14, 2), (17, 2), (20, 3), (20, 3), (20, 5)):
+        pairs = [(rng.randint(0, h + 1), rng.randint(0, h + 1)) for _ in range(m)]
+        pinned = rng.randint(0, h + 1), rng.randint(0, h)
+        want = {k: v for k, v in insertion_dp(pairs, (h, h), pinned).items() if v}
+        for mode in ("exact", "float"):
+            _assert_law(pairs, want, mode, pinned=pinned, caps=(h, h))
 
 
 def test_float_law_refuses_an_oversized_grid():

@@ -432,6 +432,14 @@ def test_read_report_rejects_tampering(tmp_path):
             read_report(broken)
 
 
+def test_read_report_refuses_a_path_it_cannot_read(tmp_path):
+    # a missing file and a directory are input errors naming the path, as
+    # for every other reader, not a raw OSError
+    for path in (tmp_path / "missing.json", tmp_path):
+        with pytest.raises(InputError, match=f"cannot read {re.escape(str(path))}"):
+            read_report(path)
+
+
 def test_read_report_rejects_non_integer_ids(tmp_path):
     path = tmp_path / "r.json"
     write_report(_sample_report("exact"), path)

@@ -1,5 +1,6 @@
 """Dataset plumbing, value functions, rankings and subset votes."""
 
+import dataclasses
 import gc
 import random
 import warnings
@@ -182,10 +183,8 @@ def test_knn_config_validation():
         KnnConfig(4, ov)
     with pytest.raises(ConfigError):
         KnnConfig(0, ov)
-    with pytest.raises(ConfigError):
-        KnnConfig(3, ov, metric="manhattan") and rank_by_distance(
-            Dataset([Example(0, "a", features=(0.0,))]), (0.0,), "a", "manhattan"
-        )
+    # distances are Euclidean: a configuration holds no metric to choose
+    assert [f.name for f in dataclasses.fields(KnnConfig)] == ["k", "outcome_values"]
 
 
 def test_rank_by_distance_orders_and_breaks_ties_by_id():
@@ -352,19 +351,6 @@ def test_rank_by_distance_prefix_counts_sum_to_position():
         r = rank_by_distance(ds, (rng.random(), rng.random()), "x")
         total = r.prefix_match + r.prefix_mismatch
         assert np.array_equal(total, np.arange(n))
-
-
-def test_rank_by_distance_custom_metric():
-    ds = Dataset([
-        Example(0, "a", features=(0.0,)),
-        Example(1, "b", features=(3.0,)),
-    ])
-
-    def backwards(u, v):
-        return -abs(u[0] - v[0])
-
-    r = rank_by_distance(ds, (0.0,), "a", metric=backwards)
-    assert list(r.ordering) == [1, 0]
 
 
 def test_rank_by_distance_dimension_mismatch():
