@@ -53,7 +53,10 @@ Probes:
   examples, labelled and dealt into M coalitions at random, so each
   coalition's tally has its own preceder law;
 - ``exact-owen-5x5``: the ``oracle``'s exact Owen enumeration on one bin of
-  5 coalitions of 5 examples each, the largest its guard admits.
+  5 coalitions of 5 examples each, the largest its guard admits;
+- ``exact-shapley-10``: the ``oracle``'s exact Shapley enumeration on one
+  majority bin of 10 examples labelled at random, the largest its guard
+  admits: all 10! orderings.
 
 The command exits 1 if any probe failed its verdict or did not exit 0.
 """
@@ -85,7 +88,8 @@ MAJORITY = {"correct": 100, "wrong": -500, "none": 0}
 @dataclass(frozen=True)
 class Probe:
     kind: str                  # "freq-bin", "freq-bin-lopsided", "owen-freq-box", "owen-freq",
-    size: int                  # "exact-owen", "knn-query", "knn-exact" or "owen-knn"
+    size: int                  # "exact-owen", "exact-shapley", "knn-query", "knn-exact" or
+                               # "owen-knn"
     numeric: str = "float"
     dims: int = 4              # features per point, for the k-NN kinds
     trim: bool = False         # the child runs with a fixed glibc trim threshold
@@ -120,6 +124,7 @@ PROBES = {
     "owen-freq-m800": Probe("owen-freq", 4_000, coalitions=800),
     "owen-freq-m200-exact": Probe("owen-freq", 4_000, "exact", coalitions=200),
     "exact-owen-5x5": Probe("exact-owen", 25, "exact", coalitions=5),
+    "exact-shapley-10": Probe("exact-shapley", 10, "exact"),
 }
 
 TRIM_ENV = {"MALLOC_TRIM_THRESHOLD_": "131072"}
@@ -199,6 +204,9 @@ def write_inputs(probe: Probe, seed: int, directory: str):
         size = n // probe.coalitions
         matches = [rng.randint(0, size) for _ in range(probe.coalitions)]
         command, groups = "oracle", [(f"g{c}", x, size - x) for c, x in enumerate(matches)]
+    elif probe.kind == "exact-shapley":  # n examples, labelled at random
+        x = sum(rng.random() < 0.5 for _ in range(n))
+        command, groups = "oracle", [(None, x, n - x)]
     else:
         raise ValueError(f"unknown probe kind {probe.kind!r}")
     labels = [(g, lab) for g, x, y in groups for lab in "x" * x + "y" * y]
@@ -215,7 +223,7 @@ def write_inputs(probe: Probe, seed: int, directory: str):
         json.dump({"family": "majority", **MAJORITY}, fh)
     a, b = sum(x for _, x, _ in groups), sum(y for *_, y in groups)
     argv = [command, "--data", data, "--queries", queries, "--value", value]
-    argv += (["--family", "frequency", "--method", "exact-owen"] if command == "oracle"
+    argv += (["--family", "frequency", "--method", probe.kind] if command == "oracle"
              else ["--numeric", probe.numeric])
     return argv, majority(a, b) - majority(0, 0)
 

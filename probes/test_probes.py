@@ -25,7 +25,8 @@ def test_the_named_probes():
         "knn-query-100k-trim", "knn-query-100k-d16", "knn-query-100k-d16-trim",
         "knn-exact-10k-4c", "knn-exact-5k-q10", "owen-knn-m20", "owen-knn-m100",
         "owen-knn-m200", "owen-knn-k5", "owen-knn-k21", "owen-knn-k51", "owen-freq-m200",
-        "owen-freq-m400", "owen-freq-m800", "owen-freq-m200-exact", "exact-owen-5x5"}
+        "owen-freq-m400", "owen-freq-m800", "owen-freq-m200-exact", "exact-owen-5x5",
+        "exact-shapley-10"}
     for name, probe in probes.PROBES.items():  # a -trim twin differs in its child's env alone
         if name.endswith("-trim"):
             assert probe == dataclasses.replace(probes.PROBES[name[:-5]], trim=True)
@@ -94,6 +95,19 @@ def test_small_exact_owen_probe_passes_its_verdict(tmp_path):
     probes.write_inputs(probe, 3, str(tmp_path))
     rows = (tmp_path / "data.csv").read_text().splitlines()[1:]
     assert sorted(row.rsplit(",", 1)[1] for row in rows) == ["g0"] * 3 + ["g1"] * 3
+
+
+def test_small_exact_shapley_probe_passes_its_verdict(tmp_path):
+    # the oracle's Shapley guard admits 10 examples: all 10! orderings
+    assert probes.PROBES["exact-shapley-10"] == probes.Probe("exact-shapley", 10, "exact")
+    probe = probes.Probe("exact-shapley", 5, "exact")
+    record = probes.run_probe("small", probe, seed=3)
+    assert record["exit"] == 0 and record["efficiency"]["ok"], record
+    assert record["command"] == "oracle"
+    argv, _ = probes.write_inputs(probe, 3, str(tmp_path))
+    assert argv[argv.index("--method") + 1] == "exact-shapley"
+    rows = (tmp_path / "data.csv").read_text().splitlines()[1:]
+    assert len(rows) == 5 and {row.rsplit(",", 1)[1] for row in rows} == {""}
 
 
 def test_the_exact_verdict_reads_values_past_the_int_text_cap():

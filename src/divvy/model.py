@@ -10,6 +10,7 @@ unique integers in 0 .. 2**63 - 1, so a dataset's ids fit one int64 array.
 from __future__ import annotations
 
 import copy
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -36,7 +37,8 @@ class Example:
     coalition: Optional[Hashable] = None
 
     def __post_init__(self):
-        if not isinstance(self.id, (int, np.integer)) or not 0 <= int(self.id) < 2**63:
+        if isinstance(self.id, bool) or not isinstance(self.id, (int, np.integer)) or not (
+                0 <= int(self.id) < 2**63):
             raise InputError(
                 f"example id must be an integer in 0 .. 2**63 - 1, got {self.id!r}"
             )
@@ -243,7 +245,7 @@ class Dataset:
         return names, codes
 
     def feature_matrix(self) -> np.ndarray:
-        """All feature rows as a column-major float array; validates presence and shape."""
+        """All feature rows as a column-major float array; checks presence, shape, finiteness."""
         if not isinstance(self._features, np.ndarray):
             dims = set()
             for i, feats in zip(self.ids, self._features or [None] * len(self)):
@@ -252,7 +254,12 @@ class Dataset:
                 dims.add(len(feats))
             if len(dims) > 1:
                 raise InputError(f"feature dimensions are ragged: {sorted(dims)}")
-            self._features = np.array(self._features or [], dtype=float, order="F")
+            matrix = np.array(self._features or [], dtype=float, order="F")
+            if not np.isfinite(matrix).all():
+                row = np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0]
+                raise InputError(f"example {self._ids[row]} has a non-finite feature "
+                                 f"{self._features[row]!r}")
+            self._features = matrix
         return self._features
 
 
@@ -324,6 +331,14 @@ def _require_count(name: str, v: int) -> None:
         raise InputError(f"{name} must be a non-negative integer, got {v!r}")
 
 
+def _require_amounts(owner: str, **amounts: Numeric) -> None:
+    """Refuse a payout that is not a finite real number; a bool is not one."""
+    for name, v in amounts.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or (
+                not isinstance(v, numbers.Rational) and not np.isfinite(v)):
+            raise InputError(f"{owner} {name} must be a finite number, got {v!r}")
+
+
 class FrequencyValueFunction:
     """Maps a count pair (a matches, b mismatches) to money.
 
@@ -362,6 +377,9 @@ class MajorityValueFunction(FrequencyValueFunction):
 
     by_difference = True
 
+    def __post_init__(self):
+        _require_amounts("majority value", correct=self.correct, wrong=self.wrong, none=self.none)
+
     def value(self, a: int, b: int) -> Numeric:
         _require_count("a", a)
         _require_count("b", b)
@@ -398,6 +416,9 @@ class TableValueFunction(FrequencyValueFunction):
                     isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 0
                     for c in key)):
                 raise InputError(f"table entry {key!r} is not a pair of non-negative integers")
+        _require_amounts("table", **{f"value of {key}": v for key, v in self.entries.items()})
+        if self.default is not None:
+            _require_amounts("table", default=self.default)
         if (0, 0) not in self.entries and self.default is None:
             raise InputError("table value function must define v(0, 0) or a default")
 
@@ -475,6 +496,9 @@ class OutcomeValues:
     wrong: Numeric
     none: Numeric
 
+    def __post_init__(self):
+        _require_amounts("outcome value", correct=self.correct, wrong=self.wrong, none=self.none)
+
     def as_fractions(self) -> "OutcomeValues":
         return OutcomeValues(Fraction(self.correct), Fraction(self.wrong), Fraction(self.none))
 
@@ -485,7 +509,7 @@ class KnnConfig:
     outcome_values: OutcomeValues
 
     def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 1:
             raise ConfigError(f"k must be a positive integer, got {self.k!r}")
         if self.k % 2 == 0:
             raise ConfigError("k must be odd")
@@ -562,21 +586,22 @@ def rank_by_distance(dataset: Dataset, query_features: Sequence[float],
         raise InputError(
             f"query has {q.shape[0]} features but the dataset has {feats.shape[1]}"
         )
+    if not np.isfinite(q).all():
+        raise InputError(f"query features must be finite, got {tuple(query_features)!r}")
     with np.errstate(over="ignore"):
         dist = np.sqrt(_squared_distances(feats, q))
-        if not np.isfinite(dist).all() and np.isfinite(q).all():
-            # finite features beyond ~1e154 overflow the squares; one exact
-            # power-of-two rescale of those rows brings them into range
-            far = ~np.isfinite(dist) & np.isfinite(feats).all(axis=1)
-            if far.any():
-                _, e = np.frexp(max(np.abs(feats[far]).max(), np.abs(q).max()))
-                d = np.ldexp(feats[far], -e) - np.ldexp(q, -e)
-                dist[far] = np.ldexp(np.sqrt((d**2).sum(axis=1)), e)
+        if not np.isfinite(dist).all():
+            # features are finite, so only squares beyond ~1e154 overflow; one
+            # exact power-of-two rescale of those rows brings them into range
+            far = ~np.isfinite(dist)
+            _, e = np.frexp(max(np.abs(feats[far]).max(), np.abs(q).max()))
+            d = np.ldexp(feats[far], -e) - np.ldexp(q, -e)
+            dist[far] = np.ldexp(np.sqrt((d**2).sum(axis=1)), e)
     ids = dataset.id_array()
     order = np.argsort(dist)
     ranked = dist[order]
     if not (ranked[1:] > ranked[:-1]).all():
-        # equal (or NaN) distances: only a sort keyed on id as well fixes
+        # equal distances: only a sort keyed on id as well fixes
         # their order; without them the plain sort is already that order
         order = np.lexsort((ids, dist))
     return RankedNeighborhood(ids[order], dataset.label_mask(query_label)[order], order)
@@ -592,18 +617,10 @@ def knn_subset_value(
     ``none`` when it musters fewer than k."""
     if k < 1 or k % 2 == 0:
         raise ConfigError("k must be odd")
-    subset = set(subset)
-    votes = 0
-    seen = 0
-    for pos in range(len(ranking)):
-        if int(ranking.ordering[pos]) in subset:
-            votes += bool(ranking.matches[pos])
-            seen += 1
-            if seen == k:
-                break
-    if seen < k:
+    votes = ranking.matches[np.isin(ranking.ordering, list(subset))][:k]  # nearest first
+    if len(votes) < k:
         return ov.none
-    return ov.correct if 2 * votes > k else ov.wrong
+    return ov.correct if 2 * int(votes.sum()) > k else ov.wrong
 
 
 def to_money(x: Numeric, mode: str):

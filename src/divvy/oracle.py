@@ -72,64 +72,47 @@ class CharacteristicGame:
         return self.value_mask(self.mask_of(subset))
 
 
-def _sweep_shapley(game: CharacteristicGame) -> Dict[int, Fraction]:
-    """Average marginal contribution over every permutation, by counting
-    how often each predecessor set occurs and combining at the end."""
-    n = game.n
-    counts: list = [dict() for _ in range(n)]
-    for perm in itertools.permutations(range(n)):
-        mask = 0
-        for p in perm:
-            c = counts[p]
-            c[mask] = c.get(mask, 0) + 1
-            mask |= 1 << p
-    fact = math.factorial(n)
+def _sweep(game: CharacteristicGame, blocks: Sequence[Sequence[int]]) -> Dict[int, Fraction]:
+    """Owen values under the partition ``blocks`` (lists of player
+    indices): every ordering of the blocks times every ordering within each
+    block, counting how often each predecessor set occurs and combining at
+    the end.  One block of all players gives the Shapley values."""
+    counts: list = [dict() for _ in range(game.n)]
+    for block_order in itertools.permutations(blocks):
+        before = 0
+        for block in block_order:
+            for perm in itertools.permutations(block):
+                mask = before
+                for p in perm:
+                    c = counts[p]
+                    c[mask] = c.get(mask, 0) + 1
+                    mask |= 1 << p
+            before = mask
+    m_fact = math.factorial(len(blocks))
+    size = {p: len(block) for block in blocks for p in block}
     out = {}
     for p, pid in enumerate(game.players):
         bit = 1 << p
         total = Fraction(0)
         for mask, c in counts[p].items():
             total += c * (game.value_mask(mask | bit) - game.value_mask(mask))
-        out[pid] = total / fact
+        out[pid] = total / (m_fact * math.factorial(size[p]))
     return out
 
 
-def _check_shapley_guard(n: int, max_n: int, override: bool) -> None:
-    if n > max_n and not override:
+def exact_shapley_all(game: CharacteristicGame, override: bool = False) -> Dict[int, Fraction]:
+    """Shapley values, in player order, by enumerating all n! orderings."""
+    if game.n > SHAPLEY_GUARD and not override:
         raise GuardError(
-            f"exact Shapley enumerates {n}! permutations; refusing n > {max_n} "
+            f"exact Shapley enumerates {game.n}! permutations; refusing n > {SHAPLEY_GUARD} "
             "(pass override=True / --yes-i-know to force)"
         )
+    return _sweep(game, [range(game.n)])
 
 
-def exact_shapley_all(
-    game: CharacteristicGame, max_n: int = SHAPLEY_GUARD, override: bool = False
-) -> Dict[int, Fraction]:
-    _check_shapley_guard(game.n, max_n, override)
-    return _sweep_shapley(game)
-
-
-def exact_shapley(
-    game: CharacteristicGame,
-    player: int,
-    max_n: int = SHAPLEY_GUARD,
-    override: bool = False,
-) -> Fraction:
+def exact_shapley(game: CharacteristicGame, player: int, override: bool = False) -> Fraction:
     """Shapley value of one player by full permutation enumeration."""
-    return exact_shapley_all(game, max_n, override)[player]
-
-
-def _check_owen_guard(blocks, override: bool) -> None:
-    if override:
-        return
-    if len(blocks) > OWEN_GUARD_COALITIONS or any(
-        len(b) > OWEN_GUARD_SIZE for b in blocks
-    ):
-        raise GuardError(
-            f"exact Owen enumerates m! x prod |C_h|! orderings; refusing more than "
-            f"{OWEN_GUARD_COALITIONS} coalitions or members per coalition beyond "
-            f"{OWEN_GUARD_SIZE} (pass override=True / --yes-i-know to force)"
-        )
+    return exact_shapley_all(game, override)[player]
 
 
 def exact_owen_all(
@@ -143,26 +126,14 @@ def exact_owen_all(
     ``Dataset.partition_codes()[1]`` gives them for a dataset's game."""
     m, codes = dense_codes(codes, game.n)
     blocks = [np.flatnonzero(codes == h).tolist() for h in range(m)]  # player indices
-    _check_owen_guard(blocks, override)
-    counts: list = [dict() for _ in range(game.n)]
-    for perm_c in itertools.permutations(range(m)):
-        before = 0
-        for h in perm_c:
-            for perm_h in itertools.permutations(blocks[h]):
-                mask = before
-                for p in perm_h:
-                    c = counts[p]
-                    c[mask] = c.get(mask, 0) + 1
-                    mask |= 1 << p
-            before |= sum(1 << p for p in blocks[h])
-    out = {}
-    for p, (pid, h) in enumerate(zip(game.players, codes.tolist())):
-        bit = 1 << p
-        total = Fraction(0)
-        for mask, c in counts[p].items():
-            total += c * (game.value_mask(mask | bit) - game.value_mask(mask))
-        out[pid] = total / (math.factorial(m) * math.factorial(len(blocks[h])))
-    return out
+    if not override and (m > OWEN_GUARD_COALITIONS
+                         or any(len(b) > OWEN_GUARD_SIZE for b in blocks)):
+        raise GuardError(
+            f"exact Owen enumerates m! x prod |C_h|! orderings; refusing more than "
+            f"{OWEN_GUARD_COALITIONS} coalitions or members per coalition beyond "
+            f"{OWEN_GUARD_SIZE} (pass override=True / --yes-i-know to force)"
+        )
+    return _sweep(game, blocks)
 
 
 def exact_owen(
@@ -251,13 +222,12 @@ def frequency_game(dataset: Dataset, query: Query, vf: FrequencyValueFunction) -
     """Characteristic game whose subsets are scored by the query bin's
     (match, mismatch) tally under the value function."""
     dataset.query_bin_code(query)
-    label_of = {ex.id: ex.label for ex in dataset}
-    bin_of = {ex.id: ex.bin for ex in dataset}
+    in_bin, match = dataset.bin_mask(query.bin), dataset.label_mask(query.label)
+    ids = dataset.id_array()
+    matches, mismatches = (frozenset(ids[in_bin & m].tolist()) for m in (match, ~match))
 
     def value_of(subset: frozenset):
-        a = sum(1 for i in subset if bin_of[i] == query.bin and label_of[i] == query.label)
-        b = sum(1 for i in subset if bin_of[i] == query.bin and label_of[i] != query.label)
-        return vf.value(a, b)
+        return vf.value(len(subset & matches), len(subset & mismatches))
 
     return CharacteristicGame(dataset.ids, value_of)
 

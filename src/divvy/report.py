@@ -53,7 +53,7 @@ class ValueReport:
     views (``examples``) and the id index behind ``value_of`` are derived
     from the columns on demand, so they follow any edit to them.  Rows with
     one ``value_codes`` code, if given, hold one value in every column, which
-    the writer encodes once: clear the codes before editing one such row.
+    the writer encodes once while every row of the column still holds it.
     """
 
     method: str
@@ -214,11 +214,20 @@ _BLOCK = 1024
 def _text_blocks(ids: np.ndarray, column, mode: str, codes=None):
     """Each block of rows as (its first row, ids as text, values as CSV
     cells, values as JSON literals); with ``codes``, each code's value is
-    encoded once, from the last row holding it, and gathered by code."""
+    encoded once, from the last row holding it, and gathered by code, if
+    every row still holds its code's value: an equal one in exact mode,
+    which gives the same text (list equality tries identity first), the
+    same bits in float mode.  Otherwise a row was edited: rows are encoded
+    one by one."""
     if codes is not None:
         rows = np.zeros(int(codes.max(initial=-1)) + 1, np.intp)
         rows[codes] = np.arange(len(codes))
-        table = [np.array(text, object) for text in _value_text(column[rows], mode)]
+        held = column[rows][codes]
+        if (column.tolist() == held.tolist() if mode == EXACT
+                else (column.view(np.int64) == held.view(np.int64)).all()):
+            table = [np.array(text, object) for text in _value_text(column[rows], mode)]
+        else:
+            codes = None
     for start in range(0, len(ids), _BLOCK):
         stop = start + _BLOCK
         yield (start, list(map(str, ids[start:stop].tolist())),

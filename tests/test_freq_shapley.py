@@ -209,6 +209,23 @@ def test_single_values_match_oracle():
         assert rep.values() == want, trial
 
 
+def test_frequency_game_reads_the_columns(monkeypatch):
+    # the game is built from the bin codes, label masks and ids alone
+    cells = [("x", "b0"), ("y", "b0"), ("x", "b1"), ("x", "b0"), ("y", "b1")]
+    ds = Dataset(Example(i, lab, bin=b) for i, (lab, b) in enumerate(cells))
+    query = Query(label="x", bin="b0")
+    want = shapley_frequency_report(ds, [query], PAYOUT, mode="exact").values()
+
+    def no_rows(self):
+        raise AssertionError("the game read Example rows")
+
+    monkeypatch.setattr(Dataset, "examples", property(no_rows))
+    game = frequency_game(ds, query, PAYOUT)
+    assert game.value([0, 1, 2, 3]) == PAYOUT.value(2, 1)
+    assert game.value([1, 4]) == PAYOUT.value(0, 1)
+    assert exact_shapley_all(game) == want
+
+
 def _one_bin(n_match, n_mismatch):
     labels = ["x"] * n_match + ["y"] * n_mismatch
     return Dataset(Example(i, s, bin="b0") for i, s in enumerate(labels))

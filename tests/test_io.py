@@ -1110,3 +1110,32 @@ def test_a_coded_report_writes_the_bytes_of_its_rows(tmp_path, mode):
     assert [str(v) for v in report.per_query[0]] == [str(table[::-1][c]) for c in codes]
     assert (_written(report, tmp_path / "table")
             == _written(dataclasses.replace(report, value_codes=None), tmp_path / "rows"))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_an_edited_coded_report_writes_what_it_holds(tmp_path, mode):
+    # a row edited in place, in the totals or in one query's column, is
+    # written with its new value, though the report still holds its codes
+    ds = Dataset(Example(i, lab, bin="b0") for i, lab in enumerate("xxy"))
+    payout = MajorityValueFunction(Fraction(100), Fraction(-500), Fraction(0))
+    seven = Fraction(7) if mode == "exact" else 7.0
+    for q in (None, 0, 1):
+        report = shapley_frequency_report(ds, [Query(label="x", bin="b0")] * 2, payout, mode,
+                                          per_query=True)
+        assert report.value_codes is not None
+        column = report.value_column if q is None else report.per_query[q]
+        before = column.tolist()
+        column[0] = seven
+        assert before[0] == before[1] != seven  # rows 0 and 1 share a code
+        path = tmp_path / f"r{q}.json"
+        write_report(report, path)
+        back = read_report(path)
+        assert back == report
+        read = back.value_column if q is None else back.per_query[q]
+        assert read.tolist() == [seven, *before[1:]]
+    for r, report in enumerate(_coded_reports(mode)):
+        columns = [report.value_column, *(report.per_query or ())]
+        columns[-1][r * 101] += 1
+        path = tmp_path / f"coded{r}.json"
+        write_report(report, path)
+        assert read_report(path) == report

@@ -72,6 +72,50 @@ def test_example_rejects_negative_id():
         Example(-1, "a", bin="x")
 
 
+def test_example_rejects_a_bool_id():
+    # True is not id 1, as a coalition file may not name it either
+    for flag in (True, False):
+        with pytest.raises(InputError, match="example id must be an integer"):
+            Example(flag, "a", bin="x")
+    assert Example(np.int64(1), "a").id == 1
+
+
+# a payout must be a finite real number: no NaN or infinity, no bool or text
+_NOT_AMOUNTS = [float("nan"), float("inf"), -float("inf"), np.float64("nan"), True, "1", None]
+_AMOUNTS = [Fraction(10**400, 3), 2.5, np.float64(-1.0), np.int64(3), 0]
+
+
+@pytest.mark.parametrize("bad", _NOT_AMOUNTS)
+def test_outcome_values_refuse_what_is_not_an_amount(bad):
+    for pos in range(3):
+        args = [1, -1, 0]
+        args[pos] = bad
+        with pytest.raises(InputError, match=r"^outcome value \w+ must be a finite number"):
+            OutcomeValues(*args)
+    assert OutcomeValues(*_AMOUNTS[:3]).as_fractions().correct == Fraction(10**400, 3)
+
+
+@pytest.mark.parametrize("bad", _NOT_AMOUNTS)
+def test_majority_value_function_refuses_what_is_not_an_amount(bad):
+    for pos in range(3):
+        args = [100, -500, 0]
+        args[pos] = bad
+        with pytest.raises(InputError, match=r"^majority value \w+ must be a finite number"):
+            MajorityValueFunction(*args)
+    assert MajorityValueFunction(*_AMOUNTS[2:]).value(1, 0) == -1
+
+
+@pytest.mark.parametrize("bad", _NOT_AMOUNTS)
+def test_table_value_function_refuses_what_is_not_an_amount(bad):
+    with pytest.raises(InputError, match=r"^table value of \(1, 0\) must be a finite number"):
+        TableValueFunction({(0, 0): 0, (1, 0): bad})
+    if bad is not None:  # None is no default
+        with pytest.raises(InputError, match="^table default must be a finite number"):
+            TableValueFunction({(0, 0): 0}, default=bad)
+    table = TableValueFunction({(a, 0): v for a, v in enumerate(_AMOUNTS)}, default=_AMOUNTS[0])
+    assert table.value(4, 0) == 0 and table.value(0, 1) == _AMOUNTS[0]
+
+
 def test_require_bins_and_features():
     ds = Dataset([Example(0, "a"), Example(1, "b")])
     with pytest.raises(InputError, match="bin"):
@@ -187,6 +231,13 @@ def test_knn_config_validation():
     assert [f.name for f in dataclasses.fields(KnnConfig)] == ["k", "outcome_values"]
 
 
+def test_knn_config_refuses_a_bool_k():
+    for flag in (True, False):  # True is not k = 1
+        with pytest.raises(ConfigError, match="k must be a positive integer"):
+            KnnConfig(flag, OutcomeValues(1, -1, 0))
+    assert KnnConfig(np.int64(3), OutcomeValues(1, -1, 0)).k == 3
+
+
 def test_rank_by_distance_orders_and_breaks_ties_by_id():
     ds = Dataset([
         Example(5, "a", features=(2.0, 0.0)),
@@ -205,8 +256,8 @@ def test_rank_by_distance_orders_and_breaks_ties_by_id():
 
 
 def test_rank_by_distance_matches_distance_then_id_order():
-    # ties and NaN distances must still come out ordered by ascending id,
-    # whatever the dataset order
+    # ties must come out ordered by ascending id, whatever the dataset
+    # order; a non-finite feature, the dataset's or the query's, is refused
     rng = random.Random(11)
     for grid in (2, 3, 1000):
         feats = {
@@ -218,11 +269,16 @@ def test_rank_by_distance_matches_distance_then_id_order():
         dist = {i: (x - 0.5) ** 2 + y ** 2 for i, (x, y) in feats.items()}
         assert r.ordering.tolist() == sorted(feats, key=lambda i: (dist[i], i))
     ds = Dataset([
-        Example(4, "a", features=(float("nan"),)),
         Example(2, "a", features=(1.0,)),
-        Example(0, "a", features=(float("nan"),)),
+        Example(4, "a", features=(float("nan"),)),
+        Example(0, "a", features=(float("-inf"),)),
     ])
-    assert rank_by_distance(ds, (0.0,), "a").ordering.tolist() == [2, 0, 4]
+    with pytest.raises(InputError, match=r"^example 4 has a non-finite feature \(nan,\)$"):
+        rank_by_distance(ds, (0.0,), "a")
+    finite = Dataset([Example(2, "a", features=(1.0,)), Example(0, "a", features=(3.0,))])
+    for q in ((float("nan"),), (float("inf"),)):
+        with pytest.raises(InputError, match="query features must be finite"):
+            rank_by_distance(finite, q, "a")
 
 
 def test_rank_by_distance_survives_overflowing_squares():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import divvy.oracle
 from divvy import (
     CharacteristicGame,
     exact_owen,
@@ -136,7 +137,8 @@ def test_owen_codes_are_checked():
             exact_owen_all(game, bad)
 
 
-def test_shapley_guard_and_override():
+def test_shapley_guard_and_override(monkeypatch):
+    monkeypatch.setattr(divvy.oracle, "SHAPLEY_GUARD", 5)
     players = list(range(6))
     table = {
         frozenset(s): Fraction(len(s))
@@ -145,8 +147,8 @@ def test_shapley_guard_and_override():
     }
     game = table_game(players, table)
     with pytest.raises(GuardError, match="yes-i-know"):
-        exact_shapley_all(game, max_n=5)
-    vals = exact_shapley_all(game, max_n=5, override=True)
+        exact_shapley_all(game)
+    vals = exact_shapley_all(game, override=True)
     assert all(v == 1 for v in vals.values())
 
 
