@@ -47,10 +47,9 @@ from typing import Sequence
 import numpy as np
 
 from .combinatorics import EXACT, Money, check_mode, precede_probability
-from .errors import InputError
 from .freq_owen import owen_precede_distribution
 from .model import (Dataset, KnnConfig, OutcomeValues, Query, RankedNeighborhood,
-                    dense_codes, rank_by_distance, to_money)
+                    dense_codes, rank_by_distance, require_k, to_money)
 from .report import ValueReport, assemble_report
 
 METHOD = "owen-knn"
@@ -59,50 +58,41 @@ METHOD = "owen-knn"
 knn_owen_distribution = owen_precede_distribution
 
 
-def _log_binom_table(n: int, r: int) -> np.ndarray:
-    """ln C(m, r) for m = -1 .. n at entry m + 1, -inf where the zero
-    convention applies, read-only.  Prefix counts stay in that range, so a
-    sweep gathers from one table per r instead of taking logs at every
-    position.  Each entry sums the r logs of m, m - 1, ..., m - r + 1 and
-    subtracts ln r!, which for the small r of a k-NN vote keeps it to a few
-    ulps; a difference of log-gammas would cancel most of its digits."""
-    table = np.full(n + 2, -np.inf)
-    if 0 <= r <= n:
-        log_fall, m = table[r + 1:], np.arange(r, n + 1.0)
-        log_fall[:] = 0.0
-        for _ in range(r):
-            log_fall += np.log(m)
-            m -= 1.0
-        log_fall -= math.lgamma(r + 1)
-    table.flags.writeable = False
-    return table
-
-
 @functools.lru_cache(maxsize=1)
-def _log_binom_rows(n: int) -> dict:
-    """The rows ``_log_binom_table(n, r)`` by r, each built when first read.
-    Every query of a report ranks the same n examples, so the report builds
-    each of the k + 1 rows it reads once, whatever k is, and no rows of
-    another n are held."""
-    return {}
+def _log_binom_rows(n: int, rows: tuple) -> tuple:
+    """Item r, for each r in ``rows`` (None at the other r below the
+    largest), holds ln C(m, r) for m = -1 .. n at entry m + 1, -inf where the
+    zero convention applies, read-only: a sweep gathers from one row per r.
+    One walk up r sums, at each m, the logs of m, m - 1, ..., m - r + 1 in
+    that order, and a row is that sum less ln r!, a few ulps for the small r
+    of a k-NN vote, where a difference of log-gammas would cancel most of
+    its digits.  A report's queries all ask for the same rows of one n."""
+    log_fall, logs, out = np.zeros(n + 1), np.log(np.arange(1.0, n + 1)), []
+    for r in range(max(rows) + 1):
+        if 0 < r <= n:
+            log_fall[r:] += logs[:n - r + 1]  # log(m - r + 1) at each m >= r
+        row = None
+        if r in rows:
+            row = np.full(n + 2, -np.inf)
+            np.subtract(log_fall[r:], math.lgamma(r + 1), out=row[r + 1:])
+            row.flags.writeable = False
+        out.append(row)
+    return tuple(out)
 
 
-def _pivot_weights(p: np.ndarray, q: np.ndarray, a: int, b: int, n: int, scale: Money,
+def _pivot_weights(p: np.ndarray, q: np.ndarray, a: int, b: int, rows: tuple, scale: Money,
                    mode: str) -> np.ndarray:
     """``scale`` times C(p - 1, a) C(q - 1, b) / (t C(t - 1, a + b + 1)) for
     t = p + q, elementwise: the probability that, of p - 1 and q - 1 examples
     in two classes, exactly a and b precede one more example, and one pivot
     precedes it too, in a uniform order of all t.  Zero where p <= a or
-    q <= b; t is at most n."""
+    q <= b; a float weight gathers ``_log_binom_rows`` items a, b, a + b + 1."""
     if mode == EXACT:  # p > a and q > b keep the denominator non-zero
         num, den = scale.numerator, scale.denominator
         return np.array([Fraction(num * math.comb(u - 1, a) * math.comb(v - 1, b),
                                   den * (u + v) * math.comb(u + v - 1, a + b + 1))
                          if u > a and v > b else Fraction(0)
                          for u, v in zip(p.tolist(), q.tolist())], dtype=object)
-    rows = _log_binom_rows(n)
-    for r in {a, b, a + b + 1} - rows.keys():
-        rows[r] = _log_binom_table(n, r)
     t = p + q
     # summed as precede_probability sums them; a short count gives nan, weight 0
     with np.errstate(invalid="ignore"):
@@ -134,8 +124,7 @@ class _QueryEngine:
 
     def __init__(self, ranking: RankedNeighborhood, codes: np.ndarray, m: int, k: int,
                  ov: OutcomeValues, mode: str):
-        if k < 1 or k % 2 == 0:
-            raise InputError("k must be odd")
+        require_k(k)
         self.k = k
         self.half = (k - 1) // 2
         self.mode = mode
@@ -235,6 +224,9 @@ class _QueryEngine:
                 a, b = near[c][0][i] - (not uj), near[c][1][i] - uj
                 across[c, i] = self._change_inner(c, cj, a, b, rows[i]) * d_change[not uj]
 
+        # the rows a float weight reads; one coalition's law is the point mass
+        binoms = None if mode == EXACT else _log_binom_rows(
+            n, (h, self.k) if m == 1 else tuple(range(self.k + 1)))
         out = _zeros(n, mode)
         for c, both in enumerate(groups):
             laws: dict = {}  # by segment, read by both classes
@@ -253,7 +245,7 @@ class _QueryEngine:
                     if s not in laws:
                         laws[s] = self._dp(None, rows[s][:c] + rows[s][c + 1:], (h, h))
                     adds[lo:hi] = functools.reduce(operator.add, (
-                        _pivot_weights(p[lo:hi], q[lo:hi], h - qa, h - qb, n,
+                        _pivot_weights(p[lo:hi], q[lo:hi], h - qa, h - qb, binoms,
                                        mass * d_change[not u], mode)
                         for qa, qb, mass in laws[s]))
                 # a reader sees only the farther adds, past the ``ahead`` of

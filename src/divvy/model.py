@@ -251,16 +251,33 @@ class Dataset:
             for i, feats in zip(self.ids, self._features or [None] * len(self)):
                 if feats is None:
                     raise InputError(f"example {i} has no features; k-NN methods need them")
-                dims.add(len(feats))
+                try:
+                    dims.add(len(feats))
+                except TypeError:
+                    raise InputError(f"example {i} has features {feats!r}, not a sequence") from None
             if len(dims) > 1:
                 raise InputError(f"feature dimensions are ragged: {sorted(dims)}")
-            matrix = np.array(self._features or [], dtype=float, order="F")
-            if not np.isfinite(matrix).all():
+            try:
+                matrix = np.array(self._features or [], dtype=float, order="F")
+            except (TypeError, ValueError):
+                matrix = None
+            if matrix is None or (matrix.ndim != 2 and len(self)) or not np.isfinite(matrix).all():
+                for i, feats in zip(self.ids, self._features):
+                    _require_reals(f"example {i}", feats)
                 row = np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0]
                 raise InputError(f"example {self._ids[row]} has a non-finite feature "
                                  f"{self._features[row]!r}")
             self._features = matrix
         return self._features
+
+
+def _require_reals(owner: str, values: Sequence) -> None:
+    """Refuse ``owner``'s features unless each is one real number."""
+    for v in values:
+        try:
+            float(v if np.ndim(v) == 0 else None)  # a nested sequence is not one number
+        except (TypeError, ValueError):
+            raise InputError(f"{owner} has a feature that is not a real number: {v!r}") from None
 
 
 def duplicate_row(ids: Sequence[int]) -> Optional[int]:
@@ -509,10 +526,15 @@ class KnnConfig:
     outcome_values: OutcomeValues
 
     def __post_init__(self):
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 1:
-            raise ConfigError(f"k must be a positive integer, got {self.k!r}")
-        if self.k % 2 == 0:
-            raise ConfigError("k must be odd")
+        require_k(self.k)
+
+
+def require_k(k: int) -> None:
+    """Refuse a vote size that is not a positive odd integer; a bool is not one."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ConfigError(f"k must be a positive integer, got {k!r}")
+    if k % 2 == 0:
+        raise ConfigError("k must be odd")
 
 
 @dataclass(frozen=True)
@@ -579,15 +601,19 @@ def rank_by_distance(dataset: Dataset, query_features: Sequence[float],
     which keeps every downstream computation deterministic."""
     dataset.check_query_label(query_label)
     feats = dataset.feature_matrix()
-    q = np.asarray(tuple(query_features), dtype=float)
+    try:
+        q = np.asarray(tuple(query_features), dtype=float)
+    except (TypeError, ValueError):
+        q = None
+    if q is None or q.ndim != 1 or not np.isfinite(q).all():
+        _require_reals("query", tuple(query_features))
+        raise InputError(f"query features must be finite, got {tuple(query_features)!r}")
     if not feats.shape[0]:
         feats = feats.reshape(0, q.shape[0])  # Dataset([]) has no feature width
     elif q.shape[0] != feats.shape[1]:
         raise InputError(
             f"query has {q.shape[0]} features but the dataset has {feats.shape[1]}"
         )
-    if not np.isfinite(q).all():
-        raise InputError(f"query features must be finite, got {tuple(query_features)!r}")
     with np.errstate(over="ignore"):
         dist = np.sqrt(_squared_distances(feats, q))
         if not np.isfinite(dist).all():
@@ -615,8 +641,7 @@ def knn_subset_value(
 ) -> Numeric:
     """Value of a coalition subset: majority vote of its k nearest members,
     ``none`` when it musters fewer than k."""
-    if k < 1 or k % 2 == 0:
-        raise ConfigError("k must be odd")
+    require_k(k)
     votes = ranking.matches[np.isin(ranking.ordering, list(subset))][:k]  # nearest first
     if len(votes) < k:
         return ov.none

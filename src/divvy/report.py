@@ -26,7 +26,7 @@ import numpy as np
 
 from .combinatorics import EXACT, Money, check_mode
 from .errors import InputError
-from .model import code_cells, code_names
+from .model import code_cells, code_names, to_money
 
 
 @dataclass(frozen=True)
@@ -358,10 +358,6 @@ def write_report(report: ValueReport, out, csv=None) -> None:
                 os.remove(temp)
 
 
-def _decode_value(v, mode: str) -> Money:
-    return Fraction(v) if mode == EXACT else float(v)
-
-
 def read_report(path) -> ValueReport:
     try:
         with open(path) as fh:
@@ -374,8 +370,8 @@ def read_report(path) -> ValueReport:
         if len(ids) != len(set(ids)):
             raise InputError("report lists an example id more than once")
         with _long_ints():
-            values = [_decode_value(r["value"], mode) for r in doc["examples"]]
-            coalitions = [(c["id"], _decode_value(c["value"], mode)) for c in doc["coalitions"]]
+            values = [to_money(r["value"], mode) for r in doc["examples"]]
+            coalitions = [(c["id"], to_money(c["value"], mode)) for c in doc["coalitions"]]
             per_query = None
             if doc.get("per_query") is not None:
                 row_of, per_query = {i: r for r, i in enumerate(ids)}, []
@@ -386,7 +382,7 @@ def read_report(path) -> ValueReport:
                         raise ValueError(f"per-query block {qi} does not list each example id once")
                     column = [None] * len(ids)
                     for r, entry in zip(rows, q["values"]):
-                        column[r] = _decode_value(entry["value"], mode)
+                        column[r] = to_money(entry["value"], mode)
                     per_query.append(_column(column, mode))
         known = {"method", "numeric_mode", "k", "query_count", "wall_time_s"}
         extras = {k: v for k, v in meta.items() if k not in known} or None

@@ -1,5 +1,6 @@
 """Owen values for k-NN votes: the pinned, capped law and the full report path."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -303,15 +304,19 @@ def test_change_sweep_matches_quadratic_loop_on_saturated_tails():
 
 
 def test_float_tracks_exact_at_hundreds_of_examples():
-    # the README's float rule: 1e-9, absolute below |v| = 1, relative above
-    rng = random.Random(71)
-    for _ in range(2):
-        dataset, query, _, _ = _ranked_groups(rng, 500, 5, 5)
-        config = KnnConfig(5, OutcomeValues(Fraction(3), Fraction(-2), Fraction(1, 3)))
-        exact = knn_owen_report(dataset, [query], config, mode="exact")
-        approx = knn_owen_report(dataset, [query], config, mode="float")
-        for i, v in exact.values().items():
-            assert abs(float(v) - approx.value_of(i)) <= 1e-9 * max(1.0, abs(v)), i
+    # the README's float rule: 1e-9, absolute below |v| = 1, relative above;
+    # at k = 51 a weight reads log-binomial rows up to r = 51 (worst gaps
+    # seen: ~2e-15 Owen, ~2e-14 Shapley)
+    for report in (knn_owen_report, knn_shapley_report):
+        for k in (5, 21, 51):
+            rng = random.Random(71)
+            config = KnnConfig(k, OutcomeValues(Fraction(3), Fraction(-2), Fraction(1, 3)))
+            for _ in range(2):
+                dataset, query, _, _ = _ranked_groups(rng, 500, 5, k)
+                exact = report(dataset, [query], config, mode="exact")
+                approx = report(dataset, [query], config, mode="float")
+                for i, v in exact.values().items():
+                    assert abs(float(v) - approx.value_of(i)) <= 1e-9 * max(1.0, abs(v)), (i, k)
 
 
 def _calls(monkeypatch, n, owner, name, groups=5):
@@ -364,13 +369,11 @@ def test_law_lookups_do_not_grow_with_n(monkeypatch):
         assert 1 <= _calls(monkeypatch, n, knn_owen._QueryEngine, "_dp", groups=1) <= k + 3, n
 
 
-def test_each_log_binom_row_is_built_once_per_report(monkeypatch):
-    # A query reads the rows r = 0 .. k of its dataset's size n.  An 8-entry
-    # cache of (n, r) rows thrashed once k >= 9, rebuilding rows within one
-    # query; a report now builds each row once, whatever k is.
-    built = []
-    build = knn_owen._log_binom_table
-    monkeypatch.setattr(knn_owen, "_log_binom_table", lambda n, r: built.append((n, r)) or build(n, r))
+def test_each_log_binom_row_is_built_once_per_report():
+    # A query reads rows of its dataset's size n: 0 .. k, or with one
+    # coalition (a point-mass law) only h and k.  An 8-entry cache of (n, r)
+    # rows thrashed once k >= 9, rebuilding rows within one query; a report
+    # now builds its rows in one pass, once, whatever k is.
     rng = random.Random(73)
     n, k = 300, 9
     dataset = Dataset(
@@ -380,13 +383,43 @@ def test_each_log_binom_row_is_built_once_per_report(monkeypatch):
     )
     queries = [Query(label="a", features=(rng.uniform(-1, 1), rng.uniform(-1, 1))) for _ in range(3)]
     config = KnnConfig(k, UNIT)
-    for report in (lambda: knn_owen_report(dataset, queries, config),
-                   lambda: knn_shapley_report(dataset, queries, config)):
-        built.clear()
+    for report, kept in ((knn_owen_report, set(range(k + 1))), (knn_shapley_report, {4, k})):
         knn_owen._log_binom_rows.cache_clear()
-        report()
-        assert built and len(built) == len(set(built)), built
-        assert set(built) <= {(n, r) for r in range(k + 1)}, built
+        report(dataset, queries, config)
+        info = knn_owen._log_binom_rows.cache_info()
+        assert (info.misses, info.hits) == (1, len(queries) - 1), info
+        rows = knn_owen._log_binom_rows(n, tuple(sorted(kept)))
+        assert knn_owen._log_binom_rows.cache_info().misses == 1  # the report's own rows
+        assert {r for r, row in enumerate(rows) if row is not None} == kept
+        assert all(row.shape == (n + 2,) for row in rows if row is not None)
+
+
+def _log_binom_row_by_sum(n, r):
+    """The row ``_log_binom_rows`` gives at r, by a sum of r logs for r alone."""
+    table = np.full(n + 2, -np.inf)
+    if r <= n:
+        log_fall, m = table[r + 1:], np.arange(r, n + 1.0)
+        log_fall[:] = 0.0
+        for _ in range(r):
+            log_fall += np.log(m)
+            m -= 1.0
+        log_fall -= math.lgamma(r + 1)
+    return table
+
+
+def test_log_binom_rows_equal_per_row_sums_bit_for_bit():
+    # one running sum up r adds each row's logs in the order a sum for that
+    # row alone adds them, so no float value moves
+    for n in (0, 1, 2, 5, 51, 52, 1000, 100_000):
+        for rows in ((0,), (4, 9), tuple(range(52)), (3, 60)):
+            got = knn_owen._log_binom_rows(n, rows)
+            assert len(got) == max(rows) + 1
+            for r, row in enumerate(got):
+                if r not in rows:
+                    assert row is None, (n, r)
+                    continue
+                assert not row.flags.writeable
+                assert row.tobytes() == _log_binom_row_by_sum(n, r).tobytes(), (n, r)
 
 
 def test_empty_dataset_gives_an_empty_report():

@@ -30,7 +30,7 @@ from divvy import (
     rank_by_distance,
 )
 from divvy.errors import InputError
-from divvy.knn_owen import _log_binom_table
+from divvy.knn_owen import _log_binom_rows
 
 from conftest import random_knn_instance, relative_gap
 
@@ -152,8 +152,7 @@ def test_log_binom_rows_match_log_binom():
     # entry m + 1 of row (n, r) is ln C(m, r), -inf below m = r; log sums keep
     # the few-ulp accuracy of log_binom even at n = 100,000
     for n in (0, 3, 40, 100_000):
-        for r in range(8):
-            row = _log_binom_table(n, r)
+        for r, row in enumerate(_log_binom_rows(n, tuple(range(8)))):
             assert row.shape == (n + 2,) and not row.flags.writeable
             for m in sorted({-1, 0, r - 1, r, r + 1, n // 2, n - 1, n} & set(range(-1, n + 1))):
                 want = log_binom(m, r) if m >= 0 else float("-inf")

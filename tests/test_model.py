@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -18,6 +19,10 @@ from divvy import (
     OutcomeValues,
     TableValueFunction,
     delta_value,
+    knn_change_values_all,
+    knn_creation_value,
+    knn_owen_change,
+    knn_owen_creation,
     knn_subset_value,
     rank_by_distance,
     tally_bin,
@@ -238,6 +243,25 @@ def test_knn_config_refuses_a_bool_k():
     assert KnnConfig(np.int64(3), OutcomeValues(1, -1, 0)).k == 3
 
 
+@pytest.mark.parametrize("k, message", [
+    (True, "k must be a positive integer"), (3.0, "k must be a positive integer"),
+    (0, "k must be a positive integer"), (2, "k must be odd")])
+def test_every_k_entry_point_refuses_a_bad_k(k, message):
+    # one rule for the config, the subset vote and the term API: True is not
+    # k = 1, 3.0 is not 3, and 0 is not merely even
+    ov = OutcomeValues(1, -1, 0)
+    ranking = rank_by_distance(Dataset([Example(0, "a", features=(0.0,)),
+                                        Example(1, "b", features=(1.0,))]), (0.2,), "a")
+    for call in (lambda: KnnConfig(k, ov),
+                 lambda: knn_subset_value([0], ranking, k, ov),
+                 lambda: knn_creation_value(2, 0, True, k, ov),
+                 lambda: knn_change_values_all(ranking, k, ov),
+                 lambda: knn_owen_creation(ranking, [0, 1], 0, k, ov),
+                 lambda: knn_owen_change(ranking, [0, 1], 0, k, ov)):
+        with pytest.raises(ConfigError, match=message):
+            call()
+
+
 def test_rank_by_distance_orders_and_breaks_ties_by_id():
     ds = Dataset([
         Example(5, "a", features=(2.0, 0.0)),
@@ -279,6 +303,26 @@ def test_rank_by_distance_matches_distance_then_id_order():
     for q in ((float("nan"),), (float("inf"),)):
         with pytest.raises(InputError, match="query features must be finite"):
             rank_by_distance(finite, q, "a")
+
+
+@pytest.mark.parametrize("feature", ["x", 1j, [1], None])
+def test_a_feature_that_is_not_a_real_number_is_refused(feature):
+    # text, a complex number, a nested list (it built a (1, 1, 1) matrix) and
+    # None (it was called non-finite) are refused by the example or the query
+    ds = Dataset([Example(3, "a", features=(1.0,)), Example(7, "b", features=(feature,))])
+    message = f"^example 7 has a feature that is not a real number: {re.escape(repr(feature))}$"
+    with pytest.raises(InputError, match=message):
+        ds.feature_matrix()
+    with pytest.raises(InputError, match=message):
+        rank_by_distance(ds, (0.0,), "a")
+    finite = Dataset([Example(3, "a", features=(1.0, 2.0))])
+    with pytest.raises(InputError, match="^query has a feature that is not a real number"):
+        rank_by_distance(finite, (0.0, feature), "a")
+
+
+def test_features_that_are_not_a_sequence_are_refused():
+    with pytest.raises(InputError, match=r"^example 7 has features 5, not a sequence$"):
+        Dataset([Example(7, "a", features=5)]).feature_matrix()
 
 
 def test_rank_by_distance_survives_overflowing_squares():
