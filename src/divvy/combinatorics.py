@@ -10,6 +10,7 @@ large populations neither overflow nor lose the leading digits.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
@@ -29,6 +30,20 @@ def check_mode(mode: str) -> str:
     if mode not in NUMERIC_MODES:
         raise InputError(f"unknown numeric mode {mode!r}; expected one of {NUMERIC_MODES}")
     return mode
+
+
+def is_count(v, signed: bool = False) -> bool:
+    """An integer, not a bool, and >= 0 unless ``signed``: the one rule for counts."""
+    return (type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)) and (
+        signed or v >= 0)
+
+
+def require_pairs(name: str, pairs: Sequence, signed: bool = False) -> None:
+    """Refuse ``pairs`` unless each is a tuple or list of two counts; ``name`` names one."""
+    for p in pairs:
+        if not (isinstance(p, (tuple, list)) and len(p) == 2 and is_count(p[0], signed)
+                and is_count(p[1], signed)):
+            raise InputError(f"{name} {p!r} is not a pair of {'' if signed else 'non-negative '}integers")
 
 
 def binom(a: int, b: int) -> int:
@@ -88,8 +103,10 @@ def precede_probability(
     check_mode(mode)
     if len(set_sizes) != len(chosen):
         raise InputError("set_sizes and chosen must have equal length")
-    if any(s < 0 for s in set_sizes):
-        raise InputError(f"set sizes must be non-negative, got {tuple(set_sizes)}")
+    for s, c in zip(set_sizes, chosen):
+        if not (is_count(s) and is_count(c, signed=True)):
+            raise InputError(f"set_sizes must be non-negative integers and chosen integers, "
+                             f"got {set_sizes!r} and {chosen!r}")
     t = 1 + sum(set_sizes)
     u = sum(chosen)
     if u < 0 or any(c < 0 or c > s for s, c in zip(set_sizes, chosen)):

@@ -28,8 +28,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .combinatorics import EXACT, Money, check_mode, log_binom, precede_probability
-from .errors import GuardError, InputError
+from .combinatorics import (EXACT, Money, check_mode, log_binom, precede_probability,
+                           require_pairs)
+from .errors import GuardError
 from .model import Dataset, FrequencyValueFunction, Query, diagonal_cells, to_money
 from .report import ValueReport, assemble_report
 
@@ -73,14 +74,11 @@ class CriticalSet:
     def scaled(self) -> Tuple[int, np.ndarray]:
         """The deltas over their common denominator: it, and the integer
         numerator of each cell's delta, or each diagonal's, over it, as an
-        object array.  A rule repeats a few delta objects, and each is
-        scaled once."""
+        object array."""
         deltas = [*self.diagonals.values()] if self.diagonals is not None else [
             x for *_, x in self.cells]
-        distinct = dict(zip(map(id, deltas), deltas))
-        den = math.lcm(*(d.denominator for d in distinct.values()))
-        num = {i: d.numerator * (den // d.denominator) for i, d in distinct.items()}
-        return den, np.array(list(map(num.__getitem__, map(id, deltas))), object)
+        den = math.lcm(*(d.denominator for d in deltas))
+        return den, np.array([d.numerator * (den // d.denominator) for d in deltas], object)
 
 
 def critical_set(
@@ -92,8 +90,7 @@ def critical_set(
     """All (a, b) with 0 <= a <= size_a, 0 <= b <= size_b and a non-zero
     delta for the given label class, as the value function lists them: by
     diagonal for a rule of a - b alone."""
-    if size_a < 0 or size_b < 0:
-        raise InputError("critical_set needs non-negative box sizes")
+    require_pairs("(size_a, size_b) =", [(size_a, size_b)])
     if vf.by_difference:  # in d order, however the rule lists them
         diagonals = vf.critical_diagonals(size_a, size_b, label_matches)
         return CriticalSet((size_a, size_b), diagonals=dict(sorted(diagonals.items())))
@@ -174,6 +171,8 @@ def owen_precede_distribution(
     multiset.
     """
     check_mode(mode)
+    require_pairs("other tally", other_tallies, signed=True)
+    require_pairs("pinned or caps", [p for p in (pinned, caps) if p is not None])
     pairs = sorted(tuple(p) for p in other_tallies if tuple(p) != (0, 0))
     origin = sum(a for a, _ in pairs if a < 0), sum(b for _, b in pairs if b < 0)
     a0, b0 = pinned or (0, 0)
@@ -456,8 +455,7 @@ def owen_frequency_single(
     target coalition's in-bin members *excluding* the example itself.
     """
     check_mode(mode)
-    if min(target_match, target_mismatch, *(c for p in other_tallies for c in p)) < 0:
-        raise InputError("coalition counts must be non-negative")
+    require_pairs("target or other tally", [(target_match, target_mismatch), *other_tallies])
     dist = _preceder_law(other_tallies, vf, mode)
     size_a = sum(a for a, _ in other_tallies) + target_match
     size_b = sum(b for _, b in other_tallies) + target_mismatch

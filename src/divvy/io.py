@@ -24,6 +24,7 @@ from typing import Iterable, List, Mapping, Tuple
 
 import numpy as np
 
+from .combinatorics import is_count
 from .errors import InputError
 from .model import (
     Dataset,
@@ -33,7 +34,7 @@ from .model import (
     Query,
     TableValueFunction,
     code_cells,
-    code_coalitions,
+    code_column,
     code_names,
     duplicate_row,
 )
@@ -365,10 +366,8 @@ def parse_value_function(path) -> FrequencyValueFunction:
         entries = {}
         for e in raw:
             a, b = (e.get("a"), e.get("b")) if isinstance(e, dict) else (None, None)
-            if type(a) is not int or type(b) is not int:  # JSON integers: no bool, decimal or text
-                raise InputError(f"{path}: each entry needs integer 'a' and 'b'")
-            if a < 0 or b < 0:
-                raise InputError(f"{path}: entry ({a}, {b}) has negative counts")
+            if not (is_count(a) and is_count(b)):  # JSON integers >= 0: no bool, decimal or text
+                raise InputError(f"{path}: each entry needs non-negative integer 'a' and 'b'")
             if (a, b) in entries:
                 raise InputError(f"{path}: duplicate entry for ({a}, {b})")
             entries[(a, b)] = _as_number(e.get("value"), f"{path}: value of ({a}, {b})")
@@ -431,7 +430,7 @@ def with_coalitions(dataset: Dataset, assignment, source="coalition file") -> Da
     ids, cells = assignment
     if not (isinstance(ids, np.ndarray) and ids.dtype == np.int64):
         for i in ids:  # no bool, float or text is cast to an id
-            if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or i >= 2**63:
+            if not is_count(i, signed=True) or i >= 2**63:
                 raise InputError(f"{source} names example id {i!r}, not a 64-bit integer")
         ids = np.asarray(ids, dtype=np.int64)
     own = dataset.id_array()
@@ -443,7 +442,7 @@ def with_coalitions(dataset: Dataset, assignment, source="coalition file") -> Da
         raise InputError(f"{source} names unknown example ids {unknown[:5].tolist()}")
     if len(ids) != len(own):
         raise InputError(f"{source} names an example id more than once")
-    names, codes = code_coalitions(ids, cells)
+    names, codes = code_column("coalition id", ids, cells)
     order = np.argsort(ids)
     rows = order[np.searchsorted(ids, own, sorter=order)]  # each example's row in the assignment
     return dataset.with_coalition_codes(names, codes[rows])

@@ -12,7 +12,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .combinatorics import Money, check_mode, precede_probability
+from .combinatorics import Money, check_mode, is_count, precede_probability
 from .errors import InputError
 from .knn_owen import _QueryEngine, _knn_report
 from .model import (Dataset, KnnConfig, OutcomeValues, Query, RankedNeighborhood,
@@ -47,7 +47,7 @@ def knn_creation_value(
     exists, so the example can neither complete nor change a vote.
     """
     check_mode(mode)
-    if n < 1 or match_others < 0 or match_others > n - 1:
+    if not (is_count(n) and is_count(match_others)) or n < 1 or match_others > n - 1:
         raise InputError("inconsistent creation-term counts")
     at = np.arange(n)
     ranking = RankedNeighborhood(at, at < match_others + label_matches, at)  # counts alone matter

@@ -13,12 +13,14 @@ import copy
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .combinatorics import is_count, require_pairs
 from .errors import ConfigError, InputError, MissingValueError
 
 Label = Hashable
@@ -37,8 +39,7 @@ class Example:
     coalition: Optional[Hashable] = None
 
     def __post_init__(self):
-        if isinstance(self.id, bool) or not isinstance(self.id, (int, np.integer)) or not (
-                0 <= int(self.id) < 2**63):
+        if not is_count(self.id) or self.id >= 2**63:
             raise InputError(
                 f"example id must be an integer in 0 .. 2**63 - 1, got {self.id!r}"
             )
@@ -80,13 +81,13 @@ class Dataset:
         strs = sorted(set(map(str, labels)))
         if len(strs) > 2:
             raise InputError(f"labels must be binary; found a third symbol {strs[2]!r}")
-        symbols, codes = first_codes(labels)
+        symbols, codes = code_column("label", ids, labels, first_codes)
         self._set_columns(
             np.array(ids, dtype=np.int64),
             tuple(symbols),
             codes.astype(np.int8),
-            first_codes([ex.bin for ex in rows]),
-            code_coalitions(ids, [ex.coalition for ex in rows]),
+            code_column("bin", ids, [ex.bin for ex in rows], first_codes),
+            code_column("coalition id", ids, [ex.coalition for ex in rows]),
             [ex.features for ex in rows],
         )
         self._rows = rows
@@ -187,6 +188,7 @@ class Dataset:
         return self._symbols, self._codes
 
     def check_query_label(self, label: Label) -> None:
+        _require_hashable("query", "label", label)
         if label not in self._symbols and len(self._symbols) >= 2:
             raise InputError(
                 f"query label {label!r} is a third symbol; dataset labels are {sorted(map(str, self._symbols))}"
@@ -216,6 +218,7 @@ class Dataset:
         the query label is not a third symbol and the bin is known."""
         self.require_bins()
         self.check_query_label(query.label)
+        _require_hashable("query", "bin", query.bin)
         code = self.bin_codes()[0].get(query.bin)
         if code is None:
             raise InputError(f"query bin {query.bin!r} is unknown to the dataset")
@@ -245,39 +248,54 @@ class Dataset:
         return names, codes
 
     def feature_matrix(self) -> np.ndarray:
-        """All feature rows as a column-major float array; checks presence, shape, finiteness."""
+        """All feature rows as a column-major float array; checks presence, shape, type, finiteness."""
         if not isinstance(self._features, np.ndarray):
-            dims = set()
-            for i, feats in zip(self.ids, self._features or [None] * len(self)):
-                if feats is None:
-                    raise InputError(f"example {i} has no features; k-NN methods need them")
-                try:
-                    dims.add(len(feats))
-                except TypeError:
-                    raise InputError(f"example {i} has features {feats!r}, not a sequence") from None
-            if len(dims) > 1:
-                raise InputError(f"feature dimensions are ragged: {sorted(dims)}")
-            try:
-                matrix = np.array(self._features or [], dtype=float, order="F")
-            except (TypeError, ValueError):
-                matrix = None
-            if matrix is None or (matrix.ndim != 2 and len(self)) or not np.isfinite(matrix).all():
-                for i, feats in zip(self.ids, self._features):
-                    _require_reals(f"example {i}", feats)
+            rows = self._features or [None] * len(self)
+            matrix = _feature_rows(rows, self._ids)
+            if not np.isfinite(matrix).all():
                 row = np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0]
-                raise InputError(f"example {self._ids[row]} has a non-finite feature "
-                                 f"{self._features[row]!r}")
+                raise InputError(f"example {self._ids[row]} has a non-finite feature {rows[row]!r}")
             self._features = matrix
         return self._features
 
 
-def _require_reals(owner: str, values: Sequence) -> None:
-    """Refuse ``owner``'s features unless each is one real number."""
-    for v in values:
+def _is_real(v) -> bool:
+    """A real number, not a bool: the one rule for amounts and features (a Decimal is not one)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _feature_rows(rows: Sequence, ids: Optional[np.ndarray] = None) -> np.ndarray:
+    """The rows, each example ``ids[r]``'s features (the query's, without
+    ``ids``), as a column-major float array, once each is present, a
+    sequence of one width and all real numbers.  One pass judges the rows,
+    each by its entries' types alone once those are known to be real."""
+    reals, dims = set(), set()
+    for r, feats in enumerate(rows):
         try:
-            float(v if np.ndim(v) == 0 else None)  # a nested sequence is not one number
-        except (TypeError, ValueError):
-            raise InputError(f"{owner} has a feature that is not a real number: {v!r}") from None
+            dims.add(len(feats))
+            if reals.issuperset(map(type, feats)):
+                continue
+            fault = next((f"a feature that is not a real number: {v!r}"
+                          for v in feats if not _is_real(v)), None)
+        except TypeError:  # None, a lone number, or no iterator
+            fault = (f"features {feats!r}, not a sequence" if feats is not None
+                     else "no features; k-NN methods need them")
+        if fault:
+            raise InputError(f"{'query' if ids is None else f'example {ids[r]}'} has {fault}")
+        reals.update(map(type, feats))
+    if len(dims) > 1:
+        raise InputError(f"feature dimensions are ragged: {sorted(dims)}")
+    width = max(dims, default=0)
+    flat = np.fromiter(chain.from_iterable(rows), float, len(rows) * width)
+    return np.asfortranarray(flat.reshape(len(rows), width))
+
+
+def _require_hashable(owner: str, what: str, cell) -> None:
+    """Refuse ``owner``'s ``what`` if it cannot be hashed, and so coded."""
+    try:
+        hash(cell)
+    except TypeError:
+        raise InputError(f"{owner} has an unhashable {what} {cell!r}") from None
 
 
 def duplicate_row(ids: Sequence[int]) -> Optional[int]:
@@ -298,17 +316,14 @@ def code_cells(cells: Sequence[Optional[Hashable]]) -> Tuple[tuple, np.ndarray]:
     return names, np.fromiter(map(code.__getitem__, cells), dtype=np.intp, count=len(cells))
 
 
-def code_coalitions(ids: Sequence[int], cells: Sequence) -> Tuple[tuple, np.ndarray]:
-    """``code_cells(cells)`` for the coalition ids of the examples ``ids``;
-    an unhashable one is refused by its example's id."""
+def code_column(what: str, ids: Sequence[int], cells: Sequence, coder=code_cells):
+    """``coder(cells)`` for the ``what`` column of the examples ``ids``; an
+    unhashable cell is refused by its example's id."""
     try:
-        return code_cells(cells)
+        return coder(cells)
     except TypeError:
         for i, cell in zip(ids, cells):
-            try:
-                hash(cell)
-            except TypeError:
-                raise InputError(f"example {i} has an unhashable coalition id {cell!r}") from None
+            _require_hashable(f"example {i}", what, cell)
         raise
 
 
@@ -343,16 +358,10 @@ def first_codes(cells: Sequence[Hashable]) -> Tuple[dict, np.ndarray]:
 # frequency model: value functions over (match, mismatch) count pairs
 
 
-def _require_count(name: str, v: int) -> None:
-    if not isinstance(v, (int, np.integer)) or v < 0:
-        raise InputError(f"{name} must be a non-negative integer, got {v!r}")
-
-
 def _require_amounts(owner: str, **amounts: Numeric) -> None:
     """Refuse a payout that is not a finite real number; a bool is not one."""
     for name, v in amounts.items():
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or (
-                not isinstance(v, numbers.Rational) and not np.isfinite(v)):
+        if not _is_real(v) or (not isinstance(v, numbers.Rational) and not np.isfinite(v)):
             raise InputError(f"{owner} {name} must be a finite number, got {v!r}")
 
 
@@ -398,8 +407,7 @@ class MajorityValueFunction(FrequencyValueFunction):
         _require_amounts("majority value", correct=self.correct, wrong=self.wrong, none=self.none)
 
     def value(self, a: int, b: int) -> Numeric:
-        _require_count("a", a)
-        _require_count("b", b)
+        require_pairs("(a, b) =", [(a, b)])
         if a > b:
             return self.correct
         if a < b:
@@ -428,11 +436,7 @@ class TableValueFunction(FrequencyValueFunction):
     default: Optional[Numeric] = None
 
     def __post_init__(self):
-        for key in self.entries:
-            if not (isinstance(key, tuple) and len(key) == 2 and all(
-                    isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 0
-                    for c in key)):
-                raise InputError(f"table entry {key!r} is not a pair of non-negative integers")
+        require_pairs("table entry", self.entries)
         _require_amounts("table", **{f"value of {key}": v for key, v in self.entries.items()})
         if self.default is not None:
             _require_amounts("table", default=self.default)
@@ -440,8 +444,7 @@ class TableValueFunction(FrequencyValueFunction):
             raise InputError("table value function must define v(0, 0) or a default")
 
     def value(self, a: int, b: int) -> Numeric:
-        _require_count("a", a)
-        _require_count("b", b)
+        require_pairs("(a, b) =", [(a, b)])
         v = self.entries.get((a, b), self.default)
         if v is None:
             raise MissingValueError(f"value table has no entry for ({a}, {b}) and no default")
@@ -484,8 +487,7 @@ class BinTally:
     n_mismatch: int
 
     def __post_init__(self):
-        _require_count("n_match", self.n_match)
-        _require_count("n_mismatch", self.n_mismatch)
+        require_pairs("(n_match, n_mismatch) =", [(self.n_match, self.n_mismatch)])
 
     @property
     def n(self) -> int:
@@ -531,7 +533,7 @@ class KnnConfig:
 
 def require_k(k: int) -> None:
     """Refuse a vote size that is not a positive odd integer; a bool is not one."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+    if not is_count(k) or k < 1:
         raise ConfigError(f"k must be a positive integer, got {k!r}")
     if k % 2 == 0:
         raise ConfigError("k must be odd")
@@ -601,12 +603,8 @@ def rank_by_distance(dataset: Dataset, query_features: Sequence[float],
     which keeps every downstream computation deterministic."""
     dataset.check_query_label(query_label)
     feats = dataset.feature_matrix()
-    try:
-        q = np.asarray(tuple(query_features), dtype=float)
-    except (TypeError, ValueError):
-        q = None
-    if q is None or q.ndim != 1 or not np.isfinite(q).all():
-        _require_reals("query", tuple(query_features))
+    q = _feature_rows([query_features])[0]
+    if not np.isfinite(q).all():
         raise InputError(f"query features must be finite, got {tuple(query_features)!r}")
     if not feats.shape[0]:
         feats = feats.reshape(0, q.shape[0])  # Dataset([]) has no feature width

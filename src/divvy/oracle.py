@@ -17,6 +17,7 @@ from typing import Callable, Dict, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .combinatorics import is_count
 from .errors import GuardError, InputError
 from .model import (
     Dataset,
@@ -160,7 +161,7 @@ class McEstimate:
 def sample_permutations(n: int, samples: int, seed: int) -> list:
     """Uniform random permutations of range(n), built by inserting each next
     element at a uniform position of the partial ordering (PCG64 stream)."""
-    if n < 1 or samples < 1 or seed < 0:
+    if not (is_count(n) and is_count(samples) and is_count(seed)) or n < 1 or samples < 1:
         raise InputError(f"need n >= 1, samples >= 1 and seed >= 0 (got {n}, {samples}, {seed})")
     rng = np.random.Generator(np.random.PCG64(seed))
     cols = [rng.integers(0, j + 1, size=samples) for j in range(1, n)]
@@ -182,7 +183,7 @@ def mc_shapley_all(game: CharacteristicGame, samples: int, seed: int) -> Dict[in
     """``mc_shapley`` for every player from one walk of the permutation
     stream: each sampled ordering gives every player's marginal
     contribution at once (Castro, Gomez & Tejada 2009)."""
-    if samples < 1 or seed < 0:
+    if not (is_count(samples) and is_count(seed)) or samples < 1:
         raise InputError(f"need samples >= 1 and seed >= 0 (got {samples}, {seed})")
     if not game.n:
         return {}

@@ -6,8 +6,8 @@ coalition rows sorted by id.  Exact-mode values travel as fraction strings
 bit-for-bit in either mode.  The wall-time field is the one thing two
 otherwise identical runs are allowed to disagree on.  One writer serves the
 JSON and CSV forms: it walks the rows in blocks, encodes ids and values
-once for both (a value shared by code once per report), and holds no text
-column and no whole document.
+once for both (a value shared by code once per report, ids once for every
+per-query block too), and holds no whole document.
 """
 
 from __future__ import annotations
@@ -207,13 +207,14 @@ def _value_text(values: np.ndarray, mode: str) -> Tuple[List[str], List[str]]:
 
 # Rows are encoded and written in blocks of this many; a block's text is
 # dropped before the next one is built, so the writer's memory does not grow
-# with the report (larger blocks run no faster)
+# with the report, except that per-query blocks keep the id text (larger
+# blocks run no faster)
 _BLOCK = 1024
 
 
-def _text_blocks(ids: np.ndarray, column, mode: str, codes=None):
-    """Each block of rows as (its first row, ids as text, values as CSV
-    cells, values as JSON literals); with ``codes``, each code's value is
+def _text_blocks(column, mode: str, codes=None):
+    """Each block of rows as (its first row, values as CSV cells, values as
+    JSON literals); with ``codes``, each code's value is
     encoded once, from the last row holding it, and gathered by code, if
     every row still holds its code's value: an equal one in exact mode,
     which gives the same text (list equality tries identity first), the
@@ -228,11 +229,10 @@ def _text_blocks(ids: np.ndarray, column, mode: str, codes=None):
             table = [np.array(text, object) for text in _value_text(column[rows], mode)]
         else:
             codes = None
-    for start in range(0, len(ids), _BLOCK):
+    for start in range(0, len(column), _BLOCK):
         stop = start + _BLOCK
-        yield (start, list(map(str, ids[start:stop].tolist())),
-               *(_value_text(column[start:stop], mode) if codes is None
-                 else [text[codes[start:stop]].tolist() for text in table]))
+        yield (start, *(_value_text(column[start:stop], mode) if codes is None
+                        else [text[codes[start:stop]].tolist() for text in table]))
 
 
 def _nested(value, depth: int) -> str:
@@ -267,10 +267,14 @@ def _write(report: ValueReport, out, csv_out=None) -> None:
     # each coalition's cell is encoded once and gathered by code
     json_cells = np.array([*(_nested(c, 3) for c in names), "null"], object)
     csv_cells = np.array([*map(_csv_cell, names), ""], object)
+    id_text = [] if out is not None and report.per_query else None  # per block, for each query
 
     def examples():
-        for start, ids, csv_values, json_values in _text_blocks(report.ids, report.value_column,
-                                                                 mode, report.value_codes):
+        for start, csv_values, json_values in _text_blocks(report.value_column, mode,
+                                                           report.value_codes):
+            ids = list(map(str, report.ids[start:start + _BLOCK].tolist()))
+            if id_text is not None:
+                id_text.append(ids)
             block = codes[start:start + len(ids)]
             if csv_out is not None:
                 csv_out.write("".join([f"{i},{c},{v}\r\n" for i, c, v in
@@ -303,8 +307,8 @@ def _write(report: ValueReport, out, csv_out=None) -> None:
                   + f'    {{\n      "query_index": {qi},\n      "values": ')
         _write_list(out, ([f'        {{\n          "id": {i},\n          "value": {v}\n        }}'
                            for i, v in zip(ids, json_values)]
-                          for _, ids, _, json_values in _text_blocks(report.ids, column, mode,
-                                                                     report.value_codes)), 3)
+                          for ids, (*_, json_values) in zip(id_text, _text_blocks(
+                              column, mode, report.value_codes))), 3)
         out.write("\n    }")
     out.write("\n  ]\n}\n" if queries else "\n}\n")
 

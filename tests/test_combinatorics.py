@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,6 +142,27 @@ def test_precede_probability_float_tracks_exact():
         exact = precede_probability(sizes, chosen, mode="exact")
         approx = precede_probability(sizes, chosen, mode="float")
         assert relative_gap(float(exact), approx) < 1e-12, (sizes, chosen)
+
+
+# a count is an integer other than a bool; a set size is also non-negative,
+# while a chosen count may take any sign (it then selects nothing)
+_NOT_INTEGERS = [True, np.True_, 2.0, 2.5, "1"]
+
+
+@pytest.mark.parametrize("bad", _NOT_INTEGERS + [-1])
+def test_precede_probability_refuses_what_is_not_a_set_size(bad):
+    for mode in ("exact", "float"):
+        with pytest.raises(InputError, match="^set_sizes must be non-negative integers"):
+            precede_probability((3, bad), (1, 0), mode)
+
+
+@pytest.mark.parametrize("bad", _NOT_INTEGERS)
+def test_precede_probability_refuses_what_is_not_a_chosen_count(bad):
+    for mode in ("exact", "float"):
+        with pytest.raises(InputError, match="and chosen integers"):
+            precede_probability((3, 2), (1, bad), mode)
+    assert precede_probability((3, 2), (1, -1)) == 0
+    assert precede_probability((np.int64(3),), (np.int8(1),)) == Fraction(1, 4)
 
 
 def test_precede_probability_rejects_bad_input():

@@ -472,6 +472,56 @@ def test_single_rejects_negative_counts():
         owen_frequency_single([(1, 0)], -1, 0, PAYOUT, True)
 
 
+# every count is an integer other than a bool; only the preceder law's own
+# tallies may be negative (a rule of a - b alone passes (a - b, 0))
+_NOT_INTEGERS = [True, np.True_, 2.0, 2.5, "1"]
+_NOT_PAIRS = [(1,), (1, 0, 0), 3, "10", None, {0, 1}]
+
+
+@pytest.mark.parametrize("bad", _NOT_INTEGERS + [-1])
+def test_critical_set_refuses_what_is_not_a_box_size(bad):
+    for sizes in ((bad, 2), (2, bad)):
+        with pytest.raises(InputError, match=r"^\(size_a, size_b\) = .* is not a pair of non-negative"):
+            freq_owen.critical_set(PAYOUT, *sizes, True)
+
+
+@pytest.mark.parametrize("bad", _NOT_INTEGERS + [-1])
+def test_single_refuses_what_is_not_a_count(bad):
+    for args in (([(1, 0)], bad, 0), ([(1, 0)], 0, bad), ([(bad, 0)], 0, 1), ([(1, 0), (0, bad)], 0, 1)):
+        with pytest.raises(InputError, match="^target or other tally .* is not a pair of non-negative"):
+            owen_frequency_single(*args, PAYOUT, True, mode="exact")
+
+
+@pytest.mark.parametrize("tally", _NOT_PAIRS)
+def test_single_refuses_a_tally_that_is_not_a_pair(tally):
+    with pytest.raises(InputError, match="^target or other tally .* is not a pair"):
+        owen_frequency_single([(1, 0), tally], 0, 1, PAYOUT, True)
+
+
+@pytest.mark.parametrize("bad", _NOT_INTEGERS)
+def test_law_refuses_a_tally_that_is_not_integers(bad):
+    for mode in ("exact", "float"):
+        with pytest.raises(InputError, match=r"^other tally .* is not a pair of integers$"):
+            owen_precede_distribution([(1, 0), (bad, 1)], mode)
+    assert owen_precede_distribution([(-2, 0), [1, np.int64(0)]]).mass() == 1
+
+
+@pytest.mark.parametrize("bad", _NOT_INTEGERS + [-1])
+def test_law_refuses_pinned_or_caps_that_are_not_counts(bad):
+    for kw in ({"pinned": (bad, 0)}, {"pinned": (0, bad)}, {"caps": (bad, 1)}, {"caps": (1, bad)}):
+        with pytest.raises(InputError, match="^pinned or caps .* is not a pair of non-negative"):
+            owen_precede_distribution([(1, 0)], **kw)
+
+
+@pytest.mark.parametrize("pair", [p for p in _NOT_PAIRS if p is not None])
+def test_law_refuses_what_is_not_a_pair(pair):
+    with pytest.raises(InputError, match="^other tally .* is not a pair"):
+        owen_precede_distribution([(1, 0), pair])
+    for kw in ({"pinned": pair}, {"caps": pair}):
+        with pytest.raises(InputError, match="^pinned or caps .* is not a pair"):
+            owen_precede_distribution([(1, 0)], **kw)
+
+
 def _report_values(dataset, query, vf, mode="exact"):
     return owen_frequency_report(dataset, [query], vf, mode=mode)
 

@@ -71,6 +71,11 @@ def test_creation_value_validates_counts():
         knn_creation_value(2, 2, True, 1, UNIT)
     with pytest.raises(InputError):
         knn_creation_value(0, 0, True, 1, UNIT)
+    # counts are integers other than bools (True and 3.0 ran as 1 and 3)
+    for bad in (True, np.True_, 3.0, 2.5, "1"):
+        for counts in ((bad, 0), (3, bad)):
+            with pytest.raises(InputError, match="inconsistent creation-term counts"):
+                knn_creation_value(*counts, True, 1, UNIT)
 
 
 def _change_values_direct(ranking, k, ov):

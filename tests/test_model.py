@@ -5,6 +5,7 @@ import gc
 import random
 import re
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from divvy import (
     KnnConfig,
     MajorityValueFunction,
     OutcomeValues,
+    Query,
     TableValueFunction,
     delta_value,
     knn_change_values_all,
@@ -204,6 +206,31 @@ def test_tally_bin():
         BinTally(-1, 0)
 
 
+@pytest.mark.parametrize("bad", [True, np.True_, 2.0, 2.5, "1", -1])
+def test_tallies_and_value_functions_refuse_what_is_not_a_count(bad):
+    for pair in ((bad, 0), (0, bad)):
+        with pytest.raises(InputError, match=r"^\(n_match, n_mismatch\) = .* is not a pair of non-neg"):
+            BinTally(*pair)
+        for vf in (MajorityValueFunction(1, -1, 0), TableValueFunction({(0, 0): 0}, default=1)):
+            with pytest.raises(InputError, match=r"^\(a, b\) = .* is not a pair of non-negative"):
+                vf.value(*pair)
+    assert BinTally(np.int64(2), np.uint8(1)).n == 3
+
+
+def test_unhashable_labels_and_bins_are_refused():
+    # each is coded by hashing it, as a coalition id is, and refused by its owner
+    with pytest.raises(InputError, match=r"^example 4 has an unhashable label \['a'\]$"):
+        Dataset([Example(3, "a"), Example(4, ["a"])])
+    with pytest.raises(InputError, match=r"^example 4 has an unhashable bin \['b'\]$"):
+        Dataset([Example(3, "a", bin="b"), Example(4, "a", bin=["b"])])
+    one_label = Dataset([Example(3, "a", bin="b", features=(0.0,))])
+    for query, what in ((Query(["a"], bin="b"), r"label \['a'\]"), (Query("a", bin=["b"]), r"bin \['b'\]")):
+        with pytest.raises(InputError, match=rf"^query has an unhashable {what}$"):
+            one_label.query_bin_code(query)
+    with pytest.raises(InputError, match=r"^query has an unhashable label \['a'\]$"):
+        rank_by_distance(one_label, (0.0,), ["a"])
+
+
 def test_tally_bin_matches_a_brute_force_count():
     rng = random.Random(29)
     for _ in range(100):
@@ -305,10 +332,12 @@ def test_rank_by_distance_matches_distance_then_id_order():
             rank_by_distance(finite, q, "a")
 
 
-@pytest.mark.parametrize("feature", ["x", 1j, [1], None])
+@pytest.mark.parametrize("feature", ["x", 1j, [1], None, True, np.True_, " 2 ", Decimal("1")])
 def test_a_feature_that_is_not_a_real_number_is_refused(feature):
-    # text, a complex number, a nested list (it built a (1, 1, 1) matrix) and
-    # None (it was called non-finite) are refused by the example or the query
+    # text, a complex number, a nested list (it built a (1, 1, 1) matrix),
+    # None (it was called non-finite), a bool and numeric text (each was
+    # read as a float) and a Decimal (as amounts refuse it) are refused by
+    # the example or the query
     ds = Dataset([Example(3, "a", features=(1.0,)), Example(7, "b", features=(feature,))])
     message = f"^example 7 has a feature that is not a real number: {re.escape(repr(feature))}$"
     with pytest.raises(InputError, match=message):
@@ -323,6 +352,19 @@ def test_a_feature_that_is_not_a_real_number_is_refused(feature):
 def test_features_that_are_not_a_sequence_are_refused():
     with pytest.raises(InputError, match=r"^example 7 has features 5, not a sequence$"):
         Dataset([Example(7, "a", features=5)]).feature_matrix()
+
+
+@pytest.mark.parametrize("query, message", [
+    (None, "no features; k-NN methods need them"),
+    (5, "features 5, not a sequence"),
+    ("1", "a feature that is not a real number: '1'"),
+    ((True,), "a feature that is not a real number: True"),
+])
+def test_query_features_must_be_a_sequence_of_real_numbers(query, message):
+    # None and 5 raised a raw TypeError; "1" and (True,) ran as (1.0,)
+    ds = Dataset([Example(3, "a", features=(1.0,))])
+    with pytest.raises(InputError, match=f"^query has {re.escape(message)}$"):
+        rank_by_distance(ds, query, "a")
 
 
 def test_rank_by_distance_survives_overflowing_squares():

@@ -180,6 +180,18 @@ def test_game_validates_players():
         mc_shapley(game, 7, samples=10, seed=0)
 
 
+def test_sampler_counts_must_be_integers():
+    # each raised a raw TypeError, or ran a float or bool as an integer
+    game = CharacteristicGame([0, 1], lambda s: Fraction(len(s)))
+    for bad in (True, 3.0, 2.5, "1"):
+        for args in ((bad, 2, 0), (3, bad, 0), (3, 2, bad)):
+            with pytest.raises(InputError, match="^need n >= 1, samples >= 1 and seed >= 0"):
+                sample_permutations(*args)
+        for kw in ({"samples": bad, "seed": 0}, {"samples": 2, "seed": bad}):
+            with pytest.raises(InputError, match="^need samples >= 1 and seed >= 0"):
+                divvy.oracle.mc_shapley_all(game, **kw)
+
+
 def test_game_memoizes_subset_calls():
     calls = Counter()
 
