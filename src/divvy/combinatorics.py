@@ -13,7 +13,7 @@ import math
 import numbers
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Iterable, Union
 
 from .errors import InputError
 
@@ -38,12 +38,14 @@ def is_count(v, signed: bool = False) -> bool:
         signed or v >= 0)
 
 
-def require_pairs(name: str, pairs: Sequence, signed: bool = False) -> None:
-    """Refuse ``pairs`` unless each is a tuple or list of two counts; ``name`` names one."""
+def require_pairs(name: str, pairs: Iterable, signed: bool = False) -> list:
+    """``pairs`` as a list, refused unless each is a tuple or list of two counts; ``name`` names one."""
+    pairs = list(pairs)
     for p in pairs:
         if not (isinstance(p, (tuple, list)) and len(p) == 2 and is_count(p[0], signed)
                 and is_count(p[1], signed)):
             raise InputError(f"{name} {p!r} is not a pair of {'' if signed else 'non-negative '}integers")
+    return pairs
 
 
 def binom(a: int, b: int) -> int:
@@ -84,8 +86,8 @@ def log_binom(a: int, b: int) -> float:
 
 
 def precede_probability(
-    set_sizes: Sequence[int],
-    chosen: Sequence[int],
+    set_sizes: Iterable[int],
+    chosen: Iterable[int],
     mode: str = EXACT,
 ) -> Money:
     """Probability that exactly ``chosen[h]`` members of each disjoint set
@@ -101,6 +103,7 @@ def precede_probability(
     a zero numerator.
     """
     check_mode(mode)
+    set_sizes, chosen = tuple(set_sizes), tuple(chosen)  # each read once
     if len(set_sizes) != len(chosen):
         raise InputError("set_sizes and chosen must have equal length")
     for s, c in zip(set_sizes, chosen):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -141,7 +141,7 @@ def _nodes(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def owen_precede_distribution(
-    other_tallies: Sequence[CountPair],
+    other_tallies: Iterable[CountPair],
     mode: str = EXACT,
     pinned: Optional[CountPair] = None,
     caps: Optional[CountPair] = None,
@@ -171,7 +171,7 @@ def owen_precede_distribution(
     multiset.
     """
     check_mode(mode)
-    require_pairs("other tally", other_tallies, signed=True)
+    other_tallies = require_pairs("other tally", other_tallies, signed=True)
     require_pairs("pinned or caps", [p for p in (pinned, caps) if p is not None])
     pairs = sorted(tuple(p) for p in other_tallies if tuple(p) != (0, 0))
     origin = sum(a for a, _ in pairs if a < 0), sum(b for _, b in pairs if b < 0)
@@ -441,7 +441,7 @@ def _preceder_law(other_tallies: Sequence[CountPair], vf: FrequencyValueFunction
 
 
 def owen_frequency_single(
-    other_tallies: Sequence[CountPair],
+    other_tallies: Iterable[CountPair],
     target_match: int,
     target_mismatch: int,
     vf: FrequencyValueFunction,
@@ -455,7 +455,8 @@ def owen_frequency_single(
     target coalition's in-bin members *excluding* the example itself.
     """
     check_mode(mode)
-    require_pairs("target or other tally", [(target_match, target_mismatch), *other_tallies])
+    _, *other_tallies = require_pairs("target or other tally",
+                                      [(target_match, target_mismatch), *other_tallies])
     dist = _preceder_law(other_tallies, vf, mode)
     size_a = sum(a for a, _ in other_tallies) + target_match
     size_b = sum(b for _, b in other_tallies) + target_mismatch

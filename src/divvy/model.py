@@ -77,11 +77,10 @@ class Dataset:
         ids = [int(ex.id) for ex in rows]
         if len(set(ids)) < len(ids):  # a set of the ints in hand; the row only to name it
             raise InputError(f"duplicate example id {ids[duplicate_row(ids)]}")
-        labels = [ex.label for ex in rows]
-        strs = sorted(set(map(str, labels)))
-        if len(strs) > 2:
-            raise InputError(f"labels must be binary; found a third symbol {strs[2]!r}")
-        symbols, codes = code_column("label", ids, labels, first_codes)
+        symbols, codes = code_column("label", ids, [ex.label for ex in rows], first_codes)
+        if len(symbols) > 2:
+            raise InputError(f"example {ids[np.argmax(codes == 2)]}: labels must be binary; "
+                             f"found a third symbol {list(symbols)[2]!r}")
         self._set_columns(
             np.array(ids, dtype=np.int64),
             tuple(symbols),
@@ -267,8 +266,9 @@ def _is_real(v) -> bool:
 def _feature_rows(rows: Sequence, ids: Optional[np.ndarray] = None) -> np.ndarray:
     """The rows, each example ``ids[r]``'s features (the query's, without
     ``ids``), as a column-major float array, once each is present, a
-    sequence of one width and all real numbers.  One pass judges the rows,
-    each by its entries' types alone once those are known to be real."""
+    sequence of one width and all real numbers in float range.  One pass
+    judges the rows, each by its entries' types alone once those are known
+    to be real."""
     reals, dims = set(), set()
     for r, feats in enumerate(rows):
         try:
@@ -286,7 +286,15 @@ def _feature_rows(rows: Sequence, ids: Optional[np.ndarray] = None) -> np.ndarra
     if len(dims) > 1:
         raise InputError(f"feature dimensions are ragged: {sorted(dims)}")
     width = max(dims, default=0)
-    flat = np.fromiter(chain.from_iterable(rows), float, len(rows) * width)
+    try:
+        flat = np.fromiter(chain.from_iterable(rows), float, len(rows) * width)
+    except OverflowError:  # an int or Fraction beyond float range, its text maybe too long to show
+        for r, feats in enumerate(rows):
+            try:
+                np.fromiter(feats, float, width)
+            except OverflowError:
+                raise InputError(f"{'query' if ids is None else f'example {ids[r]}'} has a "
+                                 "feature beyond float range") from None
     return np.asfortranarray(flat.reshape(len(rows), width))
 
 
@@ -574,26 +582,14 @@ class RankedNeighborhood:
 
 
 def _squared_distances(feats: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Each row's sum of (feats[:, j] - q[j])**2, added a column at a time as numpy 2.4's
-    row sum of a C-ordered matrix adds (from 0, a no-op on squares): distances keep their bits."""
-    tmp = np.empty(len(feats))  # the scratch column of every term but each sum's first
-    return _column_sums(feats, q, 0, len(q), tmp) if len(q) else np.zeros(len(feats))
-
-
-def _column_sums(feats, q, lo: int, hi: int, tmp: np.ndarray) -> np.ndarray:
-    """``_squared_distances`` over the columns lo .. hi - 1 (hi > lo)."""
-    count, lanes = hi - lo, 8 if hi - lo >= 8 else 1  # in sequence below 8 terms
-    if count > 128:  # halves, the first a multiple of 8
-        out = _column_sums(feats, q, lo, lo + count // 16 * 8, tmp)
-        return np.add(out, _column_sums(feats, q, lo + count // 16 * 8, hi, tmp), out=out)
-    r = [np.square(x, out=x) for x in (feats[:, j] - q[j] for j in range(lo, lo + lanes))]
-    for j in range(lo + lanes, hi - count % lanes):
-        r[(j - lo) % lanes] += np.square(np.subtract(feats[:, j], q[j], out=tmp), out=tmp)
-    while len(r) > 1:  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        r = [np.add(x, y, out=x) for x, y in zip(r[::2], r[1::2])]
-    for j in range(hi - count % lanes, hi):
-        r[0] += np.square(np.subtract(feats[:, j], q[j], out=tmp), out=tmp)
-    return r[0]
+    """Each row's sum of (feats[:, j] - q[j])**2, added in column order through one scratch
+    column: numpy's row sum of a Fortran-ordered matrix of two or more rows, bit for bit."""
+    tmp = np.empty(len(feats))
+    out = feats[:, 0] - q[0] if len(q) else np.zeros(len(feats))
+    np.square(out, out=out)
+    for j in range(1, len(q)):
+        out += np.square(np.subtract(feats[:, j], q[j], out=tmp), out=tmp)
+    return out
 
 
 def rank_by_distance(dataset: Dataset, query_features: Sequence[float],
@@ -619,8 +615,7 @@ def rank_by_distance(dataset: Dataset, query_features: Sequence[float],
             # exact power-of-two rescale of those rows brings them into range
             far = ~np.isfinite(dist)
             _, e = np.frexp(max(np.abs(feats[far]).max(), np.abs(q).max()))
-            d = np.ldexp(feats[far], -e) - np.ldexp(q, -e)
-            dist[far] = np.ldexp(np.sqrt((d**2).sum(axis=1)), e)
+            dist[far] = np.ldexp(np.sqrt(_squared_distances(np.ldexp(feats[far], -e), np.ldexp(q, -e))), e)
     ids = dataset.id_array()
     order = np.argsort(dist)
     ranked = dist[order]

@@ -24,6 +24,7 @@ from divvy import (
     owen_frequency_report,
     owen_frequency_single,
     owen_precede_distribution,
+    precede_probability,
     shapley_frequency_report,
 )
 from divvy.errors import GuardError, InputError
@@ -520,6 +521,18 @@ def test_law_refuses_what_is_not_a_pair(pair):
     for kw in ({"pinned": pair}, {"caps": pair}):
         with pytest.raises(InputError, match="^pinned or caps .* is not a pair"):
             owen_precede_distribution([(1, 0)], **kw)
+
+
+def test_one_shot_iterables_are_read_once():
+    # the count checks read an iterator up before the kernel read it: the
+    # law came out as [[1]], the value as 1/2, and precede_probability
+    # raised a raw TypeError
+    for mode in ("exact", "float"):
+        law, want = (owen_precede_distribution(t, mode) for t in (iter([(1, 0), (0, 1)]), [(1, 0), (0, 1)]))
+        assert law.weights.tolist() == want.weights.tolist() and law.scale == want.scale
+    vf = MajorityValueFunction(1, -1, 0)
+    assert owen_frequency_single(iter([(1, 0), (0, 2)]), 1, 0, vf, True, "exact") == Fraction(7, 12)
+    assert precede_probability(iter([2, 3]), iter([1, 1])) == precede_probability([2, 3], [1, 1])
 
 
 def _report_values(dataset, query, vf, mode="exact"):

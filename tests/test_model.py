@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import random
 import re
+import tracemalloc
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -62,6 +63,13 @@ def test_dataset_rejects_third_label():
             Example(1, "b", bin="x"),
             Example(2, "c", bin="x"),
         ])
+
+
+def test_a_third_label_is_refused_whatever_its_text():
+    # labels were told apart by their text, so 1, "1" and 2 built a dataset
+    # of three symbols, and the third one's code ran into the next bin's key
+    with pytest.raises(InputError, match="^example 2: labels must be binary; found a third symbol 2$"):
+        Dataset([Example(0, 1, bin="b"), Example(1, "1", bin="b"), Example(2, 2, bin="b")])
 
 
 def test_query_label_must_not_be_a_third_symbol():
@@ -349,6 +357,19 @@ def test_a_feature_that_is_not_a_real_number_is_refused(feature):
         rank_by_distance(finite, (0.0, feature), "a")
 
 
+@pytest.mark.parametrize("feature", [10**400, Fraction(10**400, 3), -10**5000],
+                         ids=["int", "fraction", "int-of-5001-digits"])
+def test_a_feature_beyond_float_range_is_refused(feature):
+    # each raised a raw OverflowError from the float conversion; an int of
+    # 5,001 digits has no text under the default limit, so none is shown
+    ds = Dataset([Example(3, "a", features=(1.0,)), Example(7, "b", features=(feature,))])
+    with pytest.raises(InputError, match="^example 7 has a feature beyond float range$"):
+        ds.feature_matrix()
+    finite = Dataset([Example(3, "a", features=(1.0, 2.0))])
+    with pytest.raises(InputError, match="^query has a feature beyond float range$"):
+        rank_by_distance(finite, (0.0, feature), "a")
+
+
 def test_features_that_are_not_a_sequence_are_refused():
     with pytest.raises(InputError, match=r"^example 7 has features 5, not a sequence$"):
         Dataset([Example(7, "a", features=5)]).feature_matrix()
@@ -387,16 +408,21 @@ def test_rank_by_distance_survives_overflowing_squares():
         assert rank_by_distance(two_d, (0.0, 0.0), "a").ordering.tolist() == [2, 1, 0, 3]
 
 
+def _squared_row_sums(rows, q):
+    """numpy's row sum of the squared differences as a Fortran-ordered
+    matrix, the layout of ``feature_matrix()``: added in column order."""
+    return np.asfortranarray((np.asfortranarray(rows) - q) ** 2).sum(axis=1)
+
+
 def _row_sum_distances(rows, q):
-    """Euclidean distances as a C-ordered matrix's row sum gives them,
-    with the power-of-two rescale of rows whose squares overflow."""
+    """Euclidean distances from ``_squared_row_sums``, with the
+    power-of-two rescale of rows whose squares overflow."""
     with np.errstate(over="ignore"):
-        dist = np.sqrt(((rows - q) ** 2).sum(axis=1))
+        dist = np.sqrt(_squared_row_sums(rows, q))
         far = ~np.isfinite(dist)
         if far.any():
             _, e = np.frexp(max(np.abs(rows[far]).max(), np.abs(q).max()))
-            d = np.ldexp(rows[far], -e) - np.ldexp(q, -e)
-            dist[far] = np.ldexp(np.sqrt((d**2).sum(axis=1)), e)
+            dist[far] = np.ldexp(np.sqrt(_squared_row_sums(np.ldexp(rows[far], -e), np.ldexp(q, -e))), e)
     return dist
 
 
@@ -427,14 +453,34 @@ def test_column_kernel_keeps_the_row_sum_bits(monkeypatch, d):
     rng = np.random.default_rng(d)
     rows = rng.normal(size=(40, d)) * 10.0 ** rng.integers(-6, 7, size=d)
     q = rng.normal(size=d) * 10.0 ** rng.integers(-6, 7, size=d)
-    want = ((rows - q) ** 2).sum(axis=1)
+    want = _squared_row_sums(rows, q)
     got = _squared_distances(np.asfortranarray(rows), q)
     assert got.tobytes() == want.tobytes()
+    if d < 8:  # a C-ordered row sum adds in sequence too, so the parent's bits stay
+        assert got.tobytes() == ((rows - q) ** 2).sum(axis=1).tobytes()
     ids = rng.permutation(1000)[:40]
     ds = Dataset([Example(int(i), "a", features=tuple(r)) for i, r in zip(ids, rows.tolist())])
     ranking, dist, tied = _rank_spying(monkeypatch, ds, tuple(q))
     assert dist.tobytes() == np.sqrt(want).tobytes() and not tied
     assert ranking.ordering.tolist() == ids[np.lexsort((ids, want))].tolist()
+
+
+@pytest.mark.parametrize("d", [16, 300])
+def test_squared_distances_hold_one_distance_vector_and_one_scratch_column(d):
+    # partial sums per lane held 9 n-vectors at 16 features and 11 at 300.
+    # The kernel reads only columns, so a window view over n + d - 1 numbers
+    # stands in for an n x d matrix of distinct contiguous columns
+    n = 100_000
+    feats = np.lib.stride_tricks.sliding_window_view(np.random.default_rng(d).normal(size=n + d - 1), d)
+    assert feats.shape == (n, d) and feats[:, d - 1].flags.c_contiguous
+    q = np.random.default_rng(d + 1).normal(size=d)
+    tracemalloc.start()
+    try:
+        _squared_distances(feats, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * 8 * n
 
 
 def test_ranking_leaves_no_reference_cycle():
