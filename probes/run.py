@@ -18,7 +18,11 @@ one divvy CLI invocation in a fresh interpreter (this checkout's ``src`` on
 - ``exit``: the CLI's exit code (2: a size guard refused the run);
 - ``efficiency``: the sum of the report's values against v(N) - v(empty),
   which the probe works out from the data it wrote, not from divvy, so a
-  fast wrong answer fails; null when the run did not exit 0.
+  fast wrong answer fails; null when the run did not exit 0;
+- ``twin`` (an exact probe with a float twin only): the largest gap
+  between the float run's values and the exact ones on the same inputs,
+  by the README's rule (absolute below |v| = 1, relative above), and
+  whether it is within 1e-9.
 
 Probes:
 
@@ -51,20 +55,23 @@ Probes:
   coalition pair and live rank dominate;
 - ``owen-freq-mM``: one ``owen-freq`` query on one majority bin of 4,000
   examples, labelled and dealt into M coalitions at random, so each
-  coalition's tally has its own preceder law;
+  coalition's tally has its own preceder law.  ``owen-freq-m200-exact``
+  is the exact twin of ``owen-freq-m200``: the same inputs, run in exact
+  mode, then once more in float, whose values it checks against its own;
 - ``exact-owen-5x5``: the ``oracle``'s exact Owen enumeration on one bin of
   5 coalitions of 5 examples each, the largest its guard admits;
 - ``exact-shapley-10``: the ``oracle``'s exact Shapley enumeration on one
   majority bin of 10 examples labelled at random, the largest its guard
   admits: all 10! orderings.
 
-The command exits 1 if any probe failed its verdict or did not exit 0.
+The command exits 1 if any probe failed a verdict or did not exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import json
 import math
 import os
@@ -96,6 +103,7 @@ class Probe:
     queries: int = 1           # for "knn-exact"
     coalitions: int = 0        # the examples are dealt into this many, if any
     k: int = 5                 # for the k-NN kinds
+    twin: bool = False         # an exact probe also runs in float, and compares
 
 
 PROBES = {
@@ -122,7 +130,7 @@ PROBES = {
     "owen-freq-m200": Probe("owen-freq", 4_000, coalitions=200),
     "owen-freq-m400": Probe("owen-freq", 4_000, coalitions=400),
     "owen-freq-m800": Probe("owen-freq", 4_000, coalitions=800),
-    "owen-freq-m200-exact": Probe("owen-freq", 4_000, "exact", coalitions=200),
+    "owen-freq-m200-exact": Probe("owen-freq", 4_000, "exact", coalitions=200, twin=True),
     "exact-owen-5x5": Probe("exact-owen", 25, "exact", coalitions=5),
     "exact-shapley-10": Probe("exact-shapley", 10, "exact"),
 }
@@ -264,52 +272,94 @@ def _knn_inputs(probe: Probe, seed: int, directory: str):
     return argv, expected
 
 
+@contextlib.contextmanager
+def _long_int_text():
+    """Lift the interpreter's cap on int digits while exact values' text,
+    which may be longer, is read; put it back after."""
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    try:
+        if cap:
+            sys.set_int_max_str_digits(0)
+        yield
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
+
+
 def efficiency(report: dict, expected: int) -> dict:
     """Whether the report's values sum to ``expected``: exactly in exact
     mode, within 1e-9 of the values' absolute sum (at least 1) in float."""
     values = [r["value"] for r in report["examples"]]
     if report["meta"]["numeric_mode"] == "exact":
         numerators: dict = {}  # denominator text -> its values' numerators summed
-        cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-        try:
-            if cap:  # lifted while the values' text is read: it may be longer
-                sys.set_int_max_str_digits(0)
+        with _long_int_text():
             for p, _, q in (v.partition("/") for v in values):
                 numerators[q] = numerators.get(q, 0) + int(p)
             total = sum(Fraction(p, int(q or 1)) for q, p in numerators.items())
-        finally:
-            if cap:
-                sys.set_int_max_str_digits(cap)
         return {"sum": str(total), "expected": expected, "ok": total == expected}
     total = math.fsum(values)
     scale = max(1.0, math.fsum(map(abs, values)))
     return {"sum": total, "expected": expected, "ok": abs(total - expected) <= 1e-9 * scale}
 
 
+def float_gap(exact: dict, approx: dict) -> dict:
+    """The largest gap between a float report's values and an exact report's,
+    example by example, by the README's rule: |float - exact| / max(1,
+    |exact|), so absolute below |v| = 1 and relative above; ok within 1e-9."""
+    with _long_int_text():
+        want = {r["id"]: Fraction(r["value"]) for r in exact["examples"]}
+    got = {r["id"]: Fraction(r["value"]) for r in approx["examples"]}
+    gap = max((abs(v - want[i]) / max(1, abs(want[i])) for i, v in got.items() if i in want),
+              default=Fraction(0))
+    return {"gap": float(gap), "ok": got.keys() == want.keys() and gap <= Fraction(1, 10**9)}
+
+
+def _child(name: str, probe: Probe, argv: List[str], out: str) -> dict:
+    """One CLI run in a fresh interpreter, writing its report to ``out``:
+    the child's JSON line, and its time from launch to exit."""
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
+           **(TRIM_ENV if probe.trim else {})}
+    child = QUERY_CHILD if probe.kind == "knn-query" else CHILD
+    t0 = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", child, json.dumps(argv + ["--out", out])],
+                          env=env, capture_output=True, text=True)
+    process_s = time.perf_counter() - t0
+    if done.returncode != 0 or not done.stdout.strip():
+        raise RuntimeError(f"probe {name}: the child failed:\n{done.stderr}")
+    record = {**json.loads(done.stdout.splitlines()[-1]), "process_s": process_s}
+    if record["exit"] != 0:
+        record["stderr"] = done.stderr.strip()
+    return record
+
+
 def run_probe(name: str, probe: Probe, seed: int) -> dict:
-    """Run one probe in a fresh interpreter and return its JSON record."""
+    """Run one probe in a fresh interpreter (and its float twin in another,
+    if it has one) and return its JSON record."""
     with tempfile.TemporaryDirectory(prefix="divvy-probe-") as work:
         argv, expected = write_inputs(probe, seed, work)
         out = os.path.join(work, "report.json")
-        env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
-               **(TRIM_ENV if probe.trim else {})}
-        child = QUERY_CHILD if probe.kind == "knn-query" else CHILD
-        t0 = time.perf_counter()
-        done = subprocess.run([sys.executable, "-c", child, json.dumps(argv + ["--out", out])],
-                              env=env, capture_output=True, text=True)
-        process_s = time.perf_counter() - t0
-        if done.returncode != 0 or not done.stdout.strip():
-            raise RuntimeError(f"probe {name}: the child failed:\n{done.stderr}")
         record = {"probe": name, "seed": seed, "command": argv[0], "numeric": probe.numeric,
-                  "trim": probe.trim,
-                  **json.loads(done.stdout.splitlines()[-1]), "process_s": process_s}
+                  "trim": probe.trim, **_child(name, probe, argv, out)}
+        record["efficiency"] = None
         if record["exit"] == 0:
             with open(out) as fh:
-                record["efficiency"] = efficiency(json.load(fh), expected)
-        else:
-            record["efficiency"] = None
-            record["stderr"] = done.stderr.strip()
+                report = json.load(fh)
+            record["efficiency"] = efficiency(report, expected)
+            if probe.twin:  # the same inputs, in float
+                at = argv.index("--numeric") + 1
+                twin_out = os.path.join(work, "twin.json")
+                twin = _child(name, probe, argv[:at] + ["float"] + argv[at + 1:], twin_out)
+                record["twin"] = {"gap": None, "ok": False, **twin}
+                if twin["exit"] == 0:
+                    with open(twin_out) as fh:
+                        record["twin"].update(float_gap(report, json.load(fh)))
         return record
+
+
+def passed(record: dict) -> bool:
+    """Whether a probe's run exited 0 and passed every verdict it has."""
+    return (record["exit"] == 0 and record["efficiency"]["ok"]
+            and record.get("twin", {"ok": True})["ok"])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -327,7 +377,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for name in names:
         record = run_probe(name, PROBES[name], args.seed)
         print(json.dumps(record), flush=True)
-        failed += record["exit"] != 0 or not record["efficiency"]["ok"]
+        failed += not passed(record)
     return 1 if failed else 0
 
 

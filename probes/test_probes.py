@@ -180,3 +180,34 @@ def test_main_prints_one_json_line_per_probe(monkeypatch, capsys):
     assert all(r["seed"] == 5 and r["efficiency"]["ok"] for r in records)
     with pytest.raises(SystemExit):
         probes.main(["no-such-probe"])
+
+
+def test_the_exact_m200_probe_is_the_twin_of_the_float_one():
+    assert probes.PROBES["owen-freq-m200-exact"] == dataclasses.replace(
+        probes.PROBES["owen-freq-m200"], numeric="exact", twin=True)
+
+
+def test_a_small_twin_probe_passes_its_float_verdict():
+    probe = probes.Probe("owen-freq", 60, "exact", coalitions=7, twin=True)
+    record = probes.run_probe("small", probe, seed=3)
+    assert probes.passed(record) and record["numeric"] == "exact", record
+    twin = record["twin"]
+    assert twin["ok"] and 0 <= twin["gap"] < 1e-12 and twin["exit"] == 0 and twin["wall_s"] > 0
+    assert "twin" not in probes.run_probe("small", dataclasses.replace(probe, twin=False), seed=3)
+
+
+def test_the_twin_verdict_catches_a_planted_error():
+    # |float - exact| / max(1, |exact|): absolute below 1, relative above
+    exact = {"examples": [{"id": 1, "value": "1/3"}, {"id": 2, "value": "-3000"},
+                          {"id": 3, "value": "0"}]}
+    close = {"examples": [{"id": 1, "value": 1 / 3}, {"id": 2, "value": -3000.000001},
+                          {"id": 3, "value": 1e-16}]}
+    verdict = probes.float_gap(exact, close)
+    assert verdict["ok"] and 3e-10 < verdict["gap"] < 4e-10, verdict
+    for i, planted in ((0, 1 / 3 + 2e-9), (1, -3000.00001), (2, -2e-9)):
+        wrong = {"examples": [dict(r) for r in close["examples"]]}
+        wrong["examples"][i]["value"] = planted
+        assert not probes.float_gap(exact, wrong)["ok"], planted
+    assert not probes.float_gap(exact, {"examples": close["examples"][:2]})["ok"]
+    record = {"exit": 0, "efficiency": {"ok": True}, "twin": {"ok": False}}
+    assert not probes.passed(record) and probes.passed({**record, "twin": {"ok": True}})

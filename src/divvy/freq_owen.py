@@ -3,9 +3,10 @@
 An example's value is a sum over the count pairs where one more example of
 its label class moves the value (the critical set).  The outer layer is
 the law of the in-bin counts that the coalitions ahead of the target
-coalition contribute: one expansion of Owen's multilinear extension over a
-dense array (``owen_precede_distribution``), which the k-NN Owen
-computation shares.  The inner layer is the probability that a prefix of
+coalition contribute: an expansion of Owen's multilinear extension over
+dense arrays (``owen_precede_laws``), in float one per query for all the
+laws it needs, batched over a leading axis of laws; the k-NN Owen
+computation builds its laws one at a time with it.  The inner layer is the probability that a prefix of
 the target coalition's own in-bin members precedes the example, correlated
 with the law at the critical entries.  For a rule of a - b alone those
 probabilities summed along a diagonal are a prefix sum of one binomial row
@@ -23,14 +24,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
-from typing import Iterable, Optional, Sequence, Tuple
+from itertools import accumulate, groupby
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .combinatorics import (EXACT, Money, check_mode, log_binom, precede_probability,
                            require_pairs)
-from .errors import GuardError
+from .errors import GuardError, InputError
 from .model import Dataset, FrequencyValueFunction, Query, diagonal_cells, to_money
 from .report import ValueReport, assemble_report
 
@@ -44,6 +45,10 @@ CountPair = Tuple[int, int]
 # The law is built in dense arrays of at most this many bytes in all;
 # larger ones are refused before they are allocated.
 GRID_BUDGET_BYTES = 2**28
+
+# Float laws share one expansion in an array of at most this many bytes (or
+# the grid budget, if lower), as many as fit; a larger law is built alone.
+BATCH_BYTES = 2**17
 
 
 @dataclass(frozen=True)
@@ -140,117 +145,172 @@ def _nodes(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (1 + x[:, None, None]) / 2, (1 - x[:, None, None]) / 2, w
 
 
-def owen_precede_distribution(
-    other_tallies: Iterable[CountPair],
+def owen_precede_laws(
+    tallies: Iterable[CountPair],
+    left_out: Iterable[CountPair],
     mode: str = EXACT,
     pinned: Optional[CountPair] = None,
     caps: Optional[CountPair] = None,
-) -> PrecedeDistribution:
+) -> Iterator[PrecedeDistribution]:
     """Law of the summed tallies of the non-target coalitions that land
-    ahead of the target coalition.
+    ahead of the target coalition, the others being ``tallies`` less one
+    copy of each entry of ``left_out`` in turn, yielded as built.
 
     The m other coalitions precede in a set S with probability
     |S|!(m - |S|)!/(m + 1)!, the integral of t^|S| (1 - t)^(m - |S|) over
-    [0, 1].  So the law's generating function is the integral of
+    [0, 1].  So a law's generating function is the integral of
     prod_h (1 - t + t x^a_h y^b_h), expanded with one shift-add per
     coalition over dense arrays.  In exact mode each size |S| has an array
     of integer subset counts over the box that size can reach, each
     non-zero cell weighted once at the end.  In float mode one array's
-    leading axis runs over the Gauss-Legendre nodes, exact for degree m;
-    without pin or caps only the nodes t <= 1/2 are built, since trading
-    t for 1 - t reverses the law along both axes.
+    axes run over laws and Gauss-Legendre nodes, exact for degree m;
+    without pin or caps only the nodes t <= 1/2 are built, since trading t
+    for 1 - t reverses the law along both axes.  Laws alike in node count
+    and next to each other share the array, as many as fit in
+    ``BATCH_BYTES``; a law's slab is set aside at the pair it leaves out,
+    so each is bit for bit the law built alone.
 
     A tally may be negative: a rule of a - b alone passes (a - b, 0), whose
     law is one column of at most A + B + 1 cells.  The array then starts at
     ``origin``, the sums of the negative entries.  A ``pinned`` coalition
     always precedes the target: one more factor of t, so the mass is 1/2.
     ``caps`` drops counts above them, which for non-negative tallies can
-    never come back under; entries within the caps are unchanged.
-    All-zero tallies are dropped (an ordering of the rest is still
-    uniform) and the rest sorted, so the law depends only on their
-    multiset.
+    never come back under.  All-zero tallies are dropped, so leaving out
+    (0, 0) removes nothing, and the rest sorted: a law depends only on
+    their multiset.
     """
     check_mode(mode)
-    other_tallies = require_pairs("other tally", other_tallies, signed=True)
+    tallies = require_pairs("other tally", tallies, signed=True)
+    left_out = require_pairs("left-out tally", left_out, signed=True)
     require_pairs("pinned or caps", [p for p in (pinned, caps) if p is not None])
-    pairs = sorted(tuple(p) for p in other_tallies if tuple(p) != (0, 0))
-    origin = sum(a for a, _ in pairs if a < 0), sum(b for _, b in pairs if b < 0)
-    a0, b0 = pinned or (0, 0)
-    m = len(pairs) + (pinned is not None)
-    top_a = a0 + sum(a for a, _ in pairs if a > 0)
-    top_b = b0 + sum(b for _, b in pairs if b > 0)
-    if caps is not None:
-        top_a, top_b = min(top_a, caps[0]), min(top_b, caps[1])
-    # from here on counts are cell indices, measured from the origin
-    oa, ob = origin
-    a0, b0, top_a, top_b = a0 - oa, b0 - ob, top_a - oa, top_b - ob
-    exact = mode == EXACT
-    if a0 > top_a or b0 > top_b:  # the pinned coalition overflows the caps
-        zeros = np.zeros((top_a + 1, top_b + 1), object if exact else float)
-        return PrecedeDistribution(zeros, 1, origin)
-    if exact:
-        # subsets of size k reach only the box from the sums of the k smallest
-        # tallies to those of the k largest: one array per box, not per grid
-        k0 = m - len(pairs)  # 1 with a pin, else 0
-        sa, sb = sorted(a for a, _ in pairs), sorted(b for _, b in pairs)
-        lows, shapes = [(top_a + 1, top_b + 1)] * k0, [(0, 0)] * k0
-        for la, lb, ua, ub in zip(accumulate(sa, initial=a0), accumulate(sb, initial=b0),
-                                  accumulate(sa[::-1], initial=a0), accumulate(sb[::-1], initial=b0)):
-            lows.append((la, lb))
-            shapes.append((max(min(ua, top_a) - la + 1, 0), max(min(ub, top_b) - lb + 1, 0)))
-        widest = math.comb(m, m // 2)  # the largest count of subsets of one size
-        dtype = np.int64 if widest < 2**63 else object
-        cell = 8 if dtype is np.int64 else 8 + sys.getsizeof(widest)
-        # plus the weighted law, one pointer per cell of the full grid
-        need = sum(x * y for x, y in shapes) * cell + (top_a + 1) * (top_b + 1) * 8
+    if not {*map(tuple, left_out)} <= {*map(tuple, tallies), (0, 0)}:
+        raise InputError("a left-out tally is not among the tallies")
+    return _precede_laws(tallies, left_out, mode, pinned, caps)
+
+
+def owen_precede_distribution(other_tallies: Iterable[CountPair], mode: str = EXACT,
+                              pinned: Optional[CountPair] = None,
+                              caps: Optional[CountPair] = None) -> PrecedeDistribution:
+    """The one law of ``owen_precede_laws`` that leaves no tally out."""
+    return next(owen_precede_laws(other_tallies, [(0, 0)], mode, pinned, caps))
+
+
+def _precede_laws(tallies, left_out, mode: str, pinned=None, caps=None):
+    """``owen_precede_laws`` past its checks, for counts the caller built."""
+    pairs = sorted(tuple(p) for p in tallies if tuple(p) != (0, 0))
+    pin, cap = pinned or (0, 0), caps or (math.inf, math.inf)
+
+    def frame(rest):  # the lowest tallies a law's cells hold, and the highest
+        return (tuple(sum(p[i] for p in rest if p[i] < 0) for i in (0, 1)),
+                tuple(min(pin[i] + sum(p[i] for p in rest if p[i] > 0), cap[i]) for i in (0, 1)))
+    laws = []  # per law: the index of the pair it leaves out (-1: none), the rest, its frame
+    for x in map(tuple, left_out):
+        skip = -1 if x == (0, 0) else pairs.index(x)
+        rest = pairs if skip < 0 else pairs[:skip] + pairs[skip + 1:]
+        laws.append((skip, rest, *frame(rest)))
+    if pin[0] > cap[0] or pin[1] > cap[1]:  # the pinned coalition overflows the caps
+        for *_, (la, lb), (ta, tb) in laws:
+            zeros = np.zeros((ta - la + 1, tb - lb + 1), object if mode == EXACT else float)
+            yield PrecedeDistribution(zeros, 1, (la, lb))
+    elif mode == EXACT:
+        yield from (_exact_law(rest, pinned, low, top) for _, rest, low, top in laws)
     else:
-        n = m // 2 + 1  # exact for degree 2n - 1 >= m
-        mirror = pinned is None and caps is None
-        depth = (n + 1) // 2 if mirror else n
-        need = depth * (top_a + 1) * (top_b + 1) * 8
-    _guard(need, "Owen law grid")
-    if exact:
-        g = [np.zeros(shape, dtype) for shape in shapes]
-        lo, hi = [(top_a + 1, top_b + 1)] * (m + 1), [(-1, -1)] * (m + 1)  # reached so far
-        g[k0][0, 0] = 1
-        lo[k0] = hi[k0] = (a0, b0)
-        for j, (a, b) in enumerate(pairs):
-            for k in range(k0 + j, -1, -1):  # each size is read before it is written
-                (la, lb), (ua, ub) = lo[k], hi[k]
-                ua, ub = min(ua, top_a - a), min(ub, top_b - b)
-                if la <= ua and lb <= ub:
-                    (oa, ob), (pa, pb) = lows[k], lows[k + 1]  # the boxes' corners
-                    held = g[k][la - oa : ua - oa + 1, lb - ob : ub - ob + 1]
-                    g[k + 1][la + a - pa : ua + a - pa + 1, lb + b - pb : ub + b - pb + 1] += held
-                    lo[k + 1] = min(lo[k + 1][0], la + a), min(lo[k + 1][1], lb + b)
-                    hi[k + 1] = max(hi[k + 1][0], ua + a), max(hi[k + 1][1], ub + b)
-        weights = np.zeros((top_a + 1, top_b + 1), object)
-        for k, (box, (oa, ob)) in enumerate(zip(g, lows)):
-            i, j = np.nonzero(box)
-            weights[oa + i, ob + j] += box[i, j].astype(object) * (
-                math.factorial(k) * math.factorial(m - k)
-            )
-        return PrecedeDistribution(weights, math.factorial(m + 1), origin)
-    g = np.zeros((depth, top_a + 1, top_b + 1))
+        # a batch spans the cells of all pairs, and a law alone its own
+        m, span = len(pairs) + (pinned is not None), frame(pairs) if len(laws) != 1 else laws[0][2:]
+        (la, lb), (ta, tb) = span
+        for n, run in groupby(laws, key=lambda law: (m - (law[0] >= 0)) // 2 + 1):
+            run, depth = list(run), (n + 1) // 2 if pinned is None and caps is None else n
+            per = max(min(BATCH_BYTES, GRID_BUDGET_BYTES) // (depth * (ta - la + 1) * (tb - lb + 1) * 8), 1)
+            for batch in (run[i : i + per] for i in range(0, len(run), per)):
+                yield from _float_laws(pairs, batch, n, depth, pinned, *(
+                    span if len(batch) > 1 else batch[0][2:]))
+
+
+def _exact_law(pairs, pinned, origin: CountPair, top: CountPair) -> PrecedeDistribution:
+    """The exact law of ``pairs``, sorted and non-zero, one law alone."""
+    (oa, ob), (a0, b0), m = origin, pinned or (0, 0), len(pairs) + (pinned is not None)
+    # from here on counts are cell indices, measured from the origin
+    a0, b0, top_a, top_b = a0 - oa, b0 - ob, top[0] - oa, top[1] - ob
+    # subsets of size k reach only the box from the sums of the k smallest
+    # tallies to those of the k largest: one array per box, not per grid
+    k0 = m - len(pairs)  # 1 with a pin, else 0
+    sa, sb = sorted(a for a, _ in pairs), sorted(b for _, b in pairs)
+    lows, shapes = [(top_a + 1, top_b + 1)] * k0, [(0, 0)] * k0
+    for la, lb, ua, ub in zip(accumulate(sa, initial=a0), accumulate(sb, initial=b0),
+                              accumulate(sa[::-1], initial=a0), accumulate(sb[::-1], initial=b0)):
+        lows.append((la, lb))
+        shapes.append((max(min(ua, top_a) - la + 1, 0), max(min(ub, top_b) - lb + 1, 0)))
+    widest = math.comb(m, m // 2)  # the largest count of subsets of one size
+    dtype = np.int64 if widest < 2**63 else object
+    cell = 8 if dtype is np.int64 else 8 + sys.getsizeof(widest)
+    # plus the weighted law, one pointer per cell of the full grid
+    _guard(sum(x * y for x, y in shapes) * cell + (top_a + 1) * (top_b + 1) * 8, "Owen law grid")
+    g = [np.zeros(shape, dtype) for shape in shapes]
+    lo, hi = [(top_a + 1, top_b + 1)] * (m + 1), [(-1, -1)] * (m + 1)  # reached so far
+    g[k0][0, 0] = 1
+    lo[k0] = hi[k0] = (a0, b0)
+    for j, (a, b) in enumerate(pairs):
+        for k in range(k0 + j, -1, -1):  # each size is read before it is written
+            (la, lb), (ua, ub) = lo[k], hi[k]
+            ua, ub = min(ua, top_a - a), min(ub, top_b - b)
+            if la <= ua and lb <= ub:
+                (oa, ob), (pa, pb) = lows[k], lows[k + 1]  # the boxes' corners
+                held = g[k][la - oa : ua - oa + 1, lb - ob : ub - ob + 1]
+                g[k + 1][la + a - pa : ua + a - pa + 1, lb + b - pb : ub + b - pb + 1] += held
+                lo[k + 1] = min(lo[k + 1][0], la + a), min(lo[k + 1][1], lb + b)
+                hi[k + 1] = max(hi[k + 1][0], ua + a), max(hi[k + 1][1], ub + b)
+    weights = np.zeros((top_a + 1, top_b + 1), object)
+    for k, (box, (oa, ob)) in enumerate(zip(g, lows)):
+        i, j = np.nonzero(box)
+        weights[oa + i, ob + j] += box[i, j].astype(object) * (
+            math.factorial(k) * math.factorial(m - k)
+        )
+    return PrecedeDistribution(weights, math.factorial(m + 1), origin)
+
+
+def _float_laws(pairs, run, n: int, depth: int, pinned, low: CountPair,
+                top: CountPair) -> list:
+    """The float laws of ``run`` (as ``_precede_laws`` lists them), alike in
+    node count n: one expansion of ``pairs`` over the tallies low to top."""
+    (oa, ob), (pa, pb) = low, pinned or (0, 0)
+    a0, b0, top_a, top_b = pa - oa, pb - ob, top[0] - oa, top[1] - ob
+    _guard(len(run) * depth * (top_a + 1) * (top_b + 1) * 8, "Owen law grid")
+    g = np.zeros((len(run), depth, top_a + 1, top_b + 1))
     t, s, w = _nodes(n)
     t, s = t[:depth], s[:depth]
-    g[:, a0, b0] = t[:, 0, 0] if pinned is not None else 1.0
+    g[:, :, a0, b0] = t[:, 0, 0] if pinned is not None else 1.0
     ratio = t / s  # held cells are scaled first, so the shifted copy takes t / s
     hi_a, hi_b = a0, b0  # highest cells reached so far
-    for a, b in pairs:
-        held = g[:, : hi_a + 1, : hi_b + 1]
+    leaving: dict = {}  # pair index -> the laws that leave it out
+    for j, law in enumerate(run):
+        leaving.setdefault(law[0], []).append(j)
+    for p, (a, b) in enumerate(pairs):
+        out = leaving.get(p, ())
+        if len(out) == len(run):
+            continue
+        kept = g[out] if out else None  # a copy, put back after the shift-add
+        held = g[:, :, : hi_a + 1, : hi_b + 1]
         held *= s
         fit_a, fit_b = min(hi_a, top_a - a), min(hi_b, top_b - b)
         # a negative shift moves cells from index -a up, as none lies lower
         ia, ib = max(-a, 0), max(-b, 0)
         if fit_a >= 0 and fit_b >= 0:
-            moved = held[:, ia : fit_a + 1, ib : fit_b + 1] * ratio
-            g[:, ia + a : fit_a + a + 1, ib + b : fit_b + b + 1] += moved
+            moved = held[:, :, ia : fit_a + 1, ib : fit_b + 1] * ratio
+            g[:, :, ia + a : fit_a + a + 1, ib + b : fit_b + b + 1] += moved
+        if out:
+            g[out] = kept
         hi_a, hi_b = min(max(hi_a, hi_a + a), top_a), min(max(hi_b, hi_b + b), top_b)
-    if not mirror:  # the weights sum to 2 on [-1, 1]
-        return PrecedeDistribution(np.tensordot(w, g, axes=1) / 2, 1, origin)
-    mirrored = np.tensordot(w[: n // 2], g[: n // 2], axes=1)[::-1, ::-1]
-    return PrecedeDistribution((np.tensordot(w[:depth], g, axes=1) + mirrored) / 2, 1, origin)
+    def sums(v, x):  # np.tensordot(v, x, axes=1) of a contiguous x, without its bookkeeping
+        return np.dot(v, x.reshape(len(v), -1)).reshape(x.shape[1:])
+    laws = []
+    for law, (*_, low, top) in zip(g, run):  # each cut to its own cells, as if alone
+        law = np.ascontiguousarray(law[:, low[0] - oa : top[0] - oa + 1, low[1] - ob : top[1] - ob + 1])
+        if depth == n:  # no mirror, or one node; the weights sum to 2 on [-1, 1]
+            laws.append(PrecedeDistribution(sums(w, law) / 2, 1, low))
+        else:
+            mirrored = sums(w[: n // 2], law[: n // 2])[::-1, ::-1]
+            laws.append(PrecedeDistribution((sums(w[:depth], law) + mirrored) / 2, 1, low))
+    return laws
 
 
 def _log_binoms(n: int, k: np.ndarray) -> np.ndarray:
@@ -432,12 +492,14 @@ def _law_input(vf: FrequencyValueFunction, tally: CountPair) -> CountPair:
     return (tally[0] - tally[1], 0) if vf.by_difference else tally
 
 
-def _preceder_law(other_tallies: Sequence[CountPair], vf: FrequencyValueFunction, mode: str):
-    """The law of the others' ``_law_input``s, as one axis for a rule of a - b alone."""
-    law = owen_precede_distribution([_law_input(vf, t) for t in other_tallies], mode)
+def _preceder_laws(tallies: Sequence[CountPair], left_out: Sequence[CountPair],
+                   vf: FrequencyValueFunction, mode: str) -> Iterator[PrecedeDistribution]:
+    """The laws of the ``_law_input``s of ``tallies``, less one of each law
+    input in ``left_out`` in turn, as one axis for a rule of a - b alone."""
+    laws = owen_precede_laws([_law_input(vf, t) for t in tallies], left_out, mode)
     if not vf.by_difference:
-        return law
-    return PrecedeDistribution(law.weights[:, 0], law.scale, law.origin[:1])
+        return laws
+    return (PrecedeDistribution(law.weights[:, 0], law.scale, law.origin[:1]) for law in laws)
 
 
 def owen_frequency_single(
@@ -457,7 +519,7 @@ def owen_frequency_single(
     check_mode(mode)
     _, *other_tallies = require_pairs("target or other tally",
                                       [(target_match, target_mismatch), *other_tallies])
-    dist = _preceder_law(other_tallies, vf, mode)
+    dist = next(_preceder_laws(other_tallies, [(0, 0)], vf, mode))
     size_a = sum(a for a, _ in other_tallies) + target_match
     size_b = sum(b for _, b in other_tallies) + target_mismatch
     crit = critical_set(vf, size_a, size_b, label_matches)
@@ -485,8 +547,10 @@ def _frequency_report(method, dataset, owner, queries, vf, mode, per_query):
     label) group, which the report's rows read by code.  Per query the critical
     set is built once per class, the preceder law once per law input and the
     value once per (tally, class), reused across queries alike in bin,
-    label and value function."""
+    label and value function; a query's laws from one call, the one that
+    leaves nothing out last, since it alone may differ in node count."""
     check_mode(mode)
+    queries = list(queries)  # read once: an iterator gives what a list gives
     t0 = time.perf_counter()
     _, bin_col = dataset.bin_codes()
     symbols, label_col = dataset.label_column()
@@ -511,16 +575,17 @@ def _frequency_report(method, dataset, owner, queries, vf, mode, per_query):
         pairs = sorted(tallies)
         size_a, size_b = counts.sum(axis=0).tolist()
         crits: dict = {}  # label matches -> critical set
-        law_key, law = None, None  # tallies sharing a law input come in a row
         alike = (id(q_vf), q.bin, q.label)  # plus (own tally, label matches): a value's key
         needed = {(t, m) for t in pairs for m in (True, False)
                   if t[not m] and alike + (t, m) not in value_cache}
-        for own, m in sorted(needed, key=lambda p: (_law_input(q_vf, p[0]), p)):
-            key = _law_input(q_vf, own)
-            if key != law_key:
-                others = list(pairs)
-                others.remove(own)
-                law_key, law = key, _preceder_law(others, q_vf, mode)
+        law_of = {t: _law_input(q_vf, t) for t, _ in needed}
+        needed = sorted(needed, key=lambda p: (law_of[p[0]] == (0, 0), law_of[p[0]], p))
+        inputs = list(dict.fromkeys(law_of[t] for t, _ in needed))
+        laws = zip(inputs, _preceder_laws(pairs, inputs, q_vf, mode))  # built as read
+        law_key = None  # tallies sharing a law input come in a row
+        for own, m in needed:
+            if law_of[own] != law_key:
+                law_key, law = next(laws)
             if m not in crits:
                 crits[m] = critical_set(q_vf, size_a - m, size_b - (not m), m)
             value_cache[alike + (own, m)] = _value_from_distribution(

@@ -47,15 +47,18 @@ from typing import Sequence
 import numpy as np
 
 from .combinatorics import EXACT, Money, check_mode, precede_probability
-from .freq_owen import owen_precede_distribution
+from .freq_owen import PrecedeDistribution, _precede_laws
 from .model import (Dataset, KnnConfig, OutcomeValues, Query, RankedNeighborhood,
                     dense_codes, rank_by_distance, require_k, to_money)
 from .report import ValueReport, assemble_report
 
 METHOD = "owen-knn"
 
-# the preceder law, bound under the name through which this module calls it
-knn_owen_distribution = owen_precede_distribution
+
+def knn_owen_distribution(others, mode: str, pinned, caps) -> PrecedeDistribution:
+    """The preceder law of rows ``_QueryEngine._dp`` clamped itself, so built
+    past the count checks; the one name through which this module builds one."""
+    return next(_precede_laws(others, [(0, 0)], mode, pinned, caps))
 
 
 @functools.lru_cache(maxsize=1)
@@ -305,6 +308,7 @@ def _knn_report(method: str, dataset: Dataset, codes: np.ndarray, m: int,
     method: each query ranks the examples once, and the engine gives the
     values that the rows, in rank order, add to their totals."""
     check_mode(mode)
+    queries = list(queries)  # read once: an iterator gives what a list gives
     t0 = time.perf_counter()
     codes = codes.astype(np.min_scalar_type(m - 1), copy=False)  # a byte each up to m = 256
     totals = _zeros(len(dataset), mode)

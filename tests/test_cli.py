@@ -651,3 +651,24 @@ def test_every_traced_site_is_bound():
     ]
     assert bindings
     assert unbound == []
+
+
+@pytest.mark.parametrize("numeric", ["float", "exact"])
+def test_one_law_over_the_grid_budget_exits_2(tmp_path, monkeypatch, capsys, numeric):
+    # one bin of 12 pure coalitions of 5 to 16 examples: under a 1 KiB
+    # budget every preceder law (~125 cells of a - b, 3 float nodes or 12
+    # exact subset sizes) is refused before it is built, however the float
+    # laws are batched; under the real budget the bin computes
+    rows = [f"{i},b0,{'xy'[c % 2]},g{c}" for i, c in enumerate(
+        c for c in range(12) for _ in range(c + 5))]
+    data, queries, vf = tmp_path / "d.csv", tmp_path / "q.csv", tmp_path / "v.json"
+    data.write_text("id,bin,label,coalition\n" + "\n".join(rows) + "\n")
+    queries.write_text("bin,label\nb0,x\n")
+    vf.write_text(_MAJORITY % 1)
+    argv = ["owen-freq", "--data", str(data), "--queries", str(queries), "--value", str(vf),
+            "--numeric", numeric, "--out", str(tmp_path / "out.json")]
+    with monkeypatch.context() as patch:
+        patch.setattr(freq_owen, "GRID_BUDGET_BYTES", 2**10)
+        assert run_command(argv) == 2
+    assert re.search(r"Owen law grid of .* over the 0 MiB budget", capsys.readouterr().err)
+    assert run_command(argv) == 0

@@ -254,15 +254,15 @@ def _law_cells(monkeypatch, vf):
         for i, c in enumerate(c for c in range(10) for _ in range(c + 1 + (c % 2 == 0)))
     )
     cells = []
-    real = freq_owen.owen_precede_distribution
+    real = freq_owen.owen_precede_laws
 
-    def counting(others, *args):
-        law = real(others, *args)
-        cells.append(law.weights.size)
-        return law
+    def counting(*args):
+        for law in real(*args):
+            cells.append(law.weights.size)
+            yield law
 
     with monkeypatch.context() as patch:
-        patch.setattr(freq_owen, "owen_precede_distribution", counting)
+        patch.setattr(freq_owen, "owen_precede_laws", counting)
         owen_frequency_report(
             ds, [Query(label="x", bin="b0")], vf, mode="float"
         )
@@ -449,10 +449,14 @@ def test_majority_law_built_once_per_count_difference(monkeypatch, mode):
     diffs = {a - b for a, b in tallies}
     assert len(diffs) < len(tallies)  # else one law per tally would pass too
     calls = []
-    real = freq_owen.owen_precede_distribution
-    monkeypatch.setattr(
-        freq_owen, "owen_precede_distribution", lambda *a: calls.append(a) or real(*a)
-    )
+    real = freq_owen.owen_precede_laws
+
+    def counting(*args):  # one entry per law built
+        for law in real(*args):
+            calls.append(law)
+            yield law
+
+    monkeypatch.setattr(freq_owen, "owen_precede_laws", counting)
     query = Query(label="x", bin="b0")
     owen_frequency_report(ds, [query], PAYOUT, mode=mode)
     assert len(calls) == len(diffs), (len(calls), len(diffs), len(tallies))
@@ -643,3 +647,139 @@ def test_report_carries_coalition_totals():
         "g0": rep.value_of(0) + rep.value_of(1),
         "g1": rep.value_of(2),
     }
+
+
+def _lone_laws(tallies, left_out, mode, **kw):
+    """Each law of ``owen_precede_laws`` built alone: the tallies less one copy."""
+    for x in left_out:
+        others = list(tallies)
+        if x != (0, 0):
+            others.remove(x)
+        yield owen_precede_distribution(others, mode, **kw)
+
+
+def _same_law(law, want, mode):
+    assert law.origin == want.origin and law.scale == want.scale
+    if mode == "float":  # bit for bit
+        np.testing.assert_array_equal(law.weights.view(np.int64), want.weights.view(np.int64))
+    else:
+        assert law.weights.tolist() == want.weights.tolist()
+
+
+def test_batched_laws_are_the_lone_builds_bit_for_bit(monkeypatch):
+    # one expansion builds a batch of float laws; each must be the law built
+    # alone, bit for bit: negative, zero and repeated tallies, a left-out
+    # zero (whose law has one more factor, so maybe another node count),
+    # 2-D tallies, and batches split by the working-set cap
+    rng = random.Random(29)
+    real, batches = freq_owen._float_laws, []
+    monkeypatch.setattr(freq_owen, "_float_laws",
+                        lambda pairs, run, n, *a: batches.append((len(run), n)) or real(pairs, run, n, *a))
+    seen = collections.Counter()
+    for trial in range(160):
+        m = rng.randint(1, 26)
+        one_axis = trial % 2
+        tallies = [(rng.randint(-5, 5), 0) if one_axis else (rng.randint(0, 4), rng.randint(0, 4))
+                   for _ in range(m)]
+        tallies += rng.sample(tallies, rng.randint(0, min(3, m))) + [(0, 0)] * rng.randint(0, 2)
+        left_out = sorted(set(tallies) | {(0, 0)}, key=lambda t: (t == (0, 0), t))
+        monkeypatch.setattr(freq_owen, "BATCH_BYTES", rng.choice([2**17, 2**9, 1]))
+        for mode in ("float", "exact"):
+            batches.clear()
+            laws = list(freq_owen.owen_precede_laws(tallies, left_out, mode))
+            made = list(batches)
+            assert len(laws) == len(left_out)
+            for law, want in zip(laws, _lone_laws(tallies, left_out, mode)):
+                _same_law(law, want, mode)
+            if mode == "float":
+                nodes = {n for _, n in made}
+                seen["shared"] += any(size > 1 for size, _ in made)
+                seen["two node counts"] += len(nodes) == 2
+                seen["split"] += len(made) > len(nodes) and any(size > 1 for size, _ in made)
+                seen["2-D"] += not one_axis and any(size > 1 for size, _ in made)
+    assert min(seen.values()) >= 5 and len(seen) == 4, seen
+
+
+def test_pinned_and_capped_laws_batch_bit_for_bit():
+    # the k-NN laws' pin and caps, with several laws in one call
+    rng = random.Random(41)
+    for _ in range(60):
+        tallies = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(1, 12))]
+        pinned, caps = (rng.randint(0, 3), rng.randint(0, 3)), (rng.randint(0, 4), rng.randint(0, 4))
+        left_out = sorted(set(tallies) | {(0, 0)})
+        for mode in ("float", "exact"):
+            laws = freq_owen.owen_precede_laws(tallies, left_out, mode, pinned, caps)
+            for law, want in zip(laws, _lone_laws(tallies, left_out, mode, pinned=pinned, caps=caps)):
+                _same_law(law, want, mode)
+
+
+def test_law_refuses_a_left_out_tally_it_does_not_hold():
+    with pytest.raises(InputError, match="left-out tally is not among the tallies"):
+        freq_owen.owen_precede_laws([(1, 0), (2, 1)], [(1, 1)])
+    with pytest.raises(InputError, match=r"^left-out tally .* is not a pair"):
+        freq_owen.owen_precede_laws([(1, 0)], [(1,)])
+    # (0, 0) is never a factor, so leaving it out leaves the tallies as they are
+    law, = freq_owen.owen_precede_laws([(1, 0)], [(0, 0)])
+    assert law.weights.tolist() == owen_precede_distribution([(1, 0)]).weights.tolist()
+
+
+def _batch_report(monkeypatch, batch_bytes, mode):
+    """The sizes of the float-law batches a majority report built on one bin
+    of 180 examples in 24 coalitions, and its values."""
+    rng = random.Random(53)
+    ds = Dataset(Example(i, rng.choice("xy"), bin="b0", coalition=f"g{rng.randrange(24)}")
+                 for i in range(180))
+    batches, real = [], freq_owen._float_laws
+    with monkeypatch.context() as patch:
+        patch.setattr(freq_owen, "BATCH_BYTES", batch_bytes)
+        patch.setattr(freq_owen, "_float_laws",
+                      lambda pairs, run, *a: batches.append(len(run)) or real(pairs, run, *a))
+        report = owen_frequency_report(ds, [Query(label="x", bin="b0")], PAYOUT, mode=mode)
+    return batches, report.value_column
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_laws_over_the_working_set_run_in_several_batches(monkeypatch, mode):
+    # each law fits the working set but not all of a query's together: the
+    # float laws come in several batches, and the values are those of laws
+    # built one by one (a working set of 1 byte), bit for bit
+    (one, a), (few, b), (many, c) = (_batch_report(monkeypatch, size, mode)
+                                     for size in (1, 2**17, 2**14))
+    if mode == "float":
+        assert set(one) == {1} and len(few) < len(many) < len(one) and max(many) > 1, (few, many)
+        assert a.view(np.int64).tolist() == b.view(np.int64).tolist() == c.view(np.int64).tolist()
+    else:  # exact laws are built one by one
+        assert one == few == many == [] and a.tolist() == b.tolist() == c.tolist()
+
+
+def test_tallies_are_checked_once_per_query_and_not_for_knn_laws(monkeypatch):
+    # a query asks for all its laws in one call, which checks the tallies
+    # once; the k-NN engine builds its laws from rows it clamped itself
+    import divvy.knn_owen as knn_owen
+    from divvy import KnnConfig, OutcomeValues, knn_owen_report
+
+    checks, real = [], freq_owen.require_pairs
+    monkeypatch.setattr(freq_owen, "require_pairs", lambda name, *a, **kw: checks.append(name) or real(name, *a, **kw))
+    rng = random.Random(61)
+    ds = Dataset(Example(i, rng.choice("xy"), bin=f"b{i % 2}", coalition=f"g{rng.randrange(9)}",
+                         features=(rng.random(),)) for i in range(120))
+    queries = [Query(label=lab, bin=b, features=(rng.random(),)) for lab in "xy" for b in ("b0", "b1")]
+    owen_frequency_report(ds, queries, PAYOUT, mode="float")
+    assert 0 < checks.count("other tally") <= len(queries), checks
+    checks.clear()
+    laws, real_law = [], knn_owen.knn_owen_distribution
+    monkeypatch.setattr(knn_owen, "knn_owen_distribution", lambda *a: laws.append(a) or real_law(*a))
+    knn_owen_report(ds, queries, KnnConfig(3, OutcomeValues(1, -1, 0)), mode="float")
+    assert laws and checks == []
+
+
+def test_iterated_queries_give_the_report_of_a_list():
+    rng = random.Random(67)
+    ds = Dataset(Example(i, rng.choice("xy"), bin=f"b{i % 2}", coalition=f"g{rng.randrange(4)}")
+                 for i in range(30))
+    queries = [Query(label="x", bin="b0"), Query(label="y", bin="b1"), Query(label="x", bin="b0")]
+    for mode in ("float", "exact"):
+        want = owen_frequency_report(ds, queries, PAYOUT, mode=mode, per_query=True)
+        got = owen_frequency_report(ds, iter(queries), PAYOUT, mode=mode, per_query=True)
+        assert got.query_count == 3 and got.values() == want.values()
+        assert [c.tolist() for c in got.per_query] == [c.tolist() for c in want.per_query]

@@ -361,3 +361,14 @@ def test_parsed_frequency_dataset_builds_no_example_rows(tmp_path):
     )
     assert example_count() <= before
     assert len(shapley.values()) == len(owen.values()) == 300
+
+
+def test_iterated_queries_give_the_report_of_a_list():
+    # the queries are read once: an iterator gave a raw TypeError from len()
+    ds = Dataset(Example(i, "xy"[i % 3 == 0], bin=f"b{i % 2}") for i in range(12))
+    queries = [Query(label="x", bin="b0"), Query(label="y", bin="b1"), Query(label="x", bin="b0")]
+    for mode in ("float", "exact"):
+        want = shapley_frequency_report(ds, queries, PAYOUT, mode=mode, per_query=True)
+        got = shapley_frequency_report(ds, iter(queries), PAYOUT, mode=mode, per_query=True)
+        assert got.query_count == 3 and got.values() == want.values()
+        assert [c.tolist() for c in got.per_query] == [c.tolist() for c in want.per_query]

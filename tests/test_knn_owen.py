@@ -430,3 +430,16 @@ def test_empty_dataset_gives_an_empty_report():
             Dataset([]), queries, config, mode=mode, per_query=True
         )
         assert rep.values() == {} and rep.query_count == 1, mode
+
+
+def test_iterated_queries_give_the_report_of_a_list():
+    # the queries are read once: an iterator gave a raw TypeError from len()
+    ds = Dataset(Example(i, "xy"[i % 3 == 0], features=(i * 0.5,), coalition=f"g{i % 3}")
+                 for i in range(9))
+    queries = [Query(label="x", features=(1.5,)), Query(label="y", features=(2.5,))]
+    config = KnnConfig(3, OutcomeValues(1, -1, 0))
+    for mode in ("float", "exact"):
+        want = knn_owen_report(ds, queries, config, mode=mode, per_query=True)
+        got = knn_owen_report(ds, iter(queries), config, mode=mode, per_query=True)
+        assert got.query_count == 2 and got.values() == want.values()
+        assert [c.tolist() for c in got.per_query] == [c.tolist() for c in want.per_query]

@@ -328,3 +328,16 @@ def test_float_report_leaves_numpy_polynomial_unimported():
                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert out.returncode == 0, out.stderr[-2000:]
     assert out.stdout.strip() == "[]"
+
+
+def test_iterated_queries_give_the_report_of_a_list():
+    # the queries are read once: an iterator gave a raw TypeError from len()
+    ds = Dataset(Example(i, "xy"[i % 3 == 0], features=(i * 0.5,), coalition=f"g{i % 3}")
+                 for i in range(9))
+    queries = [Query(label="x", features=(1.5,)), Query(label="y", features=(2.5,))]
+    config = KnnConfig(3, OutcomeValues(1, -1, 0))
+    for mode in ("float", "exact"):
+        want = knn_shapley_report(ds, queries, config, mode=mode, per_query=True)
+        got = knn_shapley_report(ds, iter(queries), config, mode=mode, per_query=True)
+        assert got.query_count == 2 and got.values() == want.values()
+        assert [c.tolist() for c in got.per_query] == [c.tolist() for c in want.per_query]
