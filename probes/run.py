@@ -53,6 +53,10 @@ Probes:
   10,000 two-feature points dealt at random into M coalitions (20 on the
   k axis), with k = 5 or K: the preceder laws the engine builds per
   coalition pair and live rank dominate;
+- ``owen-knn-3k-k5-exact`` and ``owen-knn-3k-k21-exact``: one exact
+  ``owen-knn`` query on 3,000 two-feature points in 20 coalitions, k = 5
+  or 21, each then run once more in float on the same inputs, whose values
+  it checks against its own;
 - ``owen-freq-mM``: one ``owen-freq`` query on one majority bin of 4,000
   examples, labelled and dealt into M coalitions at random, so each
   coalition's tally has its own preceder law.  ``owen-freq-m200-exact``
@@ -127,6 +131,9 @@ PROBES = {
     "owen-knn-k5": Probe("owen-knn", 10_000, dims=2, coalitions=20, k=5),
     "owen-knn-k21": Probe("owen-knn", 10_000, dims=2, coalitions=20, k=21),
     "owen-knn-k51": Probe("owen-knn", 10_000, dims=2, coalitions=20, k=51),
+    "owen-knn-3k-k5-exact": Probe("owen-knn", 3_000, "exact", dims=2, coalitions=20, twin=True),
+    "owen-knn-3k-k21-exact": Probe("owen-knn", 3_000, "exact", dims=2, coalitions=20, k=21,
+                                   twin=True),
     "owen-freq-m200": Probe("owen-freq", 4_000, coalitions=200),
     "owen-freq-m400": Probe("owen-freq", 4_000, coalitions=400),
     "owen-freq-m800": Probe("owen-freq", 4_000, coalitions=800),

@@ -24,7 +24,8 @@ def test_the_named_probes():
         "owen-freq-box-3k", "owen-freq-box-5k", "owen-freq-box-1k-exact", "knn-query-100k",
         "knn-query-100k-trim", "knn-query-100k-d16", "knn-query-100k-d16-trim",
         "knn-exact-10k-4c", "knn-exact-5k-q10", "owen-knn-m20", "owen-knn-m100",
-        "owen-knn-m200", "owen-knn-k5", "owen-knn-k21", "owen-knn-k51", "owen-freq-m200",
+        "owen-knn-m200", "owen-knn-k5", "owen-knn-k21", "owen-knn-k51", "owen-knn-3k-k5-exact",
+        "owen-knn-3k-k21-exact", "owen-freq-m200",
         "owen-freq-m400", "owen-freq-m800", "owen-freq-m200-exact", "exact-owen-5x5",
         "exact-shapley-10"}
     for name, probe in probes.PROBES.items():  # a -trim twin differs in its child's env alone
@@ -187,8 +188,11 @@ def test_the_exact_m200_probe_is_the_twin_of_the_float_one():
         probes.PROBES["owen-freq-m200"], numeric="exact", twin=True)
 
 
-def test_a_small_twin_probe_passes_its_float_verdict():
-    probe = probes.Probe("owen-freq", 60, "exact", coalitions=7, twin=True)
+@pytest.mark.parametrize("probe", [
+    probes.Probe("owen-freq", 60, "exact", coalitions=7, twin=True),
+    probes.Probe("owen-knn", 60, "exact", dims=2, coalitions=7, k=3, twin=True),
+])
+def test_a_small_twin_probe_passes_its_float_verdict(probe):
     record = probes.run_probe("small", probe, seed=3)
     assert probes.passed(record) and record["numeric"] == "exact", record
     twin = record["twin"]

@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .combinatorics import EXACT, FLOAT, NUMERIC_MODES
 from .errors import GuardError, InputError
@@ -30,7 +27,7 @@ from .io import (
 )
 from .knn_owen import knn_owen_report
 from .knn_shapley import knn_shapley_report
-from .model import KnnConfig, to_money
+from .model import KnnConfig
 from .oracle import (
     exact_owen_all,
     exact_shapley_all,
@@ -38,7 +35,7 @@ from .oracle import (
     knn_game,
     mc_shapley_all,
 )
-from .report import assemble_report, export_csv, report_to_json, write_report
+from .report import assemble_report, export_csv, report_to_json, sum_queries, write_report
 
 # export_csv and report_to_json stay bound, uncalled, for perfbench/spans.py
 
@@ -193,20 +190,11 @@ def _run_oracle(args):
     seed = 0 if args.seed is None else args.seed
     dataset, queries, rule = _inputs(args, family)
 
-    def build_game(q):
-        if family == "frequency":
-            return frequency_game(dataset, q, q.value_function or rule)
-        return knn_game(dataset, q, rule)
-
-    mode = FLOAT if mc else EXACT
-    dtype = float if mode == FLOAT else object
-    totals = np.full(len(dataset), to_money(0, mode), dtype)
-    columns = []
     codes = dataset.partition_codes()[1] if method == "exact-owen" else None
 
-    started = time.perf_counter()
-    for query in queries:
-        game = build_game(query)
+    def values_of(query):
+        game = (frequency_game(dataset, query, query.value_function or rule)
+                if family == "frequency" else knn_game(dataset, query, rule))
         if method == "exact-shapley":
             values = exact_shapley_all(game, override=args.yes_i_know).values()
         elif method == "exact-owen":
@@ -215,16 +203,16 @@ def _run_oracle(args):
             values = [e.estimate for e in mc_shapley_all(game, samples, seed).values()]
         # each oracle lists its values in player order, and the players are
         # dataset.ids, so the values come in dataset order
-        columns.append(np.array(list(values), dtype))
-        totals += columns[-1]
-    wall = time.perf_counter() - started
+        return slice(None), list(values)
 
+    mode = FLOAT if mc else EXACT
+    queries, totals, columns, wall = sum_queries(queries, len(dataset), mode, args.per_query,
+                                                 values_of)
     extras = {"family": family, "oracle_method": method}
     if mc:
         extras["samples"], extras["seed"] = samples, seed
     return assemble_report("oracle", mode, dataset, totals, query_count=len(queries),
-                           wall_time=wall, k=args.k,
-                           per_query=columns if args.per_query else None, extras=extras)
+                           wall_time=wall, k=args.k, per_query=columns, extras=extras)
 
 
 # name, help, flag groups in help order, body

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import sys
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -33,7 +32,7 @@ from .combinatorics import (EXACT, Money, check_mode, log_binom, precede_probabi
                            require_pairs)
 from .errors import GuardError, InputError
 from .model import Dataset, FrequencyValueFunction, Query, diagonal_cells, to_money
-from .report import ValueReport, assemble_report
+from .report import ValueReport, assemble_report, sum_queries
 
 METHOD = "owen-freq"
 
@@ -543,27 +542,22 @@ def owen_frequency_report(
 
 def _frequency_report(method, dataset, owner, queries, vf, mode, per_query):
     """Total payout per example over a batch of queries, each example in
-    the coalition coded ``owner``.  Values are summed per (bin, coalition,
-    label) group, which the report's rows read by code.  Per query the critical
-    set is built once per class, the preceder law once per law input and the
-    value once per (tally, class), reused across queries alike in bin,
-    label and value function; a query's laws from one call, the one that
-    leaves nothing out last, since it alone may differ in node count."""
+    the coalition coded ``owner``, summed per (bin, coalition, label) group,
+    which the report's rows read by code.  Per query the critical set is
+    built once per class, the preceder law once per law input and the value
+    once per (tally, class), reused across queries alike in bin, label and
+    value function; a query's laws come from one call, built as read, by
+    law input with (0, 0) last: its law alone may differ in node count."""
     check_mode(mode)
-    queries = list(queries)  # read once: an iterator gives what a list gives
-    t0 = time.perf_counter()
     _, bin_col = dataset.bin_codes()
     symbols, label_col = dataset.label_column()
     width = int(owner.max(initial=-1)) + 1
     # the groups present, in key order: by bin, then coalition, then label
     keys, group = np.unique((bin_col * width + owner) * 2 + label_col, return_inverse=True)
     group_size = np.bincount(group, minlength=len(keys))
-    zero = to_money(0, mode)
-    dtype = object if mode == EXACT else float
-    totals = np.full(len(keys), zero, dtype)
-    columns = []
     value_cache: dict = {}
-    for q in queries:
+
+    def values_of(q: Query):
         q_vf = q.value_function if q.value_function is not None else vf
         in_bin = np.flatnonzero(keys // (2 * width) == dataset.query_bin_code(q))
         matches = np.array([s == q.label for s in symbols], bool)[keys[in_bin] % 2]
@@ -576,29 +570,22 @@ def _frequency_report(method, dataset, owner, queries, vf, mode, per_query):
         size_a, size_b = counts.sum(axis=0).tolist()
         crits: dict = {}  # label matches -> critical set
         alike = (id(q_vf), q.bin, q.label)  # plus (own tally, label matches): a value's key
-        needed = {(t, m) for t in pairs for m in (True, False)
-                  if t[not m] and alike + (t, m) not in value_cache}
-        law_of = {t: _law_input(q_vf, t) for t, _ in needed}
-        needed = sorted(needed, key=lambda p: (law_of[p[0]] == (0, 0), law_of[p[0]], p))
-        inputs = list(dict.fromkeys(law_of[t] for t, _ in needed))
-        laws = zip(inputs, _preceder_laws(pairs, inputs, q_vf, mode))  # built as read
-        law_key = None  # tallies sharing a law input come in a row
-        for own, m in needed:
-            if law_of[own] != law_key:
-                law_key, law = next(laws)
-            if m not in crits:
-                crits[m] = critical_set(q_vf, size_a - m, size_b - (not m), m)
-            value_cache[alike + (own, m)] = _value_from_distribution(
-                law, crits[m], own[0] - m, own[1] - (not m), mode)
+        needed: dict = {}  # law input -> the (own tally, label matches) values it gives
+        for own, m in ((t, m) for t in dict.fromkeys(pairs) for m in (True, False)):
+            if own[not m] and alike + (own, m) not in value_cache:
+                needed.setdefault(_law_input(q_vf, own), []).append((own, m))
+        needed = dict(sorted(needed.items(), key=lambda item: (item[0] == (0, 0), item[0])))
+        for wanted, law in zip(needed.values(), _preceder_laws(pairs, list(needed), q_vf, mode)):
+            for own, m in wanted:
+                if m not in crits:
+                    crits[m] = critical_set(q_vf, size_a - m, size_b - (not m), m)
+                value_cache[alike + (own, m)] = _value_from_distribution(
+                    law, crits[m], own[0] - m, own[1] - (not m), mode)
         by_group = zip(slot.tolist(), matches.tolist())
-        values = np.array([value_cache[alike + (tallies[c], m)] for c, m in by_group], dtype)
-        totals[in_bin] += values
-        if per_query:
-            q_values = np.full(len(keys), zero, dtype)
-            q_values[in_bin] = values
-            columns.append(q_values)
+        return in_bin, [value_cache[alike + (tallies[c], m)] for c, m in by_group]
+
+    queries, totals, columns, wall = sum_queries(queries, len(keys), mode, per_query, values_of)
     return assemble_report(
         method=method, mode=mode, dataset=dataset, values=totals, query_count=len(queries),
-        wall_time=time.perf_counter() - t0, per_query=columns if per_query else None,
-        value_codes=group,
+        wall_time=wall, per_query=columns, value_codes=group,
     )

@@ -1,7 +1,7 @@
 """Owen payouts for a k-nearest-neighbor majority vote under a coalition
 partition, and the one k-NN kernel: under the partition with one coalition
 the Owen value is the Shapley value (Owen 1977), so ``knn_shapley`` runs
-this module's query engine and report loop with every example coded 0.
+this module's query engine and report function with every example coded 0.
 
 Each example's value splits into a creation term (the example arrives as
 the k-th member and casts the deciding pattern) and a change term (the
@@ -31,8 +31,9 @@ adds of other coalitions' live ranks.  A query costs O(m^2 * k) law
 lookups plus O(n) array work for n examples and m coalitions.
 
 The report reads the coalition codes the dataset holds
-(``Dataset.partition_codes``), ranks the examples once per query and sums
-each query's values as one array.
+(``Dataset.partition_codes``) and ranks the examples once per query; the
+one report loop, ``report.sum_queries``, adds each query's values, in rank
+order, to the rows they belong to.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import time
 from fractions import Fraction
 from typing import Sequence
 
@@ -50,7 +50,7 @@ from .combinatorics import EXACT, Money, check_mode, precede_probability
 from .freq_owen import PrecedeDistribution, _precede_laws
 from .model import (Dataset, KnnConfig, OutcomeValues, Query, RankedNeighborhood,
                     dense_codes, rank_by_distance, require_k, to_money)
-from .report import ValueReport, assemble_report
+from .report import ValueReport, assemble_report, sum_queries, zeros
 
 METHOD = "owen-knn"
 
@@ -114,10 +114,6 @@ def _suffix_sums(x: np.ndarray) -> np.ndarray:
     place, by its sum with the entries after it, added farthest first."""
     np.cumsum(x[-2::-1], out=x[-2::-1])
     return x
-
-
-def _zeros(n: int, mode: str) -> np.ndarray:
-    return np.full(n, Fraction(0), dtype=object) if mode == EXACT else np.zeros(n)
 
 
 class _QueryEngine:
@@ -221,7 +217,7 @@ class _QueryEngine:
         # segment i, adds to every other coalition's members of its other
         # class nearer than it; near[c] counts c's members of each class nearer.
         near = [[np.searchsorted(ranks, live).tolist() for ranks, _ in both] for both in groups]
-        across = np.full((m, len(live)), zero, object if mode == EXACT else float)
+        across = zeros((m, len(live)), mode)
         for i, (cj, uj) in enumerate(zip(live_codes.tolist(), live_match.tolist())):
             for c in set(range(m)) - {cj}:
                 a, b = near[c][0][i] - (not uj), near[c][1][i] - uj
@@ -230,7 +226,7 @@ class _QueryEngine:
         # the rows a float weight reads; one coalition's law is the point mass
         binoms = None if mode == EXACT else _log_binom_rows(
             n, (h, self.k) if m == 1 else tuple(range(self.k + 1)))
-        out = _zeros(n, mode)
+        out = zeros(n, mode)
         for c, both in enumerate(groups):
             laws: dict = {}  # by segment, read by both classes
             for u, (ranks, other), (readers, ahead) in ((True, *both), (False, *both[::-1])):
@@ -240,7 +236,7 @@ class _QueryEngine:
                 # displaced, and p - 1 and q - 1 count those mates by class.
                 mine = np.arange(1, len(ranks) + 1)
                 p, q = (mine, other) if u else (other, mine)
-                adds = _zeros(len(ranks) + 1, mode)  # and the empty sum
+                adds = zeros(len(ranks) + 1, mode)  # and the empty sum
                 cuts = [0, *np.searchsorted(ranks, live, side="right").tolist(), len(ranks)]
                 for s, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
                     if lo == hi:
@@ -308,22 +304,17 @@ def _knn_report(method: str, dataset: Dataset, codes: np.ndarray, m: int,
     method: each query ranks the examples once, and the engine gives the
     values that the rows, in rank order, add to their totals."""
     check_mode(mode)
-    queries = list(queries)  # read once: an iterator gives what a list gives
-    t0 = time.perf_counter()
     codes = codes.astype(np.min_scalar_type(m - 1), copy=False)  # a byte each up to m = 256
-    totals = _zeros(len(dataset), mode)
-    columns = []
-    for q in queries:
+
+    def values_of(q: Query):
         ranking = rank_by_distance(dataset, q.features, q.label)
-        values = _QueryEngine(ranking, codes[ranking.rows], m, config.k,
-                              config.outcome_values, mode).values()
-        np.add.at(totals, ranking.rows, values)  # no gathered copy of totals
-        if per_query:
-            columns.append(_zeros(len(dataset), mode))
-            columns[-1][ranking.rows] = values
+        return ranking.rows, _QueryEngine(ranking, codes[ranking.rows], m, config.k,
+                                          config.outcome_values, mode).values()
+
+    queries, totals, columns, wall = sum_queries(queries, len(dataset), mode, per_query, values_of)
     return assemble_report(
         method=method, mode=mode, dataset=dataset, values=totals, query_count=len(queries),
-        wall_time=time.perf_counter() - t0, k=config.k, per_query=columns if per_query else None,
+        wall_time=wall, k=config.k, per_query=columns,
     )
 
 

@@ -3,7 +3,8 @@
 Under the partition with one coalition the Owen value is the Shapley value
 (Owen 1977, *Values of games with a priori unions*), so ``knn_owen``
 computes it with every example in coalition 0: its query engine gives the
-creation and change terms, and its report loop sums the queries.
+creation and change terms, and its report function hands each query's
+values to ``report.sum_queries``, the loop every report sums its queries in.
 """
 
 from __future__ import annotations

@@ -8,6 +8,9 @@ otherwise identical runs are allowed to disagree on.  One writer serves the
 JSON and CSV forms: it walks the rows in blocks, encodes ids and values
 once for both (a value shared by code once per report, ids once for every
 per-query block too), and holds no whole document.
+
+Every report sums its queries in one loop, ``sum_queries``, the only code
+that holds totals, per-query columns and a timer.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ import io
 import json
 import os
 import sys
+import time
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -115,6 +119,33 @@ def _column(values: Union[np.ndarray, Sequence[Money]], mode: str, codes=None) -
     ``codes``, ``values`` holds one entry per code and each row reads its own."""
     column = np.asarray(values, dtype=object if mode == EXACT else float)
     return column if codes is None else column[codes]
+
+
+def zeros(shape, mode: str) -> np.ndarray:
+    """Zeros laid out as a report's columns are: float64 in float mode, an
+    object array of ``Fraction(0)`` in exact mode."""
+    return np.full(shape, to_money(0, mode), object if mode == EXACT else float)
+
+
+def sum_queries(queries: Iterable, slots: int, mode: str, per_query: bool, values_of: Callable):
+    """Sum each query's values into ``slots`` totals (one per example, or
+    per group a report reads by code); ``values_of(query)`` gives the slots
+    it reaches (indices or a slice) and its values there.  ``np.add.at``
+    adds them one at a time in query order, so a float total keeps its bits
+    and is its per-query column summed in query order.  Returns the queries
+    read once into a list, the totals, the columns (None unless
+    ``per_query``; 0 where a query reaches no slot) and the seconds taken."""
+    queries = list(queries)  # read once: an iterator gives what a list gives
+    t0 = time.perf_counter()
+    totals = zeros(slots, mode)
+    columns = [] if per_query else None
+    for query in queries:
+        where, values = values_of(query)
+        np.add.at(totals, where, values)
+        if per_query:
+            columns.append(zeros(slots, mode))
+            columns[-1][where] = values
+    return queries, totals, columns, time.perf_counter() - t0
 
 
 def _coalition_totals(report: ValueReport) -> List[Tuple[Hashable, Money]]:

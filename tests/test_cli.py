@@ -413,6 +413,45 @@ def test_oracle_knn_family(knn_files, tmp_path):
     assert fast_vals == slow_vals
 
 
+@pytest.mark.parametrize("method", ["exact-shapley", "exact-owen", "mc-shapley"])
+@pytest.mark.parametrize("family", ["frequency", "knn"])
+def test_oracle_per_query_columns_sum_to_its_totals(tmp_path, family, method):
+    # each total is its per-query values summed in query order: exactly, or
+    # bit for bit in float (mc-shapley); without --per-query the totals hold
+    rng = random.Random(73)
+    data, queries = tmp_path / "data.csv", tmp_path / "queries.csv"
+    if family == "frequency":
+        data.write_text("id,bin,label,coalition\n" + "".join(
+            f"{3 * i + 1},b{i % 2},{rng.choice('xy')},g{rng.randrange(3)}\n" for i in range(7)))
+        queries.write_text("bin,label\nb0,x\nb1,y\nb0,y\n")
+        (tmp_path / "vf.json").write_text('{"family": "majority", "correct": 3, "wrong": -5, '
+                                          '"none": 1}')
+        rule = ["--value", str(tmp_path / "vf.json")]
+    else:
+        data.write_text("id,label,f0,f1,coalition\n" + "".join(
+            f"{3 * i + 1},{rng.choice('xy')},{rng.uniform(-1, 1)!r},{rng.uniform(-1, 1)!r},"
+            f"g{rng.randrange(3)}\n" for i in range(7)))
+        queries.write_text("label,f0,f1\nx,0.1,0.2\ny,-0.5,0.3\nx,0.7,-0.9\n")
+        rule = ["--k", "3", "--values", "3,-5,1"]
+    argv = ["oracle", "--family", family, "--method", method, "--data", str(data),
+            "--queries", str(queries), *rule] + (["--samples", "50"] if method == "mc-shapley"
+                                                 else [])
+    docs = []
+    for extra in ([], ["--per-query"]):
+        out = tmp_path / f"out{len(docs)}.json"
+        assert run_command(argv + ["--out", str(out)] + extra) == 0
+        docs.append(json.loads(out.read_text()))
+    plain, doc = docs
+    assert plain["per_query"] is None and plain["examples"] == doc["examples"]
+    assert len(doc["per_query"]) == doc["meta"]["query_count"] == 3
+    read = float if method == "mc-shapley" else Fraction
+    for r, row in enumerate(doc["examples"]):
+        parts = [read(q["values"][r]["value"]) for q in doc["per_query"]]
+        assert [q["values"][r]["id"] for q in doc["per_query"]] == [row["id"]] * 3
+        total = sum(parts, read(0))
+        assert total == read(row["value"]) and repr(total) == repr(read(row["value"]))
+
+
 @pytest.mark.parametrize("family, method, flag", [
     ("frequency", "exact-shapley", ["--samples", "7"]),
     ("knn", "exact-owen", ["--seed", "3"]),

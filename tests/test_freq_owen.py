@@ -783,3 +783,23 @@ def test_iterated_queries_give_the_report_of_a_list():
         got = owen_frequency_report(ds, iter(queries), PAYOUT, mode=mode, per_query=True)
         assert got.query_count == 3 and got.values() == want.values()
         assert [c.tolist() for c in got.per_query] == [c.tolist() for c in want.per_query]
+
+
+def _bits(column):
+    return [v if isinstance(v, Fraction) else float(v).hex() for v in column]
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+@pytest.mark.parametrize("report", [shapley_frequency_report, owen_frequency_report])
+def test_per_query_columns_sum_to_the_totals_in_query_order(report, mode):
+    # a float total is its per-query column summed in query order, bit for
+    # bit, and asking for the columns moves no total
+    rng = random.Random(71)
+    for _ in range(25):
+        dataset, query, vf = random_frequency_instance(rng, max_n=9, with_coalitions=True)
+        queries = mixed_frequency_queries(rng, dataset, query)
+        rep = report(dataset, queries, vf, mode=mode, per_query=True)
+        assert len(rep.per_query) == len(queries)
+        assert _bits(rep.value_column) == _bits(sum(rep.per_query))
+        plain = report(dataset, queries, vf, mode=mode)
+        assert plain.per_query is None and _bits(plain.value_column) == _bits(rep.value_column)
