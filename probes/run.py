@@ -52,7 +52,9 @@ Probes:
 - ``owen-knn-mM`` and ``owen-knn-kK``: one float ``owen-knn`` query on
   10,000 two-feature points dealt at random into M coalitions (20 on the
   k axis), with k = 5 or K: the preceder laws the engine builds per
-  coalition pair and live rank dominate;
+  coalition pair and live rank dominate.  ``owen-knn-m100-exact`` is the
+  exact twin of ``owen-knn-m100``: the same inputs, run in exact mode, then
+  once more in float, whose values it checks against its own;
 - ``owen-knn-3k-k5-exact`` and ``owen-knn-3k-k21-exact``: one exact
   ``owen-knn`` query on 3,000 two-feature points in 20 coalitions, k = 5
   or 21, each then run once more in float on the same inputs, whose values
@@ -128,6 +130,7 @@ PROBES = {
     "owen-knn-m20": Probe("owen-knn", 10_000, dims=2, coalitions=20),
     "owen-knn-m100": Probe("owen-knn", 10_000, dims=2, coalitions=100),
     "owen-knn-m200": Probe("owen-knn", 10_000, dims=2, coalitions=200),
+    "owen-knn-m100-exact": Probe("owen-knn", 10_000, "exact", dims=2, coalitions=100, twin=True),
     "owen-knn-k5": Probe("owen-knn", 10_000, dims=2, coalitions=20, k=5),
     "owen-knn-k21": Probe("owen-knn", 10_000, dims=2, coalitions=20, k=21),
     "owen-knn-k51": Probe("owen-knn", 10_000, dims=2, coalitions=20, k=51),

@@ -24,7 +24,7 @@ def test_the_named_probes():
         "owen-freq-box-3k", "owen-freq-box-5k", "owen-freq-box-1k-exact", "knn-query-100k",
         "knn-query-100k-trim", "knn-query-100k-d16", "knn-query-100k-d16-trim",
         "knn-exact-10k-4c", "knn-exact-5k-q10", "owen-knn-m20", "owen-knn-m100",
-        "owen-knn-m200", "owen-knn-k5", "owen-knn-k21", "owen-knn-k51", "owen-knn-3k-k5-exact",
+        "owen-knn-m200", "owen-knn-m100-exact", "owen-knn-k5", "owen-knn-k21", "owen-knn-k51", "owen-knn-3k-k5-exact",
         "owen-knn-3k-k21-exact", "owen-freq-m200",
         "owen-freq-m400", "owen-freq-m800", "owen-freq-m200-exact", "exact-owen-5x5",
         "exact-shapley-10"}
@@ -186,6 +186,11 @@ def test_main_prints_one_json_line_per_probe(monkeypatch, capsys):
 def test_the_exact_m200_probe_is_the_twin_of_the_float_one():
     assert probes.PROBES["owen-freq-m200-exact"] == dataclasses.replace(
         probes.PROBES["owen-freq-m200"], numeric="exact", twin=True)
+
+
+def test_the_exact_m100_knn_probe_is_the_twin_of_the_float_one():
+    assert probes.PROBES["owen-knn-m100-exact"] == dataclasses.replace(
+        probes.PROBES["owen-knn-m100"], numeric="exact", twin=True)
 
 
 @pytest.mark.parametrize("probe", [

@@ -5,15 +5,15 @@ its label class moves the value (the critical set).  The outer layer is
 the law of the in-bin counts that the coalitions ahead of the target
 coalition contribute: an expansion of Owen's multilinear extension over
 dense arrays (``owen_precede_laws``), in float one per query for all the
-laws it needs, batched over a leading axis of laws; the k-NN Owen
-computation builds its laws one at a time with it.  The inner layer is the probability that a prefix of
-the target coalition's own in-bin members precedes the example, correlated
-with the law at the critical entries.  For a rule of a - b alone those
-probabilities summed along a diagonal are a prefix sum of one binomial row
-(``_diagonal_sums``), so its law of a - b is read against them at the
-critical diagonals, with no within-coalition grid; a table rule's law of
-(a, b) is convolved with the grid.  Out-of-bin members of any coalition
-never move the value, so they are ignored throughout.
+laws it needs, batched over a leading axis of laws.  The inner layer is
+the probability that a prefix of the target coalition's own in-bin
+members precedes the example, correlated with the law at the critical
+entries.  For a rule of a - b alone those probabilities summed along a
+diagonal are a prefix sum of one binomial row (``_diagonal_sums``), so its
+law of a - b is read against them at the critical diagonals, with no
+within-coalition grid; a table rule's law of (a, b) is convolved with the
+grid.  Out-of-bin members of any coalition never move the value, so they
+are ignored throughout.
 """
 
 from __future__ import annotations
@@ -133,23 +133,19 @@ def _guard(need: int, what: str) -> None:
         )
 
 
-@lru_cache(maxsize=128)  # k-NN asks for many tiny laws; leggauss costs ~0.1 ms
+@lru_cache(maxsize=128)  # a query's laws need few node counts; leggauss costs ~0.1 ms
 def _nodes(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n Gauss-Legendre nodes as t and 1 - t on [0, 1], each rounded
-    once, ascending in t, and their weights on [-1, 1]."""
-    if n == 1:  # leggauss(1), without importing numpy.polynomial for it
-        x, w = np.zeros(1), np.full(1, 2.0)
-    else:
-        x, w = np.polynomial.legendre.leggauss(n)  # ascending, symmetric about 0
-    return (1 + x[:, None, None]) / 2, (1 - x[:, None, None]) / 2, w
+    """Of n Gauss-Legendre nodes, those at t <= 1/2 as t and 1 - t on [0, 1],
+    each rounded once, ascending in t, and all n weights on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)  # ascending, symmetric about 0
+    x = x[: (n + 1) // 2, None, None]
+    return (1 + x) / 2, (1 - x) / 2, w
 
 
 def owen_precede_laws(
     tallies: Iterable[CountPair],
     left_out: Iterable[CountPair],
     mode: str = EXACT,
-    pinned: Optional[CountPair] = None,
-    caps: Optional[CountPair] = None,
 ) -> Iterator[PrecedeDistribution]:
     """Law of the summed tallies of the non-target coalitions that land
     ahead of the target coalition, the others being ``tallies`` less one
@@ -162,102 +158,84 @@ def owen_precede_laws(
     coalition over dense arrays.  In exact mode each size |S| has an array
     of integer subset counts over the box that size can reach, each
     non-zero cell weighted once at the end.  In float mode one array's
-    axes run over laws and Gauss-Legendre nodes, exact for degree m;
-    without pin or caps only the nodes t <= 1/2 are built, since trading t
-    for 1 - t reverses the law along both axes.  Laws alike in node count
-    and next to each other share the array, as many as fit in
-    ``BATCH_BYTES``; a law's slab is set aside at the pair it leaves out,
-    so each is bit for bit the law built alone.
+    axes run over laws and Gauss-Legendre nodes, exact for degree m; only
+    the nodes t <= 1/2 are built, since trading t for 1 - t reverses the
+    law along both axes.  Laws alike in node count and next to each other
+    share the array, as many as fit in ``BATCH_BYTES``; a law's slab is set
+    aside at the pair it leaves out, so each is bit for bit the law built
+    alone.
 
     A tally may be negative: a rule of a - b alone passes (a - b, 0), whose
     law is one column of at most A + B + 1 cells.  The array then starts at
-    ``origin``, the sums of the negative entries.  A ``pinned`` coalition
-    always precedes the target: one more factor of t, so the mass is 1/2.
-    ``caps`` drops counts above them, which for non-negative tallies can
-    never come back under.  All-zero tallies are dropped, so leaving out
-    (0, 0) removes nothing, and the rest sorted: a law depends only on
-    their multiset.
+    ``origin``, the sums of the negative entries.  All-zero tallies are
+    dropped, so leaving out (0, 0) removes nothing, and the rest sorted: a
+    law depends only on their multiset.
     """
     check_mode(mode)
     tallies = require_pairs("other tally", tallies, signed=True)
     left_out = require_pairs("left-out tally", left_out, signed=True)
-    require_pairs("pinned or caps", [p for p in (pinned, caps) if p is not None])
     if not {*map(tuple, left_out)} <= {*map(tuple, tallies), (0, 0)}:
         raise InputError("a left-out tally is not among the tallies")
-    return _precede_laws(tallies, left_out, mode, pinned, caps)
+    return _precede_laws(tallies, left_out, mode)
 
 
-def owen_precede_distribution(other_tallies: Iterable[CountPair], mode: str = EXACT,
-                              pinned: Optional[CountPair] = None,
-                              caps: Optional[CountPair] = None) -> PrecedeDistribution:
+def owen_precede_distribution(other_tallies: Iterable[CountPair],
+                              mode: str = EXACT) -> PrecedeDistribution:
     """The one law of ``owen_precede_laws`` that leaves no tally out."""
-    return next(owen_precede_laws(other_tallies, [(0, 0)], mode, pinned, caps))
+    return next(owen_precede_laws(other_tallies, [(0, 0)], mode))
 
 
-def _precede_laws(tallies, left_out, mode: str, pinned=None, caps=None):
-    """``owen_precede_laws`` past its checks, for counts the caller built."""
+def _precede_laws(tallies, left_out, mode: str):
+    """``owen_precede_laws`` past its checks."""
     pairs = sorted(tuple(p) for p in tallies if tuple(p) != (0, 0))
-    pin, cap = pinned or (0, 0), caps or (math.inf, math.inf)
 
     def frame(rest):  # the lowest tallies a law's cells hold, and the highest
         return (tuple(sum(p[i] for p in rest if p[i] < 0) for i in (0, 1)),
-                tuple(min(pin[i] + sum(p[i] for p in rest if p[i] > 0), cap[i]) for i in (0, 1)))
+                tuple(sum(p[i] for p in rest if p[i] > 0) for i in (0, 1)))
     laws = []  # per law: the index of the pair it leaves out (-1: none), the rest, its frame
     for x in map(tuple, left_out):
         skip = -1 if x == (0, 0) else pairs.index(x)
         rest = pairs if skip < 0 else pairs[:skip] + pairs[skip + 1:]
         laws.append((skip, rest, *frame(rest)))
-    if pin[0] > cap[0] or pin[1] > cap[1]:  # the pinned coalition overflows the caps
-        for *_, (la, lb), (ta, tb) in laws:
-            zeros = np.zeros((ta - la + 1, tb - lb + 1), object if mode == EXACT else float)
-            yield PrecedeDistribution(zeros, 1, (la, lb))
-    elif mode == EXACT:
-        yield from (_exact_law(rest, pinned, low, top) for _, rest, low, top in laws)
+    if mode == EXACT:
+        yield from (_exact_law(rest, low, top) for _, rest, low, top in laws)
     else:
         # a batch spans the cells of all pairs, and a law alone its own
-        m, span = len(pairs) + (pinned is not None), frame(pairs) if len(laws) != 1 else laws[0][2:]
-        (la, lb), (ta, tb) = span
-        for n, run in groupby(laws, key=lambda law: (m - (law[0] >= 0)) // 2 + 1):
-            run, depth = list(run), (n + 1) // 2 if pinned is None and caps is None else n
-            per = max(min(BATCH_BYTES, GRID_BUDGET_BYTES) // (depth * (ta - la + 1) * (tb - lb + 1) * 8), 1)
+        span = frame(pairs) if len(laws) != 1 else laws[0][2:]
+        cells = math.prod(t - low + 1 for low, t in zip(*span))
+        for n, run in groupby(laws, key=lambda law: (len(pairs) - (law[0] >= 0)) // 2 + 1):
+            run = list(run)  # a law of n nodes builds (n + 1) // 2 of them
+            per = max(min(BATCH_BYTES, GRID_BUDGET_BYTES) // ((n + 1) // 2 * cells * 8), 1)
             for batch in (run[i : i + per] for i in range(0, len(run), per)):
-                yield from _float_laws(pairs, batch, n, depth, pinned, *(
-                    span if len(batch) > 1 else batch[0][2:]))
+                yield from _float_laws(pairs, batch, n, *(span if len(batch) > 1 else batch[0][2:]))
 
 
-def _exact_law(pairs, pinned, origin: CountPair, top: CountPair) -> PrecedeDistribution:
+def _exact_law(pairs, origin: CountPair, top: CountPair) -> PrecedeDistribution:
     """The exact law of ``pairs``, sorted and non-zero, one law alone."""
-    (oa, ob), (a0, b0), m = origin, pinned or (0, 0), len(pairs) + (pinned is not None)
+    (oa, ob), m = origin, len(pairs)
     # from here on counts are cell indices, measured from the origin
-    a0, b0, top_a, top_b = a0 - oa, b0 - ob, top[0] - oa, top[1] - ob
+    a0, b0, top_a, top_b = -oa, -ob, top[0] - oa, top[1] - ob
     # subsets of size k reach only the box from the sums of the k smallest
     # tallies to those of the k largest: one array per box, not per grid
-    k0 = m - len(pairs)  # 1 with a pin, else 0
     sa, sb = sorted(a for a, _ in pairs), sorted(b for _, b in pairs)
-    lows, shapes = [(top_a + 1, top_b + 1)] * k0, [(0, 0)] * k0
-    for la, lb, ua, ub in zip(accumulate(sa, initial=a0), accumulate(sb, initial=b0),
-                              accumulate(sa[::-1], initial=a0), accumulate(sb[::-1], initial=b0)):
-        lows.append((la, lb))
-        shapes.append((max(min(ua, top_a) - la + 1, 0), max(min(ub, top_b) - lb + 1, 0)))
+    lows = list(zip(accumulate(sa, initial=a0), accumulate(sb, initial=b0)))
+    highs = zip(accumulate(sa[::-1], initial=a0), accumulate(sb[::-1], initial=b0))
+    shapes = [(ua - la + 1, ub - lb + 1) for (la, lb), (ua, ub) in zip(lows, highs)]
     widest = math.comb(m, m // 2)  # the largest count of subsets of one size
-    dtype = np.int64 if widest < 2**63 else object
-    cell = 8 if dtype is np.int64 else 8 + sys.getsizeof(widest)
+    cell = 8 if widest < 2**63 else 8 + sys.getsizeof(widest)  # int64, else Python ints
     # plus the weighted law, one pointer per cell of the full grid
     _guard(sum(x * y for x, y in shapes) * cell + (top_a + 1) * (top_b + 1) * 8, "Owen law grid")
-    g = [np.zeros(shape, dtype) for shape in shapes]
-    lo, hi = [(top_a + 1, top_b + 1)] * (m + 1), [(-1, -1)] * (m + 1)  # reached so far
-    g[k0][0, 0] = 1
-    lo[k0] = hi[k0] = (a0, b0)
+    g = [np.zeros(shape, np.int64 if cell == 8 else object) for shape in shapes]
+    lo, hi = [(a0, b0)] + [(top_a + 1, top_b + 1)] * m, [(a0, b0)] + [(-1, -1)] * m  # reached so far
+    g[0][0, 0] = 1
     for j, (a, b) in enumerate(pairs):
-        for k in range(k0 + j, -1, -1):  # each size is read before it is written
+        for k in range(j, -1, -1):  # each size is read before it is written
             (la, lb), (ua, ub) = lo[k], hi[k]
-            ua, ub = min(ua, top_a - a), min(ub, top_b - b)
-            if la <= ua and lb <= ub:
-                (oa, ob), (pa, pb) = lows[k], lows[k + 1]  # the boxes' corners
-                held = g[k][la - oa : ua - oa + 1, lb - ob : ub - ob + 1]
-                g[k + 1][la + a - pa : ua + a - pa + 1, lb + b - pb : ub + b - pb + 1] += held
-                lo[k + 1] = min(lo[k + 1][0], la + a), min(lo[k + 1][1], lb + b)
-                hi[k + 1] = max(hi[k + 1][0], ua + a), max(hi[k + 1][1], ub + b)
+            (oa, ob), (pa, pb) = lows[k], lows[k + 1]  # the boxes' corners
+            held = g[k][la - oa : ua - oa + 1, lb - ob : ub - ob + 1]
+            g[k + 1][la + a - pa : ua + a - pa + 1, lb + b - pb : ub + b - pb + 1] += held
+            lo[k + 1] = min(lo[k + 1][0], la + a), min(lo[k + 1][1], lb + b)
+            hi[k + 1] = max(hi[k + 1][0], ua + a), max(hi[k + 1][1], ub + b)
     weights = np.zeros((top_a + 1, top_b + 1), object)
     for k, (box, (oa, ob)) in enumerate(zip(g, lows)):
         i, j = np.nonzero(box)
@@ -267,19 +245,17 @@ def _exact_law(pairs, pinned, origin: CountPair, top: CountPair) -> PrecedeDistr
     return PrecedeDistribution(weights, math.factorial(m + 1), origin)
 
 
-def _float_laws(pairs, run, n: int, depth: int, pinned, low: CountPair,
-                top: CountPair) -> list:
+def _float_laws(pairs, run, n: int, low: CountPair, top: CountPair) -> list:
     """The float laws of ``run`` (as ``_precede_laws`` lists them), alike in
     node count n: one expansion of ``pairs`` over the tallies low to top."""
-    (oa, ob), (pa, pb) = low, pinned or (0, 0)
-    a0, b0, top_a, top_b = pa - oa, pb - ob, top[0] - oa, top[1] - ob
+    (oa, ob), depth = low, (n + 1) // 2
+    top_a, top_b = top[0] - oa, top[1] - ob
     _guard(len(run) * depth * (top_a + 1) * (top_b + 1) * 8, "Owen law grid")
     g = np.zeros((len(run), depth, top_a + 1, top_b + 1))
     t, s, w = _nodes(n)
-    t, s = t[:depth], s[:depth]
-    g[:, :, a0, b0] = t[:, 0, 0] if pinned is not None else 1.0
+    g[:, :, -oa, -ob] = 1.0
     ratio = t / s  # held cells are scaled first, so the shifted copy takes t / s
-    hi_a, hi_b = a0, b0  # highest cells reached so far
+    hi_a, hi_b = -oa, -ob  # highest cells reached so far
     leaving: dict = {}  # pair index -> the laws that leave it out
     for j, law in enumerate(run):
         leaving.setdefault(law[0], []).append(j)
@@ -290,25 +266,19 @@ def _float_laws(pairs, run, n: int, depth: int, pinned, low: CountPair,
         kept = g[out] if out else None  # a copy, put back after the shift-add
         held = g[:, :, : hi_a + 1, : hi_b + 1]
         held *= s
-        fit_a, fit_b = min(hi_a, top_a - a), min(hi_b, top_b - b)
         # a negative shift moves cells from index -a up, as none lies lower
         ia, ib = max(-a, 0), max(-b, 0)
-        if fit_a >= 0 and fit_b >= 0:
-            moved = held[:, :, ia : fit_a + 1, ib : fit_b + 1] * ratio
-            g[:, :, ia + a : fit_a + a + 1, ib + b : fit_b + b + 1] += moved
+        g[:, :, ia + a : hi_a + a + 1, ib + b : hi_b + b + 1] += held[:, :, ia:, ib:] * ratio
         if out:
             g[out] = kept
-        hi_a, hi_b = min(max(hi_a, hi_a + a), top_a), min(max(hi_b, hi_b + b), top_b)
+        hi_a, hi_b = hi_a + max(a, 0), hi_b + max(b, 0)
     def sums(v, x):  # np.tensordot(v, x, axes=1) of a contiguous x, without its bookkeeping
-        return np.dot(v, x.reshape(len(v), -1)).reshape(x.shape[1:])
+        return np.dot(v, x.reshape(len(v), x.shape[1] * x.shape[2])).reshape(x.shape[1:])
     laws = []
     for law, (*_, low, top) in zip(g, run):  # each cut to its own cells, as if alone
         law = np.ascontiguousarray(law[:, low[0] - oa : top[0] - oa + 1, low[1] - ob : top[1] - ob + 1])
-        if depth == n:  # no mirror, or one node; the weights sum to 2 on [-1, 1]
-            laws.append(PrecedeDistribution(sums(w, law) / 2, 1, low))
-        else:
-            mirrored = sums(w[: n // 2], law[: n // 2])[::-1, ::-1]
-            laws.append(PrecedeDistribution((sums(w[:depth], law) + mirrored) / 2, 1, low))
+        mirrored = sums(w[: n // 2], law[: n // 2])[::-1, ::-1]  # the weights sum to 2 on [-1, 1]
+        laws.append(PrecedeDistribution((sums(w[:depth], law) + mirrored) / 2, 1, low))
     return laws
 
 

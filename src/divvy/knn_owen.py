@@ -7,11 +7,11 @@ Each example's value splits into a creation term (the example arrives as
 the k-th member and casts the deciding pattern) and a change term (the
 example arrives later and knocks the current k-th voter out).  The
 predecessor mix comes from two stages: whole coalitions landing ahead of
-the target coalition (the preceder law of the frequency Owen computation,
-over per-coalition label counts relative to one pivotal rank, with the
-pivot's coalition pinned ahead when it is not the target's) and the
-within-coalition ordering (the usual precedence weight).  Law inputs are
-clamped to the read window before caching: any per-coalition count at or
+the target coalition (a preceder law over per-coalition label counts
+relative to one pivotal rank, capped at the vote window, with the pivot's
+coalition pinned ahead when it is not the target's: one subset-count
+table) and the within-coalition ordering (the usual precedence weight).
+Law inputs are clamped to the read window before caching: any count at or
 beyond cap+1 overflows the window on every path, so clamping changes
 nothing a caller can observe while making cache keys collide often.
 
@@ -41,13 +41,15 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from fractions import Fraction
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
 
 from .combinatorics import EXACT, Money, check_mode, precede_probability
-from .freq_owen import PrecedeDistribution, _precede_laws
+from .freq_owen import PrecedeDistribution, _guard
 from .model import (Dataset, KnnConfig, OutcomeValues, Query, RankedNeighborhood,
                     dense_codes, rank_by_distance, require_k, to_money)
 from .report import ValueReport, assemble_report, sum_queries, zeros
@@ -56,9 +58,37 @@ METHOD = "owen-knn"
 
 
 def knn_owen_distribution(others, mode: str, pinned, caps) -> PrecedeDistribution:
-    """The preceder law of rows ``_QueryEngine._dp`` clamped itself, so built
-    past the count checks; the one name through which this module builds one."""
-    return next(_precede_laws(others, [(0, 0)], mode, pinned, caps))
+    """Law of the summed ``others`` rows (counts ``_QueryEngine._dp`` clamped)
+    ahead of the target, no cell past ``caps``, the ``pinned`` row (None:
+    none) always ahead: for m non-zero rows and p = 1 with a pin, sum_J N_J
+    (J + p)!(m - J - p)!/(m + 1)! (Bilbao et al. 2000), where N[J, a, b]
+    counts the J-subsets of the rows that fit whose sums, with the pin, are
+    (a, b).  A fitting row raises a + b, so J <= c_a + c_b - p_a - p_b.  Exact
+    mode gives ints over (m + 1)!, float mode each J's weight rounded once."""
+    pin, rows, p = pinned or (0, 0), [r for r in others if r != (0, 0)], pinned is not None
+    fit = sorted(r for r in rows if pin[0] + r[0] <= caps[0] and pin[1] + r[1] <= caps[1])
+    top = [min(caps[i], pin[i] + sum(r[i] for r in fit)) for i in (0, 1)]
+    shape = (max(min(len(fit), top[0] + top[1] - pin[0] - pin[1]), 0) + 1, top[0] + 1, top[1] + 1)
+    widest = math.comb(len(fit), min(shape[0] - 1, len(fit) // 2))  # the largest count
+    cell = 8 if widest < 2**63 else 8 + sys.getsizeof(widest)
+    _guard(2 * math.prod(shape) * cell, "count table")  # and the copy a step reads
+    n = np.zeros(shape, np.int64 if cell == 8 else object)
+    n[0, pin[0] : pin[0] + 1, pin[1] : pin[1] + 1] = 1  # none if the pin is past the caps
+    reach = [0, *pin]  # the highest J, a and b reached so far
+    for row, run in groupby(fit):
+        c, step = len(list(run)), (1, *row)  # c rows alike: any i of them, C(c, i) ways
+        held = n[: reach[0] + 1, : reach[1] + 1, : reach[2] + 1].copy()
+        for i in range(1, min(c, *((t - 1) // s for t, s in zip(shape, step) if s)) + 1):
+            span = [min(h, t - i * s) for h, t, s in zip(held.shape, shape, step)]
+            n[tuple(slice(i * s, i * s + w) for s, w in zip(step, span))] += (
+                math.comb(c, i) * held[: span[0], : span[1], : span[2]])
+        reach = [min(r + c * s, t - 1) for r, s, t in zip(reach, step, shape)]
+    m, flat = len(rows) + p, n.reshape(shape[0], -1)
+    if mode == EXACT:
+        w = np.array([math.factorial(j + p) * math.factorial(m - j - p) for j in range(shape[0])], object)
+        return PrecedeDistribution((w @ flat).reshape(shape[1:]), math.factorial(m + 1))
+    w = np.array([1 / ((m + 1) * math.comb(m, j + p)) for j in range(shape[0])])
+    return PrecedeDistribution((w @ flat.astype(float)).reshape(shape[1:]))
 
 
 @functools.lru_cache(maxsize=1)

@@ -21,7 +21,9 @@ from divvy import (
     OutcomeValues,
     Query,
     TableValueFunction,
+    owen_precede_distribution,
 )
+from divvy.knn_owen import knn_owen_distribution
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
@@ -141,3 +143,14 @@ def insertion_dp(pairs, caps=None, first=None):
     for (s, a, b), mass in states.items():
         out[a, b] = out.get((a, b), 0) + mass
     return out
+
+
+def preceder_law(pairs, mode, pinned=None, caps=None):
+    """The law of ``pairs`` ahead of the target: the frequency kernel's with
+    neither pin nor caps, else the k-NN count table's, whose caps, when
+    none are given, are ones that no sum of the rows and the pin passes."""
+    if pinned is None and caps is None:
+        return owen_precede_distribution(pairs, mode)
+    pin = pinned or (0, 0)
+    caps = caps or tuple(pin[i] + sum(p[i] for p in pairs) for i in (0, 1))
+    return knn_owen_distribution(pairs, mode, pinned, caps)

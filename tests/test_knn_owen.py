@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,9 +27,9 @@ from divvy import (
     precede_probability,
     rank_by_distance,
 )
-from divvy.errors import InputError
+from divvy.errors import GuardError, InputError
 
-from conftest import LABELS, insertion_dp, random_knn_instance, relative_gap
+from conftest import LABELS, insertion_dp, preceder_law, random_knn_instance, relative_gap
 
 UNIT = OutcomeValues(Fraction(1), Fraction(-1), Fraction(0))
 
@@ -36,17 +37,17 @@ UNIT = OutcomeValues(Fraction(1), Fraction(-1), Fraction(0))
 def test_distribution_mass_by_base():
     others = [(1, 0), (0, 2), (1, 1)]
     assert owen_precede_distribution(others).mass() == 1
-    assert owen_precede_distribution(others, pinned=(1, 0)).mass() == Fraction(1, 2), (
+    assert preceder_law(others, "exact", pinned=(1, 0)).mass() == Fraction(1, 2), (
         "pinning the pivot's coalition ahead leaves only the orderings "
         "where it precedes the target"
     )
-    assert abs(owen_precede_distribution(others, "float", pinned=(1, 0)).mass() - 0.5) < 1e-12
+    assert abs(preceder_law(others, "float", pinned=(1, 0)).mass() - 0.5) < 1e-12
 
 
 def test_distribution_empty_cases():
     for mode in ("exact", "float"):
         assert owen_precede_distribution([], mode).probs.tolist() == [[1]]
-        q = owen_precede_distribution([], mode, pinned=(2, 1)).probs
+        q = preceder_law([], mode, pinned=(2, 1)).probs
         assert q.tolist() == [[0, 0], [0, 0], [0, Fraction(1, 2)]], mode
 
 
@@ -54,8 +55,8 @@ def test_distribution_caps_keep_in_range_states():
     others = [(2, 0), (0, 2), (1, 1)]
     for mode, tol in (("exact", 0), ("float", 1e-12)):
         for pinned in (None, (1, 1)):
-            full = owen_precede_distribution(others, mode, pinned).probs
-            capped = owen_precede_distribution(others, mode, pinned, caps=(1, 1)).probs
+            full = preceder_law(others, mode, pinned).probs
+            capped = preceder_law(others, mode, pinned, caps=(1, 1)).probs
             assert capped.shape == (2, 2)
             for (a, b), p in np.ndenumerate(capped):
                 assert relative_gap(p, full[a, b]) <= tol, (mode, pinned, a, b)
@@ -63,8 +64,59 @@ def test_distribution_caps_keep_in_range_states():
 
 def test_distribution_caps_drop_oversized_first():
     for mode in ("exact", "float"):
-        q = owen_precede_distribution([(1, 0)], mode, pinned=(3, 0), caps=(1, 1))
+        q = preceder_law([(1, 0)], mode, pinned=(3, 0), caps=(1, 1))
         assert q.mass() == 0, mode
+
+
+def test_count_table_laws_match_the_insertion_dp_up_to_m_300():
+    # rows clamped as the engine clamps them, (0, 0) rows, pins up to one
+    # past the caps, and caps of change and creation terms: exact laws equal
+    # the insertion DP, float laws are within 1e-15 of them; 70 rows of
+    # (1, 0) under caps (70, 0) count past int64 (C(70, 35) > 2^63)
+    rng = random.Random(37)
+    cases = [([(1, 0)] * 70, None, (70, 0))]
+    for m in (0, 1, 2, 3, 5, 8, 13, 20, 30, 50, 80, 120, 200, 300):
+        for _ in range(2 if m < 100 else 1):
+            h = rng.randint(0, 4)
+            caps = rng.choice([(h, h), (2 * h, 2 * h), (rng.randint(0, 5), rng.randint(0, 5))])
+            rows = [(rng.randint(0, caps[0] + 1), rng.randint(0, caps[1] + 1)) for _ in range(m)]
+            pinned = rng.choice([None, (rng.randint(0, caps[0] + 1), rng.randint(0, caps[1] + 1))])
+            cases.append((rows, pinned, caps))
+    for rows, pinned, caps in cases:
+        want = insertion_dp(rows, caps, pinned)
+        exact = preceder_law(rows, "exact", pinned, caps)
+        got = {(int(a), int(b)): exact.probs[a, b] for a, b in zip(*np.nonzero(exact.weights))}
+        assert got == {k: v for k, v in want.items() if v}, (len(rows), pinned, caps)
+        float_law = preceder_law(rows, "float", pinned, caps).probs
+        for (a, b), p in np.ndenumerate(float_law):
+            assert abs(p - want.get((a, b), 0)) <= 1e-15, (len(rows), pinned, caps, a, b)
+
+
+def test_count_table_holds_only_the_cells_its_rows_reach():
+    # five rows of (3, 2) reach (15, 10) of caps (1000, 1000): a table out to
+    # the caps would hold millions of cells
+    tracemalloc.start()
+    try:
+        for mode in ("exact", "float"):
+            law = knn_owen.knn_owen_distribution([(3, 2)] * 5, mode, None, (1000, 1000))
+            assert law.weights.shape == (16, 11) and law.mass() == 1, mode
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_count_table_over_the_budget_is_refused_before_it_exists():
+    # 61 subset sizes of 3001 x 3001 cells
+    tracemalloc.start()
+    try:
+        for mode in ("exact", "float"):
+            with pytest.raises(GuardError, match="count table of .* is over the .* budget"):
+                knn_owen.knn_owen_distribution([(50, 50)] * 60, mode, None, (3000, 3000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_creation_plus_change_decomposition():
